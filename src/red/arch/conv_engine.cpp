@@ -69,7 +69,7 @@ Tensor<std::int32_t> ConvEngine::run(const nn::ConvLayerSpec& spec,
   const std::int64_t out_plane = std::int64_t{oh} * ow;
 
   // Independent output-row tiles with per-tile stats, merged after the join
-  // (bit-exact for any thread count; see ZeroPaddingDesign::run).
+  // (bit-exact for any thread count, like the zero-padding programmed layer).
   const std::int64_t tiles = perf::chunk_count(cfg_.threads, oh);
   std::vector<RunStats> tile_stats(static_cast<std::size_t>(tiles));
   perf::parallel_chunks(tiles, oh, [&](std::int64_t t, std::int64_t y0, std::int64_t y1) {

@@ -32,28 +32,24 @@ std::vector<Tensor<std::int32_t>> ProgrammedLayer::run_batch(
   return outputs;
 }
 
-std::unique_ptr<ProgrammedLayer> ProgrammedLayer::faulted(const fault::FaultModel& model,
-                                                          const fault::RepairPolicy& policy,
-                                                          std::uint64_t salt,
-                                                          fault::RepairReport* report) const {
-  (void)model;
-  (void)policy;
-  (void)salt;
-  (void)report;
-  return nullptr;  // no fault-injection path for this design
+Tensor<std::int32_t> Design::run(const nn::DeconvLayerSpec& spec,
+                                 const Tensor<std::int32_t>& input,
+                                 const Tensor<std::int32_t>& kernel, RunStats* stats) const {
+  const auto programmed = program(spec, kernel);
+  RED_EXPECTS_MSG(programmed != nullptr, "a design without a programmed layer overrides run()");
+  return programmed->run(input, stats);
 }
 
 std::unique_ptr<ProgrammedLayer> Design::program(const nn::DeconvLayerSpec& spec,
                                                  const Tensor<std::int32_t>& kernel) const {
-  (void)spec;
-  (void)kernel;
-  return nullptr;  // no programmed fast path; callers fall back to run()
+  return program(plan::plan_layer(kind(), spec, cfg_), kernel);
 }
 
 std::unique_ptr<ProgrammedLayer> Design::program(const plan::LayerPlan& plan,
                                                  const Tensor<std::int32_t>& kernel) const {
   check_plan(plan);
-  return program(plan.spec, kernel);
+  (void)kernel;
+  return nullptr;  // no programmed layer; callers fall back to run()
 }
 
 void Design::check_plan(const plan::LayerPlan& plan) const {
@@ -77,20 +73,6 @@ CostReport Design::cost(const nn::DeconvLayerSpec& spec) const {
 CostReport Design::cost(const plan::LayerPlan& plan) const {
   check_plan(plan);
   return compute_cost(cfg_.tiled ? apply_tiling(plan.activity, cfg_) : plan.activity, cfg_);
-}
-
-std::vector<std::int64_t> Design::execute_mvm(const xbar::LogicalXbar& xbar,
-                                              std::span<const std::int32_t> input,
-                                              xbar::MvmStats* stats) const {
-  return cfg_.bit_accurate ? xbar.mvm_bit_accurate(input, stats) : xbar.mvm(input, stats);
-}
-
-std::span<const std::int64_t> Design::execute_mvm(const xbar::LogicalXbar& xbar,
-                                                  std::span<const std::int32_t> input,
-                                                  perf::MvmWorkspace& ws,
-                                                  xbar::MvmStats* stats) const {
-  return cfg_.bit_accurate ? xbar.mvm_bit_accurate(input, ws, stats)
-                           : xbar.mvm(input, ws, stats);
 }
 
 }  // namespace red::arch

@@ -11,6 +11,13 @@
 // LayerPlan; the spec-taking entry points here are convenience wrappers that
 // compile a plan on the fly, and the plan-taking overloads consume an
 // already-compiled plan without re-deriving anything.
+//
+// One execution path per design: zero-padding and RED execute only through
+// their ProgrammedLayer (program(), then ProgrammedLayer::run), and
+// Design::run is exactly that pair. Padding-free is the documented
+// exception: it has no programmed layer and keeps its own run() body, since
+// building its crossbars up front would cost more set-up than the per-image
+// scatter it replaces until programming gets cheaper.
 #pragma once
 
 #include <cstdint>
@@ -129,17 +136,20 @@ struct RunStats {
   friend bool operator==(const RunStats&, const RunStats&) = default;
 };
 
-/// A layer whose crossbars are already programmed. Splits Design::run into a
-/// pay-once phase (weight extraction, scheduling, cell-level encoding) and a
-/// repeatable execution phase, so statistical sweeps stop rebuilding and
-/// reprogramming the design per trial. perturbed() reprograms only the
-/// device-variation deltas on the clean cell levels using the accelerated
-/// sampler (LogicalXbar's FastDeltaTag constructor): the exact variation law
-/// of from-scratch programming, deterministic in the seed and thread-count
-/// invariant, sampled sparsely instead of per-cell-normal-variate.
-/// Instances are immutable after construction: run() is const and safe to
-/// call from concurrent trials (distinct instances; the shared input-binding
-/// cache is internally synchronized).
+/// A layer whose crossbars are already programmed: the one execution body of
+/// the zero-padding and RED designs. Splits execution into a pay-once phase
+/// (weight extraction, scheduling, cell-level encoding) and a repeatable
+/// run(), so streams and statistical sweeps stop rebuilding and
+/// reprogramming the design per image or trial. run() gathers its input in
+/// bounded chunks (one output row / one block row at a time) into per-chunk
+/// buffers, so no buffer scales with output pixels x crossbar rows.
+/// perturbed() reprograms only the device-variation deltas on the clean cell
+/// levels using the accelerated sampler (LogicalXbar's FastDeltaTag
+/// constructor): the exact variation law of from-scratch programming,
+/// deterministic in the seed and thread-count invariant, sampled sparsely
+/// instead of per-cell-normal-variate. Instances are immutable after
+/// construction and hold no mutable shared state: run() is const and safe to
+/// call concurrently.
 class ProgrammedLayer {
  public:
   virtual ~ProgrammedLayer() = default;
@@ -147,8 +157,7 @@ class ProgrammedLayer {
   ProgrammedLayer(const ProgrammedLayer&) = delete;
   ProgrammedLayer& operator=(const ProgrammedLayer&) = delete;
 
-  /// Execute on the programmed crossbars. Outputs and RunStats are
-  /// bit-identical to Design::run(spec, input, kernel, stats).
+  /// Execute on the programmed crossbars.
   [[nodiscard]] virtual Tensor<std::int32_t> run(const Tensor<std::int32_t>& input,
                                                  RunStats* stats = nullptr) const = 0;
 
@@ -162,7 +171,8 @@ class ProgrammedLayer {
       std::vector<RunStats>* stats = nullptr) const;
 
   /// Sibling layer with `var` applied to the clean programmed levels. Only
-  /// valid on a variation-free instance (the one Design::program returns).
+  /// valid on a variation-free instance (Design::program under a config
+  /// without device variation); the crossbar layer enforces it.
   [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> perturbed(
       const xbar::VariationModel& var) const = 0;
 
@@ -172,11 +182,11 @@ class ProgrammedLayer {
   /// remapping). `salt` namespaces the fault mask per layer/stage so stacked
   /// layers sharing one model draw independent faults; `report` (optional)
   /// receives the summed RepairReport. Deterministic in (model.seed, salt)
-  /// and thread-invariant. The default returns nullptr — designs without a
-  /// programmed fast path cannot host fault campaigns.
+  /// and thread-invariant. Like perturbed(), only valid on a variation-free
+  /// instance.
   [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> faulted(
       const fault::FaultModel& model, const fault::RepairPolicy& policy, std::uint64_t salt = 0,
-      fault::RepairReport* report = nullptr) const;
+      fault::RepairReport* report = nullptr) const = 0;
 
   /// What the variation model did to this instance's crossbars (summed).
   [[nodiscard]] virtual xbar::VariationStats variation_stats() const = 0;
@@ -207,11 +217,14 @@ class Design {
   /// for this design's kind and config (checked via the structural key).
   [[nodiscard]] LayerActivity activity(const plan::LayerPlan& plan) const;
 
-  /// Execute the layer functionally through the crossbar pipeline.
+  /// Execute the layer functionally through the crossbar pipeline:
+  /// program(spec, kernel), then run `input` on the programmed layer.
+  /// Virtual only for padding-free, which has no programmed layer and
+  /// overrides this with its own body.
   [[nodiscard]] virtual Tensor<std::int32_t> run(const nn::DeconvLayerSpec& spec,
                                                  const Tensor<std::int32_t>& input,
                                                  const Tensor<std::int32_t>& kernel,
-                                                 RunStats* stats = nullptr) const = 0;
+                                                 RunStats* stats = nullptr) const;
 
   /// Calibrated cost of this layer (analytic; does not touch tensor data).
   /// Convenience wrapper over cost(plan::LayerPlan).
@@ -221,15 +234,16 @@ class Design {
   [[nodiscard]] CostReport cost(const plan::LayerPlan& plan) const;
 
   /// Program the layer's crossbars once for repeated execution / Monte Carlo
-  /// re-perturbation. Returns nullptr when the design has no programmed fast
-  /// path (callers fall back to per-trial run()). The config's own variation
-  /// model must be disabled — trials inject variation via perturbed().
-  [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> program(
-      const nn::DeconvLayerSpec& spec, const Tensor<std::int32_t>& kernel) const;
+  /// re-perturbation. Convenience wrapper: compiles a plan and delegates to
+  /// program(plan, kernel). Returns nullptr for padding-free (no programmed
+  /// layer; callers fall back to run()). A variation-enabled config programs
+  /// its perturbed cells here, exactly as run() would; perturbed() and
+  /// faulted() need a variation-free one.
+  [[nodiscard]] std::unique_ptr<ProgrammedLayer> program(const nn::DeconvLayerSpec& spec,
+                                                         const Tensor<std::int32_t>& kernel) const;
 
-  /// Program from an already-compiled plan. The default delegates to
-  /// program(plan.spec, kernel); designs with plan-derived decisions (RED's
-  /// fold and mode groups) override to consume them directly.
+  /// Program from an already-compiled plan, consuming its mapping decisions
+  /// (RED's fold and mode groups) directly. The default returns nullptr.
   [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> program(
       const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const;
 
@@ -239,17 +253,6 @@ class Design {
   /// Throw ContractViolation unless `plan` was compiled for this design's
   /// kind and config on its own spec (structural-key comparison).
   void check_plan(const plan::LayerPlan& plan) const;
-
-  /// MVM helper honoring cfg_.bit_accurate.
-  [[nodiscard]] std::vector<std::int64_t> execute_mvm(const xbar::LogicalXbar& xbar,
-                                                      std::span<const std::int32_t> input,
-                                                      xbar::MvmStats* stats) const;
-
-  /// Allocation-free MVM helper into a reusable workspace (hot loops).
-  [[nodiscard]] std::span<const std::int64_t> execute_mvm(const xbar::LogicalXbar& xbar,
-                                                          std::span<const std::int32_t> input,
-                                                          perf::MvmWorkspace& ws,
-                                                          xbar::MvmStats* stats) const;
 
   DesignConfig cfg_;
 };

@@ -11,10 +11,6 @@ ZeroSkipSchedule::ZeroSkipSchedule(nn::DeconvLayerSpec spec, int fold, int looka
                                    int lookaside_d)
     : ZeroSkipSchedule(spec, fold, lookahead_h, lookaside_d, compute_mode_groups(spec)) {}
 
-ZeroSkipSchedule::ZeroSkipSchedule(nn::DeconvLayerSpec spec, int fold,
-                                   std::vector<ModeGroup> groups)
-    : ZeroSkipSchedule(std::move(spec), fold, 0, 0, std::move(groups)) {}
-
 int ZeroSkipSchedule::coalesce_window(int lookahead_h, int lookaside_d) {
   return lookahead_h > 0 && lookaside_d > 0 ? 1 + std::min(lookahead_h, lookaside_d) : 1;
 }
@@ -59,12 +55,6 @@ ScheduleCycle ZeroSkipSchedule::cycle(std::int64_t index) const {
     out.groups.push_back(std::move(work));
   }
   return out;
-}
-
-GroupWork ZeroSkipSchedule::group_work(std::int64_t index, int gi) const {
-  GroupWork work;
-  group_work(index, gi, work);
-  return work;
 }
 
 void ZeroSkipSchedule::group_work(std::int64_t index, int gi, GroupWork& out) const {

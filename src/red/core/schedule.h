@@ -3,7 +3,7 @@
 // The schedule materializes, cycle by cycle, which input pixel each
 // sub-crossbar receives and which output pixel each mode group produces —
 // the data the paper illustrates as "Cycle 1: I(0,0) goes to SC1, ...".
-// RedDesign::run executes this schedule; tests introspect it to prove the
+// RED's programmed layer executes this schedule; tests introspect it to prove the
 // data-flow properties the paper claims:
 //   * every output pixel is produced exactly once,
 //   * only non-zero (real) input pixels are ever fed (zero-skipping),
@@ -68,7 +68,6 @@ class ZeroSkipSchedule {
   /// Plan-consuming form: reuse an already-computed mode-group table (a
   /// compiled plan::LayerPlan's) instead of re-deriving it. `groups` must be
   /// compute_mode_groups(spec) — the plan layer guarantees this.
-  ZeroSkipSchedule(nn::DeconvLayerSpec spec, int fold, std::vector<ModeGroup> groups);
   ZeroSkipSchedule(nn::DeconvLayerSpec spec, int fold, int lookahead_h, int lookaside_d,
                    std::vector<ModeGroup> groups);
 
@@ -99,12 +98,9 @@ class ZeroSkipSchedule {
 
   /// Generate only group `gi`'s work in cycle `index` — identical to
   /// cycle(index).groups[gi] but without materializing the other groups.
-  /// Group-parallel executors (RedDesign::run) walk the schedule per group
+  /// Rebuilds `out` in place, reusing its `inputs` capacity: the group-
+  /// parallel executor (RED's programmed layer) walks the schedule per group
   /// through this instead of regenerating whole cycles per lane.
-  [[nodiscard]] GroupWork group_work(std::int64_t index, int gi) const;
-
-  /// Allocation-free variant: rebuilds `out` in place, reusing its `inputs`
-  /// capacity (the hot-loop form RedDesign::run uses).
   void group_work(std::int64_t index, int gi, GroupWork& out) const;
 
  private:

@@ -52,16 +52,6 @@ struct SweepStats {
   std::int64_t store_rejects = 0;   ///< store payloads that failed to decode
 };
 
-/// Structural fingerprint of one grid point. Thin alias of
-/// plan::structural_key — the compile layer's injective plan key is the one
-/// fingerprint every memo shares; the hand-rolled length-prefixed key this
-/// function used to build lives on only as the regression contract its tests
-/// enforce (stability, kind/config/geometry discrimination, `threads`
-/// exclusion, variable-width framing). Kept for those tests and for callers
-/// that predate the plan layer.
-[[nodiscard]] std::string sweep_key(core::DesignKind kind, const arch::DesignConfig& cfg,
-                                    const nn::DeconvLayerSpec& spec);
-
 class SweepDriver {
  public:
   /// `threads` bounds the fan-out of each evaluate() call (1 = serial).

@@ -159,7 +159,6 @@ std::vector<FaultCampaignPoint> run_fault_campaign(
       trial.seed = trial_model.seed;
       const auto run_arm = [&](const RepairPolicy& pol, FaultTrialArm& arm) {
         const auto layer = programmed->faulted(trial_model, pol, /*salt=*/0, &arm.repair);
-        RED_EXPECTS_MSG(layer != nullptr, "programmed layer must support fault injection");
         const Tensor<std::int32_t> out = layer->run(input, &arm.stats);
         arm.variation = layer->variation_stats();
         arm.score = score_output(oracle, out);

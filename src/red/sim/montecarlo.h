@@ -16,8 +16,10 @@
 // deterministic seed -> trial mapping (trial t always uses base_seed + t)
 // and land in per-trial result slots, so any thread count produces
 // bit-identical trial vectors and the post-join aggregates are merged in
-// trial order. Designs without a programmed fast path (padding-free) fall
-// back to per-trial construction, keeping the same results and determinism.
+// trial order. Zero-padding and RED execute every trial on their one
+// execution body, the programmed layer. Padding-free, the documented design
+// without a programmed layer (arch/design.h), falls back to per-trial
+// construction through its own run(), with the same determinism.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +61,7 @@ struct MonteCarloOptions {
 };
 
 /// Sweep a whole grid of variation models over one programmed design:
-/// programming and input binding happen once for the entire grid, and the
+/// clean programming happens once for the entire grid, and the
 /// grid x trials trial matrix fans out across the pool as one flat index
 /// space. Returns one MonteCarloResult per grid entry, in grid order.
 /// `base_cfg.quant.variation` is ignored — each grid entry's model comes in

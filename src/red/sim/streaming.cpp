@@ -98,12 +98,11 @@ StreamingExecutor::StreamingExecutor(plan::StackPlan stack_plan,
   design_name_ = design_->name();
 
   // Pay-once programming, consuming each stage's compiled plan. A
-  // variation-enabled config must program per run (Design::program requires
-  // a clean config), so it keeps the fallback.
+  // variation-enabled config programs its perturbed cells here, once: the
+  // fixed seed would draw the same cells on every image anyway.
   programmed_.resize(stack_.size());
-  if (!plan_.cfg.quant.variation.enabled())
-    for (std::size_t i = 0; i < stack_.size(); ++i)
-      programmed_[i] = design_->program(plan_.layers[i], kernels_[i]);
+  for (std::size_t i = 0; i < stack_.size(); ++i)
+    programmed_[i] = design_->program(plan_.layers[i], kernels_[i]);
   programmed_fast_path_ =
       std::all_of(programmed_.begin(), programmed_.end(),
                   [](const auto& p) { return p != nullptr; });
@@ -131,8 +130,6 @@ std::unique_ptr<StreamingExecutor> StreamingExecutor::faulted(
   for (std::size_t i = 0; i < programmed_.size(); ++i) {
     fault::RepairReport rep;
     out->programmed_[i] = programmed_[i]->faulted(model, policy, /*salt=*/i, &rep);
-    RED_EXPECTS_MSG(out->programmed_[i] != nullptr,
-                    "programmed stage must support fault injection");
     if (reports != nullptr) (*reports)[i] = rep;
   }
   out->programmed_fast_path_ = true;

@@ -5,7 +5,8 @@
 // accelerator does the opposite — weights stay resident (programming is paid
 // once, see arch/programming.h) and many inputs stream through the same
 // programmed stack. This engine is that serving path: it programs a whole
-// deconvolution stack once (one arch::ProgrammedLayer per stage) and then
+// deconvolution stack once (one arch::ProgrammedLayer per stage, the same
+// execution body Design::run uses for zero-padding and RED) and then
 // drives a batch of N input images through the stack in PipeLayer fashion —
 // stage i executes image k while stage i+1 executes image k-1 — with
 // double-buffered stage hand-off on the process-wide perf::ThreadPool.
@@ -60,7 +61,8 @@ struct StreamingBatchResult {
   arch::RunStats total;  ///< per-image totals summed in image order
   /// True when every stage executed on a programmed fast path
   /// (Design::program); false means at least one stage fell back to
-  /// reprogram-per-image Design::run.
+  /// reprogram-per-image Design::run — padding-free, the one design without
+  /// a programmed layer.
   bool programmed_fast_path = false;
 
   /// Wall-clock duration of each wavefront (pipelined schedule only; empty
@@ -91,11 +93,13 @@ struct StreamingBatchResult {
 class StreamingExecutor {
  public:
   /// The stack must chain (workloads::validate_stack) and kernels[i] must
-  /// have stack[i]'s kernel shape. Stages without a programmed fast path
-  /// (or any stage when cfg enables device variation, which programs
-  /// per-run) fall back to Design::run per image — same results, no
-  /// pay-once amortization. Convenience wrapper: compiles the stack plan and
-  /// delegates to the plan-consuming constructor.
+  /// have stack[i]'s kernel shape. Zero-padding and RED stages are always
+  /// programmed once — a variation-enabled config included, whose fixed seed
+  /// draws the same perturbed cells Design::run would on every image.
+  /// Padding-free has no programmed layer (see arch/design.h) and runs
+  /// Design::run per image — same results, no pay-once amortization.
+  /// Convenience wrapper: compiles the stack plan and delegates to the
+  /// plan-consuming constructor.
   StreamingExecutor(core::DesignKind kind, const arch::DesignConfig& cfg,
                     std::vector<nn::DeconvLayerSpec> stack,
                     std::vector<Tensor<std::int32_t>> kernels);
@@ -157,7 +161,7 @@ class StreamingExecutor {
   void check_stage(std::size_t stage, const Tensor<std::int32_t>& input,
                    const arch::RunStats& stats, std::int64_t image) const;
 
-  /// Execute stage `stage` on `input` (programmed path or fallback),
+  /// Execute stage `stage` on `input` (programmed layer or PF fallback),
   /// consistency-checking when asked. `image` only labels error messages.
   [[nodiscard]] Tensor<std::int32_t> run_stage(std::size_t stage,
                                                const Tensor<std::int32_t>& input,
@@ -169,7 +173,7 @@ class StreamingExecutor {
   std::vector<Tensor<std::int32_t>> kernels_;
   std::unique_ptr<arch::Design> design_;
   std::string design_name_;
-  std::vector<std::unique_ptr<arch::ProgrammedLayer>> programmed_;  ///< null = fallback
+  std::vector<std::unique_ptr<arch::ProgrammedLayer>> programmed_;  ///< null = PF fallback
   bool programmed_fast_path_ = false;
 };
 

@@ -78,10 +78,8 @@ struct NoiseLaw {
   }
 };
 
-// Applies a VariationModel to cell levels with one RNG stream walked in cell
-// order. Shared by the programming constructor and the reprogram-with-
-// variation constructor so both consume the stream identically — the
-// perturbed-copy path is bit-exact vs programming from scratch.
+// Applies a VariationModel to cell levels with one std::mt19937_64 stream
+// walked in cell order: the from-weights programming constructor's sampler.
 class VariationSampler {
  public:
   VariationSampler(const VariationModel& var, int max_level, VariationStats* stats)
@@ -176,54 +174,6 @@ LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
     if (!var.enabled()) RED_ENSURES(weights_[i] == weights[i]);
   }
 
-  const std::int64_t worst = *std::max_element(col_level_sums_.begin(), col_level_sums_.end());
-  lossless_adc_bits_ = worst == 0 ? 1 : ilog2_ceil(worst + 1);
-  rebuild_packed_planes();
-}
-
-LogicalXbar::LogicalXbar(const LogicalXbar& clean, const VariationModel& var)
-    : rows_(clean.rows_), cols_(clean.cols_), config_(clean.config_) {
-  RED_EXPECTS_MSG(!clean.config_.variation.enabled(),
-                  "perturbed copies must derive from a variation-free crossbar");
-  var.validate();
-  config_.variation = var;
-  if (!var.enabled()) {
-    weights_ = clean.weights_;
-    levels_ = clean.levels_;
-    col_level_sums_ = clean.col_level_sums_;
-    lossless_adc_bits_ = clean.lossless_adc_bits_;
-    packed_planes_ = clean.packed_planes_;
-    packed_words_ = clean.packed_words_;
-    variation_stats_.cells = static_cast<std::int64_t>(weights_.size()) * config_.slices();
-    return;
-  }
-
-  const int slices = config_.slices();
-  const std::size_t plane = clean.weights_.size();
-  weights_.resize(plane);
-  levels_.resize(plane * static_cast<std::size_t>(slices));
-  variation_stats_.cells = static_cast<std::int64_t>(plane) * slices;
-  VariationSampler sampler(var, config_.max_level(), &variation_stats_);
-  col_level_sums_.assign(static_cast<std::size_t>(cols_) * slices, 0);
-
-  // Clean levels are exactly encode_weight(original weights), so perturbing
-  // them in the same cell order with the same RNG stream reproduces the
-  // from-scratch programming bit-exactly — without re-encoding any weight.
-  std::array<std::uint8_t, 16> lv{};  // slices <= ceil(16 wbits / 1 cell bit)
-  for (std::size_t i = 0; i < plane; ++i) {
-    for (int s = 0; s < slices; ++s)
-      lv[static_cast<std::size_t>(s)] = clean.levels_[static_cast<std::size_t>(s) * plane + i];
-    sampler.apply(lv.data(), static_cast<std::size_t>(slices));
-    std::int64_t u = 0;
-    for (int s = slices; s-- > 0;) u = (u << config_.cell_bits) | lv[static_cast<std::size_t>(s)];
-    weights_[i] = static_cast<std::int32_t>(u - config_.weight_offset());
-    const std::size_t c = i % static_cast<std::size_t>(cols_);
-    for (int s = 0; s < slices; ++s) {
-      levels_[static_cast<std::size_t>(s) * plane + i] = lv[static_cast<std::size_t>(s)];
-      col_level_sums_[c * static_cast<std::size_t>(slices) + static_cast<std::size_t>(s)] +=
-          lv[static_cast<std::size_t>(s)];
-    }
-  }
   const std::int64_t worst = *std::max_element(col_level_sums_.begin(), col_level_sums_.end());
   lossless_adc_bits_ = worst == 0 ? 1 : ilog2_ceil(worst + 1);
   rebuild_packed_planes();

@@ -49,13 +49,6 @@ class LogicalXbar {
   LogicalXbar(std::int64_t rows, std::int64_t cols, std::span<const std::int32_t> weights,
               QuantConfig config);
 
-  /// Reprogram-with-variation: build a perturbed copy of `clean` (which must
-  /// itself have variation disabled) by applying `var` to the clean cell
-  /// levels as deltas. Bit-identical to constructing the crossbar from the
-  /// original weights with `var` in its QuantConfig — the RNG stream walks
-  /// the cells in the same order — but skips the per-cell weight encoding.
-  LogicalXbar(const LogicalXbar& clean, const VariationModel& var);
-
   /// Accelerated delta reprogramming for Monte Carlo trial fan-out
   /// (sim/montecarlo.h): same variation *law* as from-scratch programming —
   /// per-cell stuck probability, and the exact discrete distribution of
@@ -63,8 +56,8 @@ class LogicalXbar {
   /// cheap counter-based generator and applied as sparse deltas over copied
   /// clean state, so a trial costs a few cheap draws per cell instead of a
   /// std::normal_distribution variate. Deterministic in var.seed; the trial
-  /// patterns differ from the legacy std::mt19937_64 stream (same
-  /// distribution, different draws).
+  /// patterns differ from the from-weights constructor's std::mt19937_64
+  /// stream (same distribution, different draws).
   LogicalXbar(const LogicalXbar& clean, const VariationModel& var, FastDeltaTag);
 
   /// Rebuild-from-levels: a sibling of `clean` whose cell levels were

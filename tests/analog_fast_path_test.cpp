@@ -1,10 +1,10 @@
 // Equivalence gate for the analog/statistical fast paths:
 //  * the ADI line-relaxation IR-drop solver vs the reference point-SOR,
 //    across array sizes, wire resistances, and drive patterns;
-//  * reprogram-with-variation (delta) crossbar constructors vs from-scratch
-//    programming;
-//  * the Monte Carlo variation engine: thread-count invariance, seed
-//    determinism, and programmed-run equality with Design::run;
+//  * the fast delta-reprogramming crossbar constructor: determinism,
+//    internal consistency, and its law vs from-weights programming;
+//  * the Monte Carlo variation engine: thread-count invariance and seed
+//    determinism; programmed runs against deconv_reference;
 //  * the sweep driver: memoized parallel results vs direct evaluation.
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "red/workloads/generator.h"
 #include "red/xbar/analog.h"
 #include "red/xbar/crossbar.h"
+#include "reference_oracle.h"
 
 namespace red {
 namespace {
@@ -152,7 +153,7 @@ TEST(AnalogFastPath, ConvergesOrderOfMagnitudeFasterThanSor) {
 }
 
 // ---------------------------------------------------------------------------
-// Reprogram-with-variation constructors
+// Fast delta reprogramming
 // ---------------------------------------------------------------------------
 
 std::vector<std::int32_t> random_weights(Rng& rng, std::int64_t n, const QuantConfig& q) {
@@ -160,31 +161,6 @@ std::vector<std::int32_t> random_weights(Rng& rng, std::int64_t n, const QuantCo
   std::vector<std::int32_t> w(static_cast<std::size_t>(n));
   for (auto& v : w) v = static_cast<std::int32_t>(rng.uniform_int(-half, half - 1));
   return w;
-}
-
-TEST(PerturbedCopy, LegacyConstructorBitExactVsFromScratch) {
-  Rng rng(42);
-  QuantConfig q;
-  const auto weights = random_weights(rng, 48 * 6, q);
-  const LogicalXbar clean(48, 6, weights, q);
-  VariationModel var;
-  var.level_sigma = 0.5;
-  var.stuck_at_rate = 0.05;
-  var.seed = 1234;
-  const LogicalXbar delta(clean, var);
-  QuantConfig qv = q;
-  qv.variation = var;
-  const LogicalXbar scratch(48, 6, weights, qv);
-  for (std::int64_t r = 0; r < 48; ++r)
-    for (std::int64_t c = 0; c < 6; ++c)
-      ASSERT_EQ(delta.stored_weight(r, c), scratch.stored_weight(r, c)) << r << "," << c;
-  for (int s = 0; s < q.slices(); ++s)
-    for (std::int64_t r = 0; r < 48; ++r)
-      for (std::int64_t c = 0; c < 6; ++c)
-        ASSERT_EQ(delta.level(r, c, s), scratch.level(r, c, s));
-  EXPECT_EQ(delta.variation_stats().perturbed_cells, scratch.variation_stats().perturbed_cells);
-  EXPECT_EQ(delta.variation_stats().stuck_cells, scratch.variation_stats().stuck_cells);
-  EXPECT_EQ(delta.lossless_adc_bits(), scratch.lossless_adc_bits());
 }
 
 TEST(FastDelta, DeterministicConsistentAndLawful) {
@@ -251,16 +227,20 @@ TEST(FastDelta, MatchesLegacySamplerStatistically) {
   const LogicalXbar clean(64, 8, weights, q);
   VariationModel var;
   var.level_sigma = 0.4;
-  // Same law, different draws: the perturbed-cell counts of the two samplers
-  // agree within loose binomial bounds when averaged over seeds.
-  std::int64_t legacy = 0, fast = 0;
+  // Same law, different draws: the perturbed-cell counts of from-weights
+  // programming (variation in QuantConfig, std::mt19937_64 stream) and of
+  // the fast delta sampler agree within loose binomial bounds when averaged
+  // over seeds.
+  std::int64_t from_weights = 0, fast = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     var.seed = seed;
-    legacy += LogicalXbar(clean, var).variation_stats().perturbed_cells;
+    QuantConfig qv = q;
+    qv.variation = var;
+    from_weights += LogicalXbar(64, 8, weights, qv).variation_stats().perturbed_cells;
     fast += LogicalXbar(clean, var, xbar::FastDeltaTag{}).variation_stats().perturbed_cells;
   }
-  EXPECT_GT(fast, legacy / 2);
-  EXPECT_LT(fast, legacy * 2);
+  EXPECT_GT(fast, from_weights / 2);
+  EXPECT_LT(fast, from_weights * 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -371,32 +351,38 @@ TEST(MonteCarlo, PaddingFreeFallsBackAndStaysDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// ProgrammedLayer equivalence with Design::run
+// ProgrammedLayer against the outside oracle
 // ---------------------------------------------------------------------------
 
-TEST(ProgrammedLayer, RunMatchesDesignRunBitExact) {
-  const ProbeLayer probe;
-  for (auto kind : {core::DesignKind::kRed, core::DesignKind::kZeroPadding}) {
-    for (bool bit_accurate : {false, true}) {
-      for (int threads : {1, 3}) {
-        arch::DesignConfig cfg;
-        cfg.bit_accurate = bit_accurate;
-        cfg.threads = threads;
-        const auto design = core::make_design(kind, cfg);
-        const auto programmed = design->program(probe.spec, probe.kernel);
-        ASSERT_NE(programmed, nullptr);
-        arch::RunStats direct_stats, programmed_stats;
-        const auto direct = design->run(probe.spec, probe.input, probe.kernel, &direct_stats);
-        const auto out = programmed->run(probe.input, &programmed_stats);
-        EXPECT_EQ(first_mismatch(direct, out), "") << "kind " << static_cast<int>(kind);
-        EXPECT_EQ(direct_stats, programmed_stats);
-        // Rebinding a different input invalidates the cached gather.
-        Rng rng(77);
-        const auto input2 = workloads::make_input(probe.spec, rng, 1, 5);
-        const auto direct2 = design->run(probe.spec, input2, probe.kernel);
-        EXPECT_EQ(first_mismatch(direct2, programmed->run(input2, nullptr)), "");
-      }
-    }
+TEST(ProgrammedLayer, RepeatedRunsMatchReferenceOnFreshInputs) {
+  // One programmed layer serves a sequence of different inputs (and the
+  // first one again): every run must match deconv_reference, so no state
+  // from an earlier run can leak into a later one.
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    const auto c = oracle::draw_case(3300 + k);
+    const oracle::Case fresh = [&] {
+      Rng rng(3400 + k);
+      oracle::Case f = c;
+      f.input = workloads::make_input(c.spec, rng, 0, 5);
+      f.reference = nn::deconv_reference(c.spec, f.input, c.kernel);
+      return f;
+    }();
+    for (auto kind : {core::DesignKind::kRed, core::DesignKind::kZeroPadding})
+      for (const auto knobs : oracle::kKnobs)
+        for (const bool bit_accurate : {false, true})
+          for (const int threads : {1, 4}) {
+            const auto cfg = oracle::config(knobs, bit_accurate, threads);
+            const auto design = core::make_design(kind, cfg);
+            const auto programmed = design->program(c.spec, c.kernel);
+            ASSERT_NE(programmed, nullptr);
+            const auto predicted = design->activity(c.spec);
+            const std::string what = design->name() + " " + oracle::label(c, cfg);
+            for (const oracle::Case* run : {&c, &fresh, &c}) {
+              arch::RunStats stats;
+              const auto out = programmed->run(run->input, &stats);
+              oracle::expect_matches(*run, predicted, out, stats, what);
+            }
+          }
   }
 }
 
@@ -447,31 +433,30 @@ TEST(SweepDriver, MatchesDirectEvaluationAndMemoizes) {
 }
 
 TEST(SweepDriver, KeySeparatesConfigsAndLayers) {
-  // Equivalence regression: sweep_key is now a thin alias of the compile
-  // layer's plan::structural_key, so everything this test (and the framing
-  // test below) asserts about the legacy key binds the plan fingerprint too.
+  // The sweep memo is keyed by the compile layer's plan::structural_key, so
+  // everything this test (and the framing test below) asserts binds the plan
+  // fingerprint every memo shares.
   const nn::DeconvLayerSpec spec{"k", 8, 8, 16, 8, 4, 4, 2, 1, 0};
   arch::DesignConfig cfg;
-  const auto base = explore::sweep_key(core::DesignKind::kRed, cfg, spec);
-  EXPECT_EQ(base, plan::structural_key(core::DesignKind::kRed, cfg, spec));
+  const auto base = plan::structural_key(core::DesignKind::kRed, cfg, spec);
   EXPECT_EQ(base, plan::plan_layer(core::DesignKind::kRed, spec, cfg).key);
-  EXPECT_EQ(base, explore::sweep_key(core::DesignKind::kRed, cfg, spec));  // stable
-  EXPECT_NE(base, explore::sweep_key(core::DesignKind::kZeroPadding, cfg, spec));
+  EXPECT_EQ(base, plan::structural_key(core::DesignKind::kRed, cfg, spec));  // stable
+  EXPECT_NE(base, plan::structural_key(core::DesignKind::kZeroPadding, cfg, spec));
   arch::DesignConfig cfg2 = cfg;
   cfg2.mux_ratio = 16;
-  EXPECT_NE(base, explore::sweep_key(core::DesignKind::kRed, cfg2, spec));
+  EXPECT_NE(base, plan::structural_key(core::DesignKind::kRed, cfg2, spec));
   arch::DesignConfig cfg3 = cfg;
   cfg3.calib.e_conv *= 2.0;
-  EXPECT_NE(base, explore::sweep_key(core::DesignKind::kRed, cfg3, spec));
+  EXPECT_NE(base, plan::structural_key(core::DesignKind::kRed, cfg3, spec));
   nn::DeconvLayerSpec spec2 = spec;
   spec2.stride = 4;
-  EXPECT_NE(base, explore::sweep_key(core::DesignKind::kRed, cfg, spec2));
+  EXPECT_NE(base, plan::structural_key(core::DesignKind::kRed, cfg, spec2));
   // threads and the layer name are presentation/execution detail, not results.
   arch::DesignConfig cfg4 = cfg;
   cfg4.threads = 8;
   nn::DeconvLayerSpec spec3 = spec;
   spec3.name = "renamed";
-  EXPECT_EQ(base, explore::sweep_key(core::DesignKind::kRed, cfg4, spec3));
+  EXPECT_EQ(base, plan::structural_key(core::DesignKind::kRed, cfg4, spec3));
 }
 
 TEST(SweepDriver, KeyFramesVariableWidthFieldsAgainstCollision) {
@@ -489,8 +474,8 @@ TEST(SweepDriver, KeyFramesVariableWidthFieldsAgainstCollision) {
   std::memcpy(feature_bytes, &cfg1.node.feature_nm, sizeof(double));
   cfg2.node.name = cfg1.node.name + std::string(feature_bytes, sizeof(double));
   cfg2.node.feature_nm = 45.0;
-  const auto k1 = explore::sweep_key(core::DesignKind::kRed, cfg1, spec);
-  const auto k2 = explore::sweep_key(core::DesignKind::kRed, cfg2, spec);
+  const auto k1 = plan::structural_key(core::DesignKind::kRed, cfg1, spec);
+  const auto k2 = plan::structural_key(core::DesignKind::kRed, cfg2, spec);
   EXPECT_NE(k1, k2);
   // And the boundary shift alone must never cancel: same name bytes split
   // differently between name and the numeric tail.
@@ -498,8 +483,8 @@ TEST(SweepDriver, KeyFramesVariableWidthFieldsAgainstCollision) {
   cfg3.node.name = "n65";
   arch::DesignConfig cfg4 = cfg1;
   cfg4.node.name = "n6";
-  EXPECT_NE(explore::sweep_key(core::DesignKind::kRed, cfg3, spec),
-            explore::sweep_key(core::DesignKind::kRed, cfg4, spec));
+  EXPECT_NE(plan::structural_key(core::DesignKind::kRed, cfg3, spec),
+            plan::structural_key(core::DesignKind::kRed, cfg4, spec));
 
   // Distinct fingerprints must stay distinct through the driver's memo: the
   // crafted pair evaluates as two points, never one cached SweepOutcome.

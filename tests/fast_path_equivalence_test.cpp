@@ -2,7 +2,9 @@
 // bit-accurate kernel, workspace overloads, mvm_batch, threaded design runs,
 // parallel network simulation) must produce bit-identical outputs AND
 // bit-identical activity stats vs the untouched reference implementations,
-// across QuantConfig, variation, and ADC-clip configurations.
+// across QuantConfig, variation, and ADC-clip configurations. Design runs are
+// checked against nn::deconv_reference (reference_oracle.h); clipped-ADC runs,
+// which have no outside oracle, against themselves across thread counts.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -16,9 +18,11 @@
 #include "red/perf/workspace.h"
 #include "red/sim/engine.h"
 #include "red/sim/pipeline.h"
+#include "red/tensor/tensor_ops.h"
 #include "red/workloads/generator.h"
 #include "red/workloads/networks.h"
 #include "red/xbar/crossbar.h"
+#include "reference_oracle.h"
 
 namespace red {
 namespace {
@@ -259,81 +263,100 @@ TEST(FastPathEquivalence, PackedKernelsMatchReferenceOnAwkwardShapes) {
 }
 
 /// The Bit-Tactical lookahead/lookaside schedule must keep ideal-ADC results
-/// bit-identical while shrinking cycles, at every thread count, and the
-/// measured cycle count must equal what the analytic plan prices.
-TEST(FastPathEquivalence, ZeroSkipScheduleLookaheadBitIdentity) {
-  Rng rng(6060);
-  workloads::GeneratorOptions opts;
-  opts.max_spatial = 6;
-  opts.max_kernel = 5;
-  opts.max_channels = 3;
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto spec = workloads::random_layer(rng, opts);
-    const auto input = workloads::make_input(spec, rng, 1, 7);
-    const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+/// equal to the reference while shrinking cycles, at every thread count, and
+/// the measured cycle count must equal what the analytic plan prices.
+TEST(FastPathEquivalence, ZeroSkipScheduleLookaheadMatchesReference) {
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const auto c = oracle::draw_case(6060 + k);
     for (const bool bit_accurate : {false, true}) {
-      arch::DesignConfig base_cfg;
-      base_cfg.bit_accurate = bit_accurate;
-      base_cfg.red_fold = 4;  // deep enough that a window actually coalesces
+      // Fold 4: deep enough that a window actually coalesces.
+      const auto base_cfg = oracle::config({4, 0, 0}, bit_accurate, 1);
+      const auto base = core::make_design(core::DesignKind::kRed, base_cfg);
+      const std::int64_t base_cycles = base->activity(c.spec).cycles;
       arch::RunStats base_stats;
-      const auto base_out = core::make_design(core::DesignKind::kRed, base_cfg)
-                                ->run(spec, input, kernel, &base_stats);
+      oracle::expect_matches(c, base->activity(c.spec),
+                             base->run(c.spec, c.input, c.kernel, &base_stats), base_stats,
+                             oracle::label(c, base_cfg));
 
-      struct Knobs {
-        int h, d;
-      };
-      for (const Knobs k : {Knobs{1, 1}, Knobs{2, 3}, Knobs{4, 4}}) {
-        arch::DesignConfig cfg = base_cfg;
-        cfg.lookahead_h = k.h;
-        cfg.lookaside_d = k.d;
-        arch::RunStats serial_stats, par_stats;
-        const auto design = core::make_design(core::DesignKind::kRed, cfg);
-        const auto serial_out = design->run(spec, input, kernel, &serial_stats);
-        EXPECT_EQ(serial_out, base_out) << spec.name << " h=" << k.h << " d=" << k.d;
-        EXPECT_LT(serial_stats.cycles, base_stats.cycles) << spec.name;
-        EXPECT_EQ(serial_stats.cycles, design->activity(spec).cycles) << spec.name;
-
-        arch::DesignConfig par_cfg = cfg;
-        par_cfg.threads = 4;
-        const auto par_out = core::make_design(core::DesignKind::kRed, par_cfg)
-                                 ->run(spec, input, kernel, &par_stats);
-        EXPECT_EQ(par_out, serial_out) << spec.name;
-        EXPECT_EQ(par_stats, serial_stats) << spec.name;
+      for (const oracle::Knobs knobs : {oracle::Knobs{4, 1, 1}, oracle::Knobs{4, 2, 3},
+                                        oracle::Knobs{4, 4, 4}}) {
+        arch::RunStats serial_stats;
+        for (const int threads : {1, 4}) {
+          const auto cfg = oracle::config(knobs, bit_accurate, threads);
+          const auto design = core::make_design(core::DesignKind::kRed, cfg);
+          arch::RunStats stats;
+          const auto out = design->run(c.spec, c.input, c.kernel, &stats);
+          const std::string what = oracle::label(c, cfg);
+          oracle::expect_matches(c, design->activity(c.spec), out, stats, what);
+          EXPECT_LT(stats.cycles, base_cycles) << what;
+          if (threads == 1)
+            serial_stats = stats;
+          else
+            EXPECT_EQ(stats, serial_stats) << what;
+        }
       }
     }
   }
 }
 
-/// Threaded design runs must be bit-exact vs serial: identical output
-/// tensors and identical RunStats for every design and both MVM paths.
-TEST(FastPathEquivalence, ThreadedDesignRunsMatchSerial) {
-  Rng rng(2025);
-  workloads::GeneratorOptions opts;
-  opts.max_spatial = 6;
-  opts.max_kernel = 5;
-  opts.max_channels = 3;
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto spec = workloads::random_layer(rng, opts);
-    const auto input = workloads::make_input(spec, rng, 1, 7);
-    const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
-    for (const bool bit_accurate : {false, true}) {
-      for (const auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
-                              core::DesignKind::kRed}) {
-        arch::DesignConfig serial_cfg;
-        serial_cfg.bit_accurate = bit_accurate;
-        arch::DesignConfig par_cfg = serial_cfg;
-        par_cfg.threads = 4;
-
-        arch::RunStats serial_stats, par_stats;
-        const auto serial_out =
-            core::make_design(kind, serial_cfg)->run(spec, input, kernel, &serial_stats);
-        const auto par_out =
-            core::make_design(kind, par_cfg)->run(spec, input, kernel, &par_stats);
-        EXPECT_EQ(par_out, serial_out) << spec.name;
-        EXPECT_EQ(par_stats, serial_stats) << spec.name;
-      }
-    }
+/// Threaded design runs match the reference and the plan's activity for
+/// every design and both MVM paths, with RunStats identical to the serial
+/// run's.
+TEST(FastPathEquivalence, ThreadedDesignRunsMatchReference) {
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const auto c = oracle::draw_case(2025 + k);
+    for (const auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                            core::DesignKind::kRed})
+      for (const auto knobs : oracle::kKnobs)
+        for (const bool bit_accurate : {false, true}) {
+          arch::RunStats serial_stats;
+          for (const int threads : {1, 4}) {
+            const auto cfg = oracle::config(knobs, bit_accurate, threads);
+            const auto design = core::make_design(kind, cfg);
+            arch::RunStats stats;
+            const auto out = design->run(c.spec, c.input, c.kernel, &stats);
+            const std::string what = design->name() + " " + oracle::label(c, cfg);
+            oracle::expect_matches(c, design->activity(c.spec), out, stats, what);
+            if (threads == 1)
+              serial_stats = stats;
+            else
+              EXPECT_EQ(stats, serial_stats) << what;
+          }
+        }
   }
+}
+
+/// A clipped ADC has no outside oracle: its outputs and RunStats (clip
+/// counts included) must simply not depend on the thread count.
+TEST(FastPathEquivalence, ClippedAdcRunsAreThreadInvariant) {
+  std::int64_t clips = 0;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const auto c = oracle::draw_case(4040 + k);
+    for (const auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                            core::DesignKind::kRed})
+      for (const auto knobs : oracle::kKnobs) {
+        Tensor<std::int32_t> serial_out;
+        arch::RunStats serial_stats;
+        for (const int threads : {1, 4}) {
+          auto cfg = oracle::config(knobs, /*bit_accurate=*/true, threads);
+          cfg.quant.adc.mode = AdcMode::kClipped;
+          cfg.quant.adc.bits = 3;
+          const auto design = core::make_design(kind, cfg);
+          arch::RunStats stats;
+          const auto out = design->run(c.spec, c.input, c.kernel, &stats);
+          const std::string what = design->name() + " " + oracle::label(c, cfg);
+          if (threads == 1) {
+            serial_out = out;
+            serial_stats = stats;
+            clips += stats.mvm.adc_clips;
+          } else {
+            EXPECT_EQ(first_mismatch(serial_out, out), "") << what;
+            EXPECT_EQ(stats, serial_stats) << what;
+          }
+        }
+      }
+  }
+  EXPECT_GT(clips, 0);  // the ADC really saturates on this sweep
 }
 
 TEST(FastPathEquivalence, ParallelNetworkSimulationMatchesSerial) {

@@ -18,6 +18,7 @@
 #include "red/workloads/benchmarks.h"
 #include "red/workloads/generator.h"
 #include "red/workloads/networks.h"
+#include "reference_oracle.h"
 
 namespace red {
 namespace {
@@ -109,22 +110,25 @@ TEST(Plan, TileGridCoversEveryMacro) {
   }
 }
 
-TEST(Plan, ProgramFromPlanBitIdenticalToRun) {
-  const auto spec = small_layer();
-  Rng rng(11);
-  const auto input = workloads::make_input(spec, rng, 1, 7);
-  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
-  for (DesignKind kind : {DesignKind::kZeroPadding, DesignKind::kRed}) {
-    const arch::DesignConfig cfg;
-    const auto design = core::make_design(kind, cfg);
-    const auto lp = plan::plan_layer(kind, spec, cfg);
-    const auto programmed = design->program(lp, kernel);
-    ASSERT_NE(programmed, nullptr);
-    arch::RunStats programmed_stats, run_stats;
-    const auto out_programmed = programmed->run(input, &programmed_stats);
-    const auto out_run = design->run(spec, input, kernel, &run_stats);
-    EXPECT_TRUE(first_mismatch(out_run, out_programmed).empty()) << design->name();
-    EXPECT_EQ(programmed_stats, run_stats) << design->name();
+TEST(Plan, ProgramFromPlanMatchesReference) {
+  // The one execution body of zero-padding and RED, programmed from a
+  // compiled plan, against the outside oracle and the plan's own activity.
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const auto c = oracle::draw_case(1100 + k);
+    for (DesignKind kind : {DesignKind::kZeroPadding, DesignKind::kRed})
+      for (const auto knobs : oracle::kKnobs)
+        for (const bool bit_accurate : {false, true})
+          for (const int threads : {1, 4}) {
+            const auto cfg = oracle::config(knobs, bit_accurate, threads);
+            const auto design = core::make_design(kind, cfg);
+            const auto lp = plan::plan_layer(kind, c.spec, cfg);
+            const auto programmed = design->program(lp, c.kernel);
+            ASSERT_NE(programmed, nullptr);
+            arch::RunStats stats;
+            const auto out = programmed->run(c.input, &stats);
+            oracle::expect_matches(c, lp.activity, out, stats,
+                                   design->name() + " " + oracle::label(c, cfg));
+          }
   }
 }
 
@@ -226,17 +230,6 @@ TEST(PlanFingerprint, StableAndDiscriminating) {
   auto spec3 = spec;
   spec3.name = "renamed";
   EXPECT_EQ(base.fingerprint(), plan::plan_layer(DesignKind::kRed, spec3, cfg3).fingerprint());
-}
-
-TEST(PlanFingerprint, SweepKeyIsThePlanKey) {
-  // The sweep memo key and the plan structural key are one function; the
-  // legacy entry point must stay byte-equal (its framing regression test in
-  // analog_fast_path_test.cpp now guards the shared implementation).
-  const auto spec = workloads::gan_deconv3();
-  arch::DesignConfig cfg;
-  cfg.node = tech::TechNode::node45();
-  EXPECT_EQ(explore::sweep_key(DesignKind::kRed, cfg, spec),
-            plan::structural_key(DesignKind::kRed, cfg, spec));
 }
 
 TEST(PlanFingerprint, StackFingerprintFramesLayerKeys) {

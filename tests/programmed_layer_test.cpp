@@ -1,0 +1,214 @@
+// Regression tests of the one execution path of the zero-padding and RED
+// designs (Design::run == program(), then ProgrammedLayer::run):
+//  * bounded gather — a warm programmed run gathers its input chunk by chunk
+//    instead of materializing every cycle's input for the whole layer, so
+//    its heap traffic stays far below that whole-layer binding;
+//  * variation digests — under a variation-enabled config, Design::run,
+//    StreamingExecutor and the programmed layer's VariationStats reproduce
+//    pinned digests (computed when both designs still had a separate run()
+//    body and streaming fell back to it under variation).
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "red/common/error.h"
+#include "red/common/rng.h"
+#include "red/core/designs.h"
+#include "red/sim/streaming.h"
+#include "red/workloads/generator.h"
+#include "red/workloads/networks.h"
+
+// Heap-bytes probe: every operator new in this binary counts its size.
+namespace {
+std::atomic<std::uint64_t> g_heap_bytes{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace red {
+namespace {
+
+using core::DesignKind;
+
+// ---------------------------------------------------------------------------
+// Bounded gather
+// ---------------------------------------------------------------------------
+
+TEST(BoundedGather, WarmRunAllocatesFarLessThanWholeLayerBinding) {
+  // 64x64x64 input, 4x4 kernel at stride 2: 128x128 output pixels. Binding
+  // every cycle's input at once costs 128*128 windows x 1024 rows x 4 B =
+  // 64 MiB on zero-padding and 4 groups x 64*64 cycles x 256 rows x 4 B =
+  // 16 MiB on RED.
+  const nn::DeconvLayerSpec spec{"gather_probe", 64, 64, 64, 4, 4, 4, 2, 1, 0};
+  Rng rng(5);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  const auto warm_input = workloads::make_input(spec, rng, 1, 7);
+  const auto input = workloads::make_input(spec, rng, 1, 7);
+  struct Expect {
+    DesignKind kind;
+    std::uint64_t binding_bytes;
+  };
+  for (const Expect e : {Expect{DesignKind::kZeroPadding, std::uint64_t{64} << 20},
+                         Expect{DesignKind::kRed, std::uint64_t{16} << 20}}) {
+    const auto design = core::make_design(e.kind);
+    const auto programmed = design->program(spec, kernel);
+    ASSERT_NE(programmed, nullptr);
+    (void)programmed->run(warm_input);  // sizes the thread-local workspaces
+    const std::uint64_t before = g_heap_bytes.load();
+    const auto out = programmed->run(input);
+    const std::uint64_t bytes = g_heap_bytes.load() - before;
+    // Output tensor, padded input (zero-padding) and per-chunk buffers only.
+    EXPECT_LT(bytes, e.binding_bytes / 4) << design->name() << ": " << bytes << " B";
+    EXPECT_EQ(out.shape(), spec.output_shape());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Variation digests
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the exact integer content of outputs and counters.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(const Tensor<std::int32_t>& t) {
+    for (int d = 0; d < 4; ++d) add(t.shape().dim(d));
+    for (std::int64_t i = 0; i < t.size(); ++i) add(t.data()[i]);
+  }
+  void add(const arch::RunStats& s) {
+    for (std::int64_t v : {s.cycles, s.mvm.mvm_ops, s.mvm.row_drives, s.mvm.mac_pulses,
+                           s.mvm.conversions, s.mvm.adc_clips, s.overlap_adds,
+                           s.buffer_accesses})
+      add(v);
+  }
+  void add(const xbar::VariationStats& v) {
+    for (std::int64_t x : {v.cells, v.perturbed_cells, v.stuck_cells, v.sa0_cells, v.sa1_cells})
+      add(x);
+  }
+  void add(const sim::StreamingBatchResult& r) {
+    for (const auto& img : r.images) {
+      add(img.output);
+      for (const auto& s : img.layer_stats) add(s);
+    }
+  }
+};
+
+/// Config 0: exact path. Config 1: bit-accurate with a clipped 4-bit ADC and
+/// RED fold 2. Both program noise plus both stuck-at polarities.
+arch::DesignConfig pin_config(int which) {
+  arch::DesignConfig cfg;
+  cfg.quant.variation.level_sigma = 0.4;
+  cfg.quant.variation.sa0_rate = 0.01;
+  cfg.quant.variation.sa1_rate = 0.02;
+  cfg.quant.variation.seed = 99;
+  if (which == 1) {
+    cfg.bit_accurate = true;
+    cfg.quant.adc.mode = xbar::AdcMode::kClipped;
+    cfg.quant.adc.bits = 4;
+    cfg.red_fold = 2;
+  }
+  return cfg;
+}
+
+TEST(VariationDigests, DesignRunStreamingAndCellStatsArePinned) {
+  const nn::DeconvLayerSpec spec{"var_pin", 5, 5, 4, 3, 4, 4, 2, 1, 1};
+  Rng rng(31);
+  const auto input = workloads::make_input(spec, rng, 0, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  const auto stack = workloads::sngan_generator(64);
+  const auto kernels = workloads::make_stack_kernels(stack, 11);
+  const auto images = workloads::make_input_batch(stack[0], 2, 21);
+
+  struct Pin {
+    int cfg;
+    DesignKind kind;
+    std::uint64_t run, stream, variation;
+  };
+  // variation == 0: padding-free has no programmed layer to report it.
+  const Pin pins[] = {
+      {0, DesignKind::kZeroPadding, 0x9500685173290314ULL, 0x0c83bb59f54e27d3ULL,
+       0xd14824db4f2dbfe2ULL},
+      {0, DesignKind::kPaddingFree, 0x80b7b0ee835a8ea8ULL, 0xb91813189bac0202ULL, 0},
+      {0, DesignKind::kRed, 0x3e4b54dec9da5408ULL, 0x01b024a1482f2254ULL,
+       0xeb253b704729ea5cULL},
+      {1, DesignKind::kZeroPadding, 0x8aedf4050fb72c10ULL, 0xfad526f474f78cd8ULL,
+       0xd14824db4f2dbfe2ULL},
+      {1, DesignKind::kPaddingFree, 0x80b7b0ee835a8ea8ULL, 0xfa66d89cbd179799ULL, 0},
+      {1, DesignKind::kRed, 0x612192e0c59b8081ULL, 0x4c18afeadfb830caULL,
+       0xeb253b704729ea5cULL},
+  };
+  for (const Pin& pin : pins) {
+    const bool programmable = pin.kind != DesignKind::kPaddingFree;
+    for (const int threads : {1, 3}) {
+      auto cfg = pin_config(pin.cfg);
+      cfg.threads = threads;
+      const auto design = core::make_design(pin.kind, cfg);
+      const std::string what = design->name() + " cfg " + std::to_string(pin.cfg) +
+                               " threads " + std::to_string(threads);
+
+      arch::RunStats stats;
+      Digest run;
+      run.add(design->run(spec, input, kernel, &stats));
+      run.add(stats);
+      EXPECT_EQ(run.h, pin.run) << what;
+
+      const sim::StreamingExecutor executor(pin.kind, cfg, stack, kernels);
+      EXPECT_EQ(executor.programmed_fast_path(), programmable) << what;
+      sim::StreamingOptions opts;
+      opts.threads = 2;
+      Digest wave, layer_major;
+      wave.add(executor.stream(images, opts));
+      layer_major.add(executor.stream_layer_major(images, opts));
+      EXPECT_EQ(wave.h, pin.stream) << what;
+      EXPECT_EQ(layer_major.h, pin.stream) << what;
+
+      if (programmable) {
+        Digest variation;
+        variation.add(design->program(spec, kernel)->variation_stats());
+        EXPECT_EQ(variation.h, pin.variation) << what;
+      }
+    }
+  }
+}
+
+TEST(VariationDigests, VariationEnabledLayerRefusesFurtherPerturbation) {
+  // perturbed() and faulted() derive from clean levels; the crossbar layer
+  // rejects a variation-enabled base.
+  const nn::DeconvLayerSpec spec{"var_base", 4, 4, 2, 2, 3, 3, 2, 1, 0};
+  Rng rng(8);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  for (const auto kind : {DesignKind::kZeroPadding, DesignKind::kRed}) {
+    const auto programmed = core::make_design(kind, pin_config(0))->program(spec, kernel);
+    ASSERT_NE(programmed, nullptr);
+    EXPECT_THROW((void)programmed->perturbed(xbar::VariationModel{}), ContractViolation);
+    EXPECT_THROW((void)programmed->faulted(fault::FaultModel{}, fault::RepairPolicy{}),
+                 ContractViolation);
+  }
+}
+
+}  // namespace
+}  // namespace red

@@ -1,6 +1,6 @@
 // Tests of the streaming batched execution engine and the ThreadPool
-// workload shapes it leans on: equivalence against per-image
-// simulate_network, thread-count invariance of outputs and stats, the
+// workload shapes it leans on: equivalence against the deconv_reference +
+// requantize chain, thread-count invariance of outputs and stats, the
 // ProgrammedLayer batch entry point, and pool behaviour under nesting,
 // exceptions, and concurrent caller threads.
 #include <gtest/gtest.h>
@@ -13,8 +13,8 @@
 
 #include "red/common/error.h"
 #include "red/core/designs.h"
+#include "red/nn/deconv_reference.h"
 #include "red/perf/thread_pool.h"
-#include "red/sim/engine.h"
 #include "red/sim/streaming.h"
 #include "red/tensor/tensor_ops.h"
 #include "red/workloads/generator.h"
@@ -29,52 +29,54 @@ std::vector<nn::DeconvLayerSpec> tiny_stack() {
   return workloads::sngan_generator(64);
 }
 
-/// The chained per-stage inputs image `img` produces: stage 0 consumes the
-/// image, stage i consumes the requantized output of stage i-1.
-std::vector<Tensor<std::int32_t>> chained_inputs(const arch::Design& design,
-                                                 const std::vector<nn::DeconvLayerSpec>& stack,
-                                                 const std::vector<Tensor<std::int32_t>>& kernels,
-                                                 const Tensor<std::int32_t>& img, int abits) {
-  std::vector<Tensor<std::int32_t>> inputs{img};
-  for (std::size_t i = 0; i + 1 < stack.size(); ++i)
-    inputs.push_back(requantize_activations(
-        design.run(stack[i], inputs.back(), kernels[i]), abits));
-  return inputs;
+/// The reference chain image `img` produces: stage i is nn::deconv_reference
+/// on the requantized output of stage i-1. Returns the final stage's output.
+Tensor<std::int32_t> reference_chain(const std::vector<nn::DeconvLayerSpec>& stack,
+                                     const std::vector<Tensor<std::int32_t>>& kernels,
+                                     const Tensor<std::int32_t>& img, int abits) {
+  Tensor<std::int32_t> x = img;
+  for (std::size_t i = 0; i < stack.size(); ++i) {
+    Tensor<std::int32_t> out = nn::deconv_reference(stack[i], x, kernels[i]);
+    if (i + 1 == stack.size()) return out;
+    x = requantize_activations(out, abits);
+  }
+  return x;
 }
 
-TEST(Streaming, BitIdenticalToPerImageSimulateNetworkForEveryDesign) {
+TEST(Streaming, MatchesReferenceChainForEveryDesign) {
   const auto stack = tiny_stack();
   const auto kernels = workloads::make_stack_kernels(stack, 11);
   const auto images = workloads::make_input_batch(stack[0], 3, 21);
-  const arch::DesignConfig cfg;
 
-  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
-                    core::DesignKind::kRed}) {
-    const StreamingExecutor executor(kind, cfg, stack, kernels);
-    StreamingOptions opts;
-    opts.threads = 3;
-    const auto streamed = executor.stream(images, opts);
-    ASSERT_EQ(streamed.images.size(), images.size());
-    // Padding-free has no programmed fast path; the executor must say so
-    // (and still match bit-exactly through the fallback).
-    EXPECT_EQ(streamed.programmed_fast_path, kind != core::DesignKind::kPaddingFree);
-
-    const auto design = core::make_design(kind, cfg);
-    arch::RunStats batch_total;
-    for (std::size_t k = 0; k < images.size(); ++k) {
-      const auto inputs = chained_inputs(*design, stack, kernels, images[k], cfg.quant.abits);
-      const auto net = simulate_network(*design, stack, inputs, kernels, /*check=*/true);
-      ASSERT_EQ(streamed.images[k].layer_stats.size(), net.layers.size());
-      for (std::size_t i = 0; i < net.layers.size(); ++i)
-        EXPECT_EQ(streamed.images[k].layer_stats[i], net.layers[i].measured)
-            << design->name() << " image " << k << " stage " << i;
-      EXPECT_EQ(first_mismatch(net.layers.back().output, streamed.images[k].output), "")
-          << design->name() << " image " << k;
-      EXPECT_EQ(streamed.images[k].total, net.total) << design->name() << " image " << k;
-      batch_total += net.total;
+  for (const bool bit_accurate : {false, true})
+    for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                      core::DesignKind::kRed}) {
+      arch::DesignConfig cfg;
+      cfg.bit_accurate = bit_accurate;
+      const StreamingExecutor executor(kind, cfg, stack, kernels);
+      const std::string what = executor.design_name() + " bitacc=" + std::to_string(bit_accurate);
+      // Padding-free has no programmed layer; the executor must say so (and
+      // still match through its run() fallback).
+      EXPECT_EQ(executor.programmed_fast_path(), kind != core::DesignKind::kPaddingFree);
+      for (const int threads : {1, 4}) {
+        StreamingOptions opts;  // check on: every cell vs the plan's activity
+        opts.threads = threads;
+        const auto streamed = executor.stream(images, opts);
+        ASSERT_EQ(streamed.images.size(), images.size());
+        arch::RunStats batch_total;
+        for (std::size_t k = 0; k < images.size(); ++k) {
+          EXPECT_EQ(first_mismatch(reference_chain(stack, kernels, images[k], cfg.quant.abits),
+                                   streamed.images[k].output),
+                    "")
+              << what << " image " << k;
+          arch::RunStats image_total;
+          for (const auto& s : streamed.images[k].layer_stats) image_total += s;
+          EXPECT_EQ(streamed.images[k].total, image_total) << what << " image " << k;
+          batch_total += image_total;
+        }
+        EXPECT_EQ(streamed.total, batch_total) << what;
+      }
     }
-    EXPECT_EQ(streamed.total, batch_total) << design->name();
-  }
 }
 
 TEST(Streaming, DeterministicForAnyThreadCountAndSchedule) {
