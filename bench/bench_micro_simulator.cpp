@@ -1,16 +1,18 @@
 // Micro-benchmarks of the simulator itself (google-benchmark): crossbar MVM
-// fast vs bit-accurate paths (per packed-kernel dispatch tier), design
-// schedule execution, and analytic cost evaluation throughput.
+// exact vs bit-accurate paths (the bit-accurate one per popcount tier),
+// design schedule execution, and analytic cost evaluation throughput.
 //
 // The binary doubles as the bench_smoke oracle gate: main() refuses to run
-// (exit 1) unless every dispatch tier reproduces
+// (exit 1) unless every popcount tier this CPU supports reproduces
 // LogicalXbar::mvm_bit_accurate_reference bit-exactly, outputs and stats.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "red/common/rng.h"
@@ -18,6 +20,7 @@
 #include "red/core/schedule.h"
 #include "red/perf/mvm_kernel.h"
 #include "red/perf/workspace.h"
+#include "red/plan/plan.h"
 #include "red/report/evaluation.h"
 #include "red/sim/engine.h"
 #include "red/workloads/benchmarks.h"
@@ -120,26 +123,48 @@ void BM_MvmBitAccurateWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_MvmBitAccurateWorkspace)->Arg(128)->Arg(512);
 
-// One ideal-ADC workspace row per dispatch tier, so BENCH_mvm.json carries
-// the scalar "before" next to the packed portable/POPCNT/AVX2/AVX-512
-// "after" on every run. The label records the tier actually installed
-// (requests above the machine's support clamp down).
+// One ideal-ADC workspace row per popcount tier, so BENCH_mvm.json carries
+// the portable fallback next to the AVX2/AVX-512 kernels on every run. The
+// label records the tier that actually ran (requests above the machine's
+// support clamp down).
 void BM_MvmPackedIsa(benchmark::State& state, perf::MvmIsa isa) {
   const auto rows = state.range(0);
   const auto xb = make_xbar(rows, 64);
   const auto in = make_input(rows);
-  const perf::MvmIsa installed = perf::set_mvm_isa(isa);
-  state.SetLabel(perf::mvm_isa_name(installed));
+  state.SetLabel(perf::mvm_isa_name(std::min(isa, perf::mvm_active_isa())));
   perf::MvmWorkspace ws;
-  for (auto _ : state) benchmark::DoNotOptimize(xb.mvm_bit_accurate(in, ws));
-  perf::set_mvm_isa(perf::mvm_detected_isa());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(perf::detail::mvm_bit_accurate_on(isa, xb, in, ws));
   state.SetItemsProcessed(state.iterations() * rows * 64);
 }
-BENCHMARK_CAPTURE(BM_MvmPackedIsa, scalar, perf::MvmIsa::kScalar)->Arg(128)->Arg(512);
 BENCHMARK_CAPTURE(BM_MvmPackedIsa, portable, perf::MvmIsa::kPortable)->Arg(128)->Arg(512);
-BENCHMARK_CAPTURE(BM_MvmPackedIsa, popcnt, perf::MvmIsa::kPopcnt)->Arg(128)->Arg(512);
 BENCHMARK_CAPTURE(BM_MvmPackedIsa, avx2, perf::MvmIsa::kAvx2)->Arg(128)->Arg(512);
 BENCHMARK_CAPTURE(BM_MvmPackedIsa, avx512, perf::MvmIsa::kAvx512)->Arg(128)->Arg(512);
+
+// Exact vs bit-accurate (ideal ADC) MVM on the macros RED programs for dcgan
+// at channels / 4 (the streamed end-to-end workload), with post-ReLU inputs:
+// non-negative, about half zeros. The exact row sweep skips the zero rows;
+// the packed kernel visits every input bit-plane regardless.
+void BM_MvmDcganMacro(benchmark::State& state) {
+  const auto plan = plan::plan_stack(core::DesignKind::kRed, workloads::named_stack("dcgan", 4),
+                                     arch::DesignConfig{});
+  const auto& layer = plan.layers[static_cast<std::size_t>(state.range(0))];
+  const std::int64_t rows = layer.activity.macros.front().rows;
+  const std::int64_t cols = layer.spec.m;
+  const bool bit_accurate = state.range(1) != 0;
+  const auto xb = make_xbar(rows, cols);
+  Rng rng(6);
+  std::vector<std::int32_t> in(static_cast<std::size_t>(rows));
+  for (auto& v : in)
+    v = rng.bernoulli(0.5) ? 0 : static_cast<std::int32_t>(rng.uniform_int(1, 127));
+  state.SetLabel(std::to_string(rows) + "x" + std::to_string(cols));
+  perf::MvmWorkspace ws;
+  for (auto _ : state) benchmark::DoNotOptimize(xb.mvm_batch(in, 1, bit_accurate, ws));
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+}
+BENCHMARK(BM_MvmDcganMacro)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+    ->ArgNames({"stage", "bitacc"});
 
 // Saturating-ADC regime: exercises the per-pulse compacted clipped kernel
 // (reference and fast variants, for the before/after report).
@@ -252,17 +277,14 @@ void BM_AnalogIrDropSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalogIrDropSolve)->Arg(32)->Arg(64);
 
-// bench_smoke oracle gate: every dispatch tier must reproduce the scalar
-// reference bit-exactly (outputs AND MvmStats) before any timing is
-// reported. Runs over ideal, clipped, and multi-bit-DAC regimes on shapes
-// that cross 64-bit word boundaries.
+// bench_smoke oracle gate: every popcount tier this CPU supports must
+// reproduce the reference bit-exactly (outputs AND MvmStats) before any
+// timing is reported. Runs over ideal, clipped, and multi-bit-DAC regimes on
+// shapes that cross 64-bit word boundaries.
 bool packed_kernels_match_oracle() {
   xbar::QuantConfig dac2;
   dac2.dac_bits = 2;
   const xbar::QuantConfig regimes[] = {xbar::QuantConfig{}, clipped_config(), dac2};
-  const perf::MvmIsa tiers[] = {perf::MvmIsa::kScalar, perf::MvmIsa::kPortable,
-                                perf::MvmIsa::kPopcnt, perf::MvmIsa::kAvx2,
-                                perf::MvmIsa::kAvx512};
   bool ok = true;
   for (const auto& q : regimes) {
     for (const std::int64_t rows : {std::int64_t{129}, std::int64_t{512}}) {
@@ -275,20 +297,19 @@ bool packed_kernels_match_oracle() {
       for (auto& v : in) v = static_cast<std::int32_t>(rng.uniform_int(lo, hi));
       xbar::MvmStats ref_stats;
       const auto ref = xb.mvm_bit_accurate_reference(in, &ref_stats);
-      for (const auto isa : tiers) {
-        const perf::MvmIsa installed = perf::set_mvm_isa(isa);
+      for (const auto isa : {perf::MvmIsa::kPortable, perf::MvmIsa::kAvx2, perf::MvmIsa::kAvx512}) {
+        if (isa > perf::mvm_active_isa()) continue;
         perf::MvmWorkspace ws;
         xbar::MvmStats got_stats;
-        const auto got = xb.mvm_bit_accurate(in, ws, &got_stats);
+        const auto got = perf::detail::mvm_bit_accurate_on(isa, xb, in, ws, &got_stats);
         if (std::vector<std::int64_t>(got.begin(), got.end()) != ref || got_stats != ref_stats) {
-          std::fprintf(stderr, "oracle mismatch: tier %s, rows %lld\n",
-                       perf::mvm_isa_name(installed), static_cast<long long>(rows));
+          std::fprintf(stderr, "oracle mismatch: tier %s, rows %lld\n", perf::mvm_isa_name(isa),
+                       static_cast<long long>(rows));
           ok = false;
         }
       }
     }
   }
-  perf::set_mvm_isa(perf::mvm_detected_isa());
   return ok;
 }
 

@@ -28,7 +28,7 @@ void set_log_timestamps(bool enabled);
 [[nodiscard]] bool log_timestamps();
 
 /// Parse a level name ("debug" | "info" | "warn" | "error"). Throws
-/// ConfigError on anything else, matching the RED_MVM_ISA precedent.
+/// ConfigError on anything else.
 [[nodiscard]] LogLevel log_level_from_name(const std::string& name);
 
 /// Apply the RED_LOG_LEVEL environment override when set and non-empty

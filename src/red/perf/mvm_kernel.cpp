@@ -1,14 +1,9 @@
 #include "red/perf/mvm_kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <limits>
-#include <string>
 
 #include "red/common/contracts.h"
-#include "red/common/error.h"
 #include "red/telemetry/metrics.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -56,8 +51,8 @@ struct EncodeSummary {
   std::int64_t pulse_rows = 0;  ///< sum over rows of per-row pulse counts
 };
 
-/// Range-check the inputs and accumulate the activity summary shared by all
-/// kernel variants (matching the reference's per-row accounting exactly).
+/// Range-check the inputs and accumulate the activity summary shared by both
+/// kernels (matching the reference's per-row accounting exactly).
 EncodeSummary summarize_input(std::span<const std::int32_t> input, const QuantConfig& q) {
   EncodeSummary s;
   for (auto v : input) {
@@ -74,139 +69,7 @@ EncodeSummary summarize_input(std::span<const std::int32_t> input, const QuantCo
 }
 
 // ---------------------------------------------------------------------------
-// Scalar oracle kernels (MvmIsa::kScalar): the pre-packed row-sweep pair,
-// kept bit-for-bit as in-process equivalence oracles for the packed tiers.
-// ---------------------------------------------------------------------------
-
-/// Write the pulse-plane-major streams: streams[b * rows + r] = digit b of
-/// input[r]. Inputs must already be range-checked (summarize_input).
-void encode_streams(std::span<const std::int32_t> input, const QuantConfig& q,
-                    std::uint8_t* streams) {
-  const auto rows = static_cast<std::int64_t>(input.size());
-  const int num_pulses = q.pulses();
-  if (q.dac_bits == 1) {
-    const std::uint64_t mask = (std::uint64_t{1} << q.abits) - 1;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const std::uint64_t u = static_cast<std::uint64_t>(input[static_cast<std::size_t>(r)]) &
-                              mask;
-      for (int b = 0; b < num_pulses; ++b)
-        streams[static_cast<std::size_t>(b) * rows + r] =
-            static_cast<std::uint8_t>((u >> b) & 1u);
-    }
-    return;
-  }
-  const int digit_max = (1 << q.dac_bits) - 1;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::int64_t u = input[static_cast<std::size_t>(r)];
-    for (int b = 0; b < num_pulses; ++b) {
-      streams[static_cast<std::size_t>(b) * rows + r] =
-          static_cast<std::uint8_t>(u & digit_max);
-      u >>= q.dac_bits;
-    }
-  }
-}
-
-/// Ideal-ADC bit-accurate MVM: with no clipping the pulse/slice decomposition
-/// collapses algebraically, so one signed row-sweep per slice suffices:
-/// out[c] = sum_s (sum_r in[r] * plane_s[r][c]) << (cell_bits * s) minus the
-/// offset-encoding correction. Bit-exact vs the reference by construction.
-void ideal_kernel(const LogicalXbar& xbar, std::span<const std::int32_t> input,
-                  const EncodeSummary& sum, MvmWorkspace& ws, std::int64_t* out) {
-  const std::int64_t rows = xbar.rows();
-  const std::int64_t cols = xbar.cols();
-  const QuantConfig& q = xbar.config();
-  const int slices = q.slices();
-
-  std::int64_t* acc = ws.acc.data();
-  std::int64_t* current = ws.current.data();
-  std::fill(acc, acc + cols, std::int64_t{0});
-  for (int s = 0; s < slices; ++s) {
-    std::fill(current, current + cols, std::int64_t{0});
-    const std::uint8_t* plane = xbar.level_plane(s);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const std::int64_t in = input[static_cast<std::size_t>(r)];
-      if (in == 0) continue;
-      const std::uint8_t* row = plane + r * cols;
-      for (std::int64_t c = 0; c < cols; ++c) current[c] += in * row[c];
-    }
-    const int shift = q.cell_bits * s;
-    for (std::int64_t c = 0; c < cols; ++c) acc[c] += current[c] << shift;
-  }
-  const std::int64_t correction = std::int64_t{q.weight_offset()} * sum.input_sum;
-  for (std::int64_t c = 0; c < cols; ++c) out[c] = acc[c] - correction;
-}
-
-/// Clipped-ADC bit-accurate MVM: integrates every (pulse, slice) plane
-/// through the saturating ADC exactly like the reference, but sweeps
-/// contiguous level-plane rows over a per-pulse compacted driven-row list.
-/// Returns the number of saturated conversions.
-std::int64_t clipped_kernel(const LogicalXbar& xbar, MvmWorkspace& ws, std::int64_t input_sum,
-                            std::int64_t* out) {
-  const std::int64_t rows = xbar.rows();
-  const std::int64_t cols = xbar.cols();
-  const QuantConfig& q = xbar.config();
-  const int slices = q.slices();
-  const int num_pulses = q.pulses();
-  const std::int64_t clip_max = (std::int64_t{1} << q.adc.bits) - 1;
-
-  std::int64_t* acc = ws.acc.data();
-  std::int64_t* current = ws.current.data();
-  std::fill(out, out + cols, std::int64_t{0});
-  std::int64_t clips = 0;
-  for (int b = 0; b < num_pulses; ++b) {
-    // Compact the driven wordlines of this pulse once, reused per slice.
-    const std::uint8_t* sp = ws.streams.data() + static_cast<std::size_t>(b) * rows;
-    std::int64_t nd = 0;
-    for (std::int64_t r = 0; r < rows; ++r)
-      if (sp[r] != 0) {
-        ws.driven_rows[static_cast<std::size_t>(nd)] = static_cast<std::int32_t>(r);
-        ws.driven_vals[static_cast<std::size_t>(nd)] = sp[r];
-        ++nd;
-      }
-    // An undriven pulse integrates zero current on every column: no output
-    // contribution and (since clip_max >= 1) no clips. Skip it.
-    if (nd == 0) continue;
-
-    // Bit-serial: the MSB plane carries the two's-complement negative weight.
-    // Multi-bit DAC: digits are unsigned (non-negative activations only).
-    const std::int64_t pulse_weight = (q.dac_bits == 1 && b == q.abits - 1)
-                                          ? -(std::int64_t{1} << b)
-                                          : (std::int64_t{1} << (q.dac_bits * b));
-    std::fill(acc, acc + cols, std::int64_t{0});
-    for (int s = 0; s < slices; ++s) {
-      std::fill(current, current + cols, std::int64_t{0});
-      const std::uint8_t* plane = xbar.level_plane(s);
-      if (q.dac_bits == 1) {
-        for (std::int64_t k = 0; k < nd; ++k) {
-          const std::uint8_t* row = plane + std::int64_t{ws.driven_rows[static_cast<std::size_t>(k)]} * cols;
-          for (std::int64_t c = 0; c < cols; ++c) current[c] += row[c];
-        }
-      } else {
-        for (std::int64_t k = 0; k < nd; ++k) {
-          const std::int64_t d = ws.driven_vals[static_cast<std::size_t>(k)];
-          const std::uint8_t* row = plane + std::int64_t{ws.driven_rows[static_cast<std::size_t>(k)]} * cols;
-          for (std::int64_t c = 0; c < cols; ++c) current[c] += d * row[c];
-        }
-      }
-      const int shift = q.cell_bits * s;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        std::int64_t cur = current[c];
-        if (cur > clip_max) {
-          cur = clip_max;
-          ++clips;
-        }
-        acc[c] += cur << shift;
-      }
-    }
-    for (std::int64_t c = 0; c < cols; ++c) out[c] += pulse_weight * acc[c];
-  }
-  const std::int64_t correction = std::int64_t{q.weight_offset()} * input_sum;
-  for (std::int64_t c = 0; c < cols; ++c) out[c] -= correction;
-  return clips;
-}
-
-// ---------------------------------------------------------------------------
-// Packed bit-plane kernels (MvmIsa::kPortable and up).
+// Packed bit-plane kernels (the bit-accurate regime).
 //
 // Both operand sides are bitmaps over the rows: LogicalXbar keeps one packed
 // plane per stored-level bit u (weight planes, per column), and encode_packed
@@ -250,23 +113,6 @@ void lane_sums_portable(const std::uint64_t* ip, std::int64_t words, int planes_
 }
 
 #if RED_MVM_X86
-
-__attribute__((target("popcnt"))) void lane_sums_popcnt(const std::uint64_t* ip,
-                                                        std::int64_t words, int planes_pad,
-                                                        const std::uint64_t* wplanes, int ucount,
-                                                        std::int64_t* lanes) {
-  std::fill(lanes, lanes + planes_pad, std::int64_t{0});
-  for (int du = 0; du < ucount; ++du) {
-    const std::uint64_t* wp = wplanes + static_cast<std::size_t>(du) * words;
-    for (std::int64_t w = 0; w < words; ++w) {
-      const std::uint64_t wv = wp[w];
-      if (wv == 0) continue;
-      const std::uint64_t* iw = ip + w * planes_pad;
-      for (int j = 0; j < planes_pad; ++j)
-        lanes[j] += static_cast<std::int64_t>(std::popcount(iw[j] & wv)) << du;
-    }
-  }
-}
 
 /// AVX2 lane groups: one broadcast weight word ANDs against 4 input planes
 /// per 256-bit vector; byte-wise nibble-LUT popcount (vpshufb) horizontally
@@ -360,8 +206,6 @@ void lane_sums_avx512(const std::uint64_t* ip, std::int64_t words, int planes_pa
 LaneSumsFn lane_sums_fn(MvmIsa isa) {
   switch (isa) {
 #if RED_MVM_X86
-    case MvmIsa::kPopcnt:
-      return &lane_sums_popcnt;
     case MvmIsa::kAvx2:
       return &lane_sums_avx2;
     case MvmIsa::kAvx512:
@@ -376,7 +220,7 @@ LaneSumsFn lane_sums_fn(MvmIsa isa) {
 /// in_planes[(r/64) * planes_pad + j] is bit j of input[r] & (2^abits - 1).
 /// Uniform for every dac_bits — a multi-bit DAC digit is just a run of
 /// consecutive bit-planes — and negative dac_bits==1 activations wrap to
-/// their two's-complement abits pattern exactly like the scalar encode.
+/// their two's-complement abits pattern exactly like the reference encode.
 /// Inputs must already be range-checked (summarize_input). Only set bits are
 /// scattered, so sparse inputs encode in O(set bits).
 void encode_packed(std::span<const std::int32_t> input, const QuantConfig& q, int planes_pad,
@@ -400,7 +244,7 @@ void encode_packed(std::span<const std::int32_t> input, const QuantConfig& q, in
   }
 }
 
-/// Packed ideal-ADC kernel (also the exact-MVM path): per column one
+/// Packed ideal-ADC kernel: per column one
 /// lane_sums pass over all weight planes yields S_j = sum_u 2^u * L[j][u],
 /// and out[c] = sum_j pw(j) * S_j - offset * input_sum, with pw(j) = -2^j on
 /// the two's-complement MSB plane and +2^j otherwise.
@@ -476,134 +320,67 @@ std::int64_t packed_clipped_kernel(const LogicalXbar& xbar, const EncodeSummary&
 }
 
 // ---------------------------------------------------------------------------
-// Runtime ISA selection.
+// Per-vector bodies and the one batch loop behind every entry point.
 // ---------------------------------------------------------------------------
 
-MvmIsa detect_isa() {
-#if RED_MVM_X86
-  if (__builtin_cpu_supports("avx512vpopcntdq") && __builtin_cpu_supports("avx512vl"))
-    return MvmIsa::kAvx512;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) return MvmIsa::kAvx2;
-  if (__builtin_cpu_supports("popcnt")) return MvmIsa::kPopcnt;
-#endif
-  return MvmIsa::kPortable;
+void add_stats(const LogicalXbar& xbar, const EncodeSummary& sum, std::int64_t clips,
+               MvmStats* stats) {
+  if (stats == nullptr) return;
+  stats->mvm_ops += 1;
+  stats->row_drives += sum.drives;
+  stats->mac_pulses += sum.pulse_rows * xbar.phys_cols();
+  stats->conversions += xbar.phys_cols() * xbar.config().pulses();
+  stats->adc_clips += clips;
 }
 
-MvmIsa isa_from_name(const std::string& name) {
-  for (const MvmIsa isa : {MvmIsa::kScalar, MvmIsa::kPortable, MvmIsa::kPopcnt, MvmIsa::kAvx2,
-                           MvmIsa::kAvx512})
-    if (name == mvm_isa_name(isa)) return isa;
-  throw ConfigError("RED_MVM_ISA: unknown tier '" + name +
-                    "' (scalar | portable | popcnt | avx2 | avx512)");
-}
-
-MvmIsa clamp_isa(MvmIsa isa) { return std::min(isa, detect_isa()); }
-
-MvmIsa initial_isa() {
-  const char* env = std::getenv("RED_MVM_ISA");
-  if (env == nullptr || *env == '\0') return detect_isa();
-  return clamp_isa(isa_from_name(env));
-}
-
-std::atomic<int>& active_isa_slot() {
-  static std::atomic<int> slot{static_cast<int>(initial_isa())};
-  return slot;
-}
-
-// ---------------------------------------------------------------------------
-
-/// One bit-accurate MVM into `out` (cols() values). Assumes ws is prepared.
+/// One bit-accurate MVM into `out` (cols() values). Assumes ws is prepared
+/// (prepare + prepare_packed) and input.size() == rows().
 void bit_accurate_into(const LogicalXbar& xbar, std::span<const std::int32_t> input,
-                       MvmWorkspace& ws, std::int64_t* out, MvmStats* stats, MvmIsa isa) {
-  RED_EXPECTS_MSG(input.size() == static_cast<std::size_t>(xbar.rows()),
-                  "input size mismatch");
+                       MvmWorkspace& ws, std::int64_t* out, MvmStats* stats, LaneSumsFn fn) {
   const QuantConfig& q = xbar.config();
   const EncodeSummary sum = summarize_input(input, q);
-
+  encode_packed(input, q, padded_planes(q), ws.in_planes.data());
   std::int64_t clips = 0;
-  if (isa == MvmIsa::kScalar) {
-    if (q.adc.mode == AdcMode::kIdeal) {
-      ideal_kernel(xbar, input, sum, ws, out);
-    } else {
-      encode_streams(input, q, ws.streams.data());
-      clips = clipped_kernel(xbar, ws, sum.input_sum, out);
-    }
-  } else {
-    const LaneSumsFn fn = lane_sums_fn(isa);
-    encode_packed(input, q, padded_planes(q), ws.in_planes.data());
-    if (q.adc.mode == AdcMode::kIdeal)
-      packed_ideal_kernel(xbar, sum, ws, out, fn);
-    else
-      clips = packed_clipped_kernel(xbar, sum, ws, out, fn);
-  }
-
-  if (stats != nullptr) {
-    stats->mvm_ops += 1;
-    stats->row_drives += sum.drives;
-    stats->mac_pulses += sum.pulse_rows * xbar.phys_cols();
-    stats->conversions += xbar.phys_cols() * q.pulses();
-    stats->adc_clips += clips;
-  }
+  if (q.adc.mode == AdcMode::kIdeal)
+    packed_ideal_kernel(xbar, sum, ws, out, fn);
+  else
+    clips = packed_clipped_kernel(xbar, sum, ws, out, fn);
+  add_stats(xbar, sum, clips, stats);
 }
 
 /// One exact MVM (ideal-ADC semantics regardless of the configured ADC) into
-/// `out`. Assumes ws is prepared. The packed tiers reuse the ideal kernel —
-/// with an ideal ADC the bit decomposition recombines to the exact integer
-/// dot product, so the result is identical and the popcount path is faster
-/// than the scalar row sweep.
-void exact_into(const LogicalXbar& xbar, std::span<const std::int32_t> input, MvmWorkspace& ws,
-                std::int64_t* out, MvmStats* stats, MvmIsa isa) {
-  RED_EXPECTS_MSG(input.size() == static_cast<std::size_t>(xbar.rows()),
-                  "input size mismatch");
+/// `out`: a row sweep over the stored weights that skips zero activations.
+/// Assumes input.size() == rows().
+void exact_into(const LogicalXbar& xbar, std::span<const std::int32_t> input,
+                std::int64_t* out, MvmStats* stats) {
   const std::int64_t rows = xbar.rows();
   const std::int64_t cols = xbar.cols();
   const QuantConfig& q = xbar.config();
-
-  if (isa != MvmIsa::kScalar) {
-    const EncodeSummary sum = summarize_input(input, q);
-    encode_packed(input, q, padded_planes(q), ws.in_planes.data());
-    packed_ideal_kernel(xbar, sum, ws, out, lane_sums_fn(isa));
-    if (stats != nullptr) {
-      stats->mvm_ops += 1;
-      stats->row_drives += sum.drives;
-      stats->mac_pulses += sum.pulse_rows * xbar.phys_cols();
-      stats->conversions += xbar.phys_cols() * q.pulses();
-    }
-    return;
-  }
-
   const std::int32_t* weights = xbar.stored_weights().data();
   std::fill(out, out + cols, std::int64_t{0});
-  std::int64_t drives = 0;
-  std::int64_t pulse_rows = 0;
+  EncodeSummary sum;
   for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int64_t in = input[static_cast<std::size_t>(r)];
+    const std::int32_t in = input[static_cast<std::size_t>(r)];
     if (in == 0) continue;
-    ++drives;
-    pulse_rows += fast_pulse_count(static_cast<std::int32_t>(in), q);
+    ++sum.drives;
+    sum.pulse_rows += fast_pulse_count(in, q);
     const std::int32_t* wrow = weights + r * cols;
-    for (std::int64_t c = 0; c < cols; ++c) out[c] += in * wrow[c];
+    for (std::int64_t c = 0; c < cols; ++c) out[c] += std::int64_t{in} * wrow[c];
   }
-  if (stats != nullptr) {
-    stats->mvm_ops += 1;
-    stats->row_drives += drives;
-    stats->mac_pulses += pulse_rows * xbar.phys_cols();
-    stats->conversions += xbar.phys_cols() * q.pulses();
-  }
+  add_stats(xbar, sum, 0, stats);
 }
 
-/// Observe-only instrumentation of the public dispatch entry points (never
-/// the inner kernels): per-ISA-tier invocation counters plus MvmStats deltas
-/// rolled into `mvm.*` counters. Static names keep the enabled path
+/// Observe-only instrumentation of the public entry points (never the inner
+/// kernels): per-kernel invocation counters plus MvmStats deltas rolled into
+/// `mvm.*` counters. Exact calls count under "mvm.calls.scalar", bit-accurate
+/// ones under their popcount tier. Static names keep the enabled path
 /// allocation-free; the disabled path is the metrics() load + one branch.
-const char* mvm_invocation_counter(MvmIsa isa) {
+constexpr const char* kExactCallsCounter = "mvm.calls.scalar";
+
+const char* bit_accurate_calls_counter(MvmIsa isa) {
   switch (isa) {
-    case MvmIsa::kScalar:
-      return "mvm.calls.scalar";
     case MvmIsa::kPortable:
       return "mvm.calls.portable";
-    case MvmIsa::kPopcnt:
-      return "mvm.calls.popcnt";
     case MvmIsa::kAvx2:
       return "mvm.calls.avx2";
     case MvmIsa::kAvx512:
@@ -612,9 +389,9 @@ const char* mvm_invocation_counter(MvmIsa isa) {
   return "mvm.calls.unknown";
 }
 
-void record_mvm_call(telemetry::MetricsRegistry* m, MvmIsa isa, std::int64_t calls,
+void record_mvm_call(telemetry::MetricsRegistry* m, const char* counter, std::int64_t calls,
                      const MvmStats* stats, const MvmStats& before) {
-  m->counter(mvm_invocation_counter(isa))->add(static_cast<std::uint64_t>(calls));
+  m->counter(counter)->add(static_cast<std::uint64_t>(calls));
   if (stats == nullptr) return;
   const auto bump = [m](const char* name, std::int64_t delta) {
     if (delta > 0) m->counter(name)->add(static_cast<std::uint64_t>(delta));
@@ -626,26 +403,52 @@ void record_mvm_call(telemetry::MetricsRegistry* m, MvmIsa isa, std::int64_t cal
   bump("mvm.adc_clips", stats->adc_clips - before.adc_clips);
 }
 
+/// The one body behind every entry point: `batch` MVMs on tier `isa`.
+std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
+                                        std::span<const std::int32_t> inputs, std::int64_t batch,
+                                        bool bit_accurate, MvmWorkspace& ws, MvmStats* stats) {
+  RED_EXPECTS(batch >= 0);
+  RED_EXPECTS_MSG(inputs.size() == static_cast<std::size_t>(batch * xbar.rows()),
+                  "input size mismatch");
+  const LaneSumsFn fn = lane_sums_fn(isa);
+  auto* m = telemetry::metrics();
+  const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
+  ws.prepare(xbar.cols(), batch);
+  if (bit_accurate) ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
+  const auto rows = static_cast<std::size_t>(xbar.rows());
+  for (std::int64_t v = 0; v < batch; ++v) {
+    const auto input = inputs.subspan(static_cast<std::size_t>(v) * rows, rows);
+    std::int64_t* out = ws.out.data() + v * xbar.cols();
+    if (bit_accurate)
+      bit_accurate_into(xbar, input, ws, out, stats, fn);
+    else
+      exact_into(xbar, input, out, stats);
+  }
+  if (m != nullptr && batch > 0)
+    record_mvm_call(m, bit_accurate ? bit_accurate_calls_counter(isa) : kExactCallsCounter, batch,
+                    stats, before);
+  return {ws.out.data(), static_cast<std::size_t>(batch * xbar.cols())};
+}
+
 }  // namespace
 
-MvmIsa mvm_detected_isa() { return detect_isa(); }
-
-MvmIsa mvm_active_isa() { return static_cast<MvmIsa>(active_isa_slot().load(std::memory_order_relaxed)); }
-
-MvmIsa set_mvm_isa(MvmIsa isa) {
-  const MvmIsa installed = clamp_isa(isa);
-  active_isa_slot().store(static_cast<int>(installed), std::memory_order_relaxed);
-  return installed;
+MvmIsa mvm_active_isa() {
+  // Detected once per process: the widest tier this CPU supports.
+  static const MvmIsa isa = [] {
+#if RED_MVM_X86
+    if (__builtin_cpu_supports("avx512vpopcntdq") && __builtin_cpu_supports("avx512vl"))
+      return MvmIsa::kAvx512;
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) return MvmIsa::kAvx2;
+#endif
+    return MvmIsa::kPortable;
+  }();
+  return isa;
 }
 
 const char* mvm_isa_name(MvmIsa isa) {
   switch (isa) {
-    case MvmIsa::kScalar:
-      return "scalar";
     case MvmIsa::kPortable:
       return "portable";
-    case MvmIsa::kPopcnt:
-      return "popcnt";
     case MvmIsa::kAvx2:
       return "avx2";
     case MvmIsa::kAvx512:
@@ -658,51 +461,30 @@ const char* mvm_isa_name(MvmIsa isa) {
 std::span<const std::int64_t> mvm_bit_accurate(const LogicalXbar& xbar,
                                                std::span<const std::int32_t> input,
                                                MvmWorkspace& ws, MvmStats* stats) {
-  const MvmIsa isa = mvm_active_isa();
-  auto* m = telemetry::metrics();
-  const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
-  ws.prepare(xbar.rows(), xbar.cols(), xbar.config().pulses());
-  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
-  bit_accurate_into(xbar, input, ws, ws.out.data(), stats, isa);
-  if (m != nullptr) record_mvm_call(m, isa, 1, stats, before);
-  return {ws.out.data(), static_cast<std::size_t>(xbar.cols())};
+  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/true, ws, stats);
 }
 
 std::span<const std::int64_t> mvm_exact(const LogicalXbar& xbar,
                                         std::span<const std::int32_t> input, MvmWorkspace& ws,
                                         MvmStats* stats) {
-  const MvmIsa isa = mvm_active_isa();
-  auto* m = telemetry::metrics();
-  const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
-  ws.prepare(xbar.rows(), xbar.cols(), xbar.config().pulses());
-  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
-  exact_into(xbar, input, ws, ws.out.data(), stats, isa);
-  if (m != nullptr) record_mvm_call(m, isa, 1, stats, before);
-  return {ws.out.data(), static_cast<std::size_t>(xbar.cols())};
+  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/false, ws, stats);
 }
 
 std::span<const std::int64_t> mvm_batch(const LogicalXbar& xbar,
                                         std::span<const std::int32_t> inputs, std::int64_t batch,
                                         bool bit_accurate, MvmWorkspace& ws, MvmStats* stats) {
-  RED_EXPECTS(batch >= 0);
-  RED_EXPECTS_MSG(inputs.size() == static_cast<std::size_t>(batch * xbar.rows()),
-                  "batch input size mismatch");
-  const MvmIsa isa = mvm_active_isa();
-  auto* m = telemetry::metrics();
-  const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
-  ws.prepare(xbar.rows(), xbar.cols(), xbar.config().pulses(), batch);
-  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
-  const auto rows = static_cast<std::size_t>(xbar.rows());
-  for (std::int64_t v = 0; v < batch; ++v) {
-    const auto input = inputs.subspan(static_cast<std::size_t>(v) * rows, rows);
-    std::int64_t* out = ws.out.data() + v * xbar.cols();
-    if (bit_accurate)
-      bit_accurate_into(xbar, input, ws, out, stats, isa);
-    else
-      exact_into(xbar, input, ws, out, stats, isa);
-  }
-  if (m != nullptr && batch > 0) record_mvm_call(m, isa, batch, stats, before);
-  return {ws.out.data(), static_cast<std::size_t>(batch * xbar.cols())};
+  return run_batch(mvm_active_isa(), xbar, inputs, batch, bit_accurate, ws, stats);
 }
+
+namespace detail {
+
+std::span<const std::int64_t> mvm_bit_accurate_on(MvmIsa tier, const LogicalXbar& xbar,
+                                                  std::span<const std::int32_t> input,
+                                                  MvmWorkspace& ws, MvmStats* stats) {
+  return run_batch(std::min(tier, mvm_active_isa()), xbar, input, 1, /*bit_accurate=*/true, ws,
+                   stats);
+}
+
+}  // namespace detail
 
 }  // namespace red::perf

@@ -1,31 +1,33 @@
-// Layout-optimized bit-serial MVM kernels.
+// MVM kernels: one per regime.
 //
-// These are the fast counterparts of LogicalXbar::mvm_bit_accurate()'s
-// original column-major walk. The primary path works on packed bit-planes:
-// every stored-level bit of a column lives in LogicalXbar's packed weight
-// planes (one 64-bit-word bitmap per level bit), the input's bit-planes are
-// packed the same way into the workspace, and the per-(pulse, slice) analog
-// integration collapses to popcount(input_plane & weight_plane) sums — wide
-// enough to vectorize. Two regimes:
+//  * exact (mvm_exact, mvm_batch with bit_accurate=false) — ideal-ADC
+//    semantics, so the result is the integer dot product with the
+//    round-tripped weights. A sparse row sweep over
+//    LogicalXbar::stored_weights() that skips zero activations, the way
+//    RED's zero-skipping data flow skips them in hardware.
+//  * bit-accurate (mvm_bit_accurate, mvm_batch with bit_accurate=true) —
+//    packed bit-planes: every stored-level bit of a column lives in
+//    LogicalXbar's packed weight planes (one 64-bit-word bitmap per level
+//    bit), the input's bit-planes are packed the same way into the
+//    workspace, and the per-(pulse, slice) analog integration collapses to
+//    popcount(input_plane & weight_plane) sums. Two ADC regimes:
+//      - ideal ADC — no clipping can occur, so the pulse/slice decomposition
+//        is algebraically collapsible: out[c] = sum_j pw(j) * sum_u 2^u *
+//        popcount(in_plane_j & w_plane_u[c]) minus the offset correction,
+//        where pw(j) = ±2^j is the bit-j pulse weight.
+//      - clipped ADC — per (column, slice) the cell_bits weight planes are
+//        popcount-combined into per-input-plane lane sums; the per-pulse DAC
+//        digits then recombine and saturate scalar-side, exactly like the
+//        reference (clip counts included).
 //
-//  * ideal ADC — no clipping can occur, so the pulse/slice decomposition is
-//    algebraically collapsible: out[c] = sum_j pw(j) * sum_u 2^u *
-//    popcount(in_plane_j & w_plane_u[c]) minus the offset correction, where
-//    pw(j) = ±2^j is the bit-j pulse weight.
-//  * clipped ADC — per (column, slice) the cell_bits weight planes are
-//    popcount-combined into per-input-plane lane sums; the per-pulse DAC
-//    digits then recombine and saturate scalar-side, exactly like the
-//    reference (clip counts included).
+// The bit-accurate popcount loop is compiled at three widths (MvmIsa):
+// portable std::popcount (the only one on non-x86 hosts), AVX2 and
+// AVX512-VPOPCNTDQ. CPU detection picks the widest once per process.
+// detail::mvm_bit_accurate_on() runs a given tier so tests and benchmarks can
+// check every compiled tier on one host.
 //
-// The popcount inner loop dispatches at runtime over the CPU's ISA (see
-// MvmIsa): a portable std::popcount build always exists, with POPCNT, AVX2,
-// and AVX512-VPOPCNTDQ specializations selected by CPU detection, overridable
-// via the RED_MVM_ISA environment variable or set_mvm_isa(). The original
-// scalar kernels are kept selectable (MvmIsa::kScalar) as in-process
-// equivalence oracles next to LogicalXbar::mvm_bit_accurate_reference().
-//
-// Every tier is bit-exact against the reference in outputs AND MvmStats
-// (tests/fast_path_equivalence_test.cpp gates this).
+// Both kernels are bit-exact against LogicalXbar::mvm_bit_accurate_reference
+// in outputs AND MvmStats (tests/fast_path_equivalence_test.cpp gates this).
 #pragma once
 
 #include <cstdint>
@@ -36,31 +38,17 @@
 
 namespace red::perf {
 
-/// Instruction-set tiers of the MVM inner loop, ordered weakest to
-/// strongest. kScalar is the pre-packed scalar kernel pair (kept as an
-/// equivalence oracle); the rest are the packed bit-plane kernel with
-/// increasingly wide popcount implementations.
+/// Widths of the bit-accurate popcount loop, narrowest to widest.
 enum class MvmIsa : int {
-  kScalar = 0,
-  kPortable = 1,
-  kPopcnt = 2,
-  kAvx2 = 3,
-  kAvx512 = 4,
+  kPortable = 0,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
-/// Strongest tier this CPU supports (kPortable at minimum).
-[[nodiscard]] MvmIsa mvm_detected_isa();
-
-/// Tier the kernels currently dispatch to. Defaults to mvm_detected_isa(),
-/// or to the RED_MVM_ISA environment variable (scalar | portable | popcnt |
-/// avx2 | avx512, clamped to what the CPU supports) when set.
+/// Tier the bit-accurate kernels run on this CPU (kPortable at minimum).
 [[nodiscard]] MvmIsa mvm_active_isa();
 
-/// Select the dispatch tier (tests/benchmarks). Requests above
-/// mvm_detected_isa() clamp down; returns the tier actually installed.
-MvmIsa set_mvm_isa(MvmIsa isa);
-
-/// Lower-case tier name ("scalar", "portable", ...).
+/// Lower-case tier name ("portable", "avx2", "avx512").
 [[nodiscard]] const char* mvm_isa_name(MvmIsa isa);
 
 /// Bit-accurate MVM through the configured ADC. Returns a span of cols()
@@ -77,12 +65,23 @@ std::span<const std::int64_t> mvm_exact(const xbar::LogicalXbar& xbar,
                                         xbar::MvmStats* stats = nullptr);
 
 /// Batched MVM: `inputs` holds `batch` concatenated input vectors of
-/// rows() elements each. Encoding setup and workspace buffers are amortized
-/// across the batch. Returns batch * cols() results, vector-major, in
-/// `ws.out`; stats accumulate exactly as `batch` single calls would.
+/// rows() elements each. Workspace buffers are sized once for the batch.
+/// Returns batch * cols() results, vector-major, in `ws.out`; stats
+/// accumulate exactly as `batch` single calls would.
 std::span<const std::int64_t> mvm_batch(const xbar::LogicalXbar& xbar,
                                         std::span<const std::int32_t> inputs, std::int64_t batch,
                                         bool bit_accurate, MvmWorkspace& ws,
                                         xbar::MvmStats* stats = nullptr);
+
+namespace detail {
+
+/// mvm_bit_accurate() on `tier`, clamped to mvm_active_isa(). For tests and
+/// benchmarks that check every compiled tier on one host.
+std::span<const std::int64_t> mvm_bit_accurate_on(MvmIsa tier, const xbar::LogicalXbar& xbar,
+                                                  std::span<const std::int32_t> input,
+                                                  MvmWorkspace& ws,
+                                                  xbar::MvmStats* stats = nullptr);
+
+}  // namespace detail
 
 }  // namespace red::perf

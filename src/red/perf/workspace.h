@@ -1,11 +1,11 @@
-// Reusable scratch buffers for the fast MVM kernels.
+// Reusable scratch buffers for the MVM kernels.
 //
-// Every buffer the bit-serial kernel needs per call — the encoded pulse
-// streams, the per-column current/accumulator tiles, and the output block —
-// lives here, so a warmed-up workspace makes an MVM call allocation-free.
-// Workspaces are plain value types: one per thread (the kernels never share
-// one across threads), reusable across crossbars of any geometry because
-// prepare() only ever grows the buffers.
+// Every buffer an MVM call needs — the packed input bit-planes of the
+// bit-accurate kernels and the output block — lives here, so a warmed-up
+// workspace makes an MVM call allocation-free. Workspaces are plain value
+// types: one per thread (the kernels never share one across threads),
+// reusable across crossbars of any geometry because prepare() and
+// prepare_packed() only ever grow the buffers.
 #pragma once
 
 #include <cstdint>
@@ -14,42 +14,22 @@
 namespace red::perf {
 
 struct MvmWorkspace {
-  /// Pulse-plane-major encoded input streams: streams[b * rows + r] is the
-  /// digit row r drives during pulse b. Written by the kernel's encode pass
-  /// (scalar clipped kernel only; the packed kernels use in_planes).
-  std::vector<std::uint8_t> streams;
   /// Packed input bit-planes for the popcount kernels, word-major so one
   /// weight word broadcasts against all planes: in_planes[w * planes_pad + j]
   /// is word w (rows 64w..64w+63) of input bit-plane j, with planes_pad the
   /// plane count rounded up to a multiple of 4 (one 256-bit lane group); the
   /// pad planes stay zero.
   std::vector<std::uint64_t> in_planes;
-  /// Per-pulse compacted list of driven wordlines (row index, digit value);
-  /// built once per pulse and reused across the weight slices.
-  std::vector<std::int32_t> driven_rows;
-  std::vector<std::uint8_t> driven_vals;
-  /// Per-column integrated current of one (pulse, slice) plane.
-  std::vector<std::int64_t> current;
-  /// Per-column slice-recombined accumulator of one pulse.
-  std::vector<std::int64_t> acc;
   /// Kernel output block: batch * cols results, vector-major.
   std::vector<std::int64_t> out;
   /// Scratch canvas for deconv scatter loops; reused for as long as the
   /// owning workspace lives (contents are transient per layer).
   std::vector<std::int32_t> canvas;
 
-  /// Grow (never shrink) the MVM buffers for a rows x cols crossbar streaming
-  /// `pulses` pulses over a batch of `batch` input vectors.
-  void prepare(std::int64_t rows, std::int64_t cols, int pulses, std::int64_t batch = 1) {
-    const auto need_streams = static_cast<std::size_t>(rows) * static_cast<std::size_t>(pulses);
-    if (streams.size() < need_streams) streams.resize(need_streams);
-    const auto need_rows = static_cast<std::size_t>(rows);
-    if (driven_rows.size() < need_rows) driven_rows.resize(need_rows);
-    if (driven_vals.size() < need_rows) driven_vals.resize(need_rows);
-    const auto need_cols = static_cast<std::size_t>(cols);
-    if (current.size() < need_cols) current.resize(need_cols);
-    if (acc.size() < need_cols) acc.resize(need_cols);
-    const auto need_out = static_cast<std::size_t>(batch) * need_cols;
+  /// Grow (never shrink) the output block for a batch of `batch` MVMs on a
+  /// cols-column crossbar.
+  void prepare(std::int64_t cols, std::int64_t batch = 1) {
+    const auto need_out = static_cast<std::size_t>(batch) * static_cast<std::size_t>(cols);
     if (out.size() < need_out) out.resize(need_out);
   }
 

@@ -2,23 +2,25 @@
 // offset-encoded, bit-sliced cell levels, executing bit-serial MVM.
 //
 // Execution paths:
-//  * mvm()      — fast path. With an ideal ADC the analog pipeline is
+//  * mvm()      — exact path. With an ideal ADC the analog pipeline is
 //                 lossless, so the MVM equals an exact integer dot product
-//                 on the encode/decode round-tripped weights. Activity
-//                 (pulses, conversions, row drives) is counted analytically
-//                 from the inputs.
+//                 on the encode/decode round-tripped weights: a row sweep
+//                 over stored_weights() that skips zero activations.
+//                 Activity (pulses, conversions, row drives) is counted
+//                 analytically from the inputs.
 //  * mvm_bit_accurate() — simulates every slice column and every input bit
-//                 plane through the ADC transfer function. This is the path
-//                 that models a clipped ADC; with an ideal ADC it must equal
-//                 mvm() bit-exactly (asserted by tests). Implemented by the
-//                 layout-optimized kernels in red/perf/mvm_kernel.h.
+//                 plane through the ADC transfer function, as popcounts over
+//                 the packed bit-planes. This is the path that models a
+//                 clipped ADC; with an ideal ADC it must equal mvm()
+//                 bit-exactly (asserted by tests).
 //  * mvm_bit_accurate_reference() — the original straight-line simulation of
-//                 the same semantics, kept as the equivalence oracle for the
-//                 fast kernels (and as the "before" in bench_micro_simulator).
+//                 the same semantics, kept as the one equivalence oracle for
+//                 both kernels (and as the "before" in bench_micro_simulator).
+// The first two are implemented in red/perf/mvm_kernel.h.
 //
-// Cell levels are stored plane-major: levels()[s] is one contiguous
-// rows x cols row-major matrix holding weight slice s, so the bit-serial
-// inner loop is a contiguous row sweep instead of a strided gather.
+// Cell levels are stored plane-major: level_plane(s) is one contiguous
+// rows x cols row-major matrix holding weight slice s. The planes feed the
+// packed bit-planes, fault injection (red/fault) and the reference.
 #pragma once
 
 #include <cstdint>

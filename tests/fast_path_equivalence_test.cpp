@@ -7,7 +7,10 @@
 // which have no outside oracle, against themselves across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "red/common/math_util.h"
@@ -16,6 +19,7 @@
 #include "red/perf/mvm_kernel.h"
 #include "red/perf/thread_pool.h"
 #include "red/perf/workspace.h"
+#include "red/plan/plan.h"
 #include "red/sim/engine.h"
 #include "red/sim/pipeline.h"
 #include "red/tensor/tensor_ops.h"
@@ -197,29 +201,54 @@ TEST(FastPathEquivalence, LosslessAdcBitsCacheMatchesBruteForce) {
   }
 }
 
-/// Restores the dispatch tier a test temporarily pins (RAII so an ASSERT
-/// failure cannot leak a forced tier into later tests).
-class ScopedIsa {
- public:
-  ScopedIsa() : saved_(perf::mvm_active_isa()) {}
-  ~ScopedIsa() { perf::set_mvm_isa(saved_); }
-  ScopedIsa(const ScopedIsa&) = delete;
-  ScopedIsa& operator=(const ScopedIsa&) = delete;
+/// Every popcount tier this CPU can run, narrowest first.
+std::vector<perf::MvmIsa> supported_isas() {
+  std::vector<perf::MvmIsa> isas;
+  for (const auto isa : {perf::MvmIsa::kPortable, perf::MvmIsa::kAvx2, perf::MvmIsa::kAvx512})
+    if (isa <= perf::mvm_active_isa()) isas.push_back(isa);
+  return isas;
+}
 
- private:
-  perf::MvmIsa saved_;
-};
+/// The exact MVM spelled out: a plain dot product with the stored weights.
+std::vector<std::int64_t> plain_dot(const LogicalXbar& xb, std::span<const std::int32_t> in) {
+  const auto w = xb.stored_weights();
+  std::vector<std::int64_t> out(static_cast<std::size_t>(xb.cols()), 0);
+  for (std::int64_t r = 0; r < xb.rows(); ++r)
+    for (std::int64_t c = 0; c < xb.cols(); ++c)
+      out[static_cast<std::size_t>(c)] += std::int64_t{in[static_cast<std::size_t>(r)]} *
+                                          w[static_cast<std::size_t>(r * xb.cols() + c)];
+  return out;
+}
 
-constexpr perf::MvmIsa kAllIsas[] = {perf::MvmIsa::kScalar, perf::MvmIsa::kPortable,
-                                     perf::MvmIsa::kPopcnt, perf::MvmIsa::kAvx2,
-                                     perf::MvmIsa::kAvx512};
+/// Checks one input on `xb`: the bit-accurate kernel on every supported tier
+/// against mvm_bit_accurate_reference, and the exact kernel against
+/// plain_dot with the reference's activity stats (an exact MVM never clips).
+void expect_kernels_match(const LogicalXbar& xb, std::span<const std::int32_t> in,
+                          const std::string& what) {
+  MvmStats ref_stats;
+  const auto ref = xb.mvm_bit_accurate_reference(in, &ref_stats);
+  perf::MvmWorkspace ws;
+  for (const auto isa : supported_isas()) {
+    const char* name = perf::mvm_isa_name(isa);
+    MvmStats got_stats;
+    const auto got = perf::detail::mvm_bit_accurate_on(isa, xb, in, ws, &got_stats);
+    EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), ref) << name << " " << what;
+    EXPECT_EQ(got_stats, ref_stats) << name << " " << what;
+  }
 
-/// Packed kernels vs the scalar reference over the shapes that stress the
-/// 64-bit word packing: rows around and across word boundaries, a single
-/// column, all-zero and fully dense inputs — per ADC regime, per dispatch
-/// tier (tiers above the machine's clamp down and re-test the detected one).
+  MvmStats exact_stats;
+  const auto exact = xb.mvm(in, ws, &exact_stats);
+  EXPECT_EQ(std::vector<std::int64_t>(exact.begin(), exact.end()), plain_dot(xb, in)) << what;
+  MvmStats want = ref_stats;
+  want.adc_clips = 0;
+  EXPECT_EQ(exact_stats, want) << what;
+}
+
+/// Both kernels over the shapes that stress the 64-bit word packing: rows
+/// around and across word boundaries, a single column, all-zero and fully
+/// dense inputs — per ADC regime, and for the bit-accurate kernel per
+/// popcount tier this CPU supports (portable runs everywhere).
 TEST(FastPathEquivalence, PackedKernelsMatchReferenceOnAwkwardShapes) {
-  const ScopedIsa restore;
   Rng rng(8080);
   for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{63}, std::int64_t{64},
                                   std::int64_t{65}, std::int64_t{127}, std::int64_t{129}}) {
@@ -234,32 +263,40 @@ TEST(FastPathEquivalence, PackedKernelsMatchReferenceOnAwkwardShapes) {
             std::vector<std::int32_t>(static_cast<std::size_t>(rows), 0),     // all-zero planes
             std::vector<std::int32_t>(static_cast<std::size_t>(rows), dense)  // all planes set
         };
-        for (const auto& in : inputs) {
-          MvmStats ref_stats;
-          const auto ref = xb.mvm_bit_accurate_reference(in, &ref_stats);
-          perf::set_mvm_isa(perf::MvmIsa::kScalar);
-          MvmStats exact_stats;
-          const auto exact = xb.mvm(in, &exact_stats);
-          for (const auto isa : kAllIsas) {
-            perf::set_mvm_isa(isa);
-            const char* name = perf::mvm_isa_name(perf::mvm_active_isa());
-            perf::MvmWorkspace ws;
-            MvmStats got_stats;
-            const auto got = xb.mvm_bit_accurate(in, ws, &got_stats);
-            EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), ref)
-                << name << " rows=" << rows << " cols=" << cols;
-            EXPECT_EQ(got_stats, ref_stats) << name << " rows=" << rows << " cols=" << cols;
-
-            MvmStats got_exact_stats;
-            const auto got_exact = xb.mvm(in, ws, &got_exact_stats);
-            EXPECT_EQ(std::vector<std::int64_t>(got_exact.begin(), got_exact.end()), exact)
-                << name << " rows=" << rows << " cols=" << cols;
-            EXPECT_EQ(got_exact_stats, exact_stats) << name;
-          }
-        }
+        for (const auto& in : inputs)
+          expect_kernels_match(xb, in,
+                               "rows=" + std::to_string(rows) + " cols=" + std::to_string(cols));
       }
     }
   }
+}
+
+/// Both kernels on the group macros RED programs for dcgan (channels / 4,
+/// the streamed benchmark's network: a mode group's sub-crossbars stacked,
+/// up to 2304 x 128) with post-ReLU inputs: non-negative, about half zeros.
+TEST(FastPathEquivalence, KernelsMatchReferenceOnDcganMacros) {
+  const auto plan = plan::plan_stack(arch::DesignKind::kRed, workloads::named_stack("dcgan", 4),
+                                     arch::DesignConfig{});
+  const QuantConfig q = plan.cfg.quant;
+  Rng rng(5150);
+  std::int64_t zeros = 0, total = 0;
+  for (const auto& layer : plan.layers) {
+    for (const auto& macro : layer.activity.macros) {
+      const std::int64_t rows = macro.rows;
+      const std::int64_t cols = layer.spec.m;
+      const LogicalXbar xb(rows, cols, random_weights(rng, rows * cols, q), q);
+      std::vector<std::int32_t> in(static_cast<std::size_t>(rows));
+      for (auto& v : in)
+        v = rng.bernoulli(0.5) ? 0
+                               : static_cast<std::int32_t>(
+                                     rng.uniform_int(1, (std::int64_t{1} << (q.abits - 1)) - 1));
+      zeros += std::count(in.begin(), in.end(), 0);
+      total += rows;
+      expect_kernels_match(xb, in, layer.spec.name + " " + std::to_string(rows) + "x" +
+                                       std::to_string(cols));
+    }
+  }
+  EXPECT_NEAR(static_cast<double>(zeros) / static_cast<double>(total), 0.5, 0.05);
 }
 
 /// The Bit-Tactical lookahead/lookaside schedule must keep ideal-ADC results

@@ -22,6 +22,7 @@
 #include "red/explore/sweep.h"
 #include "red/fault/campaign.h"
 #include "red/opt/optimizer.h"
+#include "red/perf/mvm_kernel.h"
 #include "red/report/json.h"
 #include "red/sim/engine.h"
 #include "red/sim/streaming.h"
@@ -30,6 +31,7 @@
 #include "red/workloads/benchmarks.h"
 #include "red/workloads/generator.h"
 #include "red/workloads/networks.h"
+#include "red/xbar/crossbar.h"
 
 // ---- allocation counting ----------------------------------------------------
 // Replacement global operator new that counts allocations while a test has
@@ -369,6 +371,30 @@ TEST(Telemetry, InstrumentedRunPopulatesSinks) {
   EXPECT_NE(doc.at("counters").find("mvm.ops"), nullptr);
   EXPECT_GT(doc.at("histograms").at("streaming.stage_latency_ns").at("count").as_uint(), 0u);
   EXPECT_FALSE(tracer.merged_events().empty());
+}
+
+// Exact MVMs count under mvm.calls.scalar (the row-sweep kernel), bit-accurate
+// ones under the popcount tier this CPU runs.
+TEST(Telemetry, MvmCallsCountUnderTheKernelThatRan) {
+  constexpr std::int64_t kRows = 70, kCols = 5, kBatch = 6;
+  Rng rng(11);
+  std::vector<std::int32_t> weights(static_cast<std::size_t>(kRows * kCols));
+  for (auto& w : weights) w = static_cast<std::int32_t>(rng.uniform_int(-128, 127));
+  std::vector<std::int32_t> inputs(static_cast<std::size_t>(kRows * kBatch));
+  for (auto& v : inputs) v = static_cast<std::int32_t>(rng.uniform_int(-128, 127));
+  const xbar::LogicalXbar xb(kRows, kCols, weights, xbar::QuantConfig{});
+  const std::string tier =
+      std::string("mvm.calls.") + perf::mvm_isa_name(perf::mvm_active_isa());
+
+  telemetry::MetricsRegistry reg;
+  SinkGuard guard(&reg);
+  perf::MvmWorkspace ws;
+  (void)xb.mvm_batch(inputs, kBatch, /*bit_accurate=*/false, ws);
+  EXPECT_EQ(reg.counter("mvm.calls.scalar")->value(), static_cast<std::uint64_t>(kBatch));
+  EXPECT_EQ(reg.counter(tier)->value(), 0u);
+  (void)xb.mvm_batch(inputs, kBatch, /*bit_accurate=*/true, ws);
+  EXPECT_EQ(reg.counter("mvm.calls.scalar")->value(), static_cast<std::uint64_t>(kBatch));
+  EXPECT_EQ(reg.counter(tier)->value(), static_cast<std::uint64_t>(kBatch));
 }
 
 }  // namespace

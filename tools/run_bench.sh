@@ -48,9 +48,10 @@ if [ -x "${build_dir}/bench_micro_simulator" ]; then
   echo "Wrote ${out_dir}/BENCH_mvm.json"
   echo "Before/after pairs: BM_MvmBitAccurateReference vs BM_MvmBitAccurate,"
   echo "BM_MvmClippedReference vs BM_MvmClipped, BM_SimulateNetwork/1 vs /4,"
-  echo "and BM_MvmPackedIsa/scalar vs /portable /popcnt /avx2 /avx512 (one"
-  echo "row per packed-kernel dispatch tier; the run refuses to start unless"
-  echo "every tier is bit-identical to the reference oracle)."
+  echo "BM_MvmPackedIsa/portable vs /avx2 /avx512 (one row per popcount tier;"
+  echo "the run refuses to start unless every tier this CPU supports is"
+  echo "bit-identical to the reference oracle), and BM_MvmDcganMacro bitacc:1"
+  echo "vs bitacc:0 (packed ideal-ADC kernel vs the exact row sweep)."
 else
   echo "warning: ${build_dir}/bench_micro_simulator not found (google-benchmark" >&2
   echo "missing at configure time?); skipping ${out_dir}/BENCH_mvm.json." >&2
