@@ -1,13 +1,13 @@
 #include "red/fault/inject.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <numeric>
 #include <vector>
 
 #include "red/common/contracts.h"
+#include "red/telemetry/metrics.h"
 
 namespace red::fault {
 
@@ -24,42 +24,11 @@ enum Domain : std::uint64_t {
   kDriftLevel = 4,
 };
 
-double draw(const FaultModel& m, std::uint64_t salt, Domain d, std::uint64_t counter) {
-  return fault_unit(m.seed, salt * 8 + d, counter);
+std::uint64_t domain_key(const FaultModel& m, std::uint64_t salt, Domain d) {
+  return fault_key(m.seed, salt * 8 + d);
 }
 
 double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
-
-// Discrete law of clamp(lround(l + N(0, sigma))) per clean level — the same
-// Gaussian-quantized bucket law as crossbar.cpp's NoiseLaw, retabulated here
-// for the drift domain (fault/ cannot reach the file-local original).
-struct DriftLaw {
-  std::array<std::array<double, 16>, 16> prob{};
-  std::array<double, 16> change{};
-
-  DriftLaw(double sigma, int max_level) {
-    for (int l = 0; l <= max_level; ++l) {
-      double sum = 0.0;
-      for (int k = 0; k < max_level; ++k) {
-        const double hi = normal_cdf((static_cast<double>(k - l) + 0.5) / sigma);
-        prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)] = hi - sum;
-        sum = hi;
-      }
-      prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(max_level)] = 1.0 - sum;
-      change[static_cast<std::size_t>(l)] =
-          1.0 - prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(l)];
-    }
-  }
-
-  [[nodiscard]] std::uint8_t sample_changed(int l, double v, int max_level) const {
-    for (int k = 0; k < max_level; ++k) {
-      if (k == l) continue;
-      v -= prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)];
-      if (v < 0.0) return static_cast<std::uint8_t>(k);
-    }
-    return static_cast<std::uint8_t>(max_level == l ? max_level - 1 : max_level);
-  }
-};
 
 // Line faults drawn per physical index with repairs applied in index order:
 // the first `spares` faulty lines are absorbed, the rest stay dead.
@@ -71,12 +40,14 @@ struct LineState {
 };
 
 LineState draw_lines(const FaultModel& m, std::uint64_t salt, Domain domain, double rate,
-                     std::int64_t n, int spares) {
+                     std::int64_t n, int spares, std::int64_t& draws) {
   LineState st;
   st.dead.assign(static_cast<std::size_t>(n), 0);
   if (rate <= 0.0) return st;
+  const std::uint64_t key = domain_key(m, salt, domain);
+  draws += n;
   for (std::int64_t i = 0; i < n; ++i) {
-    if (draw(m, salt, domain, static_cast<std::uint64_t>(i)) >= rate) continue;
+    if (fault_unit_keyed(key, static_cast<std::uint64_t>(i)) >= rate) continue;
     ++st.faults;
     if (st.spares_used < spares) {
       ++st.spares_used;  // remapped onto a spare line: fully healed
@@ -88,14 +59,47 @@ LineState draw_lines(const FaultModel& m, std::uint64_t salt, Domain domain, dou
   return st;
 }
 
-// Everything one permutation choice produces: the level array plus the exact
-// damage metric and the per-build counters the report needs.
-struct Build {
-  std::vector<std::uint8_t> levels;  ///< plane-major [slice][row][col]
-  xbar::VariationStats vstats;
-  double err_sq = 0.0;
+// One physical cell whose level may differ from the clean one, whatever
+// logical row the remap puts there.
+enum class EventKind : std::uint8_t { kDead, kSa0, kSa1, kDrift };
+
+struct Event {
+  std::int32_t p = 0;  ///< physical column (c * slices + s); row_begin gives the row
+  EventKind kind = EventKind::kDead;
+  std::uint8_t attempts = 0;  ///< kDrift: (change, level) draw pairs stored
+  std::uint32_t draw = 0;     ///< kDrift: first pair in the draw pool
+};
+
+// The physical event list of one injection: every dead-line cell, every
+// stuck cell and every drift candidate, in (row, column) order, with
+// row_begin[q] indexing row q's events. A drift candidate is a live,
+// unstuck cell whose attempt-0 change draw falls below the largest change
+// probability of any level, so only candidates can drift for any
+// assignment of logical rows. Its verify-attempt draws are stored as
+// (change, level) pairs, up to the first change draw no level can drift on.
+struct Events {
+  std::vector<Event> cells;
+  std::vector<std::int64_t> row_begin;
+  std::vector<double> pool;
+  std::int64_t stuck = 0, sa0 = 0, sa1 = 0;
+  std::int64_t draws = 0;  ///< counter-RNG draws, lines included
+};
+
+// What one logical-row assignment produces, summed over rows: the exact
+// weight-space damage and the per-build counters the report needs.
+struct Tally {
+  std::int64_t err_sq = 0;  ///< Σ Δw² over (row, col): integers, exact in any order
+  std::int64_t perturbed = 0;
   std::int64_t drifted = 0;
   std::int64_t retried = 0;
+
+  Tally& operator+=(const Tally& o) {
+    err_sq += o.err_sq;
+    perturbed += o.perturbed;
+    drifted += o.drifted;
+    retried += o.retried;
+    return *this;
+  }
 };
 
 }  // namespace
@@ -116,25 +120,25 @@ xbar::LogicalXbar inject_faults(const xbar::LogicalXbar& clean, const FaultModel
   const std::size_t plane = static_cast<std::size_t>(R * C);
   const int max_level = clean.config().max_level();
   const std::int32_t offset = clean.config().weight_offset();
+  const std::uint8_t* clean_levels = clean.level_plane(0);  // [slice][row][col]
 
   RepairReport rep;
   rep.cells = R * P;
+  xbar::VariationStats vstats;
+  vstats.cells = rep.cells;
 
   if (!model.enabled()) {
-    // Bit-exact copy through the rebuild constructor: the zero-rate path of
-    // a campaign must be indistinguishable from the fault-free oracle.
-    std::vector<std::uint8_t> lv(clean.level_plane(0),
-                                 clean.level_plane(0) + plane * static_cast<std::size_t>(S));
-    xbar::VariationStats vs;
-    vs.cells = rep.cells;
+    // A bit-exact copy: the zero-rate path of a campaign must be
+    // indistinguishable from the fault-free oracle.
     if (report != nullptr) *report = rep;
-    return xbar::LogicalXbar(clean, std::move(lv), vs);
+    return xbar::LogicalXbar(clean, std::span<const xbar::LevelPatch>{}, vstats);
   }
 
+  Events ev;
   const LineState wl =
-      draw_lines(model, salt, kWordline, model.wordline_rate, R, policy.spare_rows);
+      draw_lines(model, salt, kWordline, model.wordline_rate, R, policy.spare_rows, ev.draws);
   const LineState bl =
-      draw_lines(model, salt, kBitline, model.bitline_rate, P, policy.spare_cols);
+      draw_lines(model, salt, kBitline, model.bitline_rate, P, policy.spare_cols, ev.draws);
   rep.wordline_faults = wl.faults;
   rep.bitline_faults = bl.faults;
   rep.spare_rows_used = wl.spares_used;
@@ -144,83 +148,137 @@ xbar::LogicalXbar inject_faults(const xbar::LogicalXbar& clean, const FaultModel
 
   const double sa0 = model.sa0_rate;
   const double stuck = model.sa0_rate + model.sa1_rate;
-  const DriftLaw law(model.drift_sigma > 0.0 ? model.drift_sigma : 1.0, max_level);
+  const bool drifting = model.drift_sigma > 0.0;
+  const xbar::NoiseLaw law(drifting ? model.drift_sigma : 1.0, max_level);
+  double p_star = 0.0;  // the largest change probability of any level
+  for (int l = 0; l <= max_level; ++l)
+    p_star = std::max(p_star, law.change[static_cast<std::size_t>(l)]);
   const int attempts = 1 + policy.verify_retries;
 
-  // Materialize one permutation choice (perm[logical row] = physical row):
-  // dead lines zero the cell, stuck cells force their polarity, live cells
-  // drift under write-verify (closed-loop programming keeps the
-  // best-verified attempt, so more retries never worsen a cell). Fault draws
-  // key on the physical position; drift applies the physical position's draw
-  // stream to the logical row's clean level.
-  const auto build = [&](const std::vector<std::int32_t>& perm) {
-    Build b;
-    b.levels.assign(plane * static_cast<std::size_t>(S), 0);
-    b.vstats.cells = rep.cells;
-    for (std::int64_t r = 0; r < R; ++r) {
-      const std::int64_t q = perm[static_cast<std::size_t>(r)];
-      const bool row_dead = wl.dead[static_cast<std::size_t>(q)] != 0;
-      for (std::int64_t c = 0; c < C; ++c) {
-        std::int64_t wdelta = 0;
-        for (int s = 0; s < S; ++s) {
-          const std::int64_t p = c * S + s;
-          const std::uint64_t idx = static_cast<std::uint64_t>(q * P + p);
-          const std::uint8_t l =
-              clean.level_plane(s)[static_cast<std::size_t>(r * C + c)];
-          std::uint8_t out = l;
-          bool forced = row_dead || bl.dead[static_cast<std::size_t>(p)] != 0;
-          if (forced) {
-            out = 0;
-          } else if (stuck > 0.0) {
-            const double su = draw(model, salt, kCell, idx);
-            if (su < stuck) {
-              forced = true;
-              const bool at0 = su < sa0;
-              out = at0 ? 0 : static_cast<std::uint8_t>(max_level);
-              ++b.vstats.stuck_cells;
-              ++(at0 ? b.vstats.sa0_cells : b.vstats.sa1_cells);
-            }
-          }
-          if (!forced && model.drift_sigma > 0.0) {
-            int best = -1;  // smallest |Δlevel| among verify attempts
-            bool first_changed = false;
-            for (int a = 0; a < attempts; ++a) {
-              const std::uint64_t ctr = idx * 64 + static_cast<std::uint64_t>(a);
-              const double u = draw(model, salt, kDriftChange, ctr);
-              if (u >= law.change[l]) {
-                best = -1;  // this write verified exactly
-                break;
-              }
-              if (a == 0) first_changed = true;
-              const double v = draw(model, salt, kDriftLevel, ctr) * law.change[l];
-              const int cand = law.sample_changed(l, v, max_level);
-              if (best < 0 || std::abs(cand - l) < std::abs(best - l)) best = cand;
-            }
-            if (best >= 0) {
-              out = static_cast<std::uint8_t>(best);
-              ++b.drifted;
-            } else if (first_changed) {
-              ++b.retried;  // a retry landed the cell back on target
-            }
-          }
-          if (out != l) ++b.vstats.perturbed_cells;
-          b.levels[static_cast<std::size_t>(s) * plane +
-                   static_cast<std::size_t>(r * C + c)] = out;
-          wdelta += (static_cast<std::int64_t>(out) - static_cast<std::int64_t>(l))
-                    << (cell_bits * s);
-        }
-        b.err_sq += static_cast<double>(wdelta) * static_cast<double>(wdelta);
+  // The one draw pass. Fault draws key on the physical position: dead lines
+  // zero the cell, stuck cells force their polarity, live cells drift under
+  // write-verify (closed-loop programming keeps the best-verified attempt,
+  // so more retries never worsen a cell).
+  const std::uint64_t cell_key = domain_key(model, salt, kCell);
+  const std::uint64_t change_key = domain_key(model, salt, kDriftChange);
+  const std::uint64_t level_key = domain_key(model, salt, kDriftLevel);
+  ev.row_begin.resize(static_cast<std::size_t>(R) + 1);
+  for (std::int64_t q = 0; q < R; ++q) {
+    ev.row_begin[static_cast<std::size_t>(q)] = static_cast<std::int64_t>(ev.cells.size());
+    const bool row_dead = wl.dead[static_cast<std::size_t>(q)] != 0;
+    for (std::int64_t p = 0; p < P; ++p) {
+      Event e{static_cast<std::int32_t>(p)};
+      if (row_dead || bl.dead[static_cast<std::size_t>(p)] != 0) {
+        ev.cells.push_back(e);
+        continue;
       }
+      const std::uint64_t idx = static_cast<std::uint64_t>(q * P + p);
+      if (stuck > 0.0) {
+        ++ev.draws;
+        const double su = fault_unit_keyed(cell_key, idx);
+        if (su < stuck) {
+          const bool at0 = su < sa0;
+          e.kind = at0 ? EventKind::kSa0 : EventKind::kSa1;
+          ++ev.stuck;
+          ++(at0 ? ev.sa0 : ev.sa1);
+          ev.cells.push_back(e);
+          continue;
+        }
+      }
+      if (!drifting) continue;
+      ++ev.draws;
+      double u = fault_unit_keyed(change_key, idx * 64);
+      if (u >= p_star) continue;  // verifies on attempt 0 at every level
+      e.kind = EventKind::kDrift;
+      e.draw = static_cast<std::uint32_t>(ev.pool.size() / 2);
+      for (int a = 0;;) {
+        ev.pool.push_back(u);
+        ev.pool.push_back(fault_unit_keyed(level_key, idx * 64 + static_cast<std::uint64_t>(a)));
+        ++ev.draws;
+        ++e.attempts;
+        if (++a == attempts) break;
+        ++ev.draws;
+        u = fault_unit_keyed(change_key, idx * 64 + static_cast<std::uint64_t>(a));
+        if (u >= p_star) {  // verifies here at every level: no level draw
+          ev.pool.push_back(u);
+          ev.pool.push_back(0.0);
+          ++e.attempts;
+          break;
+        }
+      }
+      ev.cells.push_back(e);
     }
-    return b;
+  }
+  ev.row_begin[static_cast<std::size_t>(R)] = static_cast<std::int64_t>(ev.cells.size());
+
+  // Outcome of event `e` on a cell whose clean level is `l`.
+  const auto outcome = [&](const Event& e, int l, Tally& t) -> int {
+    switch (e.kind) {
+      case EventKind::kDead:
+      case EventKind::kSa0:
+        return 0;
+      case EventKind::kSa1:
+        return max_level;
+      case EventKind::kDrift:
+        break;
+    }
+    const double change = law.change[static_cast<std::size_t>(l)];
+    const double* d = ev.pool.data() + 2 * static_cast<std::size_t>(e.draw);
+    int best = -1;  // smallest |Δlevel| among verify attempts
+    for (int a = 0; a < e.attempts; ++a, d += 2) {
+      if (d[0] >= change) {  // this write verified exactly
+        if (a > 0) ++t.retried;  // a retry landed the cell back on target
+        return l;
+      }
+      const int cand = law.sample_changed(l, d[1] * change, max_level);
+      if (best < 0 || std::abs(cand - l) < std::abs(best - l)) best = cand;
+    }
+    ++t.drifted;
+    return best;
   };
 
-  std::vector<std::int32_t> identity(static_cast<std::size_t>(R));
-  std::iota(identity.begin(), identity.end(), 0);
-  Build chosen = build(identity);
+  // Physical row q holding logical row r: walks q's events only, grouping
+  // them by logical column for the weight delta. Appends the changed cells
+  // to `patches` when given.
+  const auto row_tally = [&](std::int64_t q, std::int64_t r,
+                             std::vector<xbar::LevelPatch>* patches) {
+    Tally t;
+    std::int64_t col = -1;
+    std::int64_t wdelta = 0;
+    for (std::int64_t k = ev.row_begin[static_cast<std::size_t>(q)];
+         k < ev.row_begin[static_cast<std::size_t>(q) + 1]; ++k) {
+      const Event& e = ev.cells[static_cast<std::size_t>(k)];
+      const std::int64_t c = e.p / S;
+      const int s = static_cast<int>(e.p % S);
+      if (c != col) {
+        t.err_sq += wdelta * wdelta;
+        wdelta = 0;
+        col = c;
+      }
+      const std::size_t at = static_cast<std::size_t>(s) * plane +
+                             static_cast<std::size_t>(r * C + c);
+      const int l = clean_levels[at];
+      const int out = outcome(e, l, t);
+      if (out == l) continue;
+      ++t.perturbed;
+      wdelta += static_cast<std::int64_t>(out - l) << (cell_bits * s);
+      if (patches != nullptr) patches->push_back({at, static_cast<std::uint8_t>(out)});
+    }
+    t.err_sq += wdelta * wdelta;
+    return t;
+  };
+
+  std::vector<xbar::LevelPatch> patches;
+  std::vector<std::int64_t> identity_err(static_cast<std::size_t>(R));
+  Tally chosen;
+  for (std::int64_t q = 0; q < R; ++q) {
+    const Tally t = row_tally(q, q, &patches);
+    identity_err[static_cast<std::size_t>(q)] = t.err_sq;
+    chosen += t;
+  }
   std::int64_t remapped = 0;
 
-  if (policy.remap_rows && (wl.unrepaired > 0 || chosen.vstats.stuck_cells > 0) && R > 1) {
+  if (policy.remap_rows && (wl.unrepaired > 0 || ev.stuck > 0) && R > 1) {
     // Damage proxy per physical row: dead rows are worst; otherwise sum the
     // squared slice significance of every stuck cell on a live column.
     std::vector<double> damage(static_cast<std::size_t>(R), 0.0);
@@ -229,58 +287,74 @@ xbar::LogicalXbar inject_faults(const xbar::LogicalXbar& clean, const FaultModel
         damage[static_cast<std::size_t>(q)] = 1e30;
         continue;
       }
-      if (stuck <= 0.0) continue;
       double d = 0.0;
-      for (std::int64_t p = 0; p < P; ++p) {
-        if (bl.dead[static_cast<std::size_t>(p)] != 0) continue;
-        if (draw(model, salt, kCell, static_cast<std::uint64_t>(q * P + p)) >= stuck) continue;
-        const double sig =
-            static_cast<double>(std::int64_t{1} << (cell_bits * static_cast<int>(p % S)));
+      for (std::int64_t k = ev.row_begin[static_cast<std::size_t>(q)];
+           k < ev.row_begin[static_cast<std::size_t>(q) + 1]; ++k) {
+        const Event& e = ev.cells[static_cast<std::size_t>(k)];
+        if (e.kind != EventKind::kSa0 && e.kind != EventKind::kSa1) continue;
+        const double sig = static_cast<double>(std::int64_t{1} << (cell_bits * (e.p % S)));
         d += sig * sig;
       }
       damage[static_cast<std::size_t>(q)] = d;
     }
     // Logical-row importance: encoded magnitude Σ (w + offset)² — exactly the
     // error a dead row costs, and a faithful proxy for stuck-at-0 damage.
+    const std::int32_t* stored = clean.stored_weights().data();
     std::vector<double> importance(static_cast<std::size_t>(R), 0.0);
     for (std::int64_t r = 0; r < R; ++r) {
       double m2 = 0.0;
       for (std::int64_t c = 0; c < C; ++c) {
-        const double u = static_cast<double>(clean.stored_weight(r, c)) + offset;
+        const double u = static_cast<double>(stored[r * C + c]) + offset;
         m2 += u * u;
       }
       importance[static_cast<std::size_t>(r)] = m2;
     }
-    std::vector<std::int32_t> phys(identity.begin(), identity.end());
-    std::vector<std::int32_t> logi(identity.begin(), identity.end());
+    std::vector<std::int32_t> phys(static_cast<std::size_t>(R));
+    std::iota(phys.begin(), phys.end(), 0);
+    std::vector<std::int32_t> logi = phys;
     std::stable_sort(phys.begin(), phys.end(), [&](std::int32_t a, std::int32_t b) {
       return damage[static_cast<std::size_t>(a)] > damage[static_cast<std::size_t>(b)];
     });
     std::stable_sort(logi.begin(), logi.end(), [&](std::int32_t a, std::int32_t b) {
       return importance[static_cast<std::size_t>(a)] < importance[static_cast<std::size_t>(b)];
     });
-    std::vector<std::int32_t> perm(static_cast<std::size_t>(R));
+    // holder[q] = the logical row the remap places on physical row q.
+    std::vector<std::int32_t> holder(static_cast<std::size_t>(R));
     for (std::int64_t i = 0; i < R; ++i)
-      perm[static_cast<std::size_t>(logi[static_cast<std::size_t>(i)])] =
-          phys[static_cast<std::size_t>(i)];
-    if (perm != identity) {
-      Build cand = build(perm);
-      // Keep the remap only when it strictly wins on the exact metric: the
-      // repaired-never-worse gate holds per trial by construction.
-      if (cand.err_sq < chosen.err_sq) {
-        for (std::int64_t r = 0; r < R; ++r)
-          remapped += perm[static_cast<std::size_t>(r)] != r;
-        chosen = std::move(cand);
-      }
+      holder[static_cast<std::size_t>(phys[static_cast<std::size_t>(i)])] =
+          logi[static_cast<std::size_t>(i)];
+    // Price the remap from Σ Δw² deltas: only the rows it moves change.
+    std::int64_t cand_err = chosen.err_sq;
+    std::int64_t moved = 0;
+    for (std::int64_t q = 0; q < R; ++q) {
+      const std::int64_t r = holder[static_cast<std::size_t>(q)];
+      if (r == q) continue;
+      ++moved;
+      cand_err += row_tally(q, r, nullptr).err_sq - identity_err[static_cast<std::size_t>(q)];
+    }
+    // Keep the remap only when it strictly wins on the exact metric: the
+    // repaired-never-worse gate holds per trial by construction.
+    if (moved > 0 && cand_err < chosen.err_sq) {
+      remapped = moved;
+      chosen = {};
+      patches.clear();
+      for (std::int64_t q = 0; q < R; ++q)
+        chosen += row_tally(q, holder[static_cast<std::size_t>(q)], &patches);
     }
   }
 
-  rep.stuck_cells = chosen.vstats.stuck_cells;
+  vstats.perturbed_cells = chosen.perturbed;
+  vstats.stuck_cells = ev.stuck;
+  vstats.sa0_cells = ev.sa0;
+  vstats.sa1_cells = ev.sa1;
+  rep.stuck_cells = ev.stuck;
   rep.drifted_cells = chosen.drifted;
   rep.retried_cells = chosen.retried;
   rep.rows_remapped = remapped;
   if (report != nullptr) *report = rep;
-  return xbar::LogicalXbar(clean, std::move(chosen.levels), chosen.vstats);
+  if (auto* m = telemetry::metrics())
+    m->counter("fault.rng_draws")->add(static_cast<std::uint64_t>(ev.draws));
+  return xbar::LogicalXbar(clean, patches, vstats);
 }
 
 double weight_error_sq(const xbar::LogicalXbar& clean, const xbar::LogicalXbar& faulted) {

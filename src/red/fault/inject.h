@@ -8,6 +8,15 @@
 // important logical rows land on the most damaged physical rows. The remap
 // is kept only when it strictly reduces the exact weight-space error, so a
 // repaired crossbar is never worse than the unrepaired one in Σ Δw².
+//
+// Cost contract: one draw pass per call. The pass hashes each cell's stuck
+// and attempt-0 drift draws once (2 per cell off the dead lines) and keeps a
+// sparse physical event list — dead-line cells, stuck cells, and drift
+// candidates with their verify-attempt draws. The unrepaired arm, the remap
+// damage scan and the remap candidate are all evaluated from that list, the
+// remap priced from Σ Δw² deltas of the rows it moves. The faulted sibling
+// is a copy of `clean` plus sparse level patches. Telemetry counts the
+// draws under fault.rng_draws.
 #pragma once
 
 #include <cstdint>

@@ -173,17 +173,31 @@ struct RepairReport {
   return z ^ (z >> 31);
 }
 
+/// The (seed, salt) prefix of fault_rnd. Loops over many counters of one
+/// stream compute it once and draw through fault_rnd_keyed.
+[[nodiscard]] inline std::uint64_t fault_key(std::uint64_t seed, std::uint64_t salt) {
+  return fault_mix(fault_mix(seed + 0x9e3779b97f4a7c15ULL) ^
+                   fault_mix(salt * 0xff51afd7ed558ccdULL + 1));
+}
+
+[[nodiscard]] inline std::uint64_t fault_rnd_keyed(std::uint64_t key, std::uint64_t counter) {
+  return fault_mix(key ^ fault_mix(counter * 0xc4ceb9fe1a85ec53ULL + 1));
+}
+
 [[nodiscard]] inline std::uint64_t fault_rnd(std::uint64_t seed, std::uint64_t salt,
                                              std::uint64_t counter) {
-  std::uint64_t z = fault_mix(seed + 0x9e3779b97f4a7c15ULL);
-  z = fault_mix(z ^ fault_mix(salt * 0xff51afd7ed558ccdULL + 1));
-  return fault_mix(z ^ fault_mix(counter * 0xc4ceb9fe1a85ec53ULL + 1));
+  return fault_rnd_keyed(fault_key(seed, salt), counter);
+}
+
+/// Uniform draw in [0, 1) from a hoisted (seed, salt) key.
+[[nodiscard]] inline double fault_unit_keyed(std::uint64_t key, std::uint64_t counter) {
+  return static_cast<double>(fault_rnd_keyed(key, counter) >> 11) * 0x1.0p-53;
 }
 
 /// Uniform draw in [0, 1) from the counter RNG.
 [[nodiscard]] inline double fault_unit(std::uint64_t seed, std::uint64_t salt,
                                        std::uint64_t counter) {
-  return static_cast<double>(fault_rnd(seed, salt, counter) >> 11) * 0x1.0p-53;
+  return fault_unit_keyed(fault_key(seed, salt), counter);
 }
 
 }  // namespace red::fault

@@ -414,7 +414,12 @@ std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.cols(), batch);
-  if (bit_accurate) ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
+  if (bit_accurate) {
+    ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
+    // The crossbar's packed planes are built by their first reader.
+    if (xbar.ensure_packed_planes() && m != nullptr)
+      m->counter("xbar.packed_plane_builds")->add(1);
+  }
   const auto rows = static_cast<std::size_t>(xbar.rows());
   for (std::int64_t v = 0; v < batch; ++v) {
     const auto input = inputs.subspan(static_cast<std::size_t>(v) * rows, rows);

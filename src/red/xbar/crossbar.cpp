@@ -39,52 +39,15 @@ struct SplitMix64 {
   double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 };
 
-double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
-
-// Exact discrete law of the programming-noise perturbation: for a clean
-// level l, the stored result is clamp(lround(l + N(0, sigma)), 0, m), i.e. a
-// categorical distribution over levels with Gaussian-quantized bucket
-// probabilities. Tabulated once per reprogram call so the sampler only draws
-// uniforms. (Half-integer rounding boundaries are measure-zero, so lround's
-// away-from-zero tie rule does not affect the law.)
-struct NoiseLaw {
-  // prob[l][k] = P(result == k | clean level l); change[l] = 1 - prob[l][l].
-  std::array<std::array<double, 16>, 16> prob{};
-  std::array<double, 16> change{};
-
-  NoiseLaw(double sigma, int max_level) {
-    for (int l = 0; l <= max_level; ++l) {
-      double sum = 0.0;
-      for (int k = 0; k < max_level; ++k) {
-        const double hi = normal_cdf((static_cast<double>(k - l) + 0.5) / sigma);
-        prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)] = hi - sum;
-        sum = hi;
-      }
-      prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(max_level)] = 1.0 - sum;
-      change[static_cast<std::size_t>(l)] =
-          1.0 - prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(l)];
-    }
-  }
-
-  /// Sample the perturbed level given a change occurred: v uniform in
-  /// [0, change[l]) walks the conditional CDF over k != l.
-  [[nodiscard]] std::uint8_t sample_changed(int l, double v, int max_level) const {
-    for (int k = 0; k < max_level; ++k) {
-      if (k == l) continue;
-      v -= prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)];
-      if (v < 0.0) return static_cast<std::uint8_t>(k);
-    }
-    return static_cast<std::uint8_t>(max_level == l ? max_level - 1 : max_level);
-  }
-};
-
 // Applies a VariationModel to cell levels with one std::mt19937_64 stream
 // walked in cell order: the from-weights programming constructor's sampler.
 class VariationSampler {
  public:
   VariationSampler(const VariationModel& var, int max_level, VariationStats* stats)
       : var_(var), max_level_(max_level), stats_(stats), engine_(var.seed),
-        noise_(0.0, var.level_sigma) {}
+        // A zero sigma is never sampled (apply() skips the noise draw), but
+        // std::normal_distribution requires a positive stddev.
+        noise_(0.0, var.level_sigma > 0.0 ? var.level_sigma : 1.0) {}
 
   /// Perturb `n` levels in place, counting stuck/perturbed cells. One
   /// uniform decides both stuck polarities: u < sa0 forces level 0,
@@ -138,12 +101,13 @@ MvmStats& MvmStats::operator+=(const MvmStats& o) {
 
 LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
                          std::span<const std::int32_t> weights, QuantConfig config)
-    : rows_(rows), cols_(cols), config_(config) {
+    : rows_(rows), cols_(cols), config_(config), packed_words_((rows + 63) >> 6) {
   config_.validate();
   RED_EXPECTS(rows >= 1 && cols >= 1);
   RED_EXPECTS_MSG(weights.size() == static_cast<std::size_t>(rows * cols),
                   "weights must be rows*cols");
   const int slices = config_.slices();
+  const int cell_bits = config_.cell_bits;
   const std::size_t plane = weights.size();
   weights_.resize(plane);
   levels_.resize(plane * static_cast<std::size_t>(slices));
@@ -151,93 +115,66 @@ LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
   // Device non-idealities are applied at program time, per stored level, so
   // both MVM paths see the same (perturbed) weights.
   const auto& var = config_.variation;
+  const bool noisy = var.enabled();
   VariationSampler sampler(var, config_.max_level(), &variation_stats_);
   variation_stats_.cells = static_cast<std::int64_t>(plane) * slices;
 
   // Running per-(col, slice) column sums of the programmed levels feed the
-  // lossless-ADC-bits cache below (previously an O(rows*cols*slices)
-  // recompute on every lossless_adc_bits() call); kept as a member so delta
-  // reprogramming can update the cache incrementally.
+  // lossless-ADC-bits cache; kept as a member so delta reprogramming can
+  // update the cache incrementally.
   col_level_sums_.assign(static_cast<std::size_t>(cols) * slices, 0);
 
-  for (std::size_t i = 0; i < plane; ++i) {
-    auto lv = encode_weight(weights[i], config_);
-    if (var.enabled()) sampler.apply(lv.data(), lv.size());
-    const std::size_t c = i % static_cast<std::size_t>(cols);
-    for (int s = 0; s < slices; ++s) {
-      levels_[static_cast<std::size_t>(s) * plane + i] = lv[static_cast<std::size_t>(s)];
-      col_level_sums_[c * static_cast<std::size_t>(slices) + static_cast<std::size_t>(s)] +=
-          lv[static_cast<std::size_t>(s)];
+  // Offset encoding in place (xbar/codec's encode_weight/decode_weight are
+  // the oracle): w + offset split into base-2^cell_bits digits, least
+  // significant slice first.
+  const std::int64_t offset = config_.weight_offset();
+  const std::int64_t mask = config_.max_level();
+  std::array<std::uint8_t, 16> lv{};
+  std::size_t i = 0;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c, ++i) {
+      const std::int32_t w = weights[i];
+      RED_EXPECTS_MSG(w >= -offset && w < offset, "weight outside wbits signed range");
+      std::int64_t u = w + offset;
+      for (int s = 0; s < slices; ++s, u >>= cell_bits)
+        lv[static_cast<std::size_t>(s)] = static_cast<std::uint8_t>(u & mask);
+      if (noisy) sampler.apply(lv.data(), static_cast<std::size_t>(slices));
+      std::int64_t* sums = col_level_sums_.data() + c * slices;
+      std::int64_t stored = 0;
+      for (int s = 0; s < slices; ++s) {
+        const std::uint8_t l = lv[static_cast<std::size_t>(s)];
+        levels_[static_cast<std::size_t>(s) * plane + i] = l;
+        sums[s] += l;
+        stored |= std::int64_t{l} << (cell_bits * s);
+      }
+      // Without non-idealities the offset encoding is lossless in-range.
+      weights_[i] = noisy ? static_cast<std::int32_t>(stored - offset) : w;
     }
-    weights_[i] = decode_weight(lv, config_);
-    // Without non-idealities the offset encoding is lossless in-range.
-    if (!var.enabled()) RED_ENSURES(weights_[i] == weights[i]);
   }
-
-  const std::int64_t worst = *std::max_element(col_level_sums_.begin(), col_level_sums_.end());
-  lossless_adc_bits_ = worst == 0 ? 1 : ilog2_ceil(worst + 1);
-  rebuild_packed_planes();
+  refresh_lossless_adc_bits();
 }
 
 LogicalXbar::LogicalXbar(const LogicalXbar& clean, const VariationModel& var, FastDeltaTag)
-    : rows_(clean.rows_),
-      cols_(clean.cols_),
-      config_(clean.config_),
-      weights_(clean.weights_),
-      levels_(clean.levels_),
-      packed_planes_(clean.packed_planes_),
-      packed_words_(clean.packed_words_),
-      col_level_sums_(clean.col_level_sums_),
-      lossless_adc_bits_(clean.lossless_adc_bits_) {
+    : LogicalXbar(clean) {
   RED_EXPECTS_MSG(!clean.config_.variation.enabled(),
                   "perturbed copies must derive from a variation-free crossbar");
   var.validate();
   config_.variation = var;
   const int slices = config_.slices();
   const std::size_t plane = weights_.size();
+  variation_stats_ = {};
   variation_stats_.cells = static_cast<std::int64_t>(plane) * slices;
   if (!var.enabled()) return;
 
   const int max_level = config_.max_level();
   const NoiseLaw law(var.level_sigma > 0.0 ? var.level_sigma : 1.0, max_level);
   SplitMix64 rng(var.seed);
-  bool dirty = false;
 
-  // Sparse deltas over the copied clean state: only actual changes touch the
-  // stored weight (decode is linear, so the weight delta is just the level
-  // delta shifted into its slice position) and the column level sums.
-  // levels_ is one contiguous [slice][row][col] array, so `idx` walks all
-  // cells flat; (idx / plane) recovers the slice, (idx % plane) the cell.
+  // Sparse deltas over the copied clean state. levels_ is one contiguous
+  // [slice][row][col] array, so `idx` walks all cells flat.
   const auto apply_change = [&](std::size_t idx, std::uint8_t level) {
-    const std::uint8_t original = levels_[idx];
-    const std::size_t s = idx / plane;
-    const std::size_t i = idx % plane;
     ++variation_stats_.perturbed_cells;
-    levels_[idx] = level;
-    weights_[i] += (static_cast<std::int32_t>(level) - static_cast<std::int32_t>(original))
-                   << (config_.cell_bits * static_cast<int>(s));
-    col_level_sums_[(i % static_cast<std::size_t>(cols_)) * static_cast<std::size_t>(slices) +
-                    s] += static_cast<std::int64_t>(level) - static_cast<std::int64_t>(original);
-    // Patch the copied packed bit-planes in place: one bit per level bit of
-    // this cell, at row bit (r % 64) of word (r / 64) in plane s*cell_bits+t.
-    const std::int64_t r = static_cast<std::int64_t>(i) / cols_;
-    const std::int64_t c = static_cast<std::int64_t>(i) % cols_;
-    const std::uint64_t row_bit = std::uint64_t{1} << (r & 63);
-    const std::size_t col_base = static_cast<std::size_t>(c) *
-                                 static_cast<std::size_t>(packed_weight_planes()) *
-                                 static_cast<std::size_t>(packed_words_);
-    for (int t = 0; t < config_.cell_bits; ++t) {
-      const std::size_t u = s * static_cast<std::size_t>(config_.cell_bits) +
-                            static_cast<std::size_t>(t);
-      std::uint64_t& word =
-          packed_planes_[col_base + u * static_cast<std::size_t>(packed_words_) +
-                         static_cast<std::size_t>(r >> 6)];
-      if ((level >> t) & 1)
-        word |= row_bit;
-      else
-        word &= ~row_bit;
-    }
-    dirty = true;
+    patch_cell(idx, level);
   };
 
   double p_star = 0.0;  // upper bound on any cell's change probability
@@ -292,48 +229,92 @@ LogicalXbar::LogicalXbar(const LogicalXbar& clean, const VariationModel& var, Fa
       if (level != original) apply_change(idx, level);
     }
   }
-  if (dirty) {
-    const std::int64_t worst =
-        *std::max_element(col_level_sums_.begin(), col_level_sums_.end());
-    lossless_adc_bits_ = worst == 0 ? 1 : ilog2_ceil(worst + 1);
+  refresh_lossless_adc_bits();
+}
+
+LogicalXbar::LogicalXbar(const LogicalXbar& clean, std::span<const LevelPatch> patches,
+                         VariationStats stats)
+    : LogicalXbar(clean) {
+  variation_stats_ = stats;
+  for (const LevelPatch& p : patches) {
+    RED_EXPECTS_MSG(p.index < levels_.size() && p.level <= config_.max_level(),
+                    "level patch outside the crossbar");
+    patch_cell(p.index, p.level);
+  }
+  refresh_lossless_adc_bits();
+}
+
+void LogicalXbar::patch_cell(std::size_t idx, std::uint8_t level) {
+  const std::uint8_t original = levels_[idx];
+  if (level == original) return;
+  const std::size_t plane = weights_.size();
+  const std::size_t s = idx / plane;
+  const std::size_t i = idx % plane;
+  const int cell_bits = config_.cell_bits;
+  levels_[idx] = level;
+  weights_[i] += (static_cast<std::int32_t>(level) - static_cast<std::int32_t>(original))
+                 << (cell_bits * static_cast<int>(s));
+  col_level_sums_[(i % static_cast<std::size_t>(cols_)) *
+                      static_cast<std::size_t>(config_.slices()) +
+                  s] += static_cast<std::int64_t>(level) - static_cast<std::int64_t>(original);
+  std::vector<std::uint64_t>* planes = packed_.get_mut();
+  if (planes == nullptr) return;  // built later, from the patched levels
+  // One bit per level bit of this cell, at row bit (r % 64) of word (r / 64)
+  // in plane s * cell_bits + t.
+  const std::int64_t r = static_cast<std::int64_t>(i) / cols_;
+  const std::int64_t c = static_cast<std::int64_t>(i) % cols_;
+  const std::uint64_t row_bit = std::uint64_t{1} << (r & 63);
+  const std::size_t words = static_cast<std::size_t>(packed_words_);
+  const std::size_t col_base =
+      static_cast<std::size_t>(c) * static_cast<std::size_t>(packed_weight_planes()) * words;
+  for (int t = 0; t < cell_bits; ++t) {
+    const std::size_t u = s * static_cast<std::size_t>(cell_bits) + static_cast<std::size_t>(t);
+    std::uint64_t& word = (*planes)[col_base + u * words + static_cast<std::size_t>(r >> 6)];
+    if ((level >> t) & 1)
+      word |= row_bit;
+    else
+      word &= ~row_bit;
   }
 }
 
-LogicalXbar::LogicalXbar(const LogicalXbar& clean, std::vector<std::uint8_t> levels,
-                         VariationStats stats)
-    : rows_(clean.rows_),
-      cols_(clean.cols_),
-      config_(clean.config_),
-      levels_(std::move(levels)),
-      variation_stats_(stats) {
-  RED_EXPECTS_MSG(levels_.size() == clean.levels_.size(),
-                  "transformed level array must match the clean geometry");
-  const int slices = config_.slices();
-  const std::size_t plane = clean.weights_.size();
-  weights_.resize(plane);
-  col_level_sums_.assign(static_cast<std::size_t>(cols_) * slices, 0);
-  for (std::size_t i = 0; i < plane; ++i) {
-    std::int64_t u = 0;
-    for (int s = slices; s-- > 0;)
-      u = (u << config_.cell_bits) | levels_[static_cast<std::size_t>(s) * plane + i];
-    weights_[i] = static_cast<std::int32_t>(u - config_.weight_offset());
-    const std::size_t c = i % static_cast<std::size_t>(cols_);
-    for (int s = 0; s < slices; ++s)
-      col_level_sums_[c * static_cast<std::size_t>(slices) + static_cast<std::size_t>(s)] +=
-          levels_[static_cast<std::size_t>(s) * plane + i];
-  }
+void LogicalXbar::refresh_lossless_adc_bits() {
   const std::int64_t worst = *std::max_element(col_level_sums_.begin(), col_level_sums_.end());
   lossless_adc_bits_ = worst == 0 ? 1 : ilog2_ceil(worst + 1);
-  rebuild_packed_planes();
 }
 
-void LogicalXbar::rebuild_packed_planes() {
+LogicalXbar::PackedCache::PackedCache(const PackedCache& other) {
+  if (const auto* words = other.get()) {
+    state_->words = *words;
+    state_->ready.store(true, std::memory_order_release);
+  }
+}
+
+LogicalXbar::PackedCache& LogicalXbar::PackedCache::operator=(const PackedCache& other) {
+  if (this != &other) *this = PackedCache(other);
+  return *this;
+}
+
+bool LogicalXbar::PackedCache::ensure(const LogicalXbar& owner) const {
+  if (get() != nullptr) return false;
+  bool built = false;
+  std::call_once(state_->once, [&] {
+    // A copy of built planes is marked ready before any reader sees it.
+    if (state_->ready.load(std::memory_order_relaxed)) return;
+    owner.build_packed_planes(state_->words);
+    state_->ready.store(true, std::memory_order_release);
+    built = true;
+  });
+  return built;
+}
+
+bool LogicalXbar::ensure_packed_planes() const { return packed_.ensure(*this); }
+
+void LogicalXbar::build_packed_planes(std::vector<std::uint64_t>& planes) const {
   const int cell_bits = config_.cell_bits;
   const int num_planes = packed_weight_planes();
-  packed_words_ = (rows_ + 63) >> 6;
-  packed_planes_.assign(static_cast<std::size_t>(cols_) * static_cast<std::size_t>(num_planes) *
-                            static_cast<std::size_t>(packed_words_),
-                        0);
+  planes.assign(static_cast<std::size_t>(cols_) * static_cast<std::size_t>(num_planes) *
+                    static_cast<std::size_t>(packed_words_),
+                0);
   const std::size_t plane = static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
   for (int s = 0; s < config_.slices(); ++s) {
     const std::uint8_t* lp = levels_.data() + static_cast<std::size_t>(s) * plane;
@@ -347,10 +328,10 @@ void LogicalXbar::rebuild_packed_planes() {
                                      static_cast<std::size_t>(packed_words_);
         for (int t = 0; lv != 0; ++t, lv >>= 1)
           if (lv & 1)
-            packed_planes_[col_base +
-                           static_cast<std::size_t>(s * cell_bits + t) *
-                               static_cast<std::size_t>(packed_words_) +
-                           word] |= row_bit;
+            planes[col_base +
+                   static_cast<std::size_t>(s * cell_bits + t) *
+                       static_cast<std::size_t>(packed_words_) +
+                   word] |= row_bit;
       }
     }
   }

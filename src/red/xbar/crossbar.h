@@ -21,9 +21,21 @@
 // Cell levels are stored plane-major: level_plane(s) is one contiguous
 // rows x cols row-major matrix holding weight slice s. The planes feed the
 // packed bit-planes, fault injection (red/fault) and the reference.
+//
+// Write side. Programming from weights encodes each weight into its slices
+// in place. A reprogrammed sibling (variation via FastDeltaTag, faults via
+// red/fault's inject_faults) is a copy of the clean crossbar plus sparse
+// per-cell patches, so it costs one copy plus O(changed cells). The packed
+// bit-planes only serve the bit-accurate kernels: they are built the first
+// time one of those reads them, at most once per crossbar, and the exact
+// path never builds them.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -45,6 +57,14 @@ struct MvmStats {
   friend bool operator==(const MvmStats&, const MvmStats&) = default;
 };
 
+/// One cell of a sparse reprogram: the new level of flat cell `index` in the
+/// plane-major [slice][row][col] level array (slice s, row r, col c is
+/// s * rows * cols + r * cols + c).
+struct LevelPatch {
+  std::size_t index = 0;
+  std::uint8_t level = 0;
+};
+
 class LogicalXbar {
  public:
   /// Program the crossbar with `weights` in row-major order (rows x cols).
@@ -62,12 +82,13 @@ class LogicalXbar {
   /// stream (same distribution, different draws).
   LogicalXbar(const LogicalXbar& clean, const VariationModel& var, FastDeltaTag);
 
-  /// Rebuild-from-levels: a sibling of `clean` whose cell levels were
-  /// transformed externally (fault injection and repair, red/fault).
-  /// `levels` must be a plane-major [slice][row][col] array of clean's
-  /// geometry; stored weights, column level sums, and the lossless-ADC cache
-  /// are re-derived from it. `stats` records what the transformation did.
-  LogicalXbar(const LogicalXbar& clean, std::vector<std::uint8_t> levels,
+  /// Sparse reprogram: a copy of `clean` with each cell in `patches` set to
+  /// its new level (fault injection and repair, red/fault). A cell appears
+  /// at most once. Stored weights, column level sums, the lossless-ADC cache
+  /// and any packed planes `clean` has built are patched in place, so the
+  /// cost is one copy plus O(patches). `stats` records what the
+  /// transformation did.
+  LogicalXbar(const LogicalXbar& clean, std::span<const LevelPatch> patches,
               VariationStats stats);
 
   [[nodiscard]] std::int64_t rows() const { return rows_; }
@@ -97,8 +118,10 @@ class LogicalXbar {
   /// holds bit t of slice s over the rows (bit r of word r/64), so there are
   /// slices() * cell_bits planes — one per level bit, covering out-of-range
   /// levels a fault or stuck-at-max cell can program into a partial top
-  /// slice. Maintained by every constructor (sparse deltas update it in
-  /// place), never recomputed per MVM.
+  /// slice. Built from the levels by the first reader (ensure_packed_planes
+  /// or packed_col_planes), at most once per crossbar and safe under
+  /// concurrent readers; sparse reprograms patch them in place when they
+  /// were built before the copy. Never recomputed per MVM.
   [[nodiscard]] int packed_weight_planes() const {
     return config_.slices() * config_.cell_bits;
   }
@@ -106,10 +129,19 @@ class LogicalXbar {
   /// 64-bit words per packed plane: ceil(rows / 64).
   [[nodiscard]] std::int64_t packed_words() const { return packed_words_; }
 
+  /// Build the packed planes unless they exist. Returns true exactly once
+  /// per crossbar: for the call that built them.
+  bool ensure_packed_planes() const;
+
   /// The packed_weight_planes() consecutive planes (packed_words() words
-  /// each) of column `c`, plane-major.
+  /// each) of column `c`, plane-major. Builds the planes on first use.
   [[nodiscard]] const std::uint64_t* packed_col_planes(std::int64_t c) const {
-    return packed_planes_.data() +
+    const std::vector<std::uint64_t>* planes = packed_.get();
+    if (planes == nullptr) {
+      ensure_packed_planes();
+      planes = packed_.get();
+    }
+    return planes->data() +
            static_cast<std::size_t>(c) * static_cast<std::size_t>(packed_weight_planes()) *
                static_cast<std::size_t>(packed_words_);
   }
@@ -155,18 +187,57 @@ class LogicalXbar {
   [[nodiscard]] const VariationStats& variation_stats() const { return variation_stats_; }
 
  private:
-  /// Rebuild packed_planes_ from levels_ (program/reprogram constructors; the
-  /// sparse-delta constructor patches the copied planes bit-by-bit instead).
-  void rebuild_packed_planes();
+  /// Packed planes built by the first reader. Copying copies the planes only
+  /// when they are built; a moved-from cache is empty and never read.
+  class PackedCache {
+   public:
+    PackedCache() = default;
+    PackedCache(const PackedCache& other);
+    PackedCache& operator=(const PackedCache& other);
+    PackedCache(PackedCache&&) noexcept = default;
+    PackedCache& operator=(PackedCache&&) noexcept = default;
+    ~PackedCache() = default;
+
+    /// The planes when built, else nullptr.
+    [[nodiscard]] const std::vector<std::uint64_t>* get() const {
+      return state_ != nullptr && state_->ready.load(std::memory_order_acquire) ? &state_->words
+                                                                                : nullptr;
+    }
+    /// Mutable planes for a constructor patching its own copy, or nullptr.
+    [[nodiscard]] std::vector<std::uint64_t>* get_mut() {
+      return state_ != nullptr && state_->ready.load(std::memory_order_relaxed) ? &state_->words
+                                                                                : nullptr;
+    }
+    /// Build the planes from `owner`'s levels unless they are built; true
+    /// when this call built them.
+    bool ensure(const LogicalXbar& owner) const;
+
+   private:
+    struct State {
+      std::once_flag once;
+      std::atomic<bool> ready{false};
+      std::vector<std::uint64_t> words;
+    };
+    std::unique_ptr<State> state_ = std::make_unique<State>();
+  };
+
+  /// Fill `planes` from levels_ ([(c * packed_weight_planes() + u) * words + w],
+  /// see packed_col_planes()).
+  void build_packed_planes(std::vector<std::uint64_t>& planes) const;
+
+  /// The one sparse-delta routine: set flat cell `idx` to `level`, patching
+  /// the stored weight (decode is linear in each slice), the column level
+  /// sum and the packed planes when built. Call refresh_lossless_adc_bits()
+  /// after the last patch.
+  void patch_cell(std::size_t idx, std::uint8_t level);
+  void refresh_lossless_adc_bits();
 
   std::int64_t rows_;
   std::int64_t cols_;
   QuantConfig config_;
   std::vector<std::int32_t> weights_;      ///< stored signed weights, row-major
   std::vector<std::uint8_t> levels_;       ///< cell levels, plane-major [slice][row][col]
-  /// Packed weight bit-planes, [(c * packed_weight_planes() + u) * words + w]
-  /// (see packed_col_planes()).
-  std::vector<std::uint64_t> packed_planes_;
+  PackedCache packed_;
   std::int64_t packed_words_ = 0;
   /// Per-(col, slice) programmed-level sums backing lossless_adc_bits_; kept
   /// so delta reprogramming can update the cache incrementally.

@@ -8,6 +8,9 @@
 // perturbed weights — which tests rely on.
 #pragma once
 
+#include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "red/common/contracts.h"
@@ -77,6 +80,45 @@ struct VariationStats {
     sa0_cells += o.sa0_cells;
     sa1_cells += o.sa1_cells;
     return *this;
+  }
+};
+
+/// Exact discrete law of a Gaussian level perturbation: for a clean level l,
+/// the stored result is clamp(lround(l + N(0, sigma)), 0, max_level), a
+/// categorical distribution over levels with Gaussian-quantized bucket
+/// probabilities. Tabulated once per reprogram so samplers only draw
+/// uniforms. (Half-integer rounding boundaries are measure-zero, so lround's
+/// away-from-zero tie rule does not affect the law.) Shared by the
+/// FastDeltaTag sampler and fault drift (red/fault).
+struct NoiseLaw {
+  /// prob[l][k] = P(result == k | clean level l); change[l] = 1 - prob[l][l].
+  std::array<std::array<double, 16>, 16> prob{};
+  std::array<double, 16> change{};
+
+  NoiseLaw(double sigma, int max_level) {
+    const auto normal_cdf = [](double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); };
+    for (int l = 0; l <= max_level; ++l) {
+      double sum = 0.0;
+      for (int k = 0; k < max_level; ++k) {
+        const double hi = normal_cdf((static_cast<double>(k - l) + 0.5) / sigma);
+        prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)] = hi - sum;
+        sum = hi;
+      }
+      prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(max_level)] = 1.0 - sum;
+      change[static_cast<std::size_t>(l)] =
+          1.0 - prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(l)];
+    }
+  }
+
+  /// Sample the perturbed level given a change occurred: v uniform in
+  /// [0, change[l]) walks the conditional CDF over k != l.
+  [[nodiscard]] std::uint8_t sample_changed(int l, double v, int max_level) const {
+    for (int k = 0; k < max_level; ++k) {
+      if (k == l) continue;
+      v -= prob[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)];
+      if (v < 0.0) return static_cast<std::uint8_t>(k);
+    }
+    return static_cast<std::uint8_t>(max_level == l ? max_level - 1 : max_level);
   }
 };
 

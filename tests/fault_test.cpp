@@ -5,8 +5,11 @@
 // min_fault_snr constraint).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "red/common/error.h"
@@ -19,10 +22,13 @@
 #include "red/plan/plan.h"
 #include "red/report/json.h"
 #include "red/sim/streaming.h"
+#include "red/telemetry/metrics.h"
 #include "red/tensor/tensor_ops.h"
+#include "red/workloads/benchmarks.h"
 #include "red/workloads/generator.h"
 #include "red/workloads/networks.h"
 #include "red/xbar/crossbar.h"
+#include "reference_oracle.h"
 
 namespace red::fault {
 namespace {
@@ -192,6 +198,270 @@ TEST(FaultInject, RemapMovesRowsOnlyWhenItHelps) {
   if (rep.rows_remapped == 0) {
     EXPECT_EQ(repaired, bare);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Single draw pass against the per-cell oracle
+// ---------------------------------------------------------------------------
+
+/// `faulted` equals the per-cell reference in every observable field.
+void expect_matches_reference(const xbar::LogicalXbar& faulted, const RepairReport& rep,
+                              const oracle::FaultedCells& ref, const std::string& what) {
+  const std::int64_t plane = faulted.rows() * faulted.cols();
+  std::int64_t level_mismatches = 0;
+  for (int s = 0; s < faulted.config().slices(); ++s)
+    for (std::int64_t i = 0; i < plane; ++i)
+      level_mismatches += faulted.level_plane(s)[i] !=
+                          ref.levels[static_cast<std::size_t>(s * plane + i)];
+  EXPECT_EQ(level_mismatches, 0) << what;
+  const auto w = faulted.stored_weights();
+  EXPECT_TRUE(std::equal(w.begin(), w.end(), ref.weights.begin(), ref.weights.end())) << what;
+  EXPECT_EQ(faulted.lossless_adc_bits(), ref.lossless_adc_bits) << what;
+
+  const auto& vs = faulted.variation_stats();
+  EXPECT_EQ(vs.cells, ref.vstats.cells) << what;
+  EXPECT_EQ(vs.perturbed_cells, ref.vstats.perturbed_cells) << what;
+  EXPECT_EQ(vs.stuck_cells, ref.vstats.stuck_cells) << what;
+  EXPECT_EQ(vs.sa0_cells, ref.vstats.sa0_cells) << what;
+  EXPECT_EQ(vs.sa1_cells, ref.vstats.sa1_cells) << what;
+
+  const auto& r = ref.report;
+  EXPECT_EQ(rep.cells, r.cells) << what;
+  EXPECT_EQ(rep.wordline_faults, r.wordline_faults) << what;
+  EXPECT_EQ(rep.bitline_faults, r.bitline_faults) << what;
+  EXPECT_EQ(rep.spare_rows_used, r.spare_rows_used) << what;
+  EXPECT_EQ(rep.spare_cols_used, r.spare_cols_used) << what;
+  EXPECT_EQ(rep.unrepaired_wordlines, r.unrepaired_wordlines) << what;
+  EXPECT_EQ(rep.unrepaired_bitlines, r.unrepaired_bitlines) << what;
+  EXPECT_EQ(rep.stuck_cells, r.stuck_cells) << what;
+  EXPECT_EQ(rep.drifted_cells, r.drifted_cells) << what;
+  EXPECT_EQ(rep.retried_cells, r.retried_cells) << what;
+  EXPECT_EQ(rep.rows_remapped, r.rows_remapped) << what;
+}
+
+TEST(FaultInject, SingleDrawPassMatchesPerCellOracle) {
+  struct Geometry {
+    std::int64_t rows, cols;
+    int wbits, cell_bits;
+  };
+  // 67 rows: not a multiple of 64, so the packed planes' last word is partial.
+  // 7 bits over 3-bit cells leaves a partial top slice.
+  const Geometry geometries[] = {{67, 5, 8, 2}, {64, 4, 7, 3}, {40, 3, 8, 1}};
+
+  struct Env {
+    const char* name;
+    FaultModel model;
+  };
+  std::vector<Env> envs;
+  {
+    FaultModel dense;  // events are not sparse
+    dense.sa0_rate = 0.15;
+    dense.sa1_rate = 0.15;
+    dense.drift_sigma = 0.2;
+    envs.push_back({"dense", dense});
+    FaultModel lines;  // more faulty lines than any spare budget below
+    lines.wordline_rate = 0.12;
+    lines.bitline_rate = 0.12;
+    lines.sa0_rate = 0.01;
+    envs.push_back({"lines", lines});
+    for (const double sigma : {0.2, 1.5}) {
+      FaultModel drift = mixed_model();
+      drift.drift_sigma = sigma;
+      envs.push_back({sigma < 1.0 ? "mixed-drift-0.2" : "mixed-drift-1.5", drift});
+    }
+    FaultModel sa1_only;  // stuck-at-max defeats the magnitude proxy: remaps lose
+    sa1_only.sa1_rate = 0.03;
+    sa1_only.drift_sigma = 0.3;
+    envs.push_back({"sa1", sa1_only});
+    envs.push_back({"disabled", FaultModel{}});
+  }
+
+  std::vector<RepairPolicy> policies;
+  for (const int retries : {0, 2, 63})
+    for (const bool remap : {false, true}) {
+      RepairPolicy pol;
+      pol.spare_rows = 2;
+      pol.spare_cols = 1;
+      pol.remap_rows = remap;
+      pol.verify_retries = retries;
+      policies.push_back(pol);
+    }
+
+  int accepted = 0, rejected = 0;
+  for (const Geometry& g : geometries) {
+    xbar::QuantConfig q;
+    q.wbits = g.wbits;
+    q.cell_bits = g.cell_bits;
+    Rng rng(static_cast<std::uint64_t>(g.rows * 31 + g.cols));
+    const std::int32_t half = q.weight_offset();
+    std::vector<std::int32_t> w(static_cast<std::size_t>(g.rows * g.cols));
+    for (auto& v : w) v = static_cast<std::int32_t>(rng.uniform_int(-half, half - 1));
+    const xbar::LogicalXbar clean(g.rows, g.cols, w, q);
+    // A second clean crossbar whose packed planes exist before injection, so
+    // the faulted copies patch them in place instead of building them later.
+    const xbar::LogicalXbar clean_packed(g.rows, g.cols, w, q);
+    EXPECT_TRUE(clean_packed.ensure_packed_planes());
+    std::vector<std::int32_t> x(static_cast<std::size_t>(g.rows));
+    for (auto& v : x) v = static_cast<std::int32_t>(rng.uniform_int(-128, 127));
+
+    for (const Env& env : envs)
+      for (const RepairPolicy& pol : policies)
+        for (const std::uint64_t salt : {std::uint64_t{0}, std::uint64_t{4097}}) {
+          const std::string what = std::string(env.name) + " rows=" + std::to_string(g.rows) +
+                                   " cell_bits=" + std::to_string(g.cell_bits) +
+                                   " retries=" + std::to_string(pol.verify_retries) +
+                                   " remap=" + std::to_string(pol.remap_rows) +
+                                   " salt=" + std::to_string(salt);
+          const auto ref = oracle::inject_faults_reference(clean, env.model, pol, salt);
+          accepted += ref.report.rows_remapped > 0;
+          rejected += ref.remap_rejected;
+          RepairReport rep;
+          expect_matches_reference(inject_faults(clean, env.model, pol, salt, &rep), rep, ref,
+                                   what);
+          RepairReport rep_packed;
+          const auto patched = inject_faults(clean_packed, env.model, pol, salt, &rep_packed);
+          expect_matches_reference(patched, rep_packed, ref, what + " (patched planes)");
+          EXPECT_EQ(patched.mvm_bit_accurate(x), patched.mvm_bit_accurate_reference(x)) << what;
+        }
+  }
+  // The grid prices remaps both ways.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(FaultInject, OneDrawPassPerCall) {
+  // Counter-RNG draws of one inject_faults call: the line draws, then one
+  // stuck and one drift-change draw per live cell (a stuck cell skips the
+  // drift draw), plus the verify-attempt draws of drift candidates — cells
+  // whose attempt-0 change draw lies below the largest change probability.
+  const auto clean = make_xbar(67, 5);
+  FaultModel m = mixed_model();
+  m.drift_sigma = 0.3;
+  RepairPolicy pol;
+  pol.spare_rows = 1;
+  pol.spare_cols = 1;
+  pol.remap_rows = true;
+  pol.verify_retries = 2;
+  const std::uint64_t salt = 1;
+
+  const std::int64_t R = clean.rows();
+  const std::int64_t P = clean.phys_cols();
+  const auto draw = [&](std::uint64_t domain, std::uint64_t counter) {
+    return fault_unit(m.seed, salt * 8 + domain, counter);
+  };
+  const auto dead_lines = [&](std::uint64_t domain, double rate, std::int64_t n, int spares) {
+    std::vector<bool> dead(static_cast<std::size_t>(n));
+    int faults = 0;
+    for (std::int64_t i = 0; i < n; ++i)
+      if (draw(domain, static_cast<std::uint64_t>(i)) < rate && ++faults > spares)
+        dead[static_cast<std::size_t>(i)] = true;
+    return dead;
+  };
+  const auto dead_rows = dead_lines(0, m.wordline_rate, R, pol.spare_rows);
+  const auto dead_cols = dead_lines(1, m.bitline_rate, P, pol.spare_cols);
+  const xbar::NoiseLaw law(m.drift_sigma, clean.config().max_level());
+  double p_star = 0.0;
+  for (int l = 0; l <= clean.config().max_level(); ++l)
+    p_star = std::max(p_star, law.change[static_cast<std::size_t>(l)]);
+
+  std::int64_t live = 0, stuck = 0, retry_draws = 0;
+  for (std::int64_t q = 0; q < R; ++q)
+    for (std::int64_t p = 0; p < P; ++p) {
+      if (dead_rows[static_cast<std::size_t>(q)] || dead_cols[static_cast<std::size_t>(p)])
+        continue;
+      ++live;
+      const std::uint64_t idx = static_cast<std::uint64_t>(q * P + p);
+      if (draw(2, idx) < m.sa0_rate + m.sa1_rate) {
+        ++stuck;
+        continue;
+      }
+      for (int a = 0; a <= pol.verify_retries; ++a) {
+        if (a > 0) ++retry_draws;  // the attempt's change draw
+        if (draw(3, idx * 64 + static_cast<std::uint64_t>(a)) >= p_star) break;
+        ++retry_draws;  // the attempt's level draw
+      }
+    }
+  ASSERT_GT(retry_draws, 0);
+  ASSERT_GT(stuck, 0);
+
+  telemetry::MetricsRegistry registry;
+  telemetry::install_metrics(&registry);
+  RepairReport rep;
+  (void)inject_faults(clean, m, pol, salt, &rep);
+  telemetry::install_metrics(nullptr);
+  const std::uint64_t draws = registry.counter("fault.rng_draws")->value();
+  EXPECT_EQ(static_cast<std::int64_t>(draws), R + P + 2 * live - stuck + retry_draws);
+  EXPECT_GT(rep.rows_remapped, 0);  // the remap was priced without drawing again
+}
+
+TEST(FaultInject, GanDeconv4CampaignDigestsArePinned) {
+  // FNV-1a digests of every trial field of a GAN_Deconv4 RED campaign at
+  // fault seeds 1-4 (2 trial lanes), computed with the per-cell injector the
+  // single draw pass replaced: scores, repair reports, variation stats and
+  // run stats must stay bit-identical.
+  struct Digest {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    void add(std::int64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (static_cast<std::uint64_t>(v) >> (8 * b)) & 0xffU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    void add(double d) { add(std::bit_cast<std::int64_t>(d)); }
+    void add(const FaultTrialArm& a) {
+      const auto& s = a.score;
+      for (double d : {s.mse, s.snr_db, s.nrmse, s.max_abs_err}) add(d);
+      for (std::int64_t v : {s.pixels, s.mismatched_pixels, s.bit_errors}) add(v);
+      const auto& r = a.repair;
+      for (std::int64_t v : {r.cells, r.wordline_faults, r.bitline_faults, r.spare_rows_used,
+                             r.spare_cols_used, r.unrepaired_wordlines, r.unrepaired_bitlines,
+                             r.stuck_cells, r.drifted_cells, r.retried_cells, r.rows_remapped})
+        add(v);
+      const auto& v = a.variation;
+      for (std::int64_t x : {v.cells, v.perturbed_cells, v.stuck_cells, v.sa0_cells, v.sa1_cells})
+        add(x);
+      const auto& st = a.stats;
+      for (std::int64_t x : {st.cycles, st.mvm.mvm_ops, st.mvm.row_drives, st.mvm.mac_pulses,
+                             st.mvm.conversions, st.mvm.adc_clips, st.overlap_adds,
+                             st.buffer_accesses})
+        add(x);
+    }
+  };
+  const auto spec = workloads::gan_deconv4();
+  Rng rng(1);
+  const auto input = workloads::make_input(spec, rng, 1, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  FaultModel m;
+  m.sa0_rate = 2.5e-5;
+  m.sa1_rate = 2.5e-5;
+  m.wordline_rate = 0.001;
+  m.bitline_rate = 0.001;
+  m.drift_sigma = 0.2;
+  RepairPolicy pol;
+  pol.spare_rows = 4;
+  pol.spare_cols = 4;
+  pol.remap_rows = true;
+  pol.verify_retries = 2;
+  FaultCampaignOptions opts;
+  opts.trials = 4;
+  opts.base_seed = 1;
+  opts.threads = 2;
+  const auto points = run_fault_campaign(core::DesignKind::kRed, arch::DesignConfig{}, {m}, pol,
+                                         spec, input, kernel, opts);
+  const std::uint64_t pins[] = {0x7c3d77a44264a987ULL, 0x60d4f847554fecb8ULL,
+                                0x389a7760113b5bafULL, 0x0eb44aaa2f0b0c31ULL};
+  ASSERT_EQ(points.size(), 1u);
+  ASSERT_EQ(points[0].trials.size(), 4u);
+  for (std::size_t t = 0; t < 4; ++t) {
+    const auto& trial = points[0].trials[t];
+    Digest d;
+    d.add(static_cast<std::int64_t>(trial.seed));
+    d.add(trial.unrepaired);
+    d.add(trial.repaired);
+    EXPECT_EQ(d.h, pins[t]) << "fault seed " << trial.seed;
+    EXPECT_GT(trial.repaired.repair.rows_remapped, 0);
+  }
+  EXPECT_TRUE(points[0].repaired_not_worse());
 }
 
 TEST(FaultAnalytic, SnrMonotoneInRatesAndBudgets) {

@@ -6,7 +6,10 @@
 //  * variation digests — under a variation-enabled config, Design::run,
 //    StreamingExecutor and the programmed layer's VariationStats reproduce
 //    pinned digests (computed when both designs still had a separate run()
-//    body and streaming fell back to it under variation).
+//    body and streaming fell back to it under variation);
+//  * lazy packed planes — only bit-accurate reads build a crossbar's packed
+//    bit-planes, exactly once per crossbar at any thread count, counted by
+//    the xbar.packed_plane_builds telemetry counter.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +21,11 @@
 #include "red/common/error.h"
 #include "red/common/rng.h"
 #include "red/core/designs.h"
+#include "red/fault/model.h"
+#include "red/perf/thread_pool.h"
+#include "red/plan/plan.h"
 #include "red/sim/streaming.h"
+#include "red/telemetry/metrics.h"
 #include "red/workloads/generator.h"
 #include "red/workloads/networks.h"
 
@@ -39,10 +46,24 @@ std::atomic<std::uint64_t> g_heap_bytes{0};
   throw std::bad_alloc();
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
+// every allocation the replaced deletes free came from malloc.
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size != 0 ? size : 1);
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size != 0 ? size : 1);
+}
+
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace red {
 namespace {
@@ -208,6 +229,81 @@ TEST(VariationDigests, VariationEnabledLayerRefusesFurtherPerturbation) {
     EXPECT_THROW((void)programmed->faulted(fault::FaultModel{}, fault::RepairPolicy{}),
                  ContractViolation);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lazy packed planes
+// ---------------------------------------------------------------------------
+
+/// xbar.packed_plane_builds over `work`, on a registry of its own.
+template <typename Work>
+std::uint64_t packed_plane_builds(Work&& work) {
+  telemetry::MetricsRegistry registry;
+  telemetry::install_metrics(&registry);
+  work();
+  telemetry::install_metrics(nullptr);
+  return registry.counter("xbar.packed_plane_builds")->value();
+}
+
+TEST(PackedPlanes, ExactPathNeverBuildsThem) {
+  const nn::DeconvLayerSpec spec{"exact_planes", 6, 6, 8, 4, 4, 4, 2, 1, 0};
+  Rng rng(12);
+  const auto input = workloads::make_input(spec, rng, 1, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  fault::FaultModel model;
+  model.sa0_rate = 0.01;
+  model.wordline_rate = 0.05;
+  model.drift_sigma = 0.3;
+  fault::RepairPolicy policy;
+  policy.remap_rows = true;
+  policy.verify_retries = 2;
+  for (const auto kind : {DesignKind::kZeroPadding, DesignKind::kRed}) {
+    const auto builds = packed_plane_builds([&] {
+      const auto programmed = core::make_design(kind)->program(spec, kernel);
+      (void)programmed->run(input);
+      (void)programmed->faulted(model, policy)->run(input);
+    });
+    EXPECT_EQ(builds, 0u) << core::make_design(kind)->name();
+  }
+}
+
+TEST(PackedPlanes, BitAccurateRunBuildsEachCrossbarOnceAtAnyThreadCount) {
+  const nn::DeconvLayerSpec spec{"bitacc_planes", 6, 6, 8, 4, 4, 4, 2, 1, 0};
+  Rng rng(13);
+  const auto input = workloads::make_input(spec, rng, 1, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  for (const int threads : {1, 4}) {
+    arch::DesignConfig cfg;
+    cfg.bit_accurate = true;
+    cfg.threads = threads;
+    const std::uint64_t red_xbars = plan::plan_layer(DesignKind::kRed, spec, cfg).groups.size();
+    ASSERT_GT(red_xbars, 1u);
+    for (const auto& [kind, xbars] : {std::pair{DesignKind::kZeroPadding, std::uint64_t{1}},
+                                      std::pair{DesignKind::kRed, red_xbars}}) {
+      const auto programmed = core::make_design(kind, cfg)->program(spec, kernel);
+      const std::string what =
+          core::make_design(kind, cfg)->name() + " threads " + std::to_string(threads);
+      EXPECT_EQ(packed_plane_builds([&] { (void)programmed->run(input); }), xbars) << what;
+      EXPECT_EQ(packed_plane_builds([&] { (void)programmed->run(input); }), 0u) << what;
+    }
+  }
+
+  // Concurrent first readers of one crossbar: one of them builds.
+  Rng wrng(14);
+  std::vector<std::int32_t> w(130 * 6);
+  for (auto& v : w) v = static_cast<std::int32_t>(wrng.uniform_int(-128, 127));
+  const xbar::LogicalXbar xb(130, 6, w, xbar::QuantConfig{});
+  std::vector<std::int32_t> x(130);
+  for (auto& v : x) v = static_cast<std::int32_t>(wrng.uniform_int(-128, 127));
+  const auto expected = xb.mvm(x);
+  std::vector<std::vector<std::int64_t>> outs(8);
+  EXPECT_EQ(packed_plane_builds([&] {
+              perf::parallel_for_shared(8, [&](std::int64_t i) {
+                outs[static_cast<std::size_t>(i)] = xb.mvm_bit_accurate(x);
+              });
+            }),
+            1u);
+  for (const auto& out : outs) EXPECT_EQ(out, expected);
 }
 
 }  // namespace

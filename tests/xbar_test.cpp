@@ -2,6 +2,7 @@
 // path, ADC clipping.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "red/common/error.h"
@@ -31,6 +32,52 @@ TEST(Codec, WeightRoundTripAllValues) {
     for (auto d : lv) ASSERT_LE(d, 3);
     EXPECT_EQ(decode_weight(lv, q), w);
   }
+}
+
+TEST(Codec, ProgrammingMatchesCodecForEveryInRangeWeight) {
+  // The from-weights constructor encodes in place; xbar/codec is its oracle.
+  // One crossbar row per configuration holds every in-range weight; the
+  // noisy variant checks the in-place decode of perturbed levels.
+  struct Widths {
+    int wbits, cell_bits;
+  };
+  for (const Widths wc : {Widths{8, 2}, Widths{8, 1}, Widths{7, 3}, Widths{5, 4}, Widths{12, 4},
+                          Widths{16, 3}}) {
+    for (const bool noisy : {false, true}) {
+      QuantConfig q;
+      q.wbits = wc.wbits;
+      q.cell_bits = wc.cell_bits;
+      if (noisy) {
+        q.variation.level_sigma = 0.6;
+        q.variation.sa1_rate = 0.01;
+        q.variation.seed = 5;
+      }
+      const std::int32_t half = q.weight_offset();
+      std::vector<std::int32_t> w;
+      for (std::int32_t v = -half; v < half; ++v) w.push_back(v);
+      const LogicalXbar xb(1, static_cast<std::int64_t>(w.size()), w, q);
+      const int slices = q.slices();
+      std::int64_t mismatches = 0;
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        const auto c = static_cast<std::int64_t>(i);
+        std::vector<std::uint8_t> lv(static_cast<std::size_t>(slices));
+        for (int s = 0; s < slices; ++s) lv[static_cast<std::size_t>(s)] = xb.level(0, c, s);
+        if (noisy) {
+          mismatches += xb.stored_weight(0, c) != decode_weight(lv, q);
+        } else {
+          mismatches += lv != encode_weight(w[i], q);
+          mismatches += xb.stored_weight(0, c) != decode_weight(encode_weight(w[i], q), q);
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "wbits " << wc.wbits << " cell_bits " << wc.cell_bits
+                               << (noisy ? " noisy" : "");
+      if (noisy) {
+        EXPECT_GT(xb.variation_stats().perturbed_cells, 0);
+      }
+    }
+  }
+  const std::vector<std::int32_t> out_of_range{128};
+  EXPECT_THROW(LogicalXbar(1, 1, out_of_range, default_q()), ContractViolation);
 }
 
 TEST(Codec, WeightRangeChecked) {
