@@ -1,7 +1,7 @@
 // Design-space optimizer benchmark: strategy-vs-exhaustive evaluations-to-
-// frontier and wall-clock, sweep-memo hit rates, persistent-store cold/warm
-// wall-clock with store hit rates, and sharded-search + checkpoint-merge
-// timing, emitted as BENCH_opt.json. Run through tools/run_bench.sh, or
+// frontier and wall-clock, persistent-store cold/warm wall-clock with store
+// hit rates, and sharded-search + checkpoint-merge timing, emitted as
+// BENCH_opt.json. Run through tools/run_bench.sh, or
 // directly:
 //
 //   bench_opt [--quick] [--out BENCH_opt.json] [--seed N] [--threads N]
@@ -10,8 +10,9 @@
 // (budget = grid size), so the bench is gated on every strategy recovering
 // the exact exhaustive Pareto frontier; the interesting numbers are how many
 // evaluations each needed before its running frontier first matched
-// (stochastic strategies that focus well find it early) and what the
-// memoized SweepDriver saved.
+// (stochastic strategies that focus well find it early). A warm re-run is
+// measured through the persistent store; the optimizer keeps no in-memory
+// memo (it never prices an ordinal twice).
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -57,13 +58,10 @@ int main(int argc, char** argv) {
   struct Run {
     std::string strategy;
     double wall_ms = 0.0;
-    double warm_ms = 0.0;  ///< identical search re-run on the warm sweep memo
     std::int64_t evaluations = 0;
     std::int64_t evals_to_frontier = 0;
     std::int64_t frontier_size = 0;
     std::int64_t repeats = 0;
-    std::int64_t cache_hits = 0;
-    double cache_hit_rate = 0.0;  ///< memo hit rate of the warm re-run
     bool matched = false;
   };
   std::vector<Run> runs;
@@ -86,27 +84,6 @@ int main(int argc, char** argv) {
     run.repeats = result.stats.repeats;
     run.frontier_size = static_cast<std::int64_t>(result.frontier.size());
 
-    // The optimizer itself never re-prices a candidate, so a cold run cannot
-    // hit the sweep memo; the warm re-run (same optimizer, same trajectory,
-    // memo full) isolates what the memo is worth to repeated searches.
-    const std::int64_t points_before = optimizer.sweep_stats().points;
-    const std::int64_t hits_before = optimizer.sweep_stats().cache_hits;
-    const auto t1 = Clock::now();
-    const auto warm = optimizer.run();
-    run.warm_ms = ms_since(t1);
-    run.cache_hits = optimizer.sweep_stats().cache_hits - hits_before;
-    const std::int64_t warm_points = optimizer.sweep_stats().points - points_before;
-    run.cache_hit_rate =
-        warm_points > 0 ? static_cast<double>(run.cache_hits) / static_cast<double>(warm_points)
-                        : 0.0;
-    std::set<std::vector<double>> warm_set, cold_set;
-    for (const auto& e : warm.frontier) warm_set.insert(e.objectives);
-    for (const auto& e : result.frontier) cold_set.insert(e.objectives);
-    if (warm_set != cold_set) {
-      red::log_error("warm re-run changed the frontier");
-      return 1;
-    }
-
     std::set<std::vector<double>> frontier_set;
     for (const auto& e : result.frontier) frontier_set.insert(e.objectives);
     if (strategy == std::string("exhaustive")) target = frontier_set;
@@ -126,13 +103,10 @@ int main(int argc, char** argv) {
     }
 
     entries.push_back({"BM_Opt_" + run.strategy, run.wall_ms, 1, run.wall_ms});
-    entries.push_back({"BM_Opt_" + run.strategy + "_warm", run.warm_ms, 1, run.warm_ms});
-    std::cout << run.strategy << ": " << format_double(run.wall_ms, 2) << " ms cold / "
-              << format_double(run.warm_ms, 2) << " ms warm, " << run.evaluations
-              << " evaluations (" << run.evals_to_frontier << " to the frontier), "
-              << run.frontier_size << " frontier points, " << run.repeats
-              << " repeat proposals, warm memo hit rate "
-              << format_percent(run.cache_hit_rate, 1)
+    std::cout << run.strategy << ": " << format_double(run.wall_ms, 2) << " ms, "
+              << run.evaluations << " evaluations (" << run.evals_to_frontier
+              << " to the frontier), " << run.frontier_size << " frontier points, "
+              << run.repeats << " repeat proposals"
               << (run.matched ? "" : "  [FRONTIER MISMATCH]") << '\n';
     runs.push_back(run);
   }
@@ -250,8 +224,6 @@ int main(int argc, char** argv) {
         << "\", \"evaluations\": " << r.evaluations
         << ", \"evals_to_frontier\": " << r.evals_to_frontier
         << ", \"frontier_size\": " << r.frontier_size << ", \"repeats\": " << r.repeats
-        << ", \"cache_hits\": " << r.cache_hits
-        << ", \"cache_hit_rate\": " << report::json_number(r.cache_hit_rate)
         << ", \"matched_exhaustive\": " << (r.matched ? "true" : "false") << "}"
         << (i + 1 < runs.size() ? ",\n" : "\n");
   }

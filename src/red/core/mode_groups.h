@@ -35,6 +35,8 @@ struct ModeGroup {
   /// Input row offset of sub-crossbar (i, j) relative to the block base:
   /// h = block_row + row_offset(i). May be negative (edge masking).
   [[nodiscard]] static int input_offset(int phase, int pad, int k_index, int stride);
+
+  friend bool operator==(const ModeGroup&, const ModeGroup&) = default;
 };
 
 /// All non-empty mode groups of a layer, ordered by (a, b).

@@ -1,6 +1,7 @@
 #include "red/explore/sweep.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "red/circuits/breakdown.h"
 #include "red/common/contracts.h"
@@ -157,16 +158,22 @@ SweepOutcome decode_outcome(const std::string& payload) {
   return out;
 }
 
-SweepDriver::SweepDriver(int threads, std::int64_t max_cache_entries)
-    : threads_(threads), max_cache_entries_(max_cache_entries) {
-  RED_EXPECTS(threads >= 1);
-  RED_EXPECTS(max_cache_entries >= 0);
-}
+SweepDriver::SweepDriver(int threads) : threads_(threads) { RED_EXPECTS(threads >= 1); }
 
 void SweepDriver::clear() {
   cache_.clear();
-  insertion_order_.clear();
   stats_.cached_entries = 0;
+}
+
+void publish_store_metrics(const store::ResultStore& store) {
+  auto* m = telemetry::metrics();
+  if (m == nullptr) return;
+  const store::StoreReport& rep = store.report();
+  m->gauge("store.records_loaded")->set(rep.records_loaded);
+  m->gauge("store.records_quarantined")->set(rep.records_quarantined);
+  m->gauge("store.bytes_skipped")->set(rep.bytes_skipped);
+  m->gauge("store.appended")->set(rep.appended);
+  m->gauge("store.entries")->set(store.entries());
 }
 
 std::vector<SweepOutcome> SweepDriver::evaluate(const std::vector<SweepPoint>& grid) {
@@ -177,11 +184,13 @@ std::vector<SweepOutcome> SweepDriver::evaluate(const std::vector<SweepPoint>& g
   stats_.points += static_cast<std::int64_t>(grid.size());
 
   // Deduplicate against the memo and within the grid; only the first
-  // occurrence of a new fingerprint is evaluated.
+  // occurrence of a new fingerprint is evaluated. `keys` is sized up front,
+  // so `pending` can view its strings instead of copying them; each fresh
+  // key is finally moved into the memo, which then holds its only copy.
   std::vector<std::string> keys;
   keys.reserve(grid.size());
   std::vector<std::size_t> fresh;  // grid indices to evaluate
-  std::unordered_map<std::string, std::size_t> pending;
+  std::unordered_map<std::string_view, std::size_t> pending;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     keys.push_back(plan::structural_key(grid[i].kind, grid[i].cfg, grid[i].spec));
     if (cache_.contains(keys.back()) || pending.contains(keys.back())) continue;
@@ -231,9 +240,6 @@ std::vector<SweepOutcome> SweepDriver::evaluate(const std::vector<SweepPoint>& g
   if (store_ != nullptr)
     for (const std::size_t f : compute) store_->put(keys[fresh[f]], encode_outcome(*slots[f]));
 
-  // Serve results from this call's slots and the memo BEFORE eviction runs:
-  // a cap smaller than one grid's unique-point count must bound the memo,
-  // not the answer.
   std::vector<SweepOutcome> results;
   results.reserve(grid.size());
   std::size_t fresh_cursor = 0;
@@ -246,40 +252,26 @@ std::vector<SweepOutcome> SweepDriver::evaluate(const std::vector<SweepPoint>& g
     results.push_back(std::move(out));
   }
 
-  // Admit this call's evaluations, oldest entries out first once capped.
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    cache_.emplace(keys[fresh[i]], std::move(slots[i]));
-    insertion_order_.push_back(keys[fresh[i]]);
-  }
-  if (max_cache_entries_ > 0) {
-    while (std::ssize(insertion_order_) > max_cache_entries_) {
-      cache_.erase(insertion_order_.front());
-      insertion_order_.pop_front();
-      ++stats_.evictions;
-    }
-  }
+  // Admit this call's evaluations; `pending` views the keys, so it goes first.
+  pending.clear();
+  for (std::size_t f = 0; f < fresh.size(); ++f)
+    cache_.emplace(std::move(keys[fresh[f]]), std::move(slots[f]));
   stats_.cached_entries = static_cast<std::int64_t>(cache_.size());
 
   if (auto* m = telemetry::metrics()) {
     const auto bump = [m](const char* name, std::int64_t delta) {
       if (delta > 0) m->counter(name)->add(static_cast<std::uint64_t>(delta));
     };
+    // Each point builds its memo key; each evaluated point one more in its plan.
+    bump("plan.structural_keys", std::ssize(grid) + n);
     bump("sweep.points", stats_.points - before.points);
     bump("sweep.evaluated", stats_.evaluated - before.evaluated);
     bump("sweep.memo_hits", stats_.cache_hits - before.cache_hits);
-    bump("sweep.memo_evictions", stats_.evictions - before.evictions);
     bump("sweep.store_hits", stats_.store_hits - before.store_hits);
     bump("sweep.store_rejects", stats_.store_rejects - before.store_rejects);
     m->gauge("sweep.memo_entries")->set(stats_.cached_entries);
-    if (store_ != nullptr) {
-      const store::StoreReport& rep = store_->report();
-      m->gauge("store.records_loaded")->set(rep.records_loaded);
-      m->gauge("store.records_quarantined")->set(rep.records_quarantined);
-      m->gauge("store.bytes_skipped")->set(rep.bytes_skipped);
-      m->gauge("store.appended")->set(rep.appended);
-      m->gauge("store.entries")->set(store_->entries());
-    }
   }
+  if (store_ != nullptr) publish_store_metrics(*store_);
   return results;
 }
 

@@ -11,10 +11,13 @@
 // fans the unique evaluations across the process-wide perf::ThreadPool into
 // per-index slots (deterministic: identical results for any thread count),
 // and serves repeats from a cache that persists across evaluate() calls.
+//
+// The optimizer does not go through this driver: it never repeats a point,
+// so it prices each candidate in one pass of its own (opt/optimizer.h) and
+// shares only the outcome codec and the store keys with it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -47,7 +50,6 @@ struct SweepStats {
   std::int64_t evaluated = 0;       ///< unique evaluations actually executed
   std::int64_t cache_hits = 0;      ///< points served from the memo
   std::int64_t cached_entries = 0;  ///< memo entries currently held
-  std::int64_t evictions = 0;       ///< entries dropped by the FIFO cap
   std::int64_t store_hits = 0;      ///< points served from the persistent store
   std::int64_t store_rejects = 0;   ///< store payloads that failed to decode
 };
@@ -55,12 +57,7 @@ struct SweepStats {
 class SweepDriver {
  public:
   /// `threads` bounds the fan-out of each evaluate() call (1 = serial).
-  /// `max_cache_entries` caps the memo (0 = unbounded): once full, the
-  /// oldest-inserted entries are evicted first (FIFO), so a long-running
-  /// optimizer can stream an unbounded candidate sequence through a bounded
-  /// memory footprint. A finite cap changes only which repeats are free,
-  /// never any outcome — results stay bit-identical.
-  explicit SweepDriver(int threads = 1, std::int64_t max_cache_entries = 0);
+  explicit SweepDriver(int threads = 1);
 
   /// Evaluate a grid, one outcome per point in point order. Duplicate points
   /// (and points seen by earlier evaluate() calls on this driver) are served
@@ -86,12 +83,15 @@ class SweepDriver {
 
  private:
   int threads_;
-  std::int64_t max_cache_entries_;
   SweepStats stats_;
   std::unordered_map<std::string, std::shared_ptr<const SweepOutcome>> cache_;
-  std::deque<std::string> insertion_order_;  ///< FIFO eviction queue
   std::shared_ptr<store::ResultStore> store_;
 };
+
+/// Set the `store.*` gauges (records loaded/quarantined, bytes skipped,
+/// appended, entries) from `store` on the installed metrics sink, if any.
+/// Observe-only; shared by every pricing path that writes a store.
+void publish_store_metrics(const store::ResultStore& store);
 
 /// Binary codec for persisting a SweepOutcome in a store::ResultStore.
 /// encode/decode round-trip bit-exactly (doubles are stored as raw bytes);

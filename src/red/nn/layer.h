@@ -82,6 +82,8 @@ struct PaddedGeometry {
 
   /// Fraction of zero pixels in the padded input (the paper's Fig. 4 metric).
   [[nodiscard]] double zero_fraction(int ih, int iw) const;
+
+  friend bool operator==(const PaddedGeometry&, const PaddedGeometry&) = default;
 };
 
 [[nodiscard]] PaddedGeometry padded_geometry(const DeconvLayerSpec& spec);

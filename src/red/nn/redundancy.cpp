@@ -1,5 +1,6 @@
 #include "red/nn/redundancy.h"
 
+#include <algorithm>
 #include <cstdint>
 
 namespace red::nn {
@@ -11,31 +12,29 @@ double zero_redundancy_ratio(const DeconvLayerSpec& spec) {
 
 namespace {
 
-/// Per-output-row (or column) count of structurally non-zero pixels within a
-/// k-wide window at each window position; 1-D factor of the 2-D count.
-std::vector<std::int64_t> hits_1d(int offset, int extent, int out, int k, int stride) {
-  std::vector<std::int64_t> per_window(static_cast<std::size_t>(out), 0);
-  for (int y = 0; y < out; ++y)
-    for (int i = 0; i < k; ++i) {
-      const int rel = y + i - offset;
-      if (rel >= 0 && rel % stride == 0 && rel / stride < extent)
-        ++per_window[static_cast<std::size_t>(y)];
-    }
-  return per_window;
+/// 1-D factor of the 2-D count: the (window, pixel) pairs along one axis.
+/// Input pixel t sits at padded position p = stride*t + offset and is covered
+/// by the k-wide windows starting at y in [max(0, p-k+1), min(p, out-1)], so
+/// the sum runs over the inputs in O(extent) instead of over every window tap.
+std::int64_t hits_1d(int offset, int extent, int out, int k, int stride) {
+  std::int64_t hits = 0;
+  for (int t = 0; t < extent; ++t) {
+    const int p = stride * t + offset;
+    const int first = std::max(0, p - k + 1);
+    const int last = std::min(p, out - 1);
+    if (last >= first) hits += last - first + 1;
+  }
+  return hits;
 }
 
 }  // namespace
 
 std::int64_t structural_window_hits(const DeconvLayerSpec& spec) {
   const PaddedGeometry g = padded_geometry(spec);
-  const auto rows = hits_1d(g.offset_top, spec.ih, spec.oh(), spec.kh, spec.stride);
-  const auto cols = hits_1d(g.offset_left, spec.iw, spec.ow(), spec.kw, spec.stride);
-  std::int64_t row_sum = 0;
-  for (auto r : rows) row_sum += r;
-  std::int64_t col_sum = 0;
-  for (auto c : cols) col_sum += c;
-  // Separable: hits(y, x) = rows[y] * cols[x]; sum over the grid factorizes.
-  return row_sum * col_sum;
+  // Separable: hits(y, x) = rows[y] * cols[x]; the sum over the grid
+  // factorizes into the product of the per-axis sums.
+  return hits_1d(g.offset_top, spec.ih, spec.oh(), spec.kh, spec.stride) *
+         hits_1d(g.offset_left, spec.iw, spec.ow(), spec.kw, spec.stride);
 }
 
 std::vector<RedundancyPoint> redundancy_vs_stride(DeconvLayerSpec spec,

@@ -39,15 +39,16 @@ Optimizer::Optimizer(SearchSpace space, Objective objective,
       constraints_(std::move(constraints)),
       opts_(std::move(options)),
       strategy_(make_strategy(opts_.strategy, opts_.search)),
-      driver_(opts_.threads, opts_.sweep_cache_cap),
       frontier_(objective_.dims()) {
   if (opts_.budget < 0) throw ConfigError("optimizer budget must be >= 0");
   if (opts_.threads < 1) throw ConfigError("optimizer threads must be >= 1");
   if (opts_.timeout_ms < 0.0) throw ConfigError("optimizer timeout must be >= 0");
+  geometry_.reserve(space_.stack().size());
+  for (const auto& spec : space_.stack()) geometry_.push_back(plan::layer_geometry(spec));
 }
 
 void Optimizer::attach_store(std::shared_ptr<store::ResultStore> store) {
-  driver_.attach_store(std::move(store));
+  store_ = std::move(store);
 }
 
 std::int64_t Optimizer::effective_budget() const {
@@ -55,9 +56,9 @@ std::int64_t Optimizer::effective_budget() const {
 }
 
 std::string Optimizer::fingerprint() const {
-  // The search identity: everything that shapes the trajectory. Threads and
-  // the memo cap are absent — results are invariant to both. The budget is
-  // absent too, deliberately: it only decides WHERE the trajectory stops
+  // The search identity: everything that shapes the trajectory. Threads are
+  // absent — results are invariant to them. The budget is absent too,
+  // deliberately: it only decides WHERE the trajectory stops
   // (always at a batch boundary), so any budget's run is a prefix of any
   // larger budget's run — which is exactly what lets a resume deepen a
   // finished search with a bigger --budget.
@@ -67,15 +68,6 @@ std::string Optimizer::fingerprint() const {
   append_framed(key, strategy_->key());
   for (const auto& c : constraints_) append_framed(key, c.name);
   append_raw(key, opts_.seed);
-  return plan::digest(key);
-}
-
-std::string Optimizer::candidate_fingerprint(const MaterializedPoint& point) const {
-  // Same framing as plan::StackPlan::key(): the digest proves the checkpoint
-  // row describes this exact design point on this exact workload.
-  std::string key;
-  for (const auto& spec : space_.stack())
-    append_framed(key, plan::structural_key(point.kind, point.cfg, spec));
   return plan::digest(key);
 }
 
@@ -97,88 +89,149 @@ void Optimizer::maybe_write_checkpoint(const OptimizerState& state, bool force) 
   evals_at_last_checkpoint_ = evals;
 }
 
+/// One candidate through the pricing routine: what the serial fold needs.
+struct Optimizer::Priced {
+  std::int64_t ordinal = 0;
+  bool feasible = false;
+  CandidateEval eval;  ///< set when feasible
+  /// (LayerPlan::key, encoded outcome) of every layer costed here while a
+  /// store is attached; the fold writes them back in order.
+  std::vector<std::pair<std::string, std::string>> writes;
+  std::int64_t computed = 0;  ///< layers costed through Design::cost
+  std::int64_t store_hits = 0;
+  std::int64_t store_rejects = 0;
+};
+
+Optimizer::Priced Optimizer::price_one(std::int64_t ordinal) const {
+  Priced out;
+  out.ordinal = ordinal;
+  const Candidate candidate = space_.decode(ordinal);
+  const MaterializedPoint point = space_.materialize(candidate);
+
+  // Plan every layer once; each plan's key is the only structural key built
+  // for this (candidate, layer), and it serves the constraints, the store
+  // lookup and the fingerprint alike.
+  plan::StackPlan plan;
+  plan.kind = point.kind;
+  plan.cfg = point.cfg;
+  plan.layers.reserve(geometry_.size());
+  for (const auto& g : geometry_) plan.layers.push_back(plan::plan_layer(point.kind, g, point.cfg));
+
+  // Pre-evaluation pruning: an infeasible candidate is never priced and
+  // never counts against the budget.
+  const CandidateView view{space_, candidate, point, plan};
+  for (const auto& c : constraints_)
+    if (!c.allow(view)) return out;
+  out.feasible = true;
+
+  std::unique_ptr<arch::Design> design;  // built on the first store miss
+  std::string framed;  // same framing as plan::StackPlan::key(), minus the count
+  CandidateEval& e = out.eval;
+  for (auto& lp : plan.layers) {
+    append_framed(framed, lp.key);
+    explore::SweepOutcome o;
+    bool served = false;
+    if (store_ != nullptr)
+      if (const std::string* payload = store_->lookup(lp.key)) {
+        // A payload that fails to decode (truncated, stale schema) counts as
+        // a miss and is recomputed; the CRC layer already quarantined
+        // flipped bits.
+        try {
+          o = explore::decode_outcome(*payload);
+          served = true;
+          ++out.store_hits;
+        } catch (const ConfigError&) {
+          ++out.store_rejects;
+        }
+      }
+    if (!served) {
+      if (design == nullptr) design = core::make_design(point.kind, point.cfg);
+      o.activity = lp.activity;
+      o.cost = design->cost(lp);
+      ++out.computed;
+      if (store_ != nullptr) out.writes.emplace_back(std::move(lp.key), explore::encode_outcome(o));
+    }
+    e.cost.add_layer(o.cost, o.activity.sc_units);
+  }
+  e.ordinal = ordinal;
+  e.candidate = candidate;
+  e.objectives = objective_.vector_of(e.cost);
+  e.scalar = objective_.scalar(e.objectives);
+  // The digest proves a checkpoint row describes this exact design point on
+  // this exact workload.
+  e.fingerprint = plan::digest(framed);
+  return out;
+}
+
+std::vector<Optimizer::Priced> Optimizer::price(const std::vector<std::int64_t>& ordinals) const {
+  telemetry::ScopedSpan price_span("opt.price", "opt");
+  std::vector<Priced> priced(ordinals.size());
+  const auto n = std::ssize(ordinals);
+  perf::parallel_chunks(perf::chunk_count(opts_.threads, n), n,
+                        [&](std::int64_t, std::int64_t i0, std::int64_t i1) {
+                          for (std::int64_t i = i0; i < i1; ++i) {
+                            const auto k = static_cast<std::size_t>(i);
+                            priced[k] = price_one(ordinals[k]);
+                          }
+                        });
+  return priced;
+}
+
+void Optimizer::commit(std::vector<Priced>& priced) {
+  const explore::SweepStats before = sweep_stats_;
+  const auto layers = std::ssize(geometry_);
+  for (Priced& p : priced) {
+    if (p.feasible) sweep_stats_.points += layers;
+    sweep_stats_.evaluated += p.computed;
+    sweep_stats_.store_hits += p.store_hits;
+    sweep_stats_.store_rejects += p.store_rejects;
+    for (auto& [key, payload] : p.writes) store_->put(key, std::move(payload));
+  }
+  // Observe-only: counter deltas mirror the stats above.
+  if (auto* m = telemetry::metrics()) {
+    const auto bump = [m](const char* name, std::int64_t delta) {
+      if (delta > 0) m->counter(name)->add(static_cast<std::uint64_t>(delta));
+    };
+    bump("plan.structural_keys", std::ssize(priced) * layers);
+    bump("sweep.points", sweep_stats_.points - before.points);
+    bump("sweep.evaluated", sweep_stats_.evaluated - before.evaluated);
+    bump("sweep.store_hits", sweep_stats_.store_hits - before.store_hits);
+    bump("sweep.store_rejects", sweep_stats_.store_rejects - before.store_rejects);
+    if (store_ != nullptr) explore::publish_store_metrics(*store_);
+  }
+}
+
 void Optimizer::evaluate_batch(const std::vector<Candidate>& batch,
                                std::vector<const CandidateEval*>& evals,
                                OptimizerState& state) {
-  struct Fresh {
-    std::size_t batch_pos;
-    std::int64_t ordinal;
-    MaterializedPoint point;
-    bool feasible = true;
-  };
-  // Observe-only: spans bracket the batch phases, counter deltas mirror
-  // stats_ at the end. Neither influences pruning, pricing, or state.
+  // Observe-only: counter deltas mirror stats_ at the end and never
+  // influence pruning, pricing, or state.
   const OptStats stats_before = stats_;
-  std::vector<Fresh> fresh;
+  std::vector<std::int64_t> fresh;
   std::unordered_set<std::int64_t> fresh_seen;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::int64_t ordinal = space_.encode(batch[i]);
+  for (const auto& c : batch) {
+    const std::int64_t ordinal = space_.encode(c);
     if (state.explored(ordinal) || !fresh_seen.insert(ordinal).second) {
       ++stats_.repeats;
       continue;
     }
-    fresh.push_back({i, ordinal, space_.materialize(batch[i])});
+    fresh.push_back(ordinal);
   }
 
-  // Pre-evaluation pruning: infeasible candidates never reach the pricing
-  // pipeline and never count against the budget. The per-candidate plan
-  // compile + constraint checks fan out like every other hot loop (pure
-  // functions into per-index slots); pruned ordinals are recorded serially
-  // in batch order afterwards, so the state is thread-count invariant.
-  if (!constraints_.empty()) {
-    telemetry::ScopedSpan prune_span("opt.prune", "opt");
-    const auto n = static_cast<std::int64_t>(fresh.size());
-    perf::parallel_chunks(perf::chunk_count(opts_.threads, n), n,
-                          [&](std::int64_t, std::int64_t i0, std::int64_t i1) {
-                            for (std::int64_t i = i0; i < i1; ++i) {
-                              Fresh& f = fresh[static_cast<std::size_t>(i)];
-                              const auto plan =
-                                  plan::plan_stack(f.point.kind, space_.stack(), f.point.cfg);
-                              const CandidateView view{space_, batch[f.batch_pos], f.point,
-                                                       plan};
-                              for (const auto& c : constraints_)
-                                if (!c.allow(view)) {
-                                  f.feasible = false;
-                                  break;
-                                }
-                            }
-                          });
-    for (const Fresh& f : fresh) {
-      if (f.feasible) continue;
-      state.pruned.push_back(f.ordinal);
-      state.pruned_set.insert(f.ordinal);
+  // One parallel pass prices the fresh candidates; the serial fold below
+  // records them in batch order, so the state is thread-count invariant.
+  std::vector<Priced> priced = price(fresh);
+  commit(priced);
+  for (Priced& p : priced) {
+    if (!p.feasible) {
+      state.pruned.push_back(p.ordinal);
+      state.pruned_set.insert(p.ordinal);
       ++stats_.pruned;
+      continue;
     }
-  }
-
-  // Price every surviving candidate's layers in one parallel, memoized call.
-  std::vector<explore::SweepPoint> grid;
-  for (const Fresh& f : fresh) {
-    if (!f.feasible) continue;
-    for (const auto& spec : space_.stack()) grid.push_back({f.point.kind, f.point.cfg, spec});
-  }
-  std::vector<explore::SweepOutcome> outcomes;
-  {
-    telemetry::ScopedSpan price_span("opt.price", "opt");
-    outcomes = driver_.evaluate(grid);
-  }
-
-  std::size_t offset = 0;
-  const std::size_t layers = space_.stack().size();
-  for (const Fresh& f : fresh) {
-    if (!f.feasible) continue;
-    CandidateEval e;
-    e.ordinal = f.ordinal;
-    e.candidate = batch[f.batch_pos];
-    for (std::size_t l = 0; l < layers; ++l)
-      e.cost.add_layer(outcomes[offset + l].cost, outcomes[offset + l].activity.sc_units);
-    offset += layers;
-    e.objectives = objective_.vector_of(e.cost);
-    e.scalar = objective_.scalar(e.objectives);
-    e.fingerprint = candidate_fingerprint(f.point);
     const std::size_t id = state.evaluated.size();
-    state.evaluated.push_back(std::move(e));
-    state.eval_of[f.ordinal] = id;
+    state.evaluated.push_back(std::move(p.eval));
+    state.eval_of[p.ordinal] = id;
     frontier_.insert(state.evaluated[id].objectives, static_cast<std::int64_t>(id));
     ++stats_.evaluations;
   }
@@ -255,7 +308,7 @@ OptimizerResult Optimizer::search(OptimizerState state) {
     maybe_write_checkpoint(state, /*force=*/false);
   }
   maybe_write_checkpoint(state, /*force=*/true);
-  if (const auto& store = driver_.result_store()) store->flush();
+  if (store_ != nullptr) store_->flush();
 
   OptimizerResult result;
   result.complete = complete;
@@ -362,62 +415,46 @@ OptimizerState Optimizer::load_state(const std::string& checkpoint_json_text) {
                         std::to_string(o) + " is outside the space");
   };
 
-  // Pruned rows must still be pruned: constraints are re-run, so a tampered
-  // pruned list cannot silently shrink the search.
-  for (const auto& v : s.at("pruned").items) {
-    const std::int64_t ordinal = v.as_int();
-    check_ordinal(ordinal, "pruned");
-    const Candidate c = space_.decode(ordinal);
-    const MaterializedPoint point = space_.materialize(c);
-    const auto plan = plan::plan_stack(point.kind, space_.stack(), point.cfg);
-    const CandidateView view{space_, c, point, plan};
-    const bool rejected = std::any_of(constraints_.begin(), constraints_.end(),
-                                      [&](const Constraint& k) { return !k.allow(view); });
-    if (!rejected)
-      throw MismatchError("checkpoint says ordinal " + std::to_string(ordinal) +
+  // Recompile-and-verify, like the plan loaders: every logged row goes
+  // through the pricing routine again. Pruned rows must still be pruned (a
+  // tampered pruned list cannot silently shrink the search), and every
+  // recorded evaluation must be feasible and reproduce the stored numbers
+  // exactly (evaluation is deterministic and json_number round-trips
+  // doubles bit-exactly).
+  const auto& pruned_rows = s.at("pruned").items;
+  const auto& logged = s.at("evaluated").items;
+  std::vector<std::int64_t> ordinals;
+  ordinals.reserve(pruned_rows.size() + logged.size());
+  for (const auto& v : pruned_rows) {
+    ordinals.push_back(v.as_int());
+    check_ordinal(ordinals.back(), "pruned");
+  }
+  for (const auto& row : logged) {
+    ordinals.push_back(row.at("ordinal").as_int());
+    check_ordinal(ordinals.back(), "evaluated");
+  }
+  std::vector<Priced> priced = price(ordinals);
+  commit(priced);
+
+  for (std::size_t i = 0; i < pruned_rows.size(); ++i) {
+    if (priced[i].feasible)
+      throw MismatchError("checkpoint says ordinal " + std::to_string(priced[i].ordinal) +
                           " was pruned, but no constraint rejects it");
-    state.pruned.push_back(ordinal);
+    state.pruned.push_back(priced[i].ordinal);
   }
-
-  // Recompile-and-verify, like the plan loaders: every recorded evaluation
-  // is re-priced and must reproduce the stored numbers exactly (evaluation
-  // is deterministic and json_number round-trips doubles bit-exactly).
-  const report::JsonValue& logged = s.at("evaluated");
-  std::vector<explore::SweepPoint> grid;
-  std::vector<MaterializedPoint> points;
-  points.reserve(logged.items.size());
-  for (const auto& row : logged.items) {
-    const std::int64_t ordinal = row.at("ordinal").as_int();
-    check_ordinal(ordinal, "evaluated");
-    points.push_back(space_.materialize(space_.decode(ordinal)));
-    for (const auto& spec : space_.stack())
-      grid.push_back({points.back().kind, points.back().cfg, spec});
-  }
-  const auto outcomes = driver_.evaluate(grid);
-  const std::size_t layers = space_.stack().size();
-  for (std::size_t i = 0; i < logged.items.size(); ++i) {
-    const report::JsonValue& row = logged.items[i];
-    CandidateEval e;
-    e.ordinal = row.at("ordinal").as_int();
-    e.candidate = space_.decode(e.ordinal);
-    for (std::size_t l = 0; l < layers; ++l) {
-      const auto& o = outcomes[i * layers + l];
-      e.cost.add_layer(o.cost, o.activity.sc_units);
-    }
-    e.objectives = objective_.vector_of(e.cost);
-    e.scalar = objective_.scalar(e.objectives);
-    e.fingerprint = candidate_fingerprint(points[i]);
-
+  for (std::size_t i = 0; i < logged.size(); ++i) {
+    const report::JsonValue& row = logged[i];
+    Priced& p = priced[pruned_rows.size() + i];
     const report::JsonValue& stored = row.at("objectives");
-    bool match = e.fingerprint == row.at("fingerprint").as_string() &&
-                 stored.items.size() == e.objectives.size();
-    for (std::size_t d = 0; match && d < e.objectives.size(); ++d)
-      match = stored.items[d].as_double() == e.objectives[d];
+    bool match = p.feasible && p.eval.fingerprint == row.at("fingerprint").as_string() &&
+                 stored.items.size() == p.eval.objectives.size();
+    for (std::size_t d = 0; match && d < p.eval.objectives.size(); ++d)
+      match = stored.items[d].as_double() == p.eval.objectives[d];
     if (!match)
       throw MismatchError("checkpoint evaluation " + std::to_string(i) + " (ordinal " +
-                          std::to_string(e.ordinal) +
+                          std::to_string(p.ordinal) +
                           ") disagrees with its recomputation — stale or corrupted checkpoint");
-    state.evaluated.push_back(std::move(e));
+    state.evaluated.push_back(std::move(p.eval));
   }
   state.reindex();
   if (std::ssize(state.evaluated) != std::ssize(state.eval_of))

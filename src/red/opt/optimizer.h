@@ -1,24 +1,33 @@
 // The optimizer driver: ties a SearchSpace, an Objective, Constraints, and a
-// SearchStrategy together over the memoized explore::SweepDriver.
+// SearchStrategy together over one pure per-candidate pricing routine.
 //
 // The run loop is strategy-agnostic:
 //
-//   propose -> dedupe vs the state -> prune (constraints, pre-evaluation)
-//           -> price the new candidates through SweepDriver (parallel,
-//              repeats free, bit-identical for any thread count)
-//           -> fold into the Pareto frontier -> observe -> checkpoint
+//   propose -> dedupe vs the state
+//           -> price each new candidate in one parallel task: materialize,
+//              plan every layer once against the stack's precomputed
+//              geometry, run the constraints on those plans, cost each layer
+//              (or read it from the attached store by LayerPlan::key), and
+//              digest the candidate fingerprint from the same keys
+//           -> one serial fold in batch order: pruned list, store writes,
+//              evaluation log, Pareto frontier
+//           -> observe -> checkpoint
 //
 // until the strategy finishes, the evaluation budget is spent, or the whole
-// space is explored.
+// space is explored. Results are bit-identical for any thread count: the
+// tasks write per-candidate slots and everything order-dependent happens in
+// the fold. There is no in-memory memo: the state already de-duplicates by
+// ordinal, and distinct ordinals are distinct configs.
 //
 // Checkpoint/resume follows the plan-JSON convention (recompile and verify):
 // a checkpoint stores the search identity fingerprint, the strategy cursor,
 // and the ordinal + objectives of every priced candidate. resume() rejects a
 // document whose fingerprint does not match the reconstructed search
 // (corrupted or mismatched checkpoints throw MismatchError), re-prices every
-// recorded candidate, and verifies the recomputation reproduces the stored
-// objectives exactly — a resumed run can only continue a trajectory it can
-// prove it is on, after which it is bit-identical to an uninterrupted run.
+// recorded candidate through the same routine, and verifies the
+// recomputation reproduces the stored objectives exactly — a resumed run can
+// only continue a trajectory it can prove it is on, after which it is
+// bit-identical to an uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +54,8 @@ struct OptimizerOptions {
   /// deepen a finished search.
   std::int64_t budget = 0;
   std::uint64_t seed = 1;            ///< fixes the entire search trajectory
-  int threads = 1;                   ///< SweepDriver fan-out per batch
+  int threads = 1;                   ///< pricing fan-out per batch
   SearchOptions search;              ///< strategy tuning knobs
-  std::int64_t sweep_cache_cap = 0;  ///< SweepDriver memo cap (0 = unbounded)
   /// Wall-clock soft deadline in milliseconds (0 = none). Like an interrupt
   /// signal, it is honored at the next batch boundary: the search writes a
   /// final checkpoint and returns with `interrupted` set, never mid-batch —
@@ -134,9 +142,9 @@ class Optimizer {
 
   /// Digest of the search identity: space, objective, constraint names,
   /// strategy (with tuning), and seed. Two optimizers with equal
-  /// fingerprints walk the identical trajectory; budget, threads, and the
-  /// memo cap are excluded because the trajectory is invariant to them
-  /// (budget only picks the stopping boundary).
+  /// fingerprints walk the identical trajectory; budget and threads are
+  /// excluded because the trajectory is invariant to them (budget only picks
+  /// the stopping boundary).
   [[nodiscard]] std::string fingerprint() const;
 
   /// Write a checkpoint to `path` after every `every_evals` new evaluations
@@ -145,25 +153,35 @@ class Optimizer {
   /// the previous checkpoint intact, never a torn file.
   void set_checkpoint_file(std::string path, std::int64_t every_evals = 64);
 
-  /// Attach a persistent result store to the underlying SweepDriver: priced
-  /// outcomes are served from and written back to disk, so re-runs, resumes,
-  /// and parallel shards share one evaluation history (see
-  /// store::ResultStore).
+  /// Attach a persistent result store: each priced layer is served from it
+  /// by LayerPlan::key when present and written back when computed, so
+  /// re-runs, resumes, parallel shards and `red_cli sweep` runs share one
+  /// evaluation history (see store::ResultStore). The store is read
+  /// concurrently during a batch and written only between batches.
   void attach_store(std::shared_ptr<store::ResultStore> store);
 
   [[nodiscard]] const SearchSpace& space() const { return space_; }
   [[nodiscard]] const Objective& objective() const { return objective_; }
-  /// SweepDriver counters (memo hits across batches and resumes).
-  [[nodiscard]] const explore::SweepStats& sweep_stats() const { return driver_.stats(); }
+  /// Pricing counters across batches and resumes, in SweepDriver's shape:
+  /// `points` counts priced layers, `evaluated` the layers costed here,
+  /// `store_hits`/`store_rejects` the store reads; the memo fields are 0.
+  [[nodiscard]] const explore::SweepStats& sweep_stats() const { return sweep_stats_; }
 
  private:
+  struct Priced;
+
   [[nodiscard]] OptimizerResult search(OptimizerState state);
-  /// Price one candidate batch: prune, evaluate the rest via the driver,
-  /// append to the state log. evals[i] is nullptr for pruned batch[i].
+  /// Price one candidate batch and fold it into the state log. evals[i] is
+  /// nullptr for pruned batch[i].
   void evaluate_batch(const std::vector<Candidate>& batch,
                       std::vector<const CandidateEval*>& evals, OptimizerState& state);
+  /// The one pricing routine: every candidate in its own parallel task
+  /// (pure; reads the store, never writes it), results in input order.
+  [[nodiscard]] std::vector<Priced> price(const std::vector<std::int64_t>& ordinals) const;
+  [[nodiscard]] Priced price_one(std::int64_t ordinal) const;
+  /// Serial half of pricing: store writes and counters, in input order.
+  void commit(std::vector<Priced>& priced);
   [[nodiscard]] std::int64_t effective_budget() const;
-  [[nodiscard]] std::string candidate_fingerprint(const MaterializedPoint& point) const;
   void maybe_write_checkpoint(const OptimizerState& state, bool force);
 
   SearchSpace space_;
@@ -171,7 +189,9 @@ class Optimizer {
   std::vector<Constraint> constraints_;
   OptimizerOptions opts_;
   std::unique_ptr<SearchStrategy> strategy_;
-  explore::SweepDriver driver_;
+  std::vector<plan::LayerGeometry> geometry_;  ///< one record per stack layer
+  std::shared_ptr<store::ResultStore> store_;
+  explore::SweepStats sweep_stats_;
   ParetoFrontier frontier_;
   OptStats stats_;
   std::string checkpoint_path_;

@@ -29,8 +29,8 @@
 namespace red::opt {
 
 /// The tunable knobs an axis can range over. Every field is result-relevant
-/// (part of plan::structural_key), so distinct candidates can never alias in
-/// the SweepDriver memo.
+/// (part of plan::structural_key), so distinct candidates never share a
+/// layer key: not in the result store, not in their fingerprints.
 enum class AxisField {
   kKind,          ///< design kind (values are 0=zp, 1=pf, 2=red)
   kRedFold,       ///< cfg.red_fold (0 = auto)

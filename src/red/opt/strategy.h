@@ -22,9 +22,9 @@
 // frontier instead of merely probably finding it.
 //
 // Determinism: strategies never see evaluation timing or thread placement —
-// evaluations run through the memoized explore::SweepDriver, which is
-// bit-identical for any thread count — so a (seed, budget) pair fixes the
-// whole search trajectory on any machine.
+// the optimizer prices each batch in parallel tasks and folds the results
+// serially in batch order, bit-identical for any thread count — so a
+// (seed, budget) pair fixes the whole search trajectory on any machine.
 #pragma once
 
 #include <cstdint>

@@ -351,8 +351,13 @@ void bit_accurate_into(const LogicalXbar& xbar, std::span<const std::int32_t> in
 /// One exact MVM (ideal-ADC semantics regardless of the configured ADC) into
 /// `out`: a row sweep over the stored weights that skips zero activations.
 /// Assumes input.size() == rows().
-void exact_into(const LogicalXbar& xbar, std::span<const std::int32_t> input,
-                std::int64_t* out, MvmStats* stats) {
+///
+/// Aligned to a cache line so the inner loop's placement cannot move with
+/// unrelated code: at the default 16-byte alignment, a change elsewhere in
+/// the library shifted it and cost red-stream-exact about 8% throughput.
+__attribute__((aligned(64))) void exact_into(const LogicalXbar& xbar,
+                                             std::span<const std::int32_t> input,
+                                             std::int64_t* out, MvmStats* stats) {
   const std::int64_t rows = xbar.rows();
   const std::int64_t cols = xbar.cols();
   const QuantConfig& q = xbar.config();

@@ -90,6 +90,7 @@ const char* display_name(arch::DesignKind kind) {
 // thin wrapper over plan_layer, so every consumer prices the same model.
 
 arch::LayerActivity zero_padding_activity(const nn::DeconvLayerSpec& spec,
+                                          std::int64_t window_hits,
                                           const arch::DesignConfig& cfg) {
   const int slices = cfg.quant.slices();
   const int pulses = cfg.quant.pulses();
@@ -109,7 +110,7 @@ arch::LayerActivity zero_padding_activity(const nn::DeconvLayerSpec& spec,
   a.bl_weighted_cols = a.out_phys_cols * a.total_rows;
 
   a.cycles = std::int64_t{spec.oh()} * spec.ow();
-  a.row_drives = nn::structural_window_hits(spec) * spec.c;
+  a.row_drives = window_hits * spec.c;
   a.conversions = a.cycles * a.out_phys_cols * pulses;
   a.mux_switches = a.conversions;
   a.sa_ops = a.conversions;
@@ -153,7 +154,8 @@ arch::LayerActivity padding_free_activity(const nn::DeconvLayerSpec& spec,
   return a;
 }
 
-arch::LayerActivity red_activity(const nn::DeconvLayerSpec& spec, const arch::DesignConfig& cfg,
+arch::LayerActivity red_activity(const nn::DeconvLayerSpec& spec, std::int64_t window_hits,
+                                 const arch::DesignConfig& cfg,
                                  const std::vector<core::ModeGroup>& groups, int fold) {
   const int slices = cfg.quant.slices();
   const int pulses = cfg.quant.pulses();
@@ -191,7 +193,7 @@ arch::LayerActivity red_activity(const nn::DeconvLayerSpec& spec, const arch::De
   // Zero-skipping drives exactly the wordlines carrying real data — the same
   // (input pixel, kernel tap) pairings the zero-padding design's non-zero
   // window entries make, so the totals coincide by construction.
-  a.row_drives = nn::structural_window_hits(spec) * spec.c;
+  a.row_drives = window_hits * spec.c;
   a.conversions = a.cycles * a.out_phys_cols * pulses;
   a.mux_switches = a.conversions;
   a.sa_ops = a.conversions;
@@ -247,10 +249,24 @@ int resolve_fold(arch::DesignKind kind, const nn::DeconvLayerSpec& spec,
   return resolved_fold(cfg, core::compute_mode_groups(spec));
 }
 
+LayerGeometry layer_geometry(const nn::DeconvLayerSpec& spec) {
+  LayerGeometry g;
+  g.spec = spec;
+  g.padded = nn::padded_geometry(spec);  // validates spec
+  g.window_hits = nn::structural_window_hits(spec);
+  g.groups = core::compute_mode_groups(spec);
+  return g;
+}
+
 LayerPlan plan_layer(arch::DesignKind kind, const nn::DeconvLayerSpec& spec,
                      const arch::DesignConfig& cfg) {
-  spec.validate();
+  return plan_layer(kind, layer_geometry(spec), cfg);
+}
+
+LayerPlan plan_layer(arch::DesignKind kind, const LayerGeometry& geometry,
+                     const arch::DesignConfig& cfg) {
   cfg.validate();
+  const nn::DeconvLayerSpec& spec = geometry.spec;
 
   LayerPlan p;
   p.kind = kind;
@@ -259,17 +275,17 @@ LayerPlan plan_layer(arch::DesignKind kind, const nn::DeconvLayerSpec& spec,
   switch (kind) {
     case arch::DesignKind::kZeroPadding:
       p.layout = {std::int64_t{spec.kh} * spec.kw * spec.c, spec.m, 1};
-      p.activity = zero_padding_activity(spec, cfg);
+      p.activity = zero_padding_activity(spec, geometry.window_hits, cfg);
       break;
     case arch::DesignKind::kPaddingFree:
       p.layout = {spec.c, std::int64_t{spec.kh} * spec.kw * spec.m, 1};
       p.activity = padding_free_activity(spec, cfg);
       break;
     case arch::DesignKind::kRed:
-      p.groups = core::compute_mode_groups(spec);
+      p.groups = geometry.groups;
       p.fold = resolved_fold(cfg, p.groups);
       p.layout = {spec.c, spec.m, std::int64_t{spec.kh} * spec.kw};
-      p.activity = red_activity(spec, cfg, p.groups, p.fold);
+      p.activity = red_activity(spec, geometry.window_hits, cfg, p.groups, p.fold);
       break;
   }
   // Spare-line redundancy (fault.repair) costs real array area: each macro

@@ -8,11 +8,19 @@
 // sweep memo. plan_layer() compiles them ONCE into a LayerPlan that every
 // consumer shares:
 //
-//   nn spec ──▶ plan_layer ──▶ LayerPlan ──▶ Design::activity/cost/program
-//                                        ──▶ arch::plan_chip (bank placement)
-//                                        ──▶ sim::simulate / StreamingExecutor
-//                                        ──▶ explore::SweepDriver (memo key)
-//                                        ──▶ report::to_json (cacheable artifact)
+//   nn spec ──▶ layer_geometry ──▶ plan_layer ──▶ LayerPlan
+//     LayerPlan ──▶ Design::activity/cost/program
+//               ──▶ arch::plan_chip (bank placement)
+//               ──▶ sim::simulate / StreamingExecutor
+//               ──▶ opt::Optimizer pricing pass (constraints, store key,
+//                   fingerprint)
+//               ──▶ explore::SweepDriver (memo and store key)
+//               ──▶ report::to_json (cacheable artifact)
+//
+// The geometry step holds what depends on the layer alone (padded geometry,
+// structural window hits, mode groups). Callers that plan one stack under
+// many configs — the optimizer — compute it once per layer and plan every
+// candidate against it.
 //
 // A LayerPlan captures every decision made before data flows: the design
 // kind, the resolved fold, the mode-group table, the sub-crossbar weight
@@ -72,6 +80,18 @@ struct LayerPlan {
   [[nodiscard]] std::string fingerprint() const;
 };
 
+/// What plan_layer derives from the layer geometry alone, whatever the design
+/// kind and config: computed once per layer, shared by every plan of it.
+struct LayerGeometry {
+  nn::DeconvLayerSpec spec;
+  nn::PaddedGeometry padded;            ///< nn::padded_geometry(spec)
+  std::int64_t window_hits = 0;         ///< nn::structural_window_hits(spec)
+  std::vector<core::ModeGroup> groups;  ///< core::compute_mode_groups(spec)
+};
+
+/// Validate `spec` and compute its geometry record.
+[[nodiscard]] LayerGeometry layer_geometry(const nn::DeconvLayerSpec& spec);
+
 /// A whole deconvolution stack compiled under one design and config.
 struct StackPlan {
   arch::DesignKind kind = arch::DesignKind::kRed;
@@ -90,9 +110,15 @@ struct StackPlan {
 [[nodiscard]] int resolve_fold(arch::DesignKind kind, const nn::DeconvLayerSpec& spec,
                                const arch::DesignConfig& cfg);
 
-/// Compile one layer: validate, resolve the fold, build the mode-group
-/// table, the weight layout, the tile grid, the activity model, and the
-/// structural key. This is the single front-end every consumer goes through.
+/// Compile one layer: validate the config, resolve the fold, take the
+/// mode-group table, build the weight layout, the tile grid, the activity
+/// model, and the structural key. This is the single front-end every
+/// consumer goes through. `geometry` must come from layer_geometry(), which
+/// validated its spec.
+[[nodiscard]] LayerPlan plan_layer(arch::DesignKind kind, const LayerGeometry& geometry,
+                                   const arch::DesignConfig& cfg);
+
+/// plan_layer(kind, layer_geometry(spec), cfg).
 [[nodiscard]] LayerPlan plan_layer(arch::DesignKind kind, const nn::DeconvLayerSpec& spec,
                                    const arch::DesignConfig& cfg);
 

@@ -6,8 +6,14 @@
 // process lifetimes: a multi-hour `red_cli optimize` that re-runs after a
 // crash — or N shard processes sweeping disjoint ordinal ranges of the same
 // space — should pay for every evaluation once, ever. The store is the
-// durability half of that contract (explore::SweepDriver is the in-memory
-// half and consults an attached store before computing).
+// durability half of that contract. Both pricing paths consult an attached
+// store before computing and write back what they computed:
+// explore::SweepDriver (behind its in-memory memo) and opt::Optimizer (one
+// lookup per priced layer, by LayerPlan::key). They share keys and the
+// outcome codec, so a store written by a sweep warm-starts a search, and
+// the reverse.
+// lookup() is const and safe to call from many threads while no put() runs;
+// the optimizer reads during a batch and writes only between batches.
 //
 // File layout (host-endian; the store is a same-machine cache, not an
 // interchange format):

@@ -3,11 +3,14 @@
 // encode/decode and fingerprints, exhaustive-vs-strategy frontier agreement,
 // thread-count determinism for the stochastic strategies, constraint
 // pruning, checkpoint round-trips (interrupted + resumed == uninterrupted),
-// corrupted-checkpoint rejection (matching plan_test.cpp's convention), and
-// the SweepDriver memo cap satellites.
+// corrupted-checkpoint rejection (matching plan_test.cpp's convention),
+// parent-commit pins of fingerprints, frontiers and checkpoints, and the
+// SweepDriver memo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <set>
@@ -18,7 +21,12 @@
 #include "red/explore/sweep.h"
 #include "red/opt/optimizer.h"
 #include "red/opt/pareto.h"
+#include "red/plan/plan.h"
+#include "red/store/io.h"
+#include "red/store/result_store.h"
+#include "red/telemetry/metrics.h"
 #include "red/workloads/benchmarks.h"
+#include "red/workloads/networks.h"
 
 namespace red {
 namespace {
@@ -408,7 +416,209 @@ TEST(Checkpoint, NotACheckpointDocumentIsRejected) {
   EXPECT_THROW((void)resumer.resume("not json at all"), ConfigError);
 }
 
-// ---- SweepDriver memo cap (satellite) --------------------------------------
+// ---- Parent-commit pins -----------------------------------------------------
+// Computed by the optimizer as it stood before pricing became one pass per
+// candidate (SweepDriver-backed, three structural keys per layer). A change
+// to any of them would orphan existing checkpoints and stores.
+
+std::string golden_path(const std::string& name) { return std::string(RED_GOLDEN_DIR) + "/" + name; }
+
+opt::SearchSpace pin_space(const std::string& net) {
+  arch::DesignConfig base;
+  base.tiled = true;
+  opt::SearchSpace space(workloads::named_stack(net, 1), DesignKind::kRed, base);
+  space.add_axis({opt::AxisField::kRedFold, {1, 4, 16}});
+  space.add_axis({opt::AxisField::kMuxRatio, {4, 8}});
+  space.add_axis({opt::AxisField::kAdcBits, {4, 8}});
+  space.add_axis({opt::AxisField::kSubarraySide, {64, 256}});
+  space.add_axis({opt::AxisField::kLookahead, {0, 2}});
+  return space;
+}
+
+opt::Optimizer pin_optimizer(const std::string& net, const std::string& strategy,
+                             bool constrained, int threads, std::int64_t budget) {
+  opt::OptimizerOptions options;
+  options.strategy = strategy;
+  options.seed = 11;
+  options.threads = threads;
+  options.budget = budget;
+  std::vector<opt::Constraint> constraints;
+  if (constrained) constraints.push_back(opt::max_sc_units(net == "dcgan" ? 16 : 64));
+  return opt::Optimizer(pin_space(net), opt::Objective::parse("latency,area"),
+                        std::move(constraints), options);
+}
+
+template <typename T>
+void append_pin_bytes(std::string& key, const T& v) {
+  key.append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+/// Digest of a frontier's (ordinal, objectives) rows, in canonical order.
+std::string frontier_digest(const std::vector<opt::CandidateEval>& frontier) {
+  std::string key;
+  for (const auto& e : frontier) {
+    append_pin_bytes(key, e.ordinal);
+    for (double v : e.objectives) append_pin_bytes(key, v);
+  }
+  return plan::digest(key);
+}
+
+/// Digest of every logged candidate fingerprint, in evaluation order.
+std::string candidates_digest(const opt::OptimizerState& state) {
+  std::string key;
+  for (const auto& e : state.evaluated) key += e.fingerprint;
+  return plan::digest(key);
+}
+
+struct Pin {
+  const char* strategy;
+  const char* net;
+  bool constrained;
+  const char* fingerprint;  ///< Optimizer::fingerprint()
+  const char* candidates;   ///< candidates_digest
+  const char* frontier;     ///< frontier_digest
+  const char* checkpoint;   ///< digest of the final checkpoint_json
+  std::int64_t evaluations;
+  std::int64_t pruned;
+};
+
+constexpr Pin kPins[] = {
+    {"exhaustive", "dcgan", false, "dae3e5cf64c8dd16", "926f603ab9edb17e", "22e5f168c45216a3",
+     "d5ec52200f924d99", 48, 0},
+    {"exhaustive", "dcgan", true, "4efd2cdd20d7f775", "7e08ef045addbc1a", "4a0852564c595be3",
+     "edc6e28e5c7ab0f3", 32, 16},
+    {"exhaustive", "fcn8s", false, "73dc25ff5fc5960a", "a128d037cee3c37f", "ec4ae8814e46585b",
+     "d7260a7ffd44f63d", 48, 0},
+    {"exhaustive", "fcn8s", true, "69bb63c6fd3f2582", "be34f4c3f6d24010", "7358086fd8d1478b",
+     "a3ef13d76347bb9c", 32, 16},
+    {"evolve", "dcgan", false, "a51d5495d58a236f", "a622b718eea74e8c", "7b303cc44439a473",
+     "9e06177342330b7c", 41, 0},
+    {"evolve", "dcgan", true, "93c42306b4f12ab0", "8469cfbac105f5ca", "c109fd84c896c897",
+     "1ab90d9404093ad4", 32, 16},
+    {"evolve", "fcn8s", false, "b677de4b6bbba873", "d42de66d2eee8d98", "d169c4d58863948f",
+     "06d5fd86ea57af3f", 40, 0},
+    {"evolve", "fcn8s", true, "f92366647f834397", "1ca9f4931349f23c", "e7b8ea9ff391a96b",
+     "3b7eff88a7c218d7", 32, 16},
+};
+
+TEST(ParentPins, FingerprintsFrontiersAndCheckpointsAreUnchanged) {
+  for (const Pin& pin : kPins)
+    for (int threads : {1, 2, 4}) {
+      const std::string strategy = pin.strategy;
+      auto optimizer = pin_optimizer(pin.net, strategy, pin.constrained, threads,
+                                     strategy == "evolve" ? 40 : 0);
+      const auto result = optimizer.run();
+      SCOPED_TRACE(strategy + " " + pin.net + (pin.constrained ? " constrained" : "") + " t" +
+                   std::to_string(threads));
+      EXPECT_EQ(optimizer.fingerprint(), pin.fingerprint);
+      EXPECT_EQ(candidates_digest(result.state), pin.candidates);
+      EXPECT_EQ(frontier_digest(result.frontier), pin.frontier);
+      EXPECT_EQ(plan::digest(optimizer.checkpoint_json(result.state)), pin.checkpoint);
+      EXPECT_EQ(result.stats.evaluations, pin.evaluations);
+      EXPECT_EQ(result.stats.pruned, pin.pruned);
+    }
+}
+
+TEST(ParentPins, ParentCheckpointResumesBitIdentically) {
+  // A budget-16 exhaustive fcn8s run with the constraint, written by the
+  // parent commit: 16 priced and 16 pruned rows.
+  const std::string text = store::read_file(golden_path("opt_checkpoint_fcn8s.json"));
+  for (int threads : {1, 4}) {
+    auto optimizer = pin_optimizer("fcn8s", "exhaustive", true, threads, 0);
+    const auto state = optimizer.load_state(text);
+    EXPECT_EQ(state.evaluated.size(), 16u);
+    EXPECT_EQ(state.pruned.size(), 16u);
+    const auto result = optimizer.resume(text);
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.stats.evaluations, 16);
+    EXPECT_EQ(frontier_digest(result.frontier), "7358086fd8d1478b");
+    EXPECT_EQ(plan::digest(optimizer.checkpoint_json(result.state)), "a3ef13d76347bb9c");
+  }
+}
+
+TEST(ParentPins, SweepDriverStoreWarmStartsTheOptimizer) {
+  // Written by explore::SweepDriver (the `red_cli sweep` path) at the parent
+  // commit over every layer of every candidate below. Copied first: opening
+  // a store opens it for appends.
+  const auto dir = std::filesystem::temp_directory_path() / "red_opt_test_parent_store";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string copy = (dir / "sweep.store").string();
+  store::write_file_atomic(copy, store::read_file(golden_path("opt_sweep.store")));
+
+  const auto make = [] {
+    opt::SearchSpace space(workloads::named_stack("dcgan", 1), DesignKind::kRed,
+                           arch::DesignConfig{});
+    space.add_axis({opt::AxisField::kRedFold, {1, 4}});
+    space.add_axis({opt::AxisField::kMuxRatio, {4, 8}});
+    opt::OptimizerOptions options;
+    options.threads = 4;
+    return opt::Optimizer(std::move(space), opt::Objective::parse("latency,area"), {}, options);
+  };
+  auto cold = make();
+  const auto cold_result = cold.run();
+
+  auto warm = make();
+  auto result_store = std::make_shared<store::ResultStore>(copy);
+  ASSERT_EQ(result_store->entries(), 16);
+  warm.attach_store(result_store);
+  const auto warm_result = warm.run();
+  EXPECT_EQ(warm.sweep_stats().evaluated, 0);
+  EXPECT_EQ(warm.sweep_stats().store_hits, 16);
+  EXPECT_EQ(warm.sweep_stats().store_rejects, 0);
+  EXPECT_EQ(warm.sweep_stats().points, 16);
+  EXPECT_EQ(result_store->report().appended, 0);
+  EXPECT_EQ(frontier_digest(warm_result.frontier), frontier_digest(cold_result.frontier));
+  EXPECT_EQ(warm.checkpoint_json(warm_result.state), cold.checkpoint_json(cold_result.state));
+  result_store.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// ---- Work counters ----------------------------------------------------------
+
+struct MetricsGuard {
+  explicit MetricsGuard(telemetry::MetricsRegistry* m) { telemetry::install_metrics(m); }
+  ~MetricsGuard() { telemetry::install_metrics(nullptr); }
+};
+
+TEST(WorkCounters, ExhaustiveSearchBuildsOneStructuralKeyPerCandidateLayer) {
+  for (int threads : {1, 4}) {
+    auto optimizer = pin_optimizer("dcgan", "exhaustive", false, threads, 0);
+    const auto layers = static_cast<std::int64_t>(optimizer.space().stack().size());
+    telemetry::MetricsRegistry registry;
+    opt::OptimizerResult result;
+    {
+      MetricsGuard guard(&registry);
+      result = optimizer.run();
+    }
+    const std::int64_t n = result.stats.evaluations;
+    EXPECT_EQ(n, optimizer.space().size());
+    EXPECT_EQ(static_cast<std::int64_t>(registry.counter("plan.structural_keys")->value()),
+              n * layers);
+    const auto& st = optimizer.sweep_stats();
+    EXPECT_EQ(st.points, n * layers);
+    EXPECT_EQ(st.evaluated, n * layers);
+    EXPECT_EQ(st.cache_hits, 0);
+    EXPECT_EQ(st.cached_entries, 0);
+  }
+}
+
+TEST(WorkCounters, PrunedCandidatesStillCountTheirPlannedLayers) {
+  auto optimizer = pin_optimizer("dcgan", "exhaustive", true, 2, 0);
+  const auto layers = static_cast<std::int64_t>(optimizer.space().stack().size());
+  telemetry::MetricsRegistry registry;
+  opt::OptimizerResult result;
+  {
+    MetricsGuard guard(&registry);
+    result = optimizer.run();
+  }
+  EXPECT_GT(result.stats.pruned, 0);
+  EXPECT_EQ(static_cast<std::int64_t>(registry.counter("plan.structural_keys")->value()),
+            (result.stats.evaluations + result.stats.pruned) * layers);
+  EXPECT_EQ(optimizer.sweep_stats().points, result.stats.evaluations * layers);
+}
+
+// ---- SweepDriver memo ------------------------------------------------------
 
 std::vector<explore::SweepPoint> distinct_points(int n) {
   const auto spec = workloads::table1_reduced(8)[2];
@@ -424,36 +634,20 @@ std::vector<explore::SweepPoint> distinct_points(int n) {
   return grid;
 }
 
-TEST(SweepDriverCap, FifoEvictionBoundsTheMemo) {
-  explore::SweepDriver driver(2, /*max_cache_entries=*/2);
+TEST(SweepDriverMemo, KeysCountedPerPointPlusOnePerEvaluation) {
+  // The memo key of every point, plus the plan key of each point evaluated.
+  explore::SweepDriver driver(2);
   const auto grid = distinct_points(3);
-  (void)driver.evaluate(grid);
-  EXPECT_EQ(driver.stats().cached_entries, 2);
-  EXPECT_EQ(driver.stats().evictions, 1);
-  // Oldest entry (grid[0]) was evicted: re-pricing it is a fresh evaluation,
-  // while grid[2] (youngest) still hits.
-  const auto again = driver.evaluate({grid[0], grid[2]});
-  EXPECT_FALSE(again[0].from_cache);
-  EXPECT_TRUE(again[1].from_cache);
-  EXPECT_EQ(driver.stats().evaluated, 4);
-}
-
-TEST(SweepDriverCap, CapSmallerThanOneGridStillAnswersCorrectly) {
-  explore::SweepDriver capped(1, /*max_cache_entries=*/1);
-  explore::SweepDriver unbounded(1);
-  const auto grid = distinct_points(4);
-  const auto a = capped.evaluate(grid);
-  const auto b = unbounded.evaluate(grid);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].activity, b[i].activity) << i;
-    EXPECT_EQ(a[i].cost.total_latency().value(), b[i].cost.total_latency().value()) << i;
+  telemetry::MetricsRegistry registry;
+  {
+    MetricsGuard guard(&registry);
+    (void)driver.evaluate(grid);
+    (void)driver.evaluate(grid);
   }
-  EXPECT_EQ(capped.stats().cached_entries, 1);
-  EXPECT_EQ(capped.stats().evictions, 3);
+  EXPECT_EQ(registry.counter("plan.structural_keys")->value(), 3u + 3u + 3u);
 }
 
-TEST(SweepDriverCap, ClearEmptiesTheMemo) {
+TEST(SweepDriverMemo, ClearEmptiesTheMemo) {
   explore::SweepDriver driver(1);
   const auto grid = distinct_points(2);
   (void)driver.evaluate(grid);
@@ -465,8 +659,8 @@ TEST(SweepDriverCap, ClearEmptiesTheMemo) {
   EXPECT_FALSE(again[1].from_cache);
 }
 
-TEST(SweepDriverCap, RepeatsRefreshNothingButStillCount) {
-  explore::SweepDriver driver(1, 8);
+TEST(SweepDriverMemo, RepeatsRefreshNothingButStillCount) {
+  explore::SweepDriver driver(1);
   const auto grid = distinct_points(2);
   (void)driver.evaluate(grid);
   (void)driver.evaluate(grid);

@@ -10,6 +10,7 @@
 #include "red/core/designs.h"
 #include "red/core/red_design.h"
 #include "red/explore/sweep.h"
+#include "red/nn/redundancy.h"
 #include "red/plan/plan.h"
 #include "red/report/json.h"
 #include "red/sim/engine.h"
@@ -57,6 +58,37 @@ TEST(Plan, ActivityMatchesDesignActivityForAllKindsAndConfigs) {
       }
     }
   }
+}
+
+TEST(PlanGeometry, RecordEqualsItsSourcesOnEveryNetworkLayer) {
+  for (const char* net : {"dcgan", "sngan", "fcn8s"})
+    for (const auto& spec : workloads::named_stack(net)) {
+      const plan::LayerGeometry g = plan::layer_geometry(spec);
+      EXPECT_EQ(g.spec.to_string(), spec.to_string());
+      EXPECT_EQ(g.padded, nn::padded_geometry(spec)) << spec.name;
+      EXPECT_EQ(g.window_hits, nn::structural_window_hits(spec)) << spec.name;
+      EXPECT_EQ(g.groups, core::compute_mode_groups(spec)) << spec.name;
+    }
+}
+
+TEST(PlanGeometry, PlanFromGeometryEqualsPlanFromSpec) {
+  for (const char* net : {"dcgan", "fcn8s"})
+    for (const auto& spec : workloads::named_stack(net)) {
+      const plan::LayerGeometry g = plan::layer_geometry(spec);
+      for (DesignKind kind : kAllKinds)
+        for (int fold : {0, 4}) {
+          arch::DesignConfig cfg;
+          cfg.red_fold = fold;
+          cfg.tiled = true;
+          const auto a = plan::plan_layer(kind, g, cfg);
+          const auto b = plan::plan_layer(kind, spec, cfg);
+          EXPECT_EQ(a.key, b.key) << spec.name;
+          EXPECT_EQ(a.fold, b.fold) << spec.name;
+          EXPECT_EQ(a.groups, b.groups) << spec.name;
+          EXPECT_EQ(a.layout, b.layout) << spec.name;
+          EXPECT_EQ(a.activity, b.activity) << spec.name;
+        }
+    }
 }
 
 TEST(Plan, CostFromPlanMatchesCostFromSpec) {

@@ -8,7 +8,9 @@
 //   * activity conservation laws across designs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "red/common/rng.h"
 #include "red/core/designs.h"
@@ -18,6 +20,7 @@
 #include "red/tensor/tensor_ops.h"
 #include "red/workloads/benchmarks.h"
 #include "red/workloads/generator.h"
+#include "red/workloads/networks.h"
 
 namespace red {
 namespace {
@@ -177,6 +180,25 @@ TEST(RedundancyProperty, AnalyticEqualsBruteForceOnRandomGeometries) {
   }
 }
 
+/// The O(out*k) per-window count the production closed form replaced, kept
+/// as the oracle: along one axis, the taps i of window y that land on an
+/// input pixel of the zero-inserted, padded row.
+std::int64_t window_hits_1d_oracle(int offset, int extent, int out, int k, int stride) {
+  std::int64_t hits = 0;
+  for (int y = 0; y < out; ++y)
+    for (int i = 0; i < k; ++i) {
+      const int rel = y + i - offset;
+      if (rel >= 0 && rel % stride == 0 && rel / stride < extent) ++hits;
+    }
+  return hits;
+}
+
+std::int64_t window_hits_oracle(const nn::DeconvLayerSpec& spec) {
+  const auto g = nn::padded_geometry(spec);
+  return window_hits_1d_oracle(g.offset_top, spec.ih, spec.oh(), spec.kh, spec.stride) *
+         window_hits_1d_oracle(g.offset_left, spec.iw, spec.ow(), spec.kw, spec.stride);
+}
+
 TEST(RedundancyProperty, StructuralHitsEqualBruteForceWindowCount) {
   Rng rng(556);
   for (int t = 0; t < 20; ++t) {
@@ -191,7 +213,44 @@ TEST(RedundancyProperty, StructuralHitsEqualBruteForceWindowCount) {
         for (int i = 0; i < spec.kh; ++i)
           for (int j = 0; j < spec.kw; ++j) brute += padded.at(0, 0, y + i, x + j);
     ASSERT_EQ(nn::structural_window_hits(spec), brute) << spec.to_string();
+    ASSERT_EQ(window_hits_oracle(spec), brute) << spec.to_string();
   }
+
+  // Shapes random_layer does not reach: fcn8s' 16x16/stride-8 head
+  // (70 -> 568), output_pad > 0, pad == k-1, stride > k, plus every network
+  // stack the benchmarks run.
+  std::vector<nn::DeconvLayerSpec> specs = {
+      {"fcn8s_up8", 70, 70, 1, 1, 16, 16, 8, 0, 0},
+      {"fcn8s_up8_pad", 70, 70, 1, 1, 16, 16, 8, 4, 3},
+      {"output_pad", 5, 7, 1, 1, 5, 5, 2, 2, 1},
+      {"output_pad_s4", 6, 3, 1, 1, 4, 6, 4, 1, 3},
+      {"pad_k_minus_1", 9, 9, 1, 1, 4, 4, 2, 3, 0},
+      {"pad_k_minus_1_s3", 4, 6, 1, 1, 3, 5, 3, 2, 2},
+      {"stride_gt_k", 6, 6, 1, 1, 2, 2, 5, 0, 0},
+      {"stride_gt_k_pad", 7, 5, 1, 1, 3, 2, 8, 1, 7},
+      {"k1", 8, 8, 1, 1, 1, 1, 3, 0, 2},
+  };
+  for (const char* net : {"dcgan", "sngan", "fcn8s"})
+    for (const auto& spec : workloads::named_stack(net)) specs.push_back(spec);
+  for (const auto& spec : specs) {
+    spec.validate();
+    EXPECT_EQ(nn::structural_window_hits(spec), window_hits_oracle(spec)) << spec.to_string();
+  }
+
+  // Exhaustive small grid: every pad and output_pad the geometry allows.
+  std::int64_t checked = 0;
+  for (int ih = 1; ih <= 6; ++ih)
+    for (int k = 1; k <= 6; ++k)
+      for (int stride = 1; stride <= 4; ++stride)
+        for (int pad = 0; pad <= k - 1; ++pad)
+          for (int op = 0; op < std::max(stride, 1); ++op) {
+            const nn::DeconvLayerSpec spec{"grid", ih, ih + 1, 1, 1, k, k, stride, pad, op};
+            if (spec.oh() < 1 || spec.ow() < 1) continue;
+            ASSERT_EQ(nn::structural_window_hits(spec), window_hits_oracle(spec))
+                << spec.to_string();
+            ++checked;
+          }
+  EXPECT_GT(checked, 1000);
 }
 
 // ---------------------------------------------------------------------------

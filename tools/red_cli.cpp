@@ -313,7 +313,6 @@ int cmd_sweep(const Flags& flags) {
     w.field("evaluated", st.evaluated);
     w.field("cache_hits", st.cache_hits);
     w.field("cached_entries", st.cached_entries);
-    w.field("evictions", st.evictions);
     w.field("store_hits", st.store_hits);
     w.field("store_rejects", st.store_rejects);
     w.close(false);
@@ -448,7 +447,6 @@ OptimizeSetup optimize_setup_from(const Flags& flags) {
   options.threads = static_cast<int>(flags.get_int("threads", 4));
   options.search.population = static_cast<int>(flags.get_int("population", 16));
   options.search.batch = static_cast<int>(flags.get_int("batch", 8));
-  options.sweep_cache_cap = flags.get_int("cache-cap", 0);
   options.timeout_ms = flags.get_double("timeout", 0.0);
   if (flags.has("shard")) {
     const std::string shard = flags.get_string("shard");
@@ -564,9 +562,6 @@ int cmd_optimize(const Flags& flags) {
     w.field("pruned", result.stats.pruned);
     w.field("sweep_points", optimizer.sweep_stats().points);
     w.field("sweep_evaluated", optimizer.sweep_stats().evaluated);
-    w.field("sweep_cache_hits", optimizer.sweep_stats().cache_hits);
-    w.field("sweep_cached_entries", optimizer.sweep_stats().cached_entries);
-    w.field("sweep_evictions", optimizer.sweep_stats().evictions);
     w.field("store_hits", optimizer.sweep_stats().store_hits);
     w.field("store_rejects", optimizer.sweep_stats().store_rejects);
     w.close(false);
@@ -615,8 +610,7 @@ int cmd_optimize(const Flags& flags) {
     std::cout << "frontier: " << result.frontier.size() << " of "
               << result.state.evaluated.size() << " evaluated (" << result.stats.evaluations
               << " this run, " << result.stats.pruned << " pruned, " << result.stats.repeats
-              << " repeat proposals, " << optimizer.sweep_stats().cache_hits
-              << " sweep-cache hits, " << optimizer.sweep_stats().store_hits
+              << " repeat proposals, " << optimizer.sweep_stats().store_hits
               << " store hits), "
               << (result.interrupted ? "interrupted (checkpoint written)"
                   : result.complete  ? "space explored"
