@@ -1,7 +1,9 @@
 // Analog fast-path benchmark: before/after timings of the IR-drop solver
 // (reference point-SOR vs ADI line relaxation) and the noise-ablation sweep
 // (per-seed design rebuild vs the Monte Carlo variation engine), emitted as
-// BENCH_analog.json. Run through tools/run_bench.sh, or directly:
+// BENCH_analog.json. Exits 1 unless every Monte Carlo trial's NRMSE equals
+// its per-seed rebuild's exactly (equivalence.noise_sweep_max_nrmse_diff).
+// Run through tools/run_bench.sh, or directly:
 //
 //   bench_analog [--quick] [--out BENCH_analog.json] [--side N]
 //                [--trials N] [--threads N]
@@ -102,18 +104,22 @@ int main(int argc, char** argv) {
                                            : std::vector<double>{0.1, 0.2, 0.4, 0.8, 1.6};
 
   // Best-of-reps like the solve timings: the sweeps are milliseconds long,
-  // so a single sample is at the mercy of scheduler noise.
+  // so a single sample is at the mercy of scheduler noise. Both arms draw
+  // the same seeds (trial t: seed 1 + t) with the one variation sampler, so
+  // their per-trial NRMSEs must agree exactly.
+  const std::size_t points = sigmas.size() * static_cast<std::size_t>(trials);
+  std::vector<double> rebuild_nrmse(points), mc_nrmse(points);
   double before_ms = 0.0, after_ms = 0.0;
   {
-    double sink = 0.0;
     for (int r = 0; r < reps; ++r) {
       const auto t0 = Clock::now();
+      std::size_t i = 0;
       for (double sigma : sigmas)
         for (int t = 0; t < trials; ++t) {
           arch::DesignConfig cfg;
           cfg.quant.variation.level_sigma = sigma;
           cfg.quant.variation.seed = 1 + static_cast<std::uint64_t>(t);
-          sink += normalized_rmse(
+          rebuild_nrmse[i++] = normalized_rmse(
               golden,
               core::make_design(core::DesignKind::kRed, cfg)->run(spec, input, kernel));
         }
@@ -131,18 +137,22 @@ int main(int argc, char** argv) {
     sim::MonteCarloOptions opts;
     opts.trials = trials;
     opts.threads = threads;
+    opts.base_seed = 1;
     for (int r = 0; r < reps; ++r) {
       const auto t0 = Clock::now();
+      std::size_t i = 0;
       for (const auto& mc : sim::run_monte_carlo_grid(core::DesignKind::kRed, {}, var_grid,
                                                       spec, input, kernel, golden, opts))
-        sink += mc.mean_nrmse();
+        for (const auto& trial : mc.trials) mc_nrmse[i++] = trial.nrmse;
       const double t_ms = ms_since(t0);
       after_ms = r == 0 ? t_ms : std::min(after_ms, t_ms);
     }
     entries.push_back(
         {"BM_NoiseSweepMonteCarlo_t" + std::to_string(threads), after_ms, reps});
-    (void)sink;
   }
+  double noise_diff = 0.0;
+  for (std::size_t i = 0; i < points; ++i)
+    noise_diff = std::max(noise_diff, std::abs(rebuild_nrmse[i] - mc_nrmse[i]));
 
   const double ir_speedup = fast_ms > 0.0 ? ref_ms / fast_ms : 0.0;
   const double noise_speedup = after_ms > 0.0 ? before_ms / after_ms : 0.0;
@@ -155,7 +165,9 @@ int main(int argc, char** argv) {
   std::cout << "Noise sweep (" << sigmas.size() << " sigmas x " << trials
             << " trials): per-seed rebuild " << format_double(before_ms, 1)
             << " ms, Monte Carlo engine " << format_double(after_ms, 1) << " ms ("
-            << format_speedup(noise_speedup) << " at " << threads << " threads)\n";
+            << format_speedup(noise_speedup) << " at " << threads
+            << " threads); max per-trial NRMSE difference "
+            << report::json_number(noise_diff) << "\n";
 
   std::ostringstream out;
   out << "{\n  \"context\": {\"side\": " << side << ", \"trials\": " << trials
@@ -165,7 +177,12 @@ int main(int argc, char** argv) {
   out << ",\n  \"speedups\": {\"irdrop_single_thread\": " << report::json_number(ir_speedup)
       << ", \"noise_sweep\": " << report::json_number(noise_speedup)
       << "},\n  \"equivalence\": {\"irdrop_worst_column_disagreement\": "
-      << report::json_number(worst_disagree) << "}\n}\n";
+      << report::json_number(worst_disagree)
+      << ", \"noise_sweep_max_nrmse_diff\": " << report::json_number(noise_diff) << "}\n}\n";
   if (!bench::write_report_file(out_path, out.str())) return 1;
+  if (noise_diff != 0.0) {
+    std::cerr << "bench_analog: Monte Carlo trials differ from per-seed rebuilds\n";
+    return 1;
+  }
   return 0;
 }

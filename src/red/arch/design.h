@@ -15,9 +15,12 @@
 // One execution path per design: zero-padding and RED execute only through
 // their ProgrammedLayer (program(), then ProgrammedLayer::run), and
 // Design::run is exactly that pair. Padding-free is the documented
-// exception: it has no programmed layer and keeps its own run() body, since
-// building its crossbars up front would cost more set-up than the per-image
-// scatter it replaces until programming gets cheaper.
+// exception: it has no programmed layer and keeps its own run() body. Its
+// crossbar builds (2.3-3.5 ms over the three sngan/div4 stages, Release)
+// cost about as much as zero-padding's whole streaming set-up (2.7-3.7 ms),
+// so programming PF up front would roughly double baseline-bitacc's
+// setup_s; and a programmed PF stage reports arch.program_ms.pf.stage*
+// metrics that BENCHMARK.json does not declare. The benchmark changes first.
 #pragma once
 
 #include <cstdint>
@@ -144,12 +147,11 @@ struct RunStats {
 /// bounded chunks (one output row / one block row at a time) into per-chunk
 /// buffers, so no buffer scales with output pixels x crossbar rows.
 /// perturbed() reprograms only the device-variation deltas on the clean cell
-/// levels using the accelerated sampler (LogicalXbar's FastDeltaTag
-/// constructor): the exact variation law of from-scratch programming,
-/// deterministic in the seed and thread-count invariant, sampled sparsely
-/// instead of per-cell-normal-variate. Instances are immutable after
-/// construction and hold no mutable shared state: run() is const and safe to
-/// call concurrently.
+/// levels with the one variation sampler (LogicalXbar's variation pass),
+/// deterministic in the seed and thread-count invariant; programming under
+/// a variation config draws exactly the same cells. Instances are immutable
+/// after construction and hold no mutable shared state: run() is const and
+/// safe to call concurrently.
 class ProgrammedLayer {
  public:
   virtual ~ProgrammedLayer() = default;
@@ -237,7 +239,8 @@ class Design {
   /// re-perturbation. Convenience wrapper: compiles a plan and delegates to
   /// program(plan, kernel). Returns nullptr for padding-free (no programmed
   /// layer; callers fall back to run()). A variation-enabled config programs
-  /// its perturbed cells here, exactly as run() would; perturbed() and
+  /// its perturbed cells here, bit-identical to programming the
+  /// variation-free config and then calling perturbed(var); perturbed() and
   /// faulted() need a variation-free one.
   [[nodiscard]] std::unique_ptr<ProgrammedLayer> program(const nn::DeconvLayerSpec& spec,
                                                          const Tensor<std::int32_t>& kernel) const;

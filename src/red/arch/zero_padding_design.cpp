@@ -95,7 +95,7 @@ class ZpProgrammedLayer final : public ProgrammedLayer {
 
   std::unique_ptr<ProgrammedLayer> perturbed(const xbar::VariationModel& var) const override {
     return std::make_unique<ZpProgrammedLayer>(
-        spec_, threads_, bit_accurate_, xbar::LogicalXbar(macro_, var, xbar::FastDeltaTag{}));
+        spec_, threads_, bit_accurate_, xbar::LogicalXbar(macro_, var, /*salt=*/0));
   }
 
   std::unique_ptr<ProgrammedLayer> faulted(const fault::FaultModel& model,

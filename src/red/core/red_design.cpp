@@ -18,7 +18,9 @@ namespace red::core {
 namespace {
 
 // One logical crossbar per mode group: the group's sub-crossbars stacked on
-// shared bitlines (vertical sum-up), C rows each, M logical columns.
+// shared bitlines (vertical sum-up), C rows each, M logical columns. Group
+// gi draws its device variation with salt gi, as perturbed() does, so
+// same-shaped groups get independent masks.
 std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec,
                                                  const std::vector<ModeGroup>& groups,
                                                  const Tensor<std::int32_t>& kernel,
@@ -26,14 +28,15 @@ std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec
   const SubCrossbarTensor sct(spec, kernel);
   std::vector<xbar::LogicalXbar> xbars;
   xbars.reserve(groups.size());
-  for (const auto& g : groups) {
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const auto& g = groups[gi];
     std::vector<std::int32_t> w;
     w.reserve(g.scs.size() * static_cast<std::size_t>(spec.c) * spec.m);
     for (const auto& sc : g.scs) {
       const auto& blk = sct.sc_weights(sc);
       w.insert(w.end(), blk.begin(), blk.end());
     }
-    xbars.emplace_back(static_cast<std::int64_t>(g.scs.size()) * spec.c, spec.m, w, quant);
+    xbars.emplace_back(static_cast<std::int64_t>(g.scs.size()) * spec.c, spec.m, w, quant, gi);
   }
   return xbars;
 }
@@ -138,7 +141,8 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
       const xbar::VariationModel& var) const override {
     std::vector<xbar::LogicalXbar> perturbed_xbars;
     perturbed_xbars.reserve(xbars_.size());
-    for (const auto& xb : xbars_) perturbed_xbars.emplace_back(xb, var, xbar::FastDeltaTag{});
+    for (std::size_t gi = 0; gi < xbars_.size(); ++gi)
+      perturbed_xbars.emplace_back(xbars_[gi], var, /*salt=*/gi);
     return std::make_unique<RedProgrammedLayer>(prog_, std::move(perturbed_xbars));
   }
 

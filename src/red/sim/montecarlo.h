@@ -6,11 +6,11 @@
 // re-extracts the weights, and re-encodes every cell per trial. This engine
 // programs the clean base levels once (Design::program), then derives each
 // trial by reprogramming only the VariationModel deltas on the clean levels
-// via the accelerated sampler (LogicalXbar's FastDeltaTag constructor):
-// the same variation law as from-scratch programming, but drawn from a
-// different (cheaper) RNG stream — trial outputs are deterministic in the
-// seed and thread-count invariant (tests/analog_fast_path_test.cpp asserts
-// both), not bit-identical to the legacy per-seed rebuild.
+// (ProgrammedLayer::perturbed). That is the one variation sampler, so trial
+// t is bit-identical to a per-seed rebuild at seed base_seed + t: its output
+// and RunStats equal Design::run's under that variation config, and its
+// VariationStats equal Design::program's (tests/analog_fast_path_test.cpp
+// asserts both, and thread-count invariance).
 //
 // Trials fan out across the process-wide perf::ThreadPool with a
 // deterministic seed -> trial mapping (trial t always uses base_seed + t)

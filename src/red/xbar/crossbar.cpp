@@ -1,10 +1,8 @@
 #include "red/xbar/crossbar.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
-#include <random>
 
 #include "red/common/contracts.h"
 #include "red/common/math_util.h"
@@ -22,70 +20,21 @@ perf::MvmWorkspace& thread_workspace() {
   return ws;
 }
 
-// SplitMix64: tiny counter-style generator for the accelerated delta
-// sampler. One multiply-xorshift step per draw — roughly an order of
-// magnitude cheaper than a std::normal_distribution variate on mt19937_64,
-// which is what makes sparse Monte Carlo reprogramming fast.
+// SplitMix64's output mix: a bijection of 64-bit words with mix64(0) == 0.
+std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// SplitMix64: tiny counter-style generator for the variation sampler. One
+// multiply-xorshift step per draw, which is what makes sparse
+// reprogramming cheap.
 struct SplitMix64 {
   std::uint64_t state;
   explicit SplitMix64(std::uint64_t seed) : state(seed) {}
-  std::uint64_t next() {
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next() { return mix64(state += 0x9e3779b97f4a7c15ULL); }
   double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
-};
-
-// Applies a VariationModel to cell levels with one std::mt19937_64 stream
-// walked in cell order: the from-weights programming constructor's sampler.
-class VariationSampler {
- public:
-  VariationSampler(const VariationModel& var, int max_level, VariationStats* stats)
-      : var_(var), max_level_(max_level), stats_(stats), engine_(var.seed),
-        // A zero sigma is never sampled (apply() skips the noise draw), but
-        // std::normal_distribution requires a positive stddev.
-        noise_(0.0, var.level_sigma > 0.0 ? var.level_sigma : 1.0) {}
-
-  /// Perturb `n` levels in place, counting stuck/perturbed cells. One
-  /// uniform decides both stuck polarities: u < sa0 forces level 0,
-  /// sa0 <= u < sa0 + sa1 forces max_level (the legacy stuck_at_rate alias
-  /// is folded into sa0()/sa1() at equal halves).
-  void apply(std::uint8_t* levels, std::size_t n) {
-    const double sa0 = var_.sa0();
-    const double stuck = var_.stuck_total();
-    for (std::size_t k = 0; k < n; ++k) {
-      std::uint8_t& level = levels[k];
-      const std::uint8_t original = level;
-      bool forced = false;
-      if (stuck > 0.0) {
-        const double u = unit_(engine_);
-        if (u < stuck) {
-          forced = true;
-          const bool at0 = u < sa0;
-          level = at0 ? 0 : static_cast<std::uint8_t>(max_level_);
-          ++stats_->stuck_cells;
-          ++(at0 ? stats_->sa0_cells : stats_->sa1_cells);
-        }
-      }
-      if (!forced && var_.level_sigma > 0.0) {
-        const double perturbed = static_cast<double>(level) + noise_(engine_);
-        level = static_cast<std::uint8_t>(
-            std::clamp<long>(std::lround(perturbed), 0L, static_cast<long>(max_level_)));
-      }
-      if (level != original) ++stats_->perturbed_cells;
-    }
-  }
-
- private:
-  const VariationModel& var_;
-  int max_level_;
-  VariationStats* stats_;
-  std::mt19937_64 engine_;
-  std::normal_distribution<double> noise_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
 };
 
 }  // namespace
@@ -100,7 +49,8 @@ MvmStats& MvmStats::operator+=(const MvmStats& o) {
 }
 
 LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
-                         std::span<const std::int32_t> weights, QuantConfig config)
+                         std::span<const std::int32_t> weights, QuantConfig config,
+                         std::uint64_t variation_salt)
     : rows_(rows), cols_(cols), config_(config), packed_words_((rows + 63) >> 6) {
   config_.validate();
   RED_EXPECTS(rows >= 1 && cols >= 1);
@@ -109,15 +59,8 @@ LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
   const int slices = config_.slices();
   const int cell_bits = config_.cell_bits;
   const std::size_t plane = weights.size();
-  weights_.resize(plane);
+  weights_.assign(weights.begin(), weights.end());
   levels_.resize(plane * static_cast<std::size_t>(slices));
-
-  // Device non-idealities are applied at program time, per stored level, so
-  // both MVM paths see the same (perturbed) weights.
-  const auto& var = config_.variation;
-  const bool noisy = var.enabled();
-  VariationSampler sampler(var, config_.max_level(), &variation_stats_);
-  variation_stats_.cells = static_cast<std::int64_t>(plane) * slices;
 
   // Running per-(col, slice) column sums of the programmed levels feed the
   // lossless-ADC-bits cache; kept as a member so delta reprogramming can
@@ -126,40 +69,42 @@ LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
 
   // Offset encoding in place (xbar/codec's encode_weight/decode_weight are
   // the oracle): w + offset split into base-2^cell_bits digits, least
-  // significant slice first.
+  // significant slice first. Lossless for in-range weights, so weights_
+  // starts as the input.
   const std::int64_t offset = config_.weight_offset();
   const std::int64_t mask = config_.max_level();
-  std::array<std::uint8_t, 16> lv{};
   std::size_t i = 0;
   for (std::int64_t r = 0; r < rows; ++r) {
     for (std::int64_t c = 0; c < cols; ++c, ++i) {
       const std::int32_t w = weights[i];
       RED_EXPECTS_MSG(w >= -offset && w < offset, "weight outside wbits signed range");
       std::int64_t u = w + offset;
-      for (int s = 0; s < slices; ++s, u >>= cell_bits)
-        lv[static_cast<std::size_t>(s)] = static_cast<std::uint8_t>(u & mask);
-      if (noisy) sampler.apply(lv.data(), static_cast<std::size_t>(slices));
       std::int64_t* sums = col_level_sums_.data() + c * slices;
-      std::int64_t stored = 0;
-      for (int s = 0; s < slices; ++s) {
-        const std::uint8_t l = lv[static_cast<std::size_t>(s)];
+      for (int s = 0; s < slices; ++s, u >>= cell_bits) {
+        const auto l = static_cast<std::uint8_t>(u & mask);
         levels_[static_cast<std::size_t>(s) * plane + i] = l;
         sums[s] += l;
-        stored |= std::int64_t{l} << (cell_bits * s);
       }
-      // Without non-idealities the offset encoding is lossless in-range.
-      weights_[i] = noisy ? static_cast<std::int32_t>(stored - offset) : w;
     }
   }
   refresh_lossless_adc_bits();
+  // Device variation reaches the cells only through the one sparse pass
+  // over the clean levels.
+  apply_variation(variation_salt);
 }
 
-LogicalXbar::LogicalXbar(const LogicalXbar& clean, const VariationModel& var, FastDeltaTag)
+LogicalXbar::LogicalXbar(const LogicalXbar& clean, const VariationModel& var,
+                         std::uint64_t salt)
     : LogicalXbar(clean) {
   RED_EXPECTS_MSG(!clean.config_.variation.enabled(),
                   "perturbed copies must derive from a variation-free crossbar");
   var.validate();
   config_.variation = var;
+  apply_variation(salt);
+}
+
+void LogicalXbar::apply_variation(std::uint64_t salt) {
+  const VariationModel& var = config_.variation;
   const int slices = config_.slices();
   const std::size_t plane = weights_.size();
   variation_stats_ = {};
@@ -168,9 +113,9 @@ LogicalXbar::LogicalXbar(const LogicalXbar& clean, const VariationModel& var, Fa
 
   const int max_level = config_.max_level();
   const NoiseLaw law(var.level_sigma > 0.0 ? var.level_sigma : 1.0, max_level);
-  SplitMix64 rng(var.seed);
+  SplitMix64 rng(var.seed ^ mix64(salt));
 
-  // Sparse deltas over the copied clean state. levels_ is one contiguous
+  // Sparse deltas over the clean state. levels_ is one contiguous
   // [slice][row][col] array, so `idx` walks all cells flat.
   const auto apply_change = [&](std::size_t idx, std::uint8_t level) {
     ++variation_stats_.perturbed_cells;

@@ -23,12 +23,15 @@
 // packed bit-planes, fault injection (red/fault) and the reference.
 //
 // Write side. Programming from weights encodes each weight into its slices
-// in place. A reprogrammed sibling (variation via FastDeltaTag, faults via
-// red/fault's inject_faults) is a copy of the clean crossbar plus sparse
-// per-cell patches, so it costs one copy plus O(changed cells). The packed
-// bit-planes only serve the bit-accurate kernels: they are built the first
-// time one of those reads them, at most once per crossbar, and the exact
-// path never builds them.
+// in place. Device variation is drawn by one sampler, a sparse pass over
+// the clean levels: programming from weights under a variation config runs
+// it in place, and a perturbed sibling runs it on a copy of the clean
+// crossbar, so the two agree bit for bit. A reprogrammed sibling (variation,
+// or faults via red/fault's inject_faults) is a copy of the clean crossbar
+// plus sparse per-cell patches, so it costs one copy plus O(changed cells).
+// The packed bit-planes only serve the bit-accurate kernels: they are built
+// the first time one of those reads them, at most once per crossbar, and the
+// exact path never builds them.
 #pragma once
 
 #include <atomic>
@@ -67,20 +70,23 @@ struct LevelPatch {
 
 class LogicalXbar {
  public:
-  /// Program the crossbar with `weights` in row-major order (rows x cols).
+  /// Program the crossbar with `weights` in row-major order (rows x cols):
+  /// the offset encode of the clean levels, then config.variation drawn
+  /// over them — bit-identical to LogicalXbar(clean, config.variation,
+  /// variation_salt) on the variation-free crossbar of the same weights.
   LogicalXbar(std::int64_t rows, std::int64_t cols, std::span<const std::int32_t> weights,
-              QuantConfig config);
+              QuantConfig config, std::uint64_t variation_salt = 0);
 
-  /// Accelerated delta reprogramming for Monte Carlo trial fan-out
-  /// (sim/montecarlo.h): same variation *law* as from-scratch programming —
-  /// per-cell stuck probability, and the exact discrete distribution of
-  /// clamp(round(level + N(0, sigma))) per clean level — but sampled with a
-  /// cheap counter-based generator and applied as sparse deltas over copied
-  /// clean state, so a trial costs a few cheap draws per cell instead of a
-  /// std::normal_distribution variate. Deterministic in var.seed; the trial
-  /// patterns differ from the from-weights constructor's std::mt19937_64
-  /// stream (same distribution, different draws).
-  LogicalXbar(const LogicalXbar& clean, const VariationModel& var, FastDeltaTag);
+  /// Reprogrammed sibling under device variation: a copy of the
+  /// variation-free `clean` with `var` drawn over its levels as sparse
+  /// deltas. This is the one variation sampler: per-cell stuck-at draws
+  /// and the exact discrete law of clamp(round(level + N(0, sigma))) per
+  /// clean level (NoiseLaw), drawn from a SplitMix64 stream keyed on
+  /// var.seed and `salt`. `salt` keeps crossbars of one layer (RED's mode
+  /// groups) on independent streams; salt 0 draws from var.seed itself.
+  /// Noise-only models with a low change probability skip-sample the
+  /// changed cells geometrically; everything else walks every cell.
+  LogicalXbar(const LogicalXbar& clean, const VariationModel& var, std::uint64_t salt);
 
   /// Sparse reprogram: a copy of `clean` with each cell in `patches` set to
   /// its new level (fault injection and repair, red/fault). A cell appears
@@ -220,6 +226,11 @@ class LogicalXbar {
     };
     std::unique_ptr<State> state_ = std::make_unique<State>();
   };
+
+  /// Draw config_.variation over the current (clean) levels with the
+  /// stream keyed on (seed, salt), record what it did in variation_stats_,
+  /// and refresh the lossless-ADC cache. A disabled model changes nothing.
+  void apply_variation(std::uint64_t salt);
 
   /// Fill `planes` from levels_ ([(c * packed_weight_planes() + u) * words + w],
   /// see packed_col_planes()).

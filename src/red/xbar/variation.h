@@ -81,6 +81,8 @@ struct VariationStats {
     sa1_cells += o.sa1_cells;
     return *this;
   }
+
+  friend bool operator==(const VariationStats&, const VariationStats&) = default;
 };
 
 /// Exact discrete law of a Gaussian level perturbation: for a clean level l,
@@ -89,7 +91,8 @@ struct VariationStats {
 /// probabilities. Tabulated once per reprogram so samplers only draw
 /// uniforms. (Half-integer rounding boundaries are measure-zero, so lround's
 /// away-from-zero tie rule does not affect the law.) Shared by the
-/// FastDeltaTag sampler and fault drift (red/fault).
+/// variation sampler (LogicalXbar's variation pass) and fault drift
+/// (red/fault).
 struct NoiseLaw {
   /// prob[l][k] = P(result == k | clean level l); change[l] = 1 - prob[l][l].
   std::array<std::array<double, 16>, 16> prob{};
@@ -121,9 +124,5 @@ struct NoiseLaw {
     return static_cast<std::uint8_t>(max_level == l ? max_level - 1 : max_level);
   }
 };
-
-/// Tag dispatching LogicalXbar's accelerated delta-sampling reprogram
-/// constructor (same variation law, fast sparse sampler — see crossbar.h).
-struct FastDeltaTag {};
 
 }  // namespace red::xbar

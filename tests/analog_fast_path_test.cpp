@@ -1,15 +1,19 @@
 // Equivalence gate for the analog/statistical fast paths:
 //  * the ADI line-relaxation IR-drop solver vs the reference point-SOR,
 //    across array sizes, wire resistances, and drive patterns;
-//  * the fast delta-reprogramming crossbar constructor: determinism,
-//    internal consistency, and its law vs from-weights programming;
-//  * the Monte Carlo variation engine: thread-count invariance and seed
-//    determinism; programmed runs against deconv_reference;
+//  * the variation pass: determinism, internal consistency, and
+//    from-weights programming under a variation config equal to the clean
+//    crossbar plus the pass;
+//  * the Monte Carlo variation engine: thread-count invariance, seed
+//    determinism, and trials equal to per-seed rebuilds; programmed runs
+//    against deconv_reference;
 //  * the sweep driver: memoized parallel results vs direct evaluation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "red/common/rng.h"
@@ -153,7 +157,7 @@ TEST(AnalogFastPath, ConvergesOrderOfMagnitudeFasterThanSor) {
 }
 
 // ---------------------------------------------------------------------------
-// Fast delta reprogramming
+// The variation pass
 // ---------------------------------------------------------------------------
 
 std::vector<std::int32_t> random_weights(Rng& rng, std::int64_t n, const QuantConfig& q) {
@@ -163,7 +167,7 @@ std::vector<std::int32_t> random_weights(Rng& rng, std::int64_t n, const QuantCo
   return w;
 }
 
-TEST(FastDelta, DeterministicConsistentAndLawful) {
+TEST(VariationPass, DeterministicConsistentAndLawful) {
   Rng rng(43);
   QuantConfig q;
   const auto weights = random_weights(rng, 64 * 4, q);
@@ -173,8 +177,8 @@ TEST(FastDelta, DeterministicConsistentAndLawful) {
   var.stuck_at_rate = 0.1;
   var.seed = 7;
 
-  const LogicalXbar a(clean, var, xbar::FastDeltaTag{});
-  const LogicalXbar b(clean, var, xbar::FastDeltaTag{});
+  const LogicalXbar a(clean, var, 0);
+  const LogicalXbar b(clean, var, 0);
   // Deterministic in the seed...
   for (std::int64_t r = 0; r < 64; ++r)
     for (std::int64_t c = 0; c < 4; ++c) ASSERT_EQ(a.stored_weight(r, c), b.stored_weight(r, c));
@@ -196,12 +200,20 @@ TEST(FastDelta, DeterministicConsistentAndLawful) {
                                  q);
   EXPECT_EQ(a.lossless_adc_bits(), reprogrammed.lossless_adc_bits());
 
+  // Another salt draws another mask from the same seed.
+  const LogicalXbar salted(clean, var, 1);
+  int diffs = 0;
+  for (std::int64_t r = 0; r < 64; ++r)
+    for (std::int64_t c = 0; c < 4; ++c)
+      diffs += a.stored_weight(r, c) != salted.stored_weight(r, c);
+  EXPECT_GT(diffs, 0);
+
   // Noise-only at low sigma exercises the geometric skip-sampling branch;
   // the same consistency invariants must hold there.
   VariationModel noise_only;
   noise_only.level_sigma = 0.3;
   noise_only.seed = 21;
-  const LogicalXbar skip(clean, noise_only, xbar::FastDeltaTag{});
+  const LogicalXbar skip(clean, noise_only, 0);
   EXPECT_GT(skip.variation_stats().perturbed_cells, 0);
   EXPECT_EQ(skip.variation_stats().stuck_cells, 0);
   EXPECT_EQ(skip.mvm(in), skip.mvm_bit_accurate(in));
@@ -209,38 +221,86 @@ TEST(FastDelta, DeterministicConsistentAndLawful) {
                                                                  skip.stored_weights().end()),
                                 q);
   EXPECT_EQ(skip.lossless_adc_bits(), skip_reprog.lossless_adc_bits());
-
-  // Sigma far below the 0.5-level write-verify threshold perturbs nothing.
-  VariationModel tiny;
-  tiny.level_sigma = 0.01;
-  const LogicalXbar untouched(clean, tiny, xbar::FastDeltaTag{});
-  EXPECT_EQ(untouched.variation_stats().perturbed_cells, 0);
-  for (std::int64_t r = 0; r < 64; ++r)
-    for (std::int64_t c = 0; c < 4; ++c)
-      ASSERT_EQ(untouched.stored_weight(r, c), clean.stored_weight(r, c));
 }
 
-TEST(FastDelta, MatchesLegacySamplerStatistically) {
+/// Every observable of a crossbar: levels, stored weights, the lossless-ADC
+/// cache, the variation counters and the packed planes.
+void expect_same_crossbar(const LogicalXbar& a, const LogicalXbar& b, const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (int s = 0; s < a.config().slices(); ++s)
+    for (std::int64_t r = 0; r < a.rows(); ++r)
+      for (std::int64_t c = 0; c < a.cols(); ++c)
+        ASSERT_EQ(a.level(r, c, s), b.level(r, c, s)) << what << " cell " << r << "," << c;
+  EXPECT_TRUE(std::ranges::equal(a.stored_weights(), b.stored_weights())) << what;
+  EXPECT_EQ(a.lossless_adc_bits(), b.lossless_adc_bits()) << what;
+  EXPECT_EQ(a.variation_stats(), b.variation_stats()) << what;
+  const std::size_t col_bytes = static_cast<std::size_t>(a.packed_weight_planes()) *
+                                static_cast<std::size_t>(a.packed_words()) *
+                                sizeof(std::uint64_t);
+  for (std::int64_t c = 0; c < a.cols(); ++c)
+    ASSERT_EQ(std::memcmp(a.packed_col_planes(c), b.packed_col_planes(c), col_bytes), 0)
+        << what << " column " << c;
+}
+
+TEST(VariationPass, FromWeightsEqualsCleanPlusVariation) {
+  // One sampler: programming from weights under `v` is the clean encode
+  // plus the variation pass, so it equals the clean crossbar's perturbed
+  // copy bit for bit, whether the clean crossbar built its packed planes
+  // before the copy (patched in place) or not (built from the levels after).
+  struct Case {
+    const char* name;
+    int cell_bits;
+    VariationModel var;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* name, int cell_bits, double sigma, double sa0, double sa1,
+                       double alias) {
+    VariationModel v;
+    v.level_sigma = sigma;
+    v.sa0_rate = sa0;
+    v.sa1_rate = sa1;
+    v.stuck_at_rate = alias;
+    v.seed = 13;
+    cases.push_back({name, cell_bits, v});
+  };
+  add("skip branch", 2, 0.3, 0.0, 0.0, 0.0);
+  add("noise walk", 2, 0.8, 0.0, 0.0, 0.0);
+  add("stuck walk", 2, 0.4, 0.05, 0.03, 0.0);
+  add("stuck walk, partial top slice", 3, 0.0, 0.02, 0.1, 0.0);
+  add("stuck_at_rate alias", 2, 0.0, 0.0, 0.0, 0.2);
+  add("sigma 0.01", 2, 0.01, 0.0, 0.0, 0.0);
+
   Rng rng(44);
-  QuantConfig q;
-  const auto weights = random_weights(rng, 64 * 8, q);
-  const LogicalXbar clean(64, 8, weights, q);
-  VariationModel var;
-  var.level_sigma = 0.4;
-  // Same law, different draws: the perturbed-cell counts of from-weights
-  // programming (variation in QuantConfig, std::mt19937_64 stream) and of
-  // the fast delta sampler agree within loose binomial bounds when averaged
-  // over seeds.
-  std::int64_t from_weights = 0, fast = 0;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    var.seed = seed;
-    QuantConfig qv = q;
-    qv.variation = var;
-    from_weights += LogicalXbar(64, 8, weights, qv).variation_stats().perturbed_cells;
-    fast += LogicalXbar(clean, var, xbar::FastDeltaTag{}).variation_stats().perturbed_cells;
+  for (const Case& k : cases) {
+    QuantConfig q;
+    q.cell_bits = k.cell_bits;
+    const auto weights = random_weights(rng, 70 * 5, q);
+    for (const std::uint64_t salt : {std::uint64_t{0}, std::uint64_t{5}}) {
+      const std::string what = std::string(k.name) + " salt " + std::to_string(salt);
+      QuantConfig qv = q;
+      qv.variation = k.var;
+      const LogicalXbar from_weights(70, 5, weights, qv, salt);
+
+      const LogicalXbar clean(70, 5, weights, q);
+      const LogicalXbar planes_after(clean, k.var, salt);
+      ASSERT_TRUE(clean.ensure_packed_planes());
+      const LogicalXbar planes_before(clean, k.var, salt);
+      expect_same_crossbar(from_weights, planes_after, what + ", planes after the copy");
+      expect_same_crossbar(from_weights, planes_before, what + ", planes before the copy");
+
+      const auto& st = from_weights.variation_stats();
+      EXPECT_EQ(st.cells, 70 * 5 * q.slices()) << what;
+      if (k.var.level_sigma == 0.01) {
+        EXPECT_EQ(st.perturbed_cells, 0) << what;
+        expect_same_crossbar(from_weights, LogicalXbar(70, 5, weights, q), what + " vs clean");
+      } else {
+        EXPECT_GT(st.perturbed_cells, 0) << what;
+      }
+      EXPECT_EQ(st.stuck_cells > 0, k.var.stuck_total() > 0.0) << what;
+      EXPECT_EQ(st.stuck_cells, st.sa0_cells + st.sa1_cells) << what;
+    }
   }
-  EXPECT_GT(fast, from_weights / 2);
-  EXPECT_LT(fast, from_weights * 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,6 +341,53 @@ TEST(MonteCarlo, ThreadCountInvariantBitExact) {
       EXPECT_EQ(a.trials[t].stats, b.trials[t].stats);
       EXPECT_EQ(a.trials[t].variation.perturbed_cells, b.trials[t].variation.perturbed_cells);
       EXPECT_EQ(a.trials[t].variation.stuck_cells, b.trials[t].variation.stuck_cells);
+    }
+  }
+}
+
+TEST(MonteCarlo, TrialsEqualPerSeedRebuilds) {
+  // One variation sampler: trial t is the per-seed rebuild at base_seed + t,
+  // bit for bit — Design::run's output and RunStats under that variation
+  // config, and (programmed designs) Design::program's VariationStats — on
+  // both sampler branches and at any trial thread count.
+  const ProbeLayer probe;
+  VariationModel walk;  // stuck-at: the per-cell walk
+  walk.level_sigma = 0.6;
+  walk.sa0_rate = 0.01;
+  walk.sa1_rate = 0.02;
+  VariationModel skip;  // low-sigma noise only: the geometric skip branch
+  skip.level_sigma = 0.3;
+  for (const auto& var : {walk, skip}) {
+    for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed,
+                      core::DesignKind::kPaddingFree}) {
+      for (const int threads : {1, 4}) {
+        sim::MonteCarloOptions opts;
+        opts.trials = 3;
+        opts.base_seed = 40;
+        opts.threads = threads;
+        const auto mc = sim::run_monte_carlo(kind, {}, var, probe.spec, probe.input,
+                                             probe.kernel, probe.golden, opts);
+        ASSERT_EQ(mc.trials.size(), 3u);
+        for (std::size_t t = 0; t < mc.trials.size(); ++t) {
+          arch::DesignConfig cfg;
+          cfg.quant.variation = var;
+          cfg.quant.variation.seed = opts.base_seed + t;
+          const auto design = core::make_design(kind, cfg);
+          const std::string what = design->name() + " sigma " +
+                                   std::to_string(var.level_sigma) + " threads " +
+                                   std::to_string(threads) + " trial " + std::to_string(t);
+          arch::RunStats stats;
+          const auto out = design->run(probe.spec, probe.input, probe.kernel, &stats);
+          const auto& trial = mc.trials[t];
+          EXPECT_EQ(trial.seed, cfg.quant.variation.seed) << what;
+          EXPECT_EQ(trial.nrmse, normalized_rmse(probe.golden, out)) << what;  // bit-exact
+          EXPECT_GT(trial.nrmse, 0.0) << what;
+          EXPECT_EQ(trial.stats, stats) << what;
+          if (!mc.programmed_fast_path) continue;
+          EXPECT_EQ(trial.variation, design->program(probe.spec, probe.kernel)->variation_stats())
+              << what;
+        }
+      }
     }
   }
 }

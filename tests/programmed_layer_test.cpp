@@ -3,10 +3,10 @@
 //  * bounded gather — a warm programmed run gathers its input chunk by chunk
 //    instead of materializing every cycle's input for the whole layer, so
 //    its heap traffic stays far below that whole-layer binding;
-//  * variation digests — under a variation-enabled config, Design::run,
+//  * variation — programming under a variation config equals programming
+//    clean and then perturbed() bit for bit, and Design::run,
 //    StreamingExecutor and the programmed layer's VariationStats reproduce
-//    pinned digests (computed when both designs still had a separate run()
-//    body and streaming fell back to it under variation);
+//    pinned digests;
 //  * lazy packed planes — only bit-accurate reads build a crossbar's packed
 //    bit-planes, exactly once per crossbar at any thread count, counted by
 //    the xbar.packed_plane_builds telemetry counter.
@@ -22,10 +22,12 @@
 #include "red/common/rng.h"
 #include "red/core/designs.h"
 #include "red/fault/model.h"
+#include "red/nn/deconv_reference.h"
 #include "red/perf/thread_pool.h"
 #include "red/plan/plan.h"
 #include "red/sim/streaming.h"
 #include "red/telemetry/metrics.h"
+#include "red/tensor/tensor_ops.h"
 #include "red/workloads/generator.h"
 #include "red/workloads/networks.h"
 
@@ -171,16 +173,16 @@ TEST(VariationDigests, DesignRunStreamingAndCellStatsArePinned) {
   };
   // variation == 0: padding-free has no programmed layer to report it.
   const Pin pins[] = {
-      {0, DesignKind::kZeroPadding, 0x9500685173290314ULL, 0x0c83bb59f54e27d3ULL,
-       0xd14824db4f2dbfe2ULL},
-      {0, DesignKind::kPaddingFree, 0x80b7b0ee835a8ea8ULL, 0xb91813189bac0202ULL, 0},
-      {0, DesignKind::kRed, 0x3e4b54dec9da5408ULL, 0x01b024a1482f2254ULL,
-       0xeb253b704729ea5cULL},
-      {1, DesignKind::kZeroPadding, 0x8aedf4050fb72c10ULL, 0xfad526f474f78cd8ULL,
-       0xd14824db4f2dbfe2ULL},
-      {1, DesignKind::kPaddingFree, 0x80b7b0ee835a8ea8ULL, 0xfa66d89cbd179799ULL, 0},
-      {1, DesignKind::kRed, 0x612192e0c59b8081ULL, 0x4c18afeadfb830caULL,
-       0xeb253b704729ea5cULL},
+      {0, DesignKind::kZeroPadding, 0x0561881f8a9c2a21ULL, 0xa672e7123e59d2b6ULL,
+       0x272e1e9b5c809811ULL},
+      {0, DesignKind::kPaddingFree, 0x670e3fdcf8a65097ULL, 0x6ed5513e607409daULL, 0},
+      {0, DesignKind::kRed, 0x6bbb7c239c2cf8eeULL, 0x2d5b684c9eb7caeaULL,
+       0xe086b69840af295dULL},
+      {1, DesignKind::kZeroPadding, 0x09864d9f121dac36ULL, 0x0ebfa7c5c3c0291cULL,
+       0x272e1e9b5c809811ULL},
+      {1, DesignKind::kPaddingFree, 0x670e3fdcf8a65097ULL, 0xbcfcb1f0804c2442ULL, 0},
+      {1, DesignKind::kRed, 0x585d27281dfb98a6ULL, 0xb7beb6c2a747a0c1ULL,
+       0xe086b69840af295dULL},
   };
   for (const Pin& pin : pins) {
     const bool programmable = pin.kind != DesignKind::kPaddingFree;
@@ -212,6 +214,96 @@ TEST(VariationDigests, DesignRunStreamingAndCellStatsArePinned) {
         variation.add(design->program(spec, kernel)->variation_stats());
         EXPECT_EQ(variation.h, pin.variation) << what;
       }
+    }
+  }
+}
+
+TEST(VariationDigests, ProgramUnderVariationEqualsCleanThenPerturbed) {
+  // Both sampler branches (noise-only low sigma: geometric skip; stuck-at:
+  // per-cell walk), the exact and the bit-accurate path, threads 1 and 3.
+  const nn::DeconvLayerSpec spec{"var_contract", 5, 5, 4, 3, 4, 4, 2, 1, 1};
+  Rng rng(32);
+  const auto input = workloads::make_input(spec, rng, 0, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  xbar::VariationModel skip;
+  skip.level_sigma = 0.3;
+  skip.seed = 5;
+  const xbar::VariationModel walk = pin_config(0).quant.variation;
+  for (const auto& var : {skip, walk}) {
+    for (const int which : {0, 1}) {
+      for (const int threads : {1, 3}) {
+        for (const auto kind : {DesignKind::kZeroPadding, DesignKind::kRed}) {
+          auto clean_cfg = pin_config(which);
+          clean_cfg.quant.variation = {};
+          clean_cfg.threads = threads;
+          auto cfg = clean_cfg;
+          cfg.quant.variation = var;
+          const auto design = core::make_design(kind, cfg);
+          const std::string what = design->name() + " cfg " + std::to_string(which) +
+                                   " sigma " + std::to_string(var.level_sigma) + " threads " +
+                                   std::to_string(threads);
+          const auto perturbed =
+              core::make_design(kind, clean_cfg)->program(spec, kernel)->perturbed(var);
+          const auto programmed = design->program(spec, kernel);
+          Digest expected, got, run;
+          arch::RunStats stats;
+          expected.add(perturbed->run(input, &stats));
+          expected.add(stats);
+          expected.add(perturbed->variation_stats());
+          got.add(programmed->run(input, &stats));
+          got.add(stats);
+          got.add(programmed->variation_stats());
+          run.add(design->run(spec, input, kernel, &stats));
+          run.add(stats);
+          run.add(perturbed->variation_stats());
+          EXPECT_EQ(got.h, expected.h) << what;
+          EXPECT_EQ(run.h, expected.h) << what;
+          EXPECT_GT(perturbed->variation_stats().perturbed_cells, 0) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(VariationDigests, PaddingFreeRunUsesCleanCrossbarPlusVariation) {
+  // Padding-free has no programmed layer; its per-image crossbar is built
+  // the same way, so under variation it computes the deconvolution of the
+  // weights stored by the clean macro plus the variation pass (salt 0).
+  const nn::DeconvLayerSpec spec{"var_pf", 5, 5, 4, 3, 4, 4, 2, 1, 1};
+  Rng rng(33);
+  const auto input = workloads::make_input(spec, rng, 0, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  // Macro layout: column (i*KW + j)*M + m of row c holds W[i,j,c,m].
+  const std::int64_t lcols = std::int64_t{spec.kh} * spec.kw * spec.m;
+  const auto column = [&](int i, int j, int m) {
+    return (std::int64_t{i} * spec.kw + j) * spec.m + m;
+  };
+  std::vector<std::int32_t> w(static_cast<std::size_t>(spec.c * lcols));
+  for (int i = 0; i < spec.kh; ++i)
+    for (int j = 0; j < spec.kw; ++j)
+      for (int c = 0; c < spec.c; ++c)
+        for (int m = 0; m < spec.m; ++m)
+          w[static_cast<std::size_t>(c * lcols + column(i, j, m))] = kernel.at(i, j, c, m);
+  const xbar::LogicalXbar clean(spec.c, lcols, w, xbar::QuantConfig{});
+  xbar::VariationModel skip;
+  skip.level_sigma = 0.3;
+  for (const auto& var : {skip, pin_config(0).quant.variation}) {
+    const xbar::LogicalXbar noisy(clean, var, 0);
+    Tensor<std::int32_t> stored_kernel(spec.kernel_shape());
+    for (int i = 0; i < spec.kh; ++i)
+      for (int j = 0; j < spec.kw; ++j)
+        for (int c = 0; c < spec.c; ++c)
+          for (int m = 0; m < spec.m; ++m)
+            stored_kernel.at(i, j, c, m) = noisy.stored_weight(c, column(i, j, m));
+    const auto expected = nn::deconv_reference(spec, input, stored_kernel);
+    for (const bool bit_accurate : {false, true}) {
+      arch::DesignConfig cfg;
+      cfg.quant.variation = var;
+      cfg.bit_accurate = bit_accurate;
+      const auto out = core::make_design(DesignKind::kPaddingFree, cfg)->run(spec, input, kernel);
+      EXPECT_EQ(first_mismatch(expected, out), "")
+          << "sigma " << var.level_sigma << " bit-accurate " << bit_accurate;
+      EXPECT_NE(first_mismatch(nn::deconv_reference(spec, input, kernel), out), "");
     }
   }
 }

@@ -89,7 +89,7 @@ TEST(Variation, FastDeltaReprogramCountsPolarities) {
   var.sa0_rate = 0.15;
   var.sa1_rate = 0.05;
   var.seed = 31;
-  const LogicalXbar fast(clean, var, FastDeltaTag{});
+  const LogicalXbar fast(clean, var, 0);
   const auto& st = fast.variation_stats();
   EXPECT_GT(st.sa0_cells, 0);
   EXPECT_GT(st.sa1_cells, 0);
@@ -197,6 +197,36 @@ TEST(Variation, RedDesignDegradesGracefullyUnderNoise) {
     EXPECT_GT(err_red / err_zp, 1.0 / 3.0) << sigma;
     EXPECT_GT(err_red, prev);  // ordered in sigma
     prev = err_red;
+  }
+}
+
+TEST(Variation, RedGroupsDrawIndependentMasks) {
+  // A constant kernel and an all-ones input give every RED mode group the
+  // same clean crossbar and the same inputs at the output centre, where each
+  // pixel takes all 2x2 taps of its group. Unsalted groups would draw the
+  // same mask and so agree on every centre pixel of their residue class;
+  // salted per group (from-weights programming and perturbed() alike), the
+  // four residue classes must disagree somewhere.
+  const nn::DeconvLayerSpec spec{"groups", 4, 4, 2, 2, 4, 4, 2, 1, 0};
+  const Tensor<std::int32_t> input(spec.input_shape(), 1);
+  const Tensor<std::int32_t> kernel(spec.kernel_shape(), 5);
+  VariationModel var;
+  var.level_sigma = 0.8;
+  var.seed = 3;
+  arch::DesignConfig cfg;
+  cfg.quant.variation = var;
+  const auto noisy = core::make_design(core::DesignKind::kRed, cfg);
+  const auto clean = core::make_design(core::DesignKind::kRed)->program(spec, kernel);
+  for (const auto& out : {noisy->run(spec, input, kernel), clean->perturbed(var)->run(input)}) {
+    bool classes_differ = false;
+    for (int m = 0; m < spec.m; ++m)
+      for (int y = 2; y < 6; ++y)
+        for (int x = 2; x < 6; ++x)
+          // Residue class (y % 2, x % 2) against class (0, 0) at the same
+          // block; the clean values are all equal there.
+          classes_differ |= out.at(0, m, y, x) != out.at(0, m, 2 + (y - 2) / 2 * 2,
+                                                         2 + (x - 2) / 2 * 2);
+    EXPECT_TRUE(classes_differ);
   }
 }
 
