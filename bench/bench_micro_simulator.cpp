@@ -1,10 +1,11 @@
 // Micro-benchmarks of the simulator itself (google-benchmark): crossbar MVM
-// exact vs bit-accurate paths (the bit-accurate one per popcount tier),
-// design schedule execution, and analytic cost evaluation throughput.
+// exact vs bit-accurate paths (both per SIMD tier), design schedule
+// execution, and analytic cost evaluation throughput.
 //
 // The binary doubles as the bench_smoke oracle gate: main() refuses to run
-// (exit 1) unless every popcount tier this CPU supports reproduces
-// LogicalXbar::mvm_bit_accurate_reference bit-exactly, outputs and stats.
+// (exit 1) unless every tier this CPU supports reproduces
+// LogicalXbar::mvm_bit_accurate_reference bit-exactly, outputs and stats:
+// the bit-accurate kernel, and the exact kernel in both orientations.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "red/common/rng.h"
@@ -166,6 +169,74 @@ BENCHMARK(BM_MvmDcganMacro)
     ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
     ->ArgNames({"stage", "bitacc"});
 
+/// Shape (rows x cols) of RED's group macro for dcgan/div4 stage `stage`.
+std::pair<std::int64_t, std::int64_t> dcgan_macro(std::int64_t stage) {
+  const auto plan = plan::plan_stack(core::DesignKind::kRed, workloads::named_stack("dcgan", 4),
+                                     arch::DesignConfig{});
+  const auto& layer = plan.layers[static_cast<std::size_t>(stage)];
+  return {layer.activity.macros.front().rows, layer.spec.m};
+}
+
+/// `n` post-ReLU activations: non-negative, about half zeros.
+std::vector<std::int32_t> post_relu_input(std::int64_t n) {
+  Rng rng(6);
+  std::vector<std::int32_t> in(static_cast<std::size_t>(n));
+  for (auto& v : in)
+    v = rng.bernoulli(0.5) ? 0 : static_cast<std::int32_t>(rng.uniform_int(1, 127));
+  return in;
+}
+
+// The exact kernel per tier on the dcgan macros, 32 vectors per call (RED's
+// stage-3 block row), in the orientation the tier's rule picks: across the
+// columns, or across the batch below one vector of columns (stage 3's
+// 288x3). The label records the tier that ran and the orientation.
+void BM_MvmDcganMacroExact(benchmark::State& state, perf::MvmIsa isa) {
+  const auto [rows, cols] = dcgan_macro(state.range(0));
+  constexpr std::int64_t kBatch = 32;
+  const auto xb = make_xbar(rows, cols);
+  const auto in = post_relu_input(rows * kBatch);
+  const perf::MvmIsa ran = std::min(isa, perf::mvm_active_isa());
+  const auto sweep =
+      cols < perf::mvm_lanes(ran) ? perf::ExactSweep::kBatch : perf::ExactSweep::kColumns;
+  state.SetLabel(std::to_string(rows) + "x" + std::to_string(cols) + " " +
+                 perf::mvm_isa_name(ran) +
+                 (sweep == perf::ExactSweep::kBatch ? " batch-sweep" : " col-sweep"));
+  perf::MvmWorkspace ws;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(perf::detail::mvm_exact_on(isa, sweep, xb, in, kBatch, ws));
+  state.SetItemsProcessed(state.iterations() * rows * cols * kBatch);
+}
+BENCHMARK_CAPTURE(BM_MvmDcganMacroExact, portable, perf::MvmIsa::kPortable)
+    ->DenseRange(0, 3)
+    ->ArgName("stage");
+BENCHMARK_CAPTURE(BM_MvmDcganMacroExact, avx2, perf::MvmIsa::kAvx2)
+    ->DenseRange(0, 3)
+    ->ArgName("stage");
+BENCHMARK_CAPTURE(BM_MvmDcganMacroExact, avx512, perf::MvmIsa::kAvx512)
+    ->DenseRange(0, 3)
+    ->ArgName("stage");
+
+// Stage 3's 288x3 macro on a 32-vector block at the active tier: batch-minor
+// inputs read in place (what RED's gather writes, mode:1) vs vector-major
+// inputs swept across the columns, one vector at a time (mode:0).
+void BM_MvmDcganStage3BatchMinor(benchmark::State& state) {
+  const auto [rows, cols] = dcgan_macro(3);
+  constexpr std::int64_t kBatch = 32;
+  const auto xb = make_xbar(rows, cols);
+  const auto in = post_relu_input(rows * kBatch);
+  const bool batch_minor = state.range(0) != 0;
+  state.SetLabel(std::to_string(rows) + "x" + std::to_string(cols) + " " +
+                 perf::mvm_isa_name(perf::mvm_active_isa()));
+  perf::MvmWorkspace ws;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        batch_minor ? perf::mvm_exact_batch_minor(xb, in, kBatch, ws)
+                    : perf::detail::mvm_exact_on(perf::mvm_active_isa(),
+                                                 perf::ExactSweep::kColumns, xb, in, kBatch, ws));
+  state.SetItemsProcessed(state.iterations() * rows * cols * kBatch);
+}
+BENCHMARK(BM_MvmDcganStage3BatchMinor)->Arg(0)->Arg(1)->ArgName("mode");
+
 // Saturating-ADC regime: exercises the per-pulse compacted clipped kernel
 // (reference and fast variants, for the before/after report).
 void BM_MvmClippedReference(benchmark::State& state) {
@@ -277,35 +348,64 @@ void BM_AnalogIrDropSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalogIrDropSolve)->Arg(32)->Arg(64);
 
-// bench_smoke oracle gate: every popcount tier this CPU supports must
-// reproduce the reference bit-exactly (outputs AND MvmStats) before any
-// timing is reported. Runs over ideal, clipped, and multi-bit-DAC regimes on
-// shapes that cross 64-bit word boundaries.
-bool packed_kernels_match_oracle() {
+// bench_smoke oracle gate: every tier this CPU supports must reproduce the
+// reference bit-exactly (outputs AND MvmStats) before any timing is
+// reported — the bit-accurate kernel, and the exact kernel (clips aside) in
+// both orientations on a 5-vector batch. Runs over ideal, clipped, and
+// multi-bit-DAC regimes on shapes that cross 64-bit word boundaries, plus
+// a 3-column macro narrower than any vector.
+bool kernels_match_oracle() {
   xbar::QuantConfig dac2;
   dac2.dac_bits = 2;
   const xbar::QuantConfig regimes[] = {xbar::QuantConfig{}, clipped_config(), dac2};
   bool ok = true;
   for (const auto& q : regimes) {
-    for (const std::int64_t rows : {std::int64_t{129}, std::int64_t{512}}) {
-      const auto xb = make_xbar(rows, 33, q);
+    for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{129, 33},
+                                     {512, 33}, {288, 3}}) {
+      const auto xb = make_xbar(rows, cols, q);
       Rng rng(2);
-      std::vector<std::int32_t> in(static_cast<std::size_t>(rows));
+      constexpr std::int64_t kBatch = 5;
+      std::vector<std::int32_t> in(static_cast<std::size_t>(rows * kBatch));
       const std::int64_t lo = q.dac_bits == 1 ? -(std::int64_t{1} << (q.abits - 1)) : 0;
       const std::int64_t hi = q.dac_bits == 1 ? (std::int64_t{1} << (q.abits - 1)) - 1
                                               : (std::int64_t{1} << q.abits) - 1;
       for (auto& v : in) v = static_cast<std::int32_t>(rng.uniform_int(lo, hi));
+      const std::span<const std::int32_t> first(in.data(), static_cast<std::size_t>(rows));
       xbar::MvmStats ref_stats;
-      const auto ref = xb.mvm_bit_accurate_reference(in, &ref_stats);
+      const auto ref = xb.mvm_bit_accurate_reference(first, &ref_stats);
+      // The exact oracle: the reference per vector, with ideal-ADC outputs.
+      xbar::QuantConfig ideal = q;
+      ideal.adc = xbar::AdcConfig{};
+      xbar::LogicalXbar ideal_xb(rows, cols, xb.stored_weights(), ideal);
+      std::vector<std::int64_t> exact_ref;
+      xbar::MvmStats exact_stats;
+      for (std::int64_t v = 0; v < kBatch; ++v) {
+        const auto out = ideal_xb.mvm_bit_accurate_reference(
+            std::span<const std::int32_t>(in).subspan(static_cast<std::size_t>(v * rows),
+                                                      static_cast<std::size_t>(rows)),
+            &exact_stats);
+        exact_ref.insert(exact_ref.end(), out.begin(), out.end());
+      }
+      const auto mismatch = [&](const char* kernel, perf::MvmIsa isa) {
+        std::fprintf(stderr, "oracle mismatch: %s kernel, tier %s, %lldx%lld\n", kernel,
+                     perf::mvm_isa_name(isa), static_cast<long long>(rows),
+                     static_cast<long long>(cols));
+        ok = false;
+      };
       for (const auto isa : {perf::MvmIsa::kPortable, perf::MvmIsa::kAvx2, perf::MvmIsa::kAvx512}) {
         if (isa > perf::mvm_active_isa()) continue;
         perf::MvmWorkspace ws;
         xbar::MvmStats got_stats;
-        const auto got = perf::detail::mvm_bit_accurate_on(isa, xb, in, ws, &got_stats);
-        if (std::vector<std::int64_t>(got.begin(), got.end()) != ref || got_stats != ref_stats) {
-          std::fprintf(stderr, "oracle mismatch: tier %s, rows %lld\n", perf::mvm_isa_name(isa),
-                       static_cast<long long>(rows));
-          ok = false;
+        const auto got = perf::detail::mvm_bit_accurate_on(isa, xb, first, ws, &got_stats);
+        if (std::vector<std::int64_t>(got.begin(), got.end()) != ref || got_stats != ref_stats)
+          mismatch("bit-accurate", isa);
+        for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch}) {
+          xbar::MvmStats stats;
+          const auto exact = perf::detail::mvm_exact_on(isa, sweep, xb, in, kBatch, ws, &stats);
+          if (std::vector<std::int64_t>(exact.begin(), exact.end()) != exact_ref ||
+              stats != exact_stats)
+            mismatch(sweep == perf::ExactSweep::kBatch ? "exact batch-sweep" : "exact col-sweep",
+                     isa);
         }
       }
     }
@@ -316,7 +416,7 @@ bool packed_kernels_match_oracle() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!packed_kernels_match_oracle()) return 1;
+  if (!kernels_match_oracle()) return 1;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -46,9 +46,11 @@ std::unique_ptr<ProgrammedLayer> Design::program(const nn::DeconvLayerSpec& spec
 }
 
 std::unique_ptr<ProgrammedLayer> Design::program(const plan::LayerPlan& plan,
-                                                 const Tensor<std::int32_t>& kernel) const {
+                                                 const Tensor<std::int32_t>& kernel,
+                                                 std::uint64_t variation_salt) const {
   check_plan(plan);
   (void)kernel;
+  (void)variation_salt;
   return nullptr;  // no programmed layer; callers fall back to run()
 }
 

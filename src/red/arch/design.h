@@ -247,8 +247,12 @@ class Design {
 
   /// Program from an already-compiled plan, consuming its mapping decisions
   /// (RED's fold and mode groups) directly. The default returns nullptr.
+  /// `variation_salt` keeps the layers of one stack on independent
+  /// variation streams (StreamingExecutor programs stage i with salt i);
+  /// salt 0 is the stream perturbed() draws.
   [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> program(
-      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const;
+      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel,
+      std::uint64_t variation_salt = 0) const;
 
   [[nodiscard]] const DesignConfig& config() const { return cfg_; }
 

@@ -121,12 +121,13 @@ class ZpProgrammedLayer final : public ProgrammedLayer {
 // layer is the single home of the mapping arithmetic.
 
 std::unique_ptr<ProgrammedLayer> ZeroPaddingDesign::program(
-    const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const {
+    const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel,
+    std::uint64_t variation_salt) const {
   check_plan(plan);
   const auto& spec = plan.spec;
   RED_EXPECTS(kernel.shape() == spec.kernel_shape());
   const std::int64_t rows = std::int64_t{spec.kh} * spec.kw * spec.c;
-  xbar::LogicalXbar macro(rows, spec.m, macro_weights(spec, kernel), cfg_.quant);
+  xbar::LogicalXbar macro(rows, spec.m, macro_weights(spec, kernel), cfg_.quant, variation_salt);
   return std::make_unique<ZpProgrammedLayer>(spec, cfg_.threads, cfg_.bit_accurate,
                                              std::move(macro));
 }

@@ -24,7 +24,8 @@ class ZeroPaddingDesign final : public Design {
   /// trials reprogram only the variation deltas.
   using Design::program;  // keep the spec-taking wrapper visible
   [[nodiscard]] std::unique_ptr<ProgrammedLayer> program(
-      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const override;
+      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel,
+      std::uint64_t variation_salt = 0) const override;
 };
 
 }  // namespace red::arch

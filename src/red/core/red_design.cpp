@@ -9,6 +9,7 @@
 #include "red/core/pixel_wise_mapping.h"
 #include "red/fault/inject.h"
 #include "red/core/schedule.h"
+#include "red/perf/mvm_kernel.h"
 #include "red/perf/thread_pool.h"
 #include "red/perf/workspace.h"
 #include "red/plan/plan.h"
@@ -17,14 +18,19 @@ namespace red::core {
 
 namespace {
 
+// Sub-salt of group gi in a layer salted `salt`: 4096 bounds any realistic
+// group count while keeping salts disjoint across layers salted 0, 1, 2, ...
+std::uint64_t group_salt(std::uint64_t salt, std::size_t gi) { return salt * 4096 + gi; }
+
 // One logical crossbar per mode group: the group's sub-crossbars stacked on
 // shared bitlines (vertical sum-up), C rows each, M logical columns. Group
-// gi draws its device variation with salt gi, as perturbed() does, so
-// same-shaped groups get independent masks.
+// gi draws its device variation with group_salt(salt, gi) (gi at salt 0, as
+// perturbed() does), so same-shaped groups and layers get independent masks.
 std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec,
                                                  const std::vector<ModeGroup>& groups,
                                                  const Tensor<std::int32_t>& kernel,
-                                                 const xbar::QuantConfig& quant) {
+                                                 const xbar::QuantConfig& quant,
+                                                 std::uint64_t salt) {
   const SubCrossbarTensor sct(spec, kernel);
   std::vector<xbar::LogicalXbar> xbars;
   xbars.reserve(groups.size());
@@ -36,7 +42,8 @@ std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec
       const auto& blk = sct.sc_weights(sc);
       w.insert(w.end(), blk.begin(), blk.end());
     }
-    xbars.emplace_back(static_cast<std::int64_t>(g.scs.size()) * spec.c, spec.m, w, quant, gi);
+    xbars.emplace_back(static_cast<std::int64_t>(g.scs.size()) * spec.c, spec.m, w, quant,
+                       group_salt(salt, gi));
   }
   return xbars;
 }
@@ -76,6 +83,17 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
     // so a batch never splits a fold accumulation.
     const std::int64_t row_cycles = std::int64_t{schedule.blocks_x()} * phases;
 
+    // The input planes, each followed by one zero: an idle SC reads that
+    // slot, so the gather below copies without a branch.
+    const std::int64_t in_plane = std::int64_t{spec.ih} * spec.iw;
+    const std::int64_t padded_plane = in_plane + 1;
+    std::vector<std::int32_t> padded(static_cast<std::size_t>(spec.c * padded_plane), 0);
+    std::vector<std::int32_t> channel_offset(static_cast<std::size_t>(spec.c));
+    for (int c = 0; c < spec.c; ++c) {
+      std::copy_n(input.ptr(0, c), in_plane, padded.data() + c * padded_plane);
+      channel_offset[static_cast<std::size_t>(c)] = static_cast<std::int32_t>(c * padded_plane);
+    }
+
     Tensor<std::int32_t> out(spec.output_shape());
     // Mode groups are independent executors: each owns its crossbar, its
     // fold accumulator, and a disjoint set of output pixels (one (a, b)
@@ -94,29 +112,55 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
       std::vector<std::int32_t> gathered;  // one block row of cycle inputs
       // Output pixel each gathered cycle completes (-1: none).
       std::vector<std::int64_t> out_pixel(static_cast<std::size_t>(row_cycles));
+      // Input pixel each SC reads in each gathered cycle, SC-major
+      // (in_plane, the zero slot: idle SC).
+      std::vector<std::int32_t> sc_pixel;
       // Per-group accumulator carrying partial sums across fold phases (Eq. 2).
       std::vector<std::int64_t> group_acc(static_cast<std::size_t>(spec.m));
       for (std::int64_t gi = g0; gi < g1; ++gi) {
         const auto& xb = xbars_[static_cast<std::size_t>(gi)];
         const std::int64_t rows = xb.rows();
+        const std::int64_t num_sc = rows / spec.c;
+        // A macro narrower than one vector runs the exact kernel's batch
+        // sweep, so the gather writes its block batch-minor (row r of cycle k
+        // at r * batch + k) and the kernel reads it in place.
+        const bool batch_minor =
+            !prog_->cfg.bit_accurate && perf::exact_sweep(xb) == perf::ExactSweep::kBatch;
         for (std::int64_t c0 = 0; c0 < num_cycles; c0 += row_cycles) {
           const std::int64_t batch = std::min(row_cycles, num_cycles - c0);
-          gathered.assign(static_cast<std::size_t>(batch * rows), 0);
+          // Pass 1: what each cycle of the block row reads and completes.
+          sc_pixel.assign(static_cast<std::size_t>(num_sc * batch),
+                          static_cast<std::int32_t>(in_plane));
           for (std::int64_t k = 0; k < batch; ++k) {
             schedule.group_work(c0 + k, static_cast<int>(gi), work);
             out_pixel[static_cast<std::size_t>(k)] =
                 work.produces_output ? std::int64_t{work.out_y} * spec.ow() + work.out_x : -1;
-            std::int32_t* dst = gathered.data() + k * rows;
-            for (const auto& in : work.inputs) {
-              if (!in.active) continue;  // zero-skip: padded zeros are never streamed
+            for (const auto& in : work.inputs)
+              if (in.active)  // zero-skip: padded zeros are never streamed
+                sc_pixel[static_cast<std::size_t>(in.sc_index * batch + k)] =
+                    in.h * spec.iw + in.w;
+          }
+          // Pass 2: every element, by vector gathers along contiguous rows
+          // of the block: one channel across the cycles (batch-minor), or one
+          // SC's channels in one cycle (vector-major).
+          gathered.resize(static_cast<std::size_t>(batch * rows));
+          for (std::int64_t sc = 0; sc < num_sc; ++sc) {
+            const std::int32_t* pixel = sc_pixel.data() + sc * batch;
+            if (batch_minor) {
               for (int c = 0; c < spec.c; ++c)
-                dst[static_cast<std::size_t>(in.sc_index) * spec.c +
-                    static_cast<std::size_t>(c)] =
-                    input.ptr(0, c)[std::int64_t{in.h} * spec.iw + in.w];
+                perf::gather_inputs(padded.data() + c * padded_plane,
+                                    {pixel, static_cast<std::size_t>(batch)},
+                                    gathered.data() + (sc * spec.c + c) * batch);
+            } else {
+              for (std::int64_t k = 0; k < batch; ++k)
+                perf::gather_inputs(padded.data() + pixel[k], channel_offset,
+                                    gathered.data() + k * rows + sc * spec.c);
             }
           }
           const auto partials =
-              xb.mvm_batch(gathered, batch, prog_->cfg.bit_accurate, ws, &local.mvm);
+              batch_minor ? perf::mvm_exact_batch_minor(xb, gathered, batch, ws, &local.mvm)
+                          : xb.mvm_batch(gathered, batch, prog_->cfg.bit_accurate, ws,
+                                         &local.mvm);
           for (std::int64_t k = 0; k < batch; ++k) {
             if ((c0 + k) % phases == 0) std::fill(group_acc.begin(), group_acc.end(), 0);
             const std::int64_t* p = partials.data() + k * spec.m;
@@ -154,12 +198,10 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
     faulted_xbars.reserve(xbars_.size());
     fault::RepairReport total;
     for (std::size_t gi = 0; gi < xbars_.size(); ++gi) {
-      // Sub-salt per group crossbar so groups draw independent fault masks;
-      // 4096 bounds any realistic group count while keeping salts disjoint
-      // across layers salted 0, 1, 2, ...
+      // Sub-salt per group crossbar so groups draw independent fault masks.
       fault::RepairReport rep;
       faulted_xbars.push_back(fault::inject_faults(xbars_[gi], model, policy,
-                                                   salt * 4096 + gi, &rep));
+                                                   group_salt(salt, gi), &rep));
       total += rep;
     }
     if (report != nullptr) *report = total;
@@ -184,12 +226,14 @@ int RedDesign::fold_for(const nn::DeconvLayerSpec& spec) const {
 }
 
 std::unique_ptr<arch::ProgrammedLayer> RedDesign::program(
-    const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const {
+    const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel,
+    std::uint64_t variation_salt) const {
   check_plan(plan);
   RED_EXPECTS(kernel.shape() == plan.spec.kernel_shape());
   // Consume the compiled mapping: fold and mode groups come from the plan.
   auto prog = std::make_shared<RedProgram>(cfg_, plan.spec, plan.fold, plan.groups);
-  auto xbars = build_group_xbars(plan.spec, prog->schedule.groups(), kernel, cfg_.quant);
+  auto xbars =
+      build_group_xbars(plan.spec, prog->schedule.groups(), kernel, cfg_.quant, variation_salt);
   return std::make_unique<RedProgrammedLayer>(std::move(prog), std::move(xbars));
 }
 

@@ -31,7 +31,8 @@ class RedDesign final : public arch::Design {
   /// variation deltas.
   using Design::program;  // keep the spec-taking wrapper visible
   [[nodiscard]] std::unique_ptr<arch::ProgrammedLayer> program(
-      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const override;
+      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel,
+      std::uint64_t variation_salt = 0) const override;
 
   /// Fold factor used for this layer (config override or auto; the plan
   /// layer's resolve_fold is the single source of truth).

@@ -299,16 +299,18 @@ xbar::LogicalXbar inject_faults(const xbar::LogicalXbar& clean, const FaultModel
     }
     // Logical-row importance: encoded magnitude Σ (w + offset)² — exactly the
     // error a dead row costs, and a faithful proxy for stuck-at-0 damage.
-    const std::int32_t* stored = clean.stored_weights().data();
     std::vector<double> importance(static_cast<std::size_t>(R), 0.0);
-    for (std::int64_t r = 0; r < R; ++r) {
-      double m2 = 0.0;
-      for (std::int64_t c = 0; c < C; ++c) {
-        const double u = static_cast<double>(stored[r * C + c]) + offset;
-        m2 += u * u;
+    clean.visit_stored_weights([&](auto stored) {
+      for (std::int64_t r = 0; r < R; ++r) {
+        double m2 = 0.0;
+        for (std::int64_t c = 0; c < C; ++c) {
+          const double u = static_cast<double>(stored[static_cast<std::size_t>(r * C + c)]) +
+                           offset;
+          m2 += u * u;
+        }
+        importance[static_cast<std::size_t>(r)] = m2;
       }
-      importance[static_cast<std::size_t>(r)] = m2;
-    }
+    });
     std::vector<std::int32_t> phys(static_cast<std::size_t>(R));
     std::iota(phys.begin(), phys.end(), 0);
     std::vector<std::int32_t> logi = phys;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "red/common/contracts.h"
 #include "red/telemetry/metrics.h"
@@ -22,50 +23,98 @@ using xbar::LogicalXbar;
 using xbar::MvmStats;
 using xbar::QuantConfig;
 
-/// Wordline pulses transmitting `a` ('1' bits, or non-zero DAC digits).
-/// Range-checked equivalent of xbar::pulse_count without the per-call
-/// config validation and heap traffic.
-int fast_pulse_count(std::int32_t a, const QuantConfig& q) {
-  if (q.dac_bits == 1) {
-    const std::int64_t half = std::int64_t{1} << (q.abits - 1);
-    RED_EXPECTS_MSG(a >= -half && a < half, "activation outside abits signed range");
-    const std::uint64_t u =
-        static_cast<std::uint64_t>(a) & ((std::uint64_t{1} << q.abits) - 1);
-    return std::popcount(u);
-  }
-  RED_EXPECTS_MSG(a >= 0, "multi-bit DAC streaming requires non-negative activations");
-  RED_EXPECTS_MSG(a < (std::int64_t{1} << q.abits), "activation exceeds abits unsigned range");
-  const int digit_max = (1 << q.dac_bits) - 1;
-  int n = 0;
-  std::int64_t u = a;
-  for (int b = 0; b < q.pulses(); ++b) {
-    n += (u & digit_max) != 0 ? 1 : 0;
-    u >>= q.dac_bits;
-  }
-  return n;
-}
-
 struct EncodeSummary {
   std::int64_t input_sum = 0;
   std::int64_t drives = 0;      ///< rows with a non-zero input
   std::int64_t pulse_rows = 0;  ///< sum over rows of per-row pulse counts
 };
 
-/// Range-check the inputs and accumulate the activity summary shared by both
-/// kernels (matching the reference's per-row accounting exactly).
-EncodeSummary summarize_input(std::span<const std::int32_t> input, const QuantConfig& q) {
-  EncodeSummary s;
-  for (auto v : input) {
-    s.input_sum += v;
-    if (v == 0) {
-      // Still range-check: the reference encodes zero rows too.
-      (void)fast_pulse_count(v, q);
-      continue;
-    }
-    ++s.drives;
-    s.pulse_rows += fast_pulse_count(v, q);
+/// Throw unless every activation in [lo, hi] streams under `q`: the range
+/// xbar::pulse_count checks per value, checked once per block.
+void check_activation_range(std::int32_t lo, std::int32_t hi, const QuantConfig& q) {
+  if (q.dac_bits == 1) {
+    const std::int64_t half = std::int64_t{1} << (q.abits - 1);
+    RED_EXPECTS_MSG(lo >= -half && hi < half, "activation outside abits signed range");
+    return;
   }
+  RED_EXPECTS_MSG(lo >= 0, "multi-bit DAC streaming requires non-negative activations");
+  RED_EXPECTS_MSG(hi < (std::int64_t{1} << q.abits), "activation exceeds abits unsigned range");
+}
+
+/// Population count by shifts and masks, so the summary loop vectorizes at
+/// every tier (no vector popcount below AVX-512).
+inline std::uint32_t popcount32(std::uint32_t v) {
+  v = v - ((v >> 1) & 0x55555555U);
+  v = (v & 0x33333333U) + ((v >> 2) & 0x33333333U);
+  v = (v + (v >> 4)) & 0x0F0F0F0FU;
+  v += v >> 8;
+  v += v >> 16;
+  return v & 0x3FU;
+}
+
+/// Summary loop over n inputs. A row drives one wordline pulse per non-zero
+/// DAC digit of its abits pattern: OR-folding each digit's bits onto the
+/// digit's lowest bit (kFold, multi-bit DAC only) leaves one bit per
+/// non-zero digit in `lsb`, so the pulse count is a popcount: std::popcount
+/// where it vectorizes (kNative, AVX512-VPOPCNTDQ), else popcount32.
+template <bool kFold, bool kNative>
+__attribute__((always_inline)) inline EncodeSummary summarize_loop(const std::int32_t* x,
+                                                                   std::int64_t n,
+                                                                   const QuantConfig& q) {
+  const std::uint32_t mask = (std::uint32_t{1} << q.abits) - 1;
+  std::uint32_t lsb = 0;
+  for (int b = 0; b < q.abits; b += q.dac_bits) lsb |= std::uint32_t{1} << b;
+  // fold_keep[e] keeps the shift by e only when e < dac_bits (dac_bits <= 8).
+  std::uint32_t fold_keep[8] = {};
+  for (int e = 1; e < q.dac_bits; ++e) fold_keep[e] = ~std::uint32_t{0};
+  EncodeSummary s;
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+  // 32-bit lanes per chunk, widened once per chunk: in range, |sum| < 2^12 *
+  // 2^16. The sum wraps unsigned, so out-of-range inputs (which throw below)
+  // cannot overflow a signed lane first.
+  constexpr std::int64_t kChunk = 4096;
+  for (std::int64_t i0 = 0; i0 < n; i0 += kChunk) {
+    const std::int64_t i1 = std::min(n, i0 + kChunk);
+    std::uint32_t sum = 0;
+    std::int32_t drives = 0;
+    std::int32_t pulses = 0;
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const std::int32_t v = x[i];
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+      sum += static_cast<std::uint32_t>(v);
+      drives += v != 0 ? 1 : 0;
+      const std::uint32_t u = static_cast<std::uint32_t>(v) & mask;
+      std::uint32_t f = u;
+      if constexpr (kFold)
+        for (int e = 1; e < 8; ++e) f |= (u >> e) & fold_keep[e];
+      if constexpr (kNative)
+        pulses += std::popcount(f & lsb);
+      else
+        pulses += static_cast<std::int32_t>(popcount32(f & lsb));
+    }
+    s.input_sum += static_cast<std::int32_t>(sum);
+    s.drives += drives;
+    s.pulse_rows += pulses;
+  }
+  check_activation_range(lo, hi, q);
   return s;
+}
+
+/// Range-check a block of inputs and accumulate the activity summary
+/// (matching the reference's per-row accounting exactly). Always inlined,
+/// so each tier's wrapper compiles it at that tier's width.
+template <bool kNative = false>
+__attribute__((always_inline)) inline EncodeSummary summarize_body(const std::int32_t* x,
+                                                                   std::int64_t n,
+                                                                   const QuantConfig& q) {
+  return q.dac_bits == 1 ? summarize_loop<false, kNative>(x, n, q)
+                         : summarize_loop<true, kNative>(x, n, q);
+}
+
+EncodeSummary summarize_input(std::span<const std::int32_t> input, const QuantConfig& q) {
+  return summarize_body(input.data(), static_cast<std::int64_t>(input.size()), q);
 }
 
 // ---------------------------------------------------------------------------
@@ -320,16 +369,469 @@ std::int64_t packed_clipped_kernel(const LogicalXbar& xbar, const EncodeSummary&
 }
 
 // ---------------------------------------------------------------------------
-// Per-vector bodies and the one batch loop behind every entry point.
+// The exact kernel (ideal-ADC semantics regardless of the configured ADC): a
+// row sweep over the narrow stored weights that skips zero activations. It
+// accumulates int32 products in int32 lanes and flushes them to the int64
+// outputs every exact_flush_rows() rows. Two orientations:
+//
+//   columns — one input vector at a time: its non-zero rows are listed
+//             once, then each tile of columns sweeps the list with its
+//             accumulators in registers (lanes over columns).
+//   batch   — a batch-minor block: each tile of vectors sweeps the rows,
+//             skipping rows that are zero in every lane, with one
+//             accumulator per column (lanes over the batch).
+//
+// Each tier supplies the two tiles and the input summary; the drivers
+// around them are shared. Tiles are aligned to a cache line so their inner
+// loops' placement cannot move with unrelated code (a 16-byte-aligned loop
+// once moved and cost red-stream-exact about 8% throughput).
 // ---------------------------------------------------------------------------
 
-void add_stats(const LogicalXbar& xbar, const EncodeSummary& sum, std::int64_t clips,
-               MvmStats* stats) {
+/// out[j] += lanes[j] for j < n: one flush of int32 accumulators.
+__attribute__((always_inline)) inline void flush_lanes(const std::int32_t* lanes, int n,
+                                                       std::int64_t* out) {
+  for (int j = 0; j < n; ++j) out[j] += lanes[j];
+}
+
+/// Flush of a batch tile: lanes[c * stride + l] (column c of vector b0 + l)
+/// into out[l * cols + c], for the first n vectors and kC columns.
+template <int kC>
+__attribute__((always_inline)) inline void flush_batch(const std::int32_t* lanes, int stride,
+                                                       int n, std::int64_t cols,
+                                                       std::int64_t* out) {
+  for (int l = 0; l < n; ++l)
+    for (int c = 0; c < kC; ++c) out[l * cols + c] += lanes[c * stride + l];
+}
+
+/// The non-zero rows of one input vector (x[r * row_stride]) as (row index,
+/// activation) pairs; returns their count. Branch-free.
+std::int64_t compact_rows(const std::int32_t* x, std::int64_t rows, std::int64_t row_stride,
+                          std::int32_t* idx, std::int32_t* val) {
+  std::int64_t nnz = 0;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int32_t a = x[r * row_stride];
+    idx[nnz] = static_cast<std::int32_t>(r);
+    val[nnz] = a;
+    nnz += a != 0 ? 1 : 0;
+  }
+  return nnz;
+}
+
+/// Portable tier: scalar lanes (the only tier on non-x86 hosts).
+struct PortableExact {
+  static constexpr int kLanes = 1;
+
+  template <int kT, typename W>
+  [[gnu::aligned(64)]] static void col_tile(const W* w, std::int64_t cols,
+                                            const std::int32_t* idx, const std::int32_t* val,
+                                            std::int64_t nnz, std::int64_t k,
+                                            std::int64_t* out) {
+    for (std::int64_t i0 = 0; i0 < nnz; i0 += k) {
+      const std::int64_t i1 = std::min(nnz, i0 + k);
+      std::int32_t acc[kT] = {};
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const W* row = w + static_cast<std::int64_t>(idx[i]) * cols;
+        for (int t = 0; t < kT; ++t) acc[t] += val[i] * static_cast<std::int32_t>(row[t]);
+      }
+      flush_lanes(acc, kT, out);
+    }
+  }
+
+  template <int kC, typename W>
+  [[gnu::aligned(64)]] static void batch_tile(const W* w, std::int64_t rows, std::int64_t cols,
+                                              const std::int32_t* xt, std::int64_t batch,
+                                              std::int64_t b0, std::int64_t k,
+                                              std::int64_t* out) {
+    std::int32_t acc[kC] = {};
+    std::int64_t done = 0;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::int32_t x = xt[r * batch + b0];
+      if (x == 0) continue;
+      const W* wr = w + r * cols;
+      for (int c = 0; c < kC; ++c) acc[c] += static_cast<std::int32_t>(wr[c]) * x;
+      if (++done == k) {
+        flush_lanes(acc, kC, out + b0 * cols);
+        std::fill(acc, acc + kC, 0);
+        done = 0;
+      }
+    }
+    flush_lanes(acc, kC, out + b0 * cols);
+  }
+
+  static EncodeSummary summarize(const std::int32_t* x, std::int64_t n, const QuantConfig& q) {
+    return summarize_body(x, n, q);
+  }
+
+  static std::int64_t compact(const std::int32_t* x, std::int64_t rows, std::int64_t row_stride,
+                              std::int32_t* idx, std::int32_t* val) {
+    return compact_rows(x, rows, row_stride, idx, val);
+  }
+};
+
+#if RED_MVM_X86
+
+// Narrow weights sign-extended to one vector of int32 lanes.
+__attribute__((target("avx2"), always_inline)) inline __m256i widen8(const std::int8_t* p) {
+  return _mm256_cvtepi8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+}
+__attribute__((target("avx2"), always_inline)) inline __m256i widen8(const std::int16_t* p) {
+  return _mm256_cvtepi16_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+__attribute__((target("avx2"), always_inline)) inline __m256i widen8(const std::int32_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+/// AVX2 tier: 8 int32 lanes (vpmulld), partial batch tiles by vpmaskmovd.
+struct Avx2Exact {
+  static constexpr int kLanes = 8;
+
+  template <int kT, typename W>
+  [[gnu::target("avx2"), gnu::aligned(64)]] static void col_tile(
+      const W* w, std::int64_t cols, const std::int32_t* idx, const std::int32_t* val,
+      std::int64_t nnz, std::int64_t k, std::int64_t* out) {
+    for (std::int64_t i0 = 0; i0 < nnz; i0 += k) {
+      const std::int64_t i1 = std::min(nnz, i0 + k);
+      __m256i acc[kT];
+      for (int t = 0; t < kT; ++t) acc[t] = _mm256_setzero_si256();
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const __m256i a = _mm256_set1_epi32(val[i]);
+        const W* row = w + static_cast<std::int64_t>(idx[i]) * cols;
+        for (int t = 0; t < kT; ++t)
+          acc[t] = _mm256_add_epi32(acc[t], _mm256_mullo_epi32(a, widen8(row + 8 * t)));
+      }
+      alignas(32) std::int32_t lanes[8 * kT];
+      for (int t = 0; t < kT; ++t)
+        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 8 * t), acc[t]);
+      flush_lanes(lanes, 8 * kT, out);
+    }
+  }
+
+  template <int kC, typename W>
+  [[gnu::target("avx2"), gnu::aligned(64)]] static void batch_tile(
+      const W* w, std::int64_t rows, std::int64_t cols, const std::int32_t* xt,
+      std::int64_t batch, std::int64_t b0, std::int64_t k, std::int64_t* out) {
+    const int n = static_cast<int>(std::min<std::int64_t>(8, batch - b0));
+    const __m256i live =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(n), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    __m256i acc[kC];
+    for (int c = 0; c < kC; ++c) acc[c] = _mm256_setzero_si256();
+    alignas(32) std::int32_t lanes[8 * kC];
+    std::int64_t done = 0;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const __m256i x = _mm256_maskload_epi32(xt + r * batch + b0, live);
+      if (_mm256_testz_si256(x, x)) continue;
+      const W* wr = w + r * cols;
+      for (int c = 0; c < kC; ++c)
+        acc[c] = _mm256_add_epi32(
+            acc[c], _mm256_mullo_epi32(_mm256_set1_epi32(static_cast<std::int32_t>(wr[c])), x));
+      if (++done == k) {
+        for (int c = 0; c < kC; ++c) {
+          _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 8 * c), acc[c]);
+          acc[c] = _mm256_setzero_si256();
+        }
+        flush_batch<kC>(lanes, 8, n, cols, out + b0 * cols);
+        done = 0;
+      }
+    }
+    for (int c = 0; c < kC; ++c)
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 8 * c), acc[c]);
+    flush_batch<kC>(lanes, 8, n, cols, out + b0 * cols);
+  }
+
+  [[gnu::target("avx2")]] static EncodeSummary summarize(const std::int32_t* x, std::int64_t n,
+                                                         const QuantConfig& q) {
+    return summarize_body(x, n, q);
+  }
+
+  static std::int64_t compact(const std::int32_t* x, std::int64_t rows, std::int64_t row_stride,
+                              std::int32_t* idx, std::int32_t* val) {
+    return compact_rows(x, rows, row_stride, idx, val);
+  }
+};
+
+// Narrow weights sign-extended to one vector of int32 lanes. The all-lanes
+// zero-masking forms compile to the same vpmovsx, without the undefined
+// merge source GCC 12 warns about.
+constexpr __mmask16 kAllLanes = 0xFFFF;
+__attribute__((target("avx512f"), always_inline)) inline __m512i widen16(const std::int8_t* p) {
+  return _mm512_maskz_cvtepi8_epi32(kAllLanes,
+                                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512i widen16(const std::int16_t* p) {
+  return _mm512_maskz_cvtepi16_epi32(kAllLanes,
+                                     _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512i widen16(const std::int32_t* p) {
+  return _mm512_loadu_si512(p);
+}
+
+/// AVX-512 tier: 16 int32 lanes, partial batch tiles by a load mask.
+struct Avx512Exact {
+  static constexpr int kLanes = 16;
+
+  template <int kT, typename W>
+  [[gnu::target("avx512f"), gnu::aligned(64)]] static void col_tile(
+      const W* w, std::int64_t cols, const std::int32_t* idx, const std::int32_t* val,
+      std::int64_t nnz, std::int64_t k, std::int64_t* out) {
+    for (std::int64_t i0 = 0; i0 < nnz; i0 += k) {
+      const std::int64_t i1 = std::min(nnz, i0 + k);
+      __m512i acc[kT];
+      for (int t = 0; t < kT; ++t) acc[t] = _mm512_setzero_si512();
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const __m512i a = _mm512_set1_epi32(val[i]);
+        const W* row = w + static_cast<std::int64_t>(idx[i]) * cols;
+        for (int t = 0; t < kT; ++t)
+          acc[t] = _mm512_add_epi32(acc[t], _mm512_mullo_epi32(a, widen16(row + 16 * t)));
+      }
+      alignas(64) std::int32_t lanes[16 * kT];
+      for (int t = 0; t < kT; ++t) _mm512_store_si512(lanes + 16 * t, acc[t]);
+      flush_lanes(lanes, 16 * kT, out);
+    }
+  }
+
+  template <int kC, typename W>
+  [[gnu::target("avx512f"), gnu::aligned(64)]] static void batch_tile(
+      const W* w, std::int64_t rows, std::int64_t cols, const std::int32_t* xt,
+      std::int64_t batch, std::int64_t b0, std::int64_t k, std::int64_t* out) {
+    const int n = static_cast<int>(std::min<std::int64_t>(16, batch - b0));
+    const auto live = static_cast<__mmask16>((1U << n) - 1);
+    __m512i acc[kC];
+    for (int c = 0; c < kC; ++c) acc[c] = _mm512_setzero_si512();
+    alignas(64) std::int32_t lanes[16 * kC];
+    std::int64_t done = 0;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const __m512i x = _mm512_maskz_loadu_epi32(live, xt + r * batch + b0);
+      if (_mm512_test_epi32_mask(x, x) == 0) continue;
+      const W* wr = w + r * cols;
+      for (int c = 0; c < kC; ++c)
+        acc[c] = _mm512_add_epi32(
+            acc[c], _mm512_mullo_epi32(_mm512_set1_epi32(static_cast<std::int32_t>(wr[c])), x));
+      if (++done == k) {
+        for (int c = 0; c < kC; ++c) {
+          _mm512_store_si512(lanes + 16 * c, acc[c]);
+          acc[c] = _mm512_setzero_si512();
+        }
+        flush_batch<kC>(lanes, 16, n, cols, out + b0 * cols);
+        done = 0;
+      }
+    }
+    for (int c = 0; c < kC; ++c) _mm512_store_si512(lanes + 16 * c, acc[c]);
+    flush_batch<kC>(lanes, 16, n, cols, out + b0 * cols);
+  }
+
+  [[gnu::target("avx512f,avx512vpopcntdq")]] static EncodeSummary summarize(
+      const std::int32_t* x, std::int64_t n, const QuantConfig& q) {
+    return summarize_body</*kNative=*/true>(x, n, q);
+  }
+
+  /// The non-zero rows of a vector-major input by vpcompressd, 16 rows per
+  /// step. Writes up to 15 lanes past the count (prepare_exact's slack).
+  [[gnu::target("avx512f,popcnt")]] static std::int64_t compact(const std::int32_t* x,
+                                                                std::int64_t rows,
+                                                                std::int64_t row_stride,
+                                                                std::int32_t* idx,
+                                                                std::int32_t* val) {
+    if (row_stride != 1) return compact_rows(x, rows, row_stride, idx, val);
+    __m512i row = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    std::int64_t nnz = 0;
+    for (std::int64_t r = 0; r < rows; r += 16) {
+      const auto live = static_cast<__mmask16>(
+          rows - r >= 16 ? 0xFFFFU : (1U << static_cast<unsigned>(rows - r)) - 1);
+      const __m512i v = _mm512_maskz_loadu_epi32(live, x + r);
+      const __mmask16 nz = _mm512_test_epi32_mask(v, v);
+      _mm512_storeu_si512(val + nnz, _mm512_maskz_compress_epi32(nz, v));
+      _mm512_storeu_si512(idx + nnz, _mm512_maskz_compress_epi32(nz, row));
+      row = _mm512_add_epi32(row, _mm512_set1_epi32(16));
+      nnz += std::popcount(static_cast<unsigned>(nz));
+    }
+    return nnz;
+  }
+};
+
+#endif  // RED_MVM_X86
+
+// Input gathers at the tier's width: dst[i] = src[index[i]].
+void gather_portable(const std::int32_t* src, const std::int32_t* index, std::int64_t n,
+                     std::int32_t* dst) {
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = src[index[i]];
+}
+
+#if RED_MVM_X86
+
+__attribute__((target("avx2"))) void gather_avx2(const std::int32_t* src,
+                                                 const std::int32_t* index, std::int64_t n,
+                                                 std::int32_t* dst) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst + i),
+        _mm256_i32gather_epi32(src, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(index + i)),
+                               4));
+  for (; i < n; ++i) dst[i] = src[index[i]];
+}
+
+__attribute__((target("avx512f"))) void gather_avx512(const std::int32_t* src,
+                                                      const std::int32_t* index, std::int64_t n,
+                                                      std::int32_t* dst) {
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const auto live = static_cast<__mmask16>(
+        n - i >= 16 ? 0xFFFFU : (1U << static_cast<unsigned>(n - i)) - 1);
+    const __m512i idx = _mm512_maskz_loadu_epi32(live, index + i);
+    _mm512_mask_storeu_epi32(
+        dst + i, live, _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), live, idx, src, 4));
+  }
+}
+
+#endif  // RED_MVM_X86
+
+/// Column sweep of one input vector whose non-zero rows are (idx, val):
+/// four-vector tiles, then a two-vector one, then single vectors, then the
+/// columns no vector fills (int64 products, no flush needed).
+template <typename Tier, typename W>
+void col_sweep(const W* w, std::int64_t cols, const std::int32_t* idx, const std::int32_t* val,
+               std::int64_t nnz, std::int64_t k, std::int64_t* out) {
+  constexpr int kL = Tier::kLanes;
+  std::int64_t c = 0;
+  for (; c + 4 * kL <= cols; c += 4 * kL)
+    Tier::template col_tile<4>(w + c, cols, idx, val, nnz, k, out + c);
+  if (c + 2 * kL <= cols) {
+    Tier::template col_tile<2>(w + c, cols, idx, val, nnz, k, out + c);
+    c += 2 * kL;
+  }
+  for (; c + kL <= cols; c += kL) Tier::template col_tile<1>(w + c, cols, idx, val, nnz, k, out + c);
+  for (; c < cols; ++c) {
+    std::int64_t sum = 0;
+    for (std::int64_t i = 0; i < nnz; ++i)
+      sum += std::int64_t{val[i]} * w[static_cast<std::int64_t>(idx[i]) * cols + c];
+    out[c] += sum;
+  }
+}
+
+/// Batch sweep of a batch-minor block: column groups of up to four, each
+/// over every tile of Tier::kLanes vectors.
+template <typename Tier, typename W>
+void batch_sweep(const W* w, std::int64_t rows, std::int64_t cols, const std::int32_t* xt,
+                 std::int64_t batch, std::int64_t k, std::int64_t* out) {
+  for (std::int64_t c0 = 0; c0 < cols; c0 += 4) {
+    const std::int64_t group = std::min<std::int64_t>(4, cols - c0);
+    for (std::int64_t b0 = 0; b0 < batch; b0 += Tier::kLanes) {
+      if (group == 1)
+        Tier::template batch_tile<1>(w + c0, rows, cols, xt, batch, b0, k, out + c0);
+      else if (group == 2)
+        Tier::template batch_tile<2>(w + c0, rows, cols, xt, batch, b0, k, out + c0);
+      else if (group == 3)
+        Tier::template batch_tile<3>(w + c0, rows, cols, xt, batch, b0, k, out + c0);
+      else
+        Tier::template batch_tile<4>(w + c0, rows, cols, xt, batch, b0, k, out + c0);
+    }
+  }
+}
+
+/// Where one exact block's inputs live: element (vector v, row r) is
+/// x[v * vec_stride + r * row_stride] — vector-major (rows, 1) or
+/// batch-minor (1, batch).
+struct ExactInputs {
+  const std::int32_t* x;
+  std::int64_t vec_stride;
+  std::int64_t row_stride;
+};
+
+/// The int64 row sweep, for configs where one product can overflow int32
+/// (exact_flush_rows() == 0).
+template <typename W>
+void wide_sweep(const W* weights, const LogicalXbar& xbar, const ExactInputs& in,
+                std::int64_t batch, std::int64_t* out) {
+  const std::int64_t rows = xbar.rows();
+  const std::int64_t cols = xbar.cols();
+  for (std::int64_t v = 0; v < batch; ++v) {
+    std::int64_t* o = out + v * cols;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::int32_t a = in.x[v * in.vec_stride + r * in.row_stride];
+      if (a == 0) continue;
+      const W* wrow = weights + r * cols;
+      for (std::int64_t c = 0; c < cols; ++c) o[c] += std::int64_t{a} * wrow[c];
+    }
+  }
+}
+
+/// The narrow sweeps on tier Tier with weights of type W.
+template <typename Tier, typename W>
+void narrow_sweep(const W* w, const LogicalXbar& xbar, const ExactInputs& in,
+                  std::int64_t batch, ExactSweep sweep, std::int64_t k, MvmWorkspace& ws,
+                  std::int64_t* out) {
+  const std::int64_t rows = xbar.rows();
+  const std::int64_t cols = xbar.cols();
+  if (sweep == ExactSweep::kBatch) {
+    const std::int32_t* xt = in.x;
+    if (in.row_stride != batch) {  // vector-major: copy batch-minor
+      ws.prepare_exact(std::max(rows, batch), rows * batch);
+      // Row r of the copy gathers element r of every vector; the unused
+      // non-zero row list holds the vectors' offsets.
+      std::int32_t* offsets = ws.nz_rows.data();
+      for (std::int64_t v = 0; v < batch; ++v) offsets[v] = static_cast<std::int32_t>(v * rows);
+      for (std::int64_t r = 0; r < rows; ++r)
+        gather_inputs(in.x + r, {offsets, static_cast<std::size_t>(batch)},
+                      ws.in_t.data() + r * batch);
+      xt = ws.in_t.data();
+    }
+    batch_sweep<Tier>(w, rows, cols, xt, batch, k, out);
+    return;
+  }
+  ws.prepare_exact(rows, 0);
+  std::int32_t* idx = ws.nz_rows.data();
+  std::int32_t* val = ws.nz_vals.data();
+  for (std::int64_t v = 0; v < batch; ++v) {
+    const std::int64_t nnz =
+        Tier::compact(in.x + v * in.vec_stride, rows, in.row_stride, idx, val);
+    col_sweep<Tier>(w, cols, idx, val, nnz, k, out + v * cols);
+  }
+}
+
+template <typename Tier>
+EncodeSummary exact_on_tier(const LogicalXbar& xbar, const ExactInputs& in, std::int64_t batch,
+                            ExactSweep sweep, MvmWorkspace& ws, std::int64_t* out) {
+  const EncodeSummary sum = Tier::summarize(in.x, batch * xbar.rows(), xbar.config());
+  std::fill(out, out + batch * xbar.cols(), std::int64_t{0});
+  const std::int64_t k = exact_flush_rows(xbar.config());
+  xbar.visit_stored_weights([&](auto w) {
+    if (k == 0)
+      wide_sweep(w.data(), xbar, in, batch, out);
+    else
+      narrow_sweep<Tier>(w.data(), xbar, in, batch, sweep, k, ws, out);
+  });
+  return sum;
+}
+
+/// `batch` exact MVMs into `out` (batch * cols, vector-major) on tier `isa`;
+/// returns the block's input summary.
+EncodeSummary exact_block(MvmIsa isa, const LogicalXbar& xbar, const ExactInputs& in,
+                          std::int64_t batch, ExactSweep sweep, MvmWorkspace& ws,
+                          std::int64_t* out) {
+  switch (isa) {
+#if RED_MVM_X86
+    case MvmIsa::kAvx2:
+      return exact_on_tier<Avx2Exact>(xbar, in, batch, sweep, ws, out);
+    case MvmIsa::kAvx512:
+      return exact_on_tier<Avx512Exact>(xbar, in, batch, sweep, ws, out);
+#endif
+    default:
+      return exact_on_tier<PortableExact>(xbar, in, batch, sweep, ws, out);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Stats and the one batch loop behind every entry point.
+// ---------------------------------------------------------------------------
+
+/// Stats of `calls` MVMs whose inputs summarize to `sum`: every counter is
+/// a sum over the calls, so a block adds exactly what its calls would.
+void add_stats(const LogicalXbar& xbar, const EncodeSummary& sum, std::int64_t calls,
+               std::int64_t clips, MvmStats* stats) {
   if (stats == nullptr) return;
-  stats->mvm_ops += 1;
+  stats->mvm_ops += calls;
   stats->row_drives += sum.drives;
   stats->mac_pulses += sum.pulse_rows * xbar.phys_cols();
-  stats->conversions += xbar.phys_cols() * xbar.config().pulses();
+  stats->conversions += calls * xbar.phys_cols() * xbar.config().pulses();
   stats->adc_clips += clips;
 }
 
@@ -345,34 +847,7 @@ void bit_accurate_into(const LogicalXbar& xbar, std::span<const std::int32_t> in
     packed_ideal_kernel(xbar, sum, ws, out, fn);
   else
     clips = packed_clipped_kernel(xbar, sum, ws, out, fn);
-  add_stats(xbar, sum, clips, stats);
-}
-
-/// One exact MVM (ideal-ADC semantics regardless of the configured ADC) into
-/// `out`: a row sweep over the stored weights that skips zero activations.
-/// Assumes input.size() == rows().
-///
-/// Aligned to a cache line so the inner loop's placement cannot move with
-/// unrelated code: at the default 16-byte alignment, a change elsewhere in
-/// the library shifted it and cost red-stream-exact about 8% throughput.
-__attribute__((aligned(64))) void exact_into(const LogicalXbar& xbar,
-                                             std::span<const std::int32_t> input,
-                                             std::int64_t* out, MvmStats* stats) {
-  const std::int64_t rows = xbar.rows();
-  const std::int64_t cols = xbar.cols();
-  const QuantConfig& q = xbar.config();
-  const std::int32_t* weights = xbar.stored_weights().data();
-  std::fill(out, out + cols, std::int64_t{0});
-  EncodeSummary sum;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int32_t in = input[static_cast<std::size_t>(r)];
-    if (in == 0) continue;
-    ++sum.drives;
-    sum.pulse_rows += fast_pulse_count(in, q);
-    const std::int32_t* wrow = weights + r * cols;
-    for (std::int64_t c = 0; c < cols; ++c) out[c] += std::int64_t{in} * wrow[c];
-  }
-  add_stats(xbar, sum, 0, stats);
+  add_stats(xbar, sum, 1, clips, stats);
 }
 
 /// Observe-only instrumentation of the public entry points (never the inner
@@ -409,30 +884,34 @@ void record_mvm_call(telemetry::MetricsRegistry* m, const char* counter, std::in
 }
 
 /// The one body behind every entry point: `batch` MVMs on tier `isa`.
+/// Exact inputs are batch-minor when `batch_minor` (bit-accurate ones are
+/// always vector-major), and `sweep` orients the exact kernel's lanes.
 std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
                                         std::span<const std::int32_t> inputs, std::int64_t batch,
-                                        bool bit_accurate, MvmWorkspace& ws, MvmStats* stats) {
+                                        bool bit_accurate, ExactSweep sweep, bool batch_minor,
+                                        MvmWorkspace& ws, MvmStats* stats) {
   RED_EXPECTS(batch >= 0);
   RED_EXPECTS_MSG(inputs.size() == static_cast<std::size_t>(batch * xbar.rows()),
                   "input size mismatch");
-  const LaneSumsFn fn = lane_sums_fn(isa);
+  RED_EXPECTS(!(bit_accurate && batch_minor));
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.cols(), batch);
   if (bit_accurate) {
+    const LaneSumsFn fn = lane_sums_fn(isa);
     ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
     // The crossbar's packed planes are built by their first reader.
     if (xbar.ensure_packed_planes() && m != nullptr)
       m->counter("xbar.packed_plane_builds")->add(1);
-  }
-  const auto rows = static_cast<std::size_t>(xbar.rows());
-  for (std::int64_t v = 0; v < batch; ++v) {
-    const auto input = inputs.subspan(static_cast<std::size_t>(v) * rows, rows);
-    std::int64_t* out = ws.out.data() + v * xbar.cols();
-    if (bit_accurate)
-      bit_accurate_into(xbar, input, ws, out, stats, fn);
-    else
-      exact_into(xbar, input, out, stats);
+    const auto rows = static_cast<std::size_t>(xbar.rows());
+    for (std::int64_t v = 0; v < batch; ++v)
+      bit_accurate_into(xbar, inputs.subspan(static_cast<std::size_t>(v) * rows, rows), ws,
+                        ws.out.data() + v * xbar.cols(), stats, fn);
+  } else if (batch > 0) {
+    const ExactInputs in{inputs.data(), batch_minor ? 1 : xbar.rows(),
+                         batch_minor ? batch : 1};
+    const EncodeSummary sum = exact_block(isa, xbar, in, batch, sweep, ws, ws.out.data());
+    add_stats(xbar, sum, batch, 0, stats);
   }
   if (m != nullptr && batch > 0)
     record_mvm_call(m, bit_accurate ? bit_accurate_calls_counter(isa) : kExactCallsCounter, batch,
@@ -468,22 +947,73 @@ const char* mvm_isa_name(MvmIsa isa) {
   return "";
 }
 
+int mvm_lanes(MvmIsa isa) {
+#if RED_MVM_X86
+  if (isa == MvmIsa::kAvx512) return Avx512Exact::kLanes;
+  if (isa == MvmIsa::kAvx2) return Avx2Exact::kLanes;
+#endif
+  (void)isa;
+  return PortableExact::kLanes;
+}
+
+ExactSweep exact_sweep(const LogicalXbar& xbar) {
+  return xbar.cols() < mvm_lanes(mvm_active_isa()) ? ExactSweep::kBatch : ExactSweep::kColumns;
+}
+
+void gather_inputs(const std::int32_t* src, std::span<const std::int32_t> index,
+                   std::int32_t* dst) {
+  const auto n = static_cast<std::int64_t>(index.size());
+  switch (mvm_active_isa()) {
+#if RED_MVM_X86
+    case MvmIsa::kAvx2:
+      return gather_avx2(src, index.data(), n, dst);
+    case MvmIsa::kAvx512:
+      return gather_avx512(src, index.data(), n, dst);
+#endif
+    default:
+      return gather_portable(src, index.data(), n, dst);
+  }
+}
+
+std::int64_t exact_flush_rows(const QuantConfig& q) {
+  // Largest |activation| (the bit-serial MSB pulse, or the top unsigned
+  // value) times the largest |stored weight| (-offset, or every level bit
+  // set minus the offset when a faulted top slice overshoots wbits).
+  const std::int64_t act = q.dac_bits == 1 ? std::int64_t{1} << (q.abits - 1)
+                                           : (std::int64_t{1} << q.abits) - 1;
+  const std::int64_t offset = q.weight_offset();
+  const std::int64_t weight =
+      std::max(offset, (std::int64_t{1} << (q.slices() * q.cell_bits)) - 1 - offset);
+  return std::numeric_limits<std::int32_t>::max() / (act * weight);
+}
+
 std::span<const std::int64_t> mvm_bit_accurate(const LogicalXbar& xbar,
                                                std::span<const std::int32_t> input,
                                                MvmWorkspace& ws, MvmStats* stats) {
-  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/true, ws, stats);
+  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/true,
+                   ExactSweep::kColumns, /*batch_minor=*/false, ws, stats);
 }
 
 std::span<const std::int64_t> mvm_exact(const LogicalXbar& xbar,
                                         std::span<const std::int32_t> input, MvmWorkspace& ws,
                                         MvmStats* stats) {
-  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/false, ws, stats);
+  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/false, exact_sweep(xbar),
+                   /*batch_minor=*/false, ws, stats);
 }
 
 std::span<const std::int64_t> mvm_batch(const LogicalXbar& xbar,
                                         std::span<const std::int32_t> inputs, std::int64_t batch,
                                         bool bit_accurate, MvmWorkspace& ws, MvmStats* stats) {
-  return run_batch(mvm_active_isa(), xbar, inputs, batch, bit_accurate, ws, stats);
+  return run_batch(mvm_active_isa(), xbar, inputs, batch, bit_accurate, exact_sweep(xbar),
+                   /*batch_minor=*/false, ws, stats);
+}
+
+std::span<const std::int64_t> mvm_exact_batch_minor(const LogicalXbar& xbar,
+                                                    std::span<const std::int32_t> inputs,
+                                                    std::int64_t batch, MvmWorkspace& ws,
+                                                    MvmStats* stats) {
+  return run_batch(mvm_active_isa(), xbar, inputs, batch, /*bit_accurate=*/false,
+                   exact_sweep(xbar), /*batch_minor=*/true, ws, stats);
 }
 
 namespace detail {
@@ -491,8 +1021,17 @@ namespace detail {
 std::span<const std::int64_t> mvm_bit_accurate_on(MvmIsa tier, const LogicalXbar& xbar,
                                                   std::span<const std::int32_t> input,
                                                   MvmWorkspace& ws, MvmStats* stats) {
-  return run_batch(std::min(tier, mvm_active_isa()), xbar, input, 1, /*bit_accurate=*/true, ws,
-                   stats);
+  return run_batch(std::min(tier, mvm_active_isa()), xbar, input, 1, /*bit_accurate=*/true,
+                   ExactSweep::kColumns, /*batch_minor=*/false, ws, stats);
+}
+
+std::span<const std::int64_t> mvm_exact_on(MvmIsa tier, ExactSweep sweep,
+                                           const LogicalXbar& xbar,
+                                           std::span<const std::int32_t> inputs,
+                                           std::int64_t batch, MvmWorkspace& ws,
+                                           MvmStats* stats) {
+  return run_batch(std::min(tier, mvm_active_isa()), xbar, inputs, batch,
+                   /*bit_accurate=*/false, sweep, /*batch_minor=*/false, ws, stats);
 }
 
 }  // namespace detail

@@ -1,10 +1,25 @@
-// MVM kernels: one per regime.
+// MVM kernels: one per regime, each compiled at every SIMD tier (MvmIsa).
 //
-//  * exact (mvm_exact, mvm_batch with bit_accurate=false) — ideal-ADC
-//    semantics, so the result is the integer dot product with the
-//    round-tripped weights. A sparse row sweep over
-//    LogicalXbar::stored_weights() that skips zero activations, the way
-//    RED's zero-skipping data flow skips them in hardware.
+//  * exact (mvm_exact, mvm_batch with bit_accurate=false,
+//    mvm_exact_batch_minor) — ideal-ADC semantics, so the result is the
+//    integer dot product with the round-tripped weights. A row sweep over
+//    LogicalXbar's narrow weight copy (stored_weights8/16: int8 or int16,
+//    chosen from QuantConfig::stored_weight_bits so a faulted top slice
+//    still fits) that skips zero activations, the way RED's zero-skipping
+//    data flow skips them in hardware.
+//      - Products accumulate in int32 lanes and flush to the int64 outputs
+//        every exact_flush_rows() rows, a bound from QuantConfig under which
+//        overflow is impossible. Where one product cannot fit in int32 the
+//        bound is 0 and the int64 row sweep runs instead.
+//      - Orientation rule (exact_sweep): a macro with at least one vector of
+//        columns sweeps across its columns, one input vector at a time; a
+//        narrower one (RED's 288x3 output stage) sweeps across the batch,
+//        lanes over vectors, reading a batch-minor block. RED's gather
+//        writes that block directly (mvm_exact_batch_minor); vector-major
+//        callers are copied batch-minor inside the call.
+//      - Pulse counts are a popcount form per value, and the activation
+//        range check runs once per block over its min and max: an
+//        out-of-range activation still throws.
 //  * bit-accurate (mvm_bit_accurate, mvm_batch with bit_accurate=true) —
 //    packed bit-planes: every stored-level bit of a column lives in
 //    LogicalXbar's packed weight planes (one 64-bit-word bitmap per level
@@ -20,11 +35,12 @@
 //        digits then recombine and saturate scalar-side, exactly like the
 //        reference (clip counts included).
 //
-// The bit-accurate popcount loop is compiled at three widths (MvmIsa):
-// portable std::popcount (the only one on non-x86 hosts), AVX2 and
-// AVX512-VPOPCNTDQ. CPU detection picks the widest once per process.
-// detail::mvm_bit_accurate_on() runs a given tier so tests and benchmarks can
-// check every compiled tier on one host.
+// Tiers: portable C++ (scalar lanes, std::popcount; the only one on non-x86
+// hosts), AVX2 (8 int32 lanes, vpshufb popcount) and AVX-512 (16 int32
+// lanes, VPOPCNTDQ). CPU detection picks the widest once per process, for
+// both kernels. detail::mvm_exact_on() and detail::mvm_bit_accurate_on() run
+// a given tier (and, for the exact kernel, a given orientation) so tests and
+// benchmarks can check every compiled tier on one host.
 //
 // Both kernels are bit-exact against LogicalXbar::mvm_bit_accurate_reference
 // in outputs AND MvmStats (tests/fast_path_equivalence_test.cpp gates this).
@@ -38,15 +54,36 @@
 
 namespace red::perf {
 
-/// Widths of the bit-accurate popcount loop, narrowest to widest.
+/// SIMD tiers of both kernels, narrowest to widest.
 enum class MvmIsa : int {
   kPortable = 0,
   kAvx2 = 1,
   kAvx512 = 2,
 };
 
-/// Tier the bit-accurate kernels run on this CPU (kPortable at minimum).
+/// Tier both kernels run on this CPU (kPortable at minimum).
 [[nodiscard]] MvmIsa mvm_active_isa();
+
+/// int32 lanes of one exact-kernel vector at `isa` (1, 8, 16).
+[[nodiscard]] int mvm_lanes(MvmIsa isa);
+
+/// Orientation of the exact kernel's lanes.
+enum class ExactSweep : int {
+  kColumns = 0,  ///< across the columns, one input vector at a time
+  kBatch = 1,    ///< across the batch, one row at a time
+};
+
+/// The orientation the exact kernel uses for `xbar` on this CPU: kBatch
+/// when cols() < mvm_lanes(mvm_active_isa()), else kColumns.
+[[nodiscard]] ExactSweep exact_sweep(const xbar::LogicalXbar& xbar);
+
+/// Rows of worst-magnitude products (largest |activation| times largest
+/// |stored weight|) an int32 accumulator holds without overflow: the exact
+/// kernel flushes to int64 at least this often. 1 at wbits = abits = 16 with
+/// 2-bit cells (one product, at most 2^30 or 65535 * 32768, fits); 0 when
+/// one product does not fit (wbits 16 with 3-bit cells, whose 18 level bits
+/// store up to 2^18 - 1 - 2^15), and the int64 row sweep runs.
+[[nodiscard]] std::int64_t exact_flush_rows(const xbar::QuantConfig& q);
 
 /// Lower-case tier name ("portable", "avx2", "avx512").
 [[nodiscard]] const char* mvm_isa_name(MvmIsa isa);
@@ -73,6 +110,19 @@ std::span<const std::int64_t> mvm_batch(const xbar::LogicalXbar& xbar,
                                         bool bit_accurate, MvmWorkspace& ws,
                                         xbar::MvmStats* stats = nullptr);
 
+/// dst[i] = src[index[i]] for every i, at the active tier's width (vector
+/// gathers): the copy behind RED's input gather.
+void gather_inputs(const std::int32_t* src, std::span<const std::int32_t> index,
+                   std::int32_t* dst);
+
+/// mvm_batch(bit_accurate=false) on a batch-minor block: inputs[r * batch +
+/// v] is row r of vector v. Returns batch * cols() results, vector-major, in
+/// `ws.out`. RED's gather writes this layout when exact_sweep() is kBatch.
+std::span<const std::int64_t> mvm_exact_batch_minor(const xbar::LogicalXbar& xbar,
+                                                    std::span<const std::int32_t> inputs,
+                                                    std::int64_t batch, MvmWorkspace& ws,
+                                                    xbar::MvmStats* stats = nullptr);
+
 namespace detail {
 
 /// mvm_bit_accurate() on `tier`, clamped to mvm_active_isa(). For tests and
@@ -81,6 +131,14 @@ std::span<const std::int64_t> mvm_bit_accurate_on(MvmIsa tier, const xbar::Logic
                                                   std::span<const std::int32_t> input,
                                                   MvmWorkspace& ws,
                                                   xbar::MvmStats* stats = nullptr);
+
+/// mvm_batch(bit_accurate=false) on `tier`, clamped to mvm_active_isa(),
+/// with the orientation forced to `sweep`. `inputs` is vector-major.
+std::span<const std::int64_t> mvm_exact_on(MvmIsa tier, ExactSweep sweep,
+                                           const xbar::LogicalXbar& xbar,
+                                           std::span<const std::int32_t> inputs,
+                                           std::int64_t batch, MvmWorkspace& ws,
+                                           xbar::MvmStats* stats = nullptr);
 
 }  // namespace detail
 

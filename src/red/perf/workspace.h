@@ -1,7 +1,8 @@
 // Reusable scratch buffers for the MVM kernels.
 //
 // Every buffer an MVM call needs — the packed input bit-planes of the
-// bit-accurate kernels and the output block — lives here, so a warmed-up
+// bit-accurate kernels, the exact kernel's non-zero row list and
+// batch-minor input copy, and the output block — lives here, so a warmed-up
 // workspace makes an MVM call allocation-free. Workspaces are plain value
 // types: one per thread (the kernels never share one across threads),
 // reusable across crossbars of any geometry because prepare() and
@@ -20,6 +21,14 @@ struct MvmWorkspace {
   /// plane count rounded up to a multiple of 4 (one 256-bit lane group); the
   /// pad planes stay zero.
   std::vector<std::uint64_t> in_planes;
+  /// Exact kernel, column sweep: the non-zero rows of one input vector, as
+  /// row indices and their activations (16 lanes of slack for vector
+  /// stores past the count).
+  std::vector<std::int32_t> nz_rows;
+  std::vector<std::int32_t> nz_vals;
+  /// Exact kernel, batch sweep: a vector-major batch copied batch-minor
+  /// (in_t[r * batch + v] is row r of vector v).
+  std::vector<std::int32_t> in_t;
   /// Kernel output block: batch * cols results, vector-major.
   std::vector<std::int64_t> out;
   /// Scratch canvas for deconv scatter loops; reused for as long as the
@@ -31,6 +40,19 @@ struct MvmWorkspace {
   void prepare(std::int64_t cols, std::int64_t batch = 1) {
     const auto need_out = static_cast<std::size_t>(batch) * static_cast<std::size_t>(cols);
     if (out.size() < need_out) out.resize(need_out);
+  }
+
+  /// Grow (never shrink) the exact kernel's scratch for rows-wordline
+  /// crossbars: the non-zero row list, and `transposed` elements of
+  /// batch-minor copy.
+  void prepare_exact(std::int64_t rows, std::int64_t transposed) {
+    const auto need = static_cast<std::size_t>(rows) + 16;
+    if (nz_rows.size() < need) {
+      nz_rows.resize(need);
+      nz_vals.resize(need);
+    }
+    if (in_t.size() < static_cast<std::size_t>(transposed))
+      in_t.resize(static_cast<std::size_t>(transposed));
   }
 
   /// Grow (never shrink) the packed input-plane buffer for a rows-wordline

@@ -99,10 +99,11 @@ StreamingExecutor::StreamingExecutor(plan::StackPlan stack_plan,
 
   // Pay-once programming, consuming each stage's compiled plan. A
   // variation-enabled config programs its perturbed cells here, once: the
-  // fixed seed would draw the same cells on every image anyway.
+  // fixed seed would draw the same cells on every image anyway. Stage i
+  // draws with salt i, as faulted() does, so layers get independent masks.
   programmed_.resize(stack_.size());
   for (std::size_t i = 0; i < stack_.size(); ++i)
-    programmed_[i] = design_->program(plan_.layers[i], kernels_[i]);
+    programmed_[i] = design_->program(plan_.layers[i], kernels_[i], /*variation_salt=*/i);
   programmed_fast_path_ =
       std::all_of(programmed_.begin(), programmed_.end(),
                   [](const auto& p) { return p != nullptr; });

@@ -59,7 +59,13 @@ LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
   const int slices = config_.slices();
   const int cell_bits = config_.cell_bits;
   const std::size_t plane = weights.size();
-  weights_.assign(weights.begin(), weights.end());
+  const int stored_bits = config_.stored_weight_bits();
+  if (stored_bits <= 8)
+    weights_.emplace<std::vector<std::int8_t>>(weights.begin(), weights.end());
+  else if (stored_bits <= 16)
+    weights_.emplace<std::vector<std::int16_t>>(weights.begin(), weights.end());
+  else
+    weights_.emplace<std::vector<std::int32_t>>(weights.begin(), weights.end());
   levels_.resize(plane * static_cast<std::size_t>(slices));
 
   // Running per-(col, slice) column sums of the programmed levels feed the
@@ -106,7 +112,7 @@ LogicalXbar::LogicalXbar(const LogicalXbar& clean, const VariationModel& var,
 void LogicalXbar::apply_variation(std::uint64_t salt) {
   const VariationModel& var = config_.variation;
   const int slices = config_.slices();
-  const std::size_t plane = weights_.size();
+  const auto plane = static_cast<std::size_t>(rows_ * cols_);
   variation_stats_ = {};
   variation_stats_.cells = static_cast<std::int64_t>(plane) * slices;
   if (!var.enabled()) return;
@@ -192,13 +198,21 @@ LogicalXbar::LogicalXbar(const LogicalXbar& clean, std::span<const LevelPatch> p
 void LogicalXbar::patch_cell(std::size_t idx, std::uint8_t level) {
   const std::uint8_t original = levels_[idx];
   if (level == original) return;
-  const std::size_t plane = weights_.size();
+  const auto plane = static_cast<std::size_t>(rows_ * cols_);
   const std::size_t s = idx / plane;
   const std::size_t i = idx % plane;
   const int cell_bits = config_.cell_bits;
   levels_[idx] = level;
-  weights_[i] += (static_cast<std::int32_t>(level) - static_cast<std::int32_t>(original))
-                 << (cell_bits * static_cast<int>(s));
+  // The patched weight fits: stored_weight_bits() covers every level.
+  const std::int32_t delta =
+      (static_cast<std::int32_t>(level) - static_cast<std::int32_t>(original))
+      << (cell_bits * static_cast<int>(s));
+  std::visit(
+      [&](auto& w) {
+        using T = typename std::decay_t<decltype(w)>::value_type;
+        w[i] = static_cast<T>(w[i] + delta);
+      },
+      weights_);
   col_level_sums_[(i % static_cast<std::size_t>(cols_)) *
                       static_cast<std::size_t>(config_.slices()) +
                   s] += static_cast<std::int64_t>(level) - static_cast<std::int64_t>(original);
@@ -284,7 +298,14 @@ void LogicalXbar::build_packed_planes(std::vector<std::uint64_t>& planes) const 
 
 std::int32_t LogicalXbar::stored_weight(std::int64_t r, std::int64_t c) const {
   RED_EXPECTS(r >= 0 && r < rows_ && c >= 0 && c < cols_);
-  return weights_[static_cast<std::size_t>(r * cols_ + c)];
+  return visit_stored_weights([i = static_cast<std::size_t>(r * cols_ + c)](auto w) {
+    return static_cast<std::int32_t>(w[i]);
+  });
+}
+
+std::vector<std::int32_t> LogicalXbar::stored_weights() const {
+  return visit_stored_weights(
+      [](auto w) { return std::vector<std::int32_t>(w.begin(), w.end()); });
 }
 
 std::vector<std::int64_t> LogicalXbar::mvm(std::span<const std::int32_t> input,

@@ -5,7 +5,8 @@
 //  * mvm()      — exact path. With an ideal ADC the analog pipeline is
 //                 lossless, so the MVM equals an exact integer dot product
 //                 on the encode/decode round-tripped weights: a row sweep
-//                 over stored_weights() that skips zero activations.
+//                 over the narrow stored weights (visit_stored_weights)
+//                 that skips zero activations.
 //                 Activity (pulses, conversions, row drives) is counted
 //                 analytically from the inputs.
 //  * mvm_bit_accurate() — simulates every slice column and every input bit
@@ -40,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "red/perf/workspace.h"
@@ -106,8 +108,20 @@ class LogicalXbar {
   /// in-range weights; exposed for tests).
   [[nodiscard]] std::int32_t stored_weight(std::int64_t r, std::int64_t c) const;
 
-  /// Round-tripped weights, row-major (the matrix mvm() multiplies by).
-  [[nodiscard]] std::span<const std::int32_t> stored_weights() const { return weights_; }
+  /// Round-tripped weights, row-major (the matrix mvm() multiplies by),
+  /// widened to int32: a copy, for tests and cold paths.
+  [[nodiscard]] std::vector<std::int32_t> stored_weights() const;
+
+  /// Call `f` with the round-tripped weights, row-major, as a std::span of
+  /// the narrowest of int8, int16 and int32 that holds every weight the
+  /// cells can store (QuantConfig::stored_weight_bits, so a faulted top
+  /// slice still fits). This is the one stored copy and the exact kernel's
+  /// operand. Returns what `f` returns.
+  template <typename F>
+  decltype(auto) visit_stored_weights(F&& f) const {
+    return std::visit([&f](const auto& w) -> decltype(auto) { return f(std::span(w)); },
+                      weights_);
+  }
 
   /// Contiguous rows x cols row-major matrix of cell levels for slice `s`.
   [[nodiscard]] const std::uint8_t* level_plane(int s) const {
@@ -246,7 +260,9 @@ class LogicalXbar {
   std::int64_t rows_;
   std::int64_t cols_;
   QuantConfig config_;
-  std::vector<std::int32_t> weights_;      ///< stored signed weights, row-major
+  /// Stored signed weights, row-major, at their narrowest width.
+  std::variant<std::vector<std::int8_t>, std::vector<std::int16_t>, std::vector<std::int32_t>>
+      weights_;
   std::vector<std::uint8_t> levels_;       ///< cell levels, plane-major [slice][row][col]
   PackedCache packed_;
   std::int64_t packed_words_ = 0;

@@ -56,6 +56,14 @@ struct QuantConfig {
   }
   /// Max level one cell stores (e.g. 3 for 2-bit cells).
   [[nodiscard]] int max_level() const { return (1 << cell_bits) - 1; }
+  /// Signed width of every weight the cells can store: wbits when the slices
+  /// hold exactly wbits level bits, else one more than the level bits, since
+  /// a faulted partial top slice can store up to 2^(slices*cell_bits) - 1 -
+  /// offset (191 at wbits 7, cell_bits 2).
+  [[nodiscard]] int stored_weight_bits() const {
+    const int level_bits = slices() * cell_bits;
+    return level_bits == wbits ? wbits : level_bits + 1;
+  }
 
   void validate() const {
     RED_EXPECTS(wbits >= 2 && wbits <= 16);

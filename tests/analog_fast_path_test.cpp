@@ -195,9 +195,7 @@ TEST(VariationPass, DeterministicConsistentAndLawful) {
   // The incrementally-maintained lossless-ADC cache matches a from-scratch
   // reprogram of the perturbed weights (levels are the unique digit
   // representation, so programming the stored weights reproduces them).
-  const LogicalXbar reprogrammed(64, 4, std::vector<std::int32_t>(a.stored_weights().begin(),
-                                                                  a.stored_weights().end()),
-                                 q);
+  const LogicalXbar reprogrammed(64, 4, a.stored_weights(), q);
   EXPECT_EQ(a.lossless_adc_bits(), reprogrammed.lossless_adc_bits());
 
   // Another salt draws another mask from the same seed.
@@ -217,9 +215,7 @@ TEST(VariationPass, DeterministicConsistentAndLawful) {
   EXPECT_GT(skip.variation_stats().perturbed_cells, 0);
   EXPECT_EQ(skip.variation_stats().stuck_cells, 0);
   EXPECT_EQ(skip.mvm(in), skip.mvm_bit_accurate(in));
-  const LogicalXbar skip_reprog(64, 4, std::vector<std::int32_t>(skip.stored_weights().begin(),
-                                                                 skip.stored_weights().end()),
-                                q);
+  const LogicalXbar skip_reprog(64, 4, skip.stored_weights(), q);
   EXPECT_EQ(skip.lossless_adc_bits(), skip_reprog.lossless_adc_bits());
 }
 

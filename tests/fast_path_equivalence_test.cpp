@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "red/common/error.h"
 #include "red/common/math_util.h"
 #include "red/common/rng.h"
 #include "red/core/designs.h"
@@ -297,6 +298,232 @@ TEST(FastPathEquivalence, KernelsMatchReferenceOnDcganMacros) {
     }
   }
   EXPECT_NEAR(static_cast<double>(zeros) / static_cast<double>(total), 0.5, 0.05);
+}
+
+// ---------------------------------------------------------------------------
+// The exact kernel per tier and orientation (perf::detail::mvm_exact_on).
+// ---------------------------------------------------------------------------
+
+/// Runs `batch` vectors of `inputs` (vector-major, the first batch * rows
+/// values) through the exact kernel on every supported tier in both
+/// orientations, against the reference's outputs and stats per vector.
+void expect_exact_matches(const LogicalXbar& xb, std::span<const std::int32_t> inputs,
+                          std::int64_t batch, const std::vector<std::vector<std::int64_t>>& ref,
+                          const MvmStats& ref_stats, const std::string& what) {
+  const auto rows = static_cast<std::size_t>(xb.rows());
+  const auto block = inputs.first(static_cast<std::size_t>(batch) * rows);
+  std::vector<std::int64_t> want;
+  for (std::int64_t v = 0; v < batch; ++v)
+    want.insert(want.end(), ref[static_cast<std::size_t>(v)].begin(),
+                ref[static_cast<std::size_t>(v)].end());
+  perf::MvmWorkspace ws;
+  for (const auto isa : supported_isas()) {
+    for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch}) {
+      const std::string label = what + " batch " + std::to_string(batch) + " " +
+                                perf::mvm_isa_name(isa) +
+                                (sweep == perf::ExactSweep::kBatch ? " batch-sweep" : " col-sweep");
+      MvmStats got_stats;
+      const auto got = perf::detail::mvm_exact_on(isa, sweep, xb, block, batch, ws, &got_stats);
+      EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), want) << label;
+      EXPECT_EQ(got_stats, ref_stats) << label;
+    }
+  }
+}
+
+/// Reference outputs of the first `n` vectors of `inputs`, and the stats of
+/// the first b vectors for every b <= n (clips zeroed: an exact MVM never
+/// clips).
+struct ExactOracle {
+  std::vector<std::vector<std::int64_t>> out;
+  std::vector<MvmStats> stats_by_batch;  ///< stats of the first b vectors, per b
+};
+
+ExactOracle exact_oracle(const LogicalXbar& xb, std::span<const std::int32_t> inputs,
+                         std::int64_t n) {
+  ExactOracle o;
+  MvmStats running;
+  o.stats_by_batch.push_back(running);
+  const auto rows = static_cast<std::size_t>(xb.rows());
+  for (std::int64_t v = 0; v < n; ++v) {
+    o.out.push_back(
+        xb.mvm_bit_accurate_reference(inputs.subspan(static_cast<std::size_t>(v) * rows, rows),
+                                      &running));
+    MvmStats exact = running;
+    exact.adc_clips = 0;
+    o.stats_by_batch.push_back(exact);
+  }
+  return o;
+}
+
+/// Every tier and orientation on batches 1, 7, 8 and 33 of `inputs`
+/// (vector tails of the 8- and 16-lane tiers).
+void expect_exact_batches_match(const LogicalXbar& xb, std::span<const std::int32_t> inputs,
+                                const std::string& what) {
+  const ExactOracle o = exact_oracle(xb, inputs, 33);
+  for (const std::int64_t batch : {1, 7, 8, 33})
+    expect_exact_matches(xb, inputs, batch, o.out,
+                         o.stats_by_batch[static_cast<std::size_t>(batch)], what);
+}
+
+/// Post-ReLU activations: non-negative, about half zeros.
+std::vector<std::int32_t> post_relu_inputs(Rng& rng, std::int64_t n, const QuantConfig& q) {
+  std::vector<std::int32_t> in(static_cast<std::size_t>(n));
+  for (auto& v : in)
+    v = rng.bernoulli(0.5)
+            ? 0
+            : static_cast<std::int32_t>(rng.uniform_int(1, (std::int64_t{1} << (q.abits - 1)) - 1));
+  return in;
+}
+
+/// Every RED group macro and ZP macro of dcgan, sngan and fcn8s (channels /
+/// 4, as streamed), with post-ReLU inputs, on every tier in both
+/// orientations at batch 1, 7, 8 and 33.
+TEST(ExactKernel, MatchesReferenceOnNetworkMacrosPerTierAndSweep) {
+  Rng rng(4242);
+  std::int64_t zeros = 0, total = 0, shapes = 0, narrow = 0;
+  for (const std::string net : {"dcgan", "sngan", "fcn8s"}) {
+    for (const auto kind : {arch::DesignKind::kRed, arch::DesignKind::kZeroPadding}) {
+      const auto plan = plan::plan_stack(kind, workloads::named_stack(net, 4), arch::DesignConfig{});
+      const QuantConfig q = plan.cfg.quant;
+      std::vector<std::pair<std::int64_t, std::int64_t>> seen;
+      for (const auto& layer : plan.layers) {
+        for (const auto& macro : layer.activity.macros) {
+          const std::int64_t rows = macro.rows;
+          const std::int64_t cols = macro.phys_cols / q.slices();
+          if (std::find(seen.begin(), seen.end(), std::pair{rows, cols}) != seen.end()) continue;
+          seen.emplace_back(rows, cols);
+          const LogicalXbar xb(rows, cols, random_weights(rng, rows * cols, q), q);
+          const auto inputs = post_relu_inputs(rng, 33 * rows, q);
+          zeros += std::count(inputs.begin(), inputs.end(), 0);
+          total += static_cast<std::int64_t>(inputs.size());
+          ++shapes;
+          narrow += cols < 16 ? 1 : 0;
+          expect_exact_batches_match(xb, inputs,
+                                     net + " " + layer.spec.name + " " + std::to_string(rows) +
+                                         "x" + std::to_string(cols));
+        }
+      }
+    }
+  }
+  EXPECT_GE(shapes, 12);
+  EXPECT_GT(narrow, 0);  // the 3-column output stages
+  EXPECT_NEAR(static_cast<double>(zeros) / static_cast<double>(total), 0.5, 0.05);
+}
+
+/// A faulted crossbar whose partial top slice stores levels above wbits:
+/// stored weights overshoot the wbits range (up to 191 at wbits 7, cell_bits
+/// 2: the int16 copy; up to 47 at wbits 5: the int8 copy), and every tier
+/// and orientation still matches the reference.
+TEST(ExactKernel, MatchesReferenceOnOutOfRangeTopSliceLevels) {
+  Rng rng(77);
+  for (const int wbits : {5, 7}) {
+    QuantConfig q;
+    q.wbits = wbits;
+    const std::int64_t rows = 70;
+    const std::int64_t cols = 19;
+    const LogicalXbar clean(rows, cols, random_weights(rng, rows * cols, q), q);
+    // Every top-slice cell stuck at the maximum level.
+    std::vector<xbar::LevelPatch> patches;
+    const auto top = static_cast<std::size_t>(q.slices() - 1) * static_cast<std::size_t>(rows * cols);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(rows * cols); ++i)
+      patches.push_back({top + i, static_cast<std::uint8_t>(q.max_level())});
+    const LogicalXbar faulted(clean, patches, xbar::VariationStats{});
+    std::int32_t max_weight = 0;
+    for (const auto w : faulted.stored_weights()) max_weight = std::max(max_weight, w);
+    const std::int32_t overshoot =
+        (std::int32_t{1} << (q.slices() * q.cell_bits)) - 1 - q.weight_offset();
+    EXPECT_GE(max_weight, q.weight_offset()) << "wbits " << wbits;  // outside wbits
+    EXPECT_LE(max_weight, overshoot) << "wbits " << wbits;
+    const auto inputs = random_input(rng, 33 * rows, q, /*include_zeros=*/true);
+    expect_exact_batches_match(faulted, inputs, "faulted wbits " + std::to_string(wbits));
+  }
+}
+
+/// The int32 flush bound: pinned at the widest configs, and a worst-magnitude
+/// block (every product the largest positive or negative one) at exactly K
+/// rows and past it, which overflows int32 unless the kernel flushes.
+TEST(ExactKernel, FlushBoundIsPinnedAndHoldsAtWorstMagnitude) {
+  QuantConfig q16;
+  q16.wbits = 16;
+  q16.abits = 16;
+  EXPECT_EQ(perf::exact_flush_rows(q16), 1);  // one product, (-2^15)^2 = 2^30, fits
+  QuantConfig q16dac = q16;
+  q16dac.dac_bits = 2;
+  EXPECT_EQ(perf::exact_flush_rows(q16dac), 1);  // 65535 * 32768 = 2^31 - 2^15 fits
+  QuantConfig q16cell3 = q16;
+  q16cell3.cell_bits = 3;
+  // 18 level bits store up to 2^18 - 1 - 2^15: one product overflows, so the
+  // int64 sweep runs (on int32 weights).
+  EXPECT_EQ(perf::exact_flush_rows(q16cell3), 0);
+  EXPECT_EQ(perf::exact_flush_rows(QuantConfig{}), 131071);  // 8/8: 2^31 / 2^14
+  QuantConfig q12 = q16;
+  q12.abits = 12;
+  const std::int64_t k12 = perf::exact_flush_rows(q12);
+  EXPECT_EQ(k12, 31);  // 2^31 / (2^11 * 2^15)
+
+  for (const QuantConfig& q : {q16, q16dac, q16cell3, q12}) {
+    const std::int64_t k = std::max<std::int64_t>(perf::exact_flush_rows(q), 1);
+    for (const std::int64_t rows : {k, k + 1, 2 * k + 1}) {
+      for (const std::int32_t w : {-q.weight_offset(), q.weight_offset() - 1}) {
+        const std::int64_t cols = 17;  // one AVX-512 vector and a tail
+        const LogicalXbar xb(rows, cols,
+                             std::vector<std::int32_t>(static_cast<std::size_t>(rows * cols), w), q);
+        const std::int32_t a = q.dac_bits == 1 ? -(std::int32_t{1} << (q.abits - 1))
+                                               : (std::int32_t{1} << q.abits) - 1;
+        const std::vector<std::int32_t> inputs(static_cast<std::size_t>(33 * rows), a);
+        expect_exact_batches_match(xb, inputs,
+                                   "wbits 16 abits " + std::to_string(q.abits) + " dac " +
+                                       std::to_string(q.dac_bits) + " cell " +
+                                       std::to_string(q.cell_bits) + " rows " +
+                                       std::to_string(rows) + " w " + std::to_string(w));
+      }
+    }
+  }
+}
+
+/// The orientation rule: the batch sweep exactly when the macro is narrower
+/// than one vector of the active tier.
+TEST(ExactKernel, SweepsAcrossTheBatchOnlyBelowOneVector) {
+  const int lanes = perf::mvm_lanes(perf::mvm_active_isa());
+  for (const std::int64_t cols : {std::int64_t{1}, std::int64_t{3}, std::int64_t{lanes},
+                                  std::int64_t{lanes + 1}, std::int64_t{128}}) {
+    const LogicalXbar xb(4, cols, std::vector<std::int32_t>(static_cast<std::size_t>(4 * cols), 1),
+                         QuantConfig{});
+    EXPECT_EQ(perf::exact_sweep(xb),
+              cols < lanes ? perf::ExactSweep::kBatch : perf::ExactSweep::kColumns)
+        << cols;
+  }
+}
+
+/// An out-of-range activation throws on every path into the exact kernel,
+/// including RED's fused batch-minor gather (a 3-column macro).
+TEST(ExactKernel, OutOfRangeActivationThrowsThroughEveryPath) {
+  const nn::DeconvLayerSpec spec{"narrow", 4, 4, 8, 3, 4, 4, 2, 1, 0};
+  Rng rng(5);
+  auto input = workloads::make_input(spec, rng, 0, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  const auto programmed = core::make_design(core::DesignKind::kRed)->program(spec, kernel);
+  EXPECT_NO_THROW((void)programmed->run(input));
+  input.data()[5] = 128;  // abits 8: signed range is [-128, 127]
+  EXPECT_THROW((void)programmed->run(input), ContractViolation);
+  input.data()[5] = -129;
+  EXPECT_THROW((void)programmed->run(input), ContractViolation);
+
+  QuantConfig dac2;
+  dac2.dac_bits = 2;
+  for (const auto& [q, bad] : {std::pair{QuantConfig{}, 128}, std::pair{QuantConfig{}, -129},
+                               std::pair{dac2, -1}, std::pair{dac2, 256}}) {
+    const LogicalXbar xb(5, 3, std::vector<std::int32_t>(15, 1), q);
+    std::vector<std::int32_t> inputs(5 * 9, 1);
+    inputs[40] = bad;
+    perf::MvmWorkspace ws;
+    EXPECT_THROW((void)perf::mvm_exact_batch_minor(xb, inputs, 9, ws), ContractViolation) << bad;
+    for (const auto isa : supported_isas())
+      for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch})
+        EXPECT_THROW((void)perf::detail::mvm_exact_on(isa, sweep, xb, inputs, 9, ws),
+                     ContractViolation)
+            << bad << " " << perf::mvm_isa_name(isa);
+  }
 }
 
 /// The Bit-Tactical lookahead/lookaside schedule must keep ideal-ADC results

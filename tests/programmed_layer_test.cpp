@@ -172,16 +172,19 @@ TEST(VariationDigests, DesignRunStreamingAndCellStatsArePinned) {
     std::uint64_t run, stream, variation;
   };
   // variation == 0: padding-free has no programmed layer to report it.
+  // stream: stage i programs with variation salt i, so each layer of the
+  // stack draws its own mask (padding-free's per-image fallback still
+  // programs every stage at salt 0).
   const Pin pins[] = {
-      {0, DesignKind::kZeroPadding, 0x0561881f8a9c2a21ULL, 0xa672e7123e59d2b6ULL,
+      {0, DesignKind::kZeroPadding, 0x0561881f8a9c2a21ULL, 0x49b1e805ab6e1acdULL,
        0x272e1e9b5c809811ULL},
       {0, DesignKind::kPaddingFree, 0x670e3fdcf8a65097ULL, 0x6ed5513e607409daULL, 0},
-      {0, DesignKind::kRed, 0x6bbb7c239c2cf8eeULL, 0x2d5b684c9eb7caeaULL,
+      {0, DesignKind::kRed, 0x6bbb7c239c2cf8eeULL, 0x57e8eff5baf20479ULL,
        0xe086b69840af295dULL},
-      {1, DesignKind::kZeroPadding, 0x09864d9f121dac36ULL, 0x0ebfa7c5c3c0291cULL,
+      {1, DesignKind::kZeroPadding, 0x09864d9f121dac36ULL, 0x20c071a94314b6d1ULL,
        0x272e1e9b5c809811ULL},
       {1, DesignKind::kPaddingFree, 0x670e3fdcf8a65097ULL, 0xbcfcb1f0804c2442ULL, 0},
-      {1, DesignKind::kRed, 0x585d27281dfb98a6ULL, 0xb7beb6c2a747a0c1ULL,
+      {1, DesignKind::kRed, 0x585d27281dfb98a6ULL, 0xce8c7a9babf8958cULL,
        0xe086b69840af295dULL},
   };
   for (const Pin& pin : pins) {

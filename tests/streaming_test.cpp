@@ -15,6 +15,7 @@
 #include "red/core/designs.h"
 #include "red/nn/deconv_reference.h"
 #include "red/perf/thread_pool.h"
+#include "red/plan/plan.h"
 #include "red/sim/streaming.h"
 #include "red/tensor/tensor_ops.h"
 #include "red/workloads/generator.h"
@@ -115,6 +116,33 @@ TEST(Streaming, DeterministicForAnyThreadCountAndSchedule) {
       for (std::size_t i = 0; i < stack.size(); ++i)
         EXPECT_EQ(result.images[k].layer_stats[i], reference.images[k].layer_stats[i]);
     }
+  }
+}
+
+/// A variation-enabled stack programs stage i with variation salt i, as
+/// faulted() salts its fault masks: two stages with the same spec and
+/// kernel draw different masks, not one shared mask.
+TEST(Streaming, VariationStagesDrawIndependentMasks) {
+  const nn::DeconvLayerSpec same{"same", 6, 6, 4, 4, 3, 3, 1, 1, 0};
+  const std::vector<nn::DeconvLayerSpec> stack = {same, same};
+  Rng rng(12);
+  const auto kernel = workloads::make_kernel(same, rng, -7, 7);
+  const auto image = workloads::make_input(same, rng, 1, 7);
+  for (const auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed}) {
+    arch::DesignConfig cfg;
+    cfg.quant.variation.level_sigma = 0.4;
+    cfg.quant.variation.seed = 3;
+    const StreamingExecutor executor(kind, cfg, stack, {kernel, kernel});
+    const auto streamed = executor.stream({image}).images.at(0).output;
+
+    const auto design = core::make_design(kind, cfg);
+    const auto plan = plan::plan_layer(kind, same, cfg);
+    const auto stage0 = design->program(plan, kernel, /*variation_salt=*/0);
+    const auto stage1 = design->program(plan, kernel, /*variation_salt=*/1);
+    const auto mid = requantize_activations(stage0->run(image), cfg.quant.abits);
+    const auto shared_mask = stage0->run(mid);
+    EXPECT_NE(streamed, shared_mask) << design->name();
+    EXPECT_EQ(streamed, stage1->run(mid)) << design->name();
   }
 }
 

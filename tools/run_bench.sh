@@ -17,12 +17,13 @@
 #   --mvm-only    skip the analog/pipeline/opt benchmarks (bench_smoke_micro
 #                 uses this so their smoke coverage stays with their own
 #                 bench_smoke_* entries)
-#   --out-dir DIR directory receiving every BENCH_*.json (default: .)
+#   --out-dir DIR directory receiving every BENCH_*.json (default: the repo
+#                 root, where the checked-in reports live, whatever the cwd)
 set -eu
 
 quick=0
 mvm_only=0
-out_dir="."
+out_dir="$(cd "$(dirname "$0")/.." && pwd)"
 while true; do
   case "${1:-}" in
     --quick) quick=1; shift ;;
@@ -50,8 +51,11 @@ if [ -x "${build_dir}/bench_micro_simulator" ]; then
   echo "BM_MvmClippedReference vs BM_MvmClipped, BM_SimulateNetwork/1 vs /4,"
   echo "BM_MvmPackedIsa/portable vs /avx2 /avx512 (one row per popcount tier;"
   echo "the run refuses to start unless every tier this CPU supports is"
-  echo "bit-identical to the reference oracle), and BM_MvmDcganMacro bitacc:1"
-  echo "vs bitacc:0 (packed ideal-ADC kernel vs the exact row sweep)."
+  echo "bit-identical to the reference oracle, both kernels), BM_MvmDcganMacro"
+  echo "bitacc:1 vs bitacc:0 (packed ideal-ADC kernel vs the exact row sweep),"
+  echo "BM_MvmDcganMacroExact/portable vs /avx2 /avx512 (the exact kernel per"
+  echo "tier), and BM_MvmDcganStage3BatchMinor mode:0 vs mode:1 (288x3 swept"
+  echo "across the columns vs across a batch-minor block)."
 else
   echo "warning: ${build_dir}/bench_micro_simulator not found (google-benchmark" >&2
   echo "missing at configure time?); skipping ${out_dir}/BENCH_mvm.json." >&2
