@@ -1,11 +1,12 @@
 // Micro-benchmarks of the simulator itself (google-benchmark): crossbar MVM
-// exact vs bit-accurate paths (both per SIMD tier), design schedule
-// execution, and analytic cost evaluation throughput.
+// exact vs popcount kernels (both per SIMD tier), crossbar programming,
+// design schedule execution, and analytic cost evaluation throughput.
 //
 // The binary doubles as the bench_smoke oracle gate: main() refuses to run
 // (exit 1) unless every tier this CPU supports reproduces
 // LogicalXbar::mvm_bit_accurate_reference bit-exactly, outputs and stats:
-// the bit-accurate kernel, and the exact kernel in both orientations.
+// the popcount kernel (clipped ADC), and the exact kernel in both
+// orientations.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -86,6 +87,15 @@ xbar::QuantConfig clipped_config() {
   return q;
 }
 
+/// make_xbar(rows, cols, q) under a clipped ADC at its lossless_adc_bits():
+/// bit-accurate calls run the popcount kernel (an ideal ADC runs the exact
+/// one), and outputs still equal the ideal ADC's when dac_bits is 1.
+xbar::LogicalXbar make_lossless_clipped_xbar(std::int64_t rows, std::int64_t cols,
+                                             xbar::QuantConfig q = xbar::QuantConfig{}) {
+  q.adc = {xbar::AdcMode::kClipped, make_xbar(rows, cols, q).lossless_adc_bits()};
+  return make_xbar(rows, cols, q);
+}
+
 void BM_MvmFastPath(benchmark::State& state) {
   const auto rows = state.range(0);
   const auto xb = make_xbar(rows, 64);
@@ -126,13 +136,13 @@ void BM_MvmBitAccurateWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_MvmBitAccurateWorkspace)->Arg(128)->Arg(512);
 
-// One ideal-ADC workspace row per popcount tier, so BENCH_mvm.json carries
-// the portable fallback next to the AVX2/AVX-512 kernels on every run. The
-// label records the tier that actually ran (requests above the machine's
-// support clamp down).
+// One workspace row per popcount tier, under a clipped ADC at its lossless
+// resolution, so BENCH_mvm.json carries the portable fallback next to the
+// AVX2/AVX-512 kernels on every run. The label records the tier that
+// actually ran (requests above the machine's support clamp down).
 void BM_MvmPackedIsa(benchmark::State& state, perf::MvmIsa isa) {
   const auto rows = state.range(0);
-  const auto xb = make_xbar(rows, 64);
+  const auto xb = make_lossless_clipped_xbar(rows, 64);
   const auto in = make_input(rows);
   state.SetLabel(perf::mvm_isa_name(std::min(isa, perf::mvm_active_isa())));
   perf::MvmWorkspace ws;
@@ -144,10 +154,11 @@ BENCHMARK_CAPTURE(BM_MvmPackedIsa, portable, perf::MvmIsa::kPortable)->Arg(128)-
 BENCHMARK_CAPTURE(BM_MvmPackedIsa, avx2, perf::MvmIsa::kAvx2)->Arg(128)->Arg(512);
 BENCHMARK_CAPTURE(BM_MvmPackedIsa, avx512, perf::MvmIsa::kAvx512)->Arg(128)->Arg(512);
 
-// Exact vs bit-accurate (ideal ADC) MVM on the macros RED programs for dcgan
-// at channels / 4 (the streamed end-to-end workload), with post-ReLU inputs:
-// non-negative, about half zeros. The exact row sweep skips the zero rows;
-// the packed kernel visits every input bit-plane regardless.
+// Exact vs bit-accurate MVM on the macros RED programs for dcgan at
+// channels / 4 (the streamed end-to-end workload), with post-ReLU inputs:
+// non-negative, about half zeros, under a clipped ADC at its lossless
+// resolution so bitacc:1 runs the popcount kernel. The exact row sweep skips
+// the zero rows; the packed kernel visits every input bit-plane regardless.
 void BM_MvmDcganMacro(benchmark::State& state) {
   const auto plan = plan::plan_stack(core::DesignKind::kRed, workloads::named_stack("dcgan", 4),
                                      arch::DesignConfig{});
@@ -155,7 +166,7 @@ void BM_MvmDcganMacro(benchmark::State& state) {
   const std::int64_t rows = layer.activity.macros.front().rows;
   const std::int64_t cols = layer.spec.m;
   const bool bit_accurate = state.range(1) != 0;
-  const auto xb = make_xbar(rows, cols);
+  const auto xb = make_lossless_clipped_xbar(rows, cols);
   Rng rng(6);
   std::vector<std::int32_t> in(static_cast<std::size_t>(rows));
   for (auto& v : in)
@@ -258,13 +269,14 @@ void BM_MvmClipped(benchmark::State& state) {
 }
 BENCHMARK(BM_MvmClipped)->Arg(128)->Arg(512);
 
-// Batched API over one crossbar (amortized encoding setup + buffers). The
-// first call sizes every workspace buffer for the (rows, batch) shape; warm
-// calls must then be allocation-free, asserted via the global new counter.
+// Batched popcount API over one crossbar (amortized encoding setup +
+// buffers). The first call sizes every workspace buffer for the (rows,
+// batch) shape; warm calls must then be allocation-free, asserted via the
+// global new counter.
 void BM_MvmBatch(benchmark::State& state) {
   const std::int64_t rows = 128;
   const auto batch = state.range(0);
-  const auto xb = make_xbar(rows, 64);
+  const auto xb = make_lossless_clipped_xbar(rows, 64);
   const auto in = make_input(rows * batch);
   perf::MvmWorkspace ws;
   benchmark::DoNotOptimize(xb.mvm_batch(in, batch, /*bit_accurate=*/true, ws));  // size once
@@ -278,6 +290,51 @@ void BM_MvmBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows * 64 * batch);
 }
 BENCHMARK(BM_MvmBatch)->Arg(8)->Arg(64);
+
+// Programming one crossbar (LogicalXbar's constructor: range check, slice
+// levels, column sums, narrow weights) on the macro shapes sngan/div4 gives
+// the zero-padding design (rows = KH*KW*C, cols = M; programmed once) and
+// the padding-free one (rows = C, cols = KH*KW*M; reprogrammed per image).
+void BM_XbarProgram(benchmark::State& state) {
+  const nn::DeconvLayerSpec spec =
+      workloads::named_stack("sngan", 4)[static_cast<std::size_t>(state.range(0))];
+  const bool padding_free = state.range(1) != 0;
+  const std::int64_t taps = std::int64_t{spec.kh} * spec.kw;
+  const std::int64_t rows = padding_free ? spec.c : taps * spec.c;
+  const std::int64_t cols = padding_free ? taps * spec.m : spec.m;
+  Rng rng(7);
+  std::vector<std::int32_t> w(static_cast<std::size_t>(rows * cols));
+  for (auto& v : w) v = static_cast<std::int32_t>(rng.uniform_int(-128, 127));
+  state.SetLabel(std::to_string(rows) + "x" + std::to_string(cols) +
+                 (padding_free ? " pf" : " zp"));
+  for (auto _ : state) benchmark::DoNotOptimize(xbar::LogicalXbar(rows, cols, w, {}));
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+}
+BENCHMARK(BM_XbarProgram)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgNames({"stage", "pf"});
+
+// Zero padding's programmed run on each dcgan/div4 stage (bit-accurate under
+// an ideal ADC, so the exact kernel; one thread). Windows are row copies of
+// the zero-inserted plane: vector-major on stages 0-2, batch-minor on stage
+// 3, whose 800x3 macro is narrower than one vector (the exact kernel's batch
+// sweep reads them in place).
+void BM_ZpRun(benchmark::State& state) {
+  const auto stack = workloads::named_stack("dcgan", 4);
+  const auto i = static_cast<std::size_t>(state.range(0));
+  const auto kernels = workloads::make_stack_kernels(stack, 5);
+  arch::DesignConfig cfg;
+  cfg.bit_accurate = true;
+  const auto layer =
+      core::make_design(core::DesignKind::kZeroPadding, cfg)->program(stack[i], kernels[i]);
+  Rng rng(17 + i);
+  const auto input = workloads::make_input(stack[i], rng, 0, 7);
+  const auto& spec = stack[i];
+  state.SetLabel(std::to_string(std::int64_t{spec.kh} * spec.kw * spec.c) + "x" +
+                 std::to_string(spec.m));
+  for (auto _ : state) benchmark::DoNotOptimize(layer->run(input));
+}
+BENCHMARK(BM_ZpRun)->DenseRange(0, 3)->ArgName("stage")->Unit(benchmark::kMicrosecond);
 
 void BM_DesignRun(benchmark::State& state) {
   const auto kind = static_cast<core::DesignKind>(state.range(0));
@@ -350,10 +407,12 @@ BENCHMARK(BM_AnalogIrDropSolve)->Arg(32)->Arg(64);
 
 // bench_smoke oracle gate: every tier this CPU supports must reproduce the
 // reference bit-exactly (outputs AND MvmStats) before any timing is
-// reported — the bit-accurate kernel, and the exact kernel (clips aside) in
-// both orientations on a 5-vector batch. Runs over ideal, clipped, and
-// multi-bit-DAC regimes on shapes that cross 64-bit word boundaries, plus
-// a 3-column macro narrower than any vector.
+// reported — the popcount kernel, and the exact kernel (clips aside) in both
+// orientations on a 5-vector batch. Runs over lossless-clipped, clipped, and
+// multi-bit-DAC (lossless-clipped) regimes on shapes that cross 64-bit word
+// boundaries, plus a 3-column macro narrower than any vector. The popcount
+// kernel runs only under a clipped ADC, so every regime is clipped; the
+// exact oracle is an ideal-ADC copy of the same weights.
 bool kernels_match_oracle() {
   xbar::QuantConfig dac2;
   dac2.dac_bits = 2;
@@ -362,7 +421,9 @@ bool kernels_match_oracle() {
   for (const auto& q : regimes) {
     for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{129, 33},
                                      {512, 33}, {288, 3}}) {
-      const auto xb = make_xbar(rows, cols, q);
+      const auto xb = q.adc.mode == xbar::AdcMode::kClipped
+                          ? make_xbar(rows, cols, q)
+                          : make_lossless_clipped_xbar(rows, cols, q);
       Rng rng(2);
       constexpr std::int64_t kBatch = 5;
       std::vector<std::int32_t> in(static_cast<std::size_t>(rows * kBatch));
@@ -398,7 +459,7 @@ bool kernels_match_oracle() {
         xbar::MvmStats got_stats;
         const auto got = perf::detail::mvm_bit_accurate_on(isa, xb, first, ws, &got_stats);
         if (std::vector<std::int64_t>(got.begin(), got.end()) != ref || got_stats != ref_stats)
-          mismatch("bit-accurate", isa);
+          mismatch("popcount", isa);
         for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch}) {
           xbar::MvmStats stats;
           const auto exact = perf::detail::mvm_exact_on(isa, sweep, xb, in, kBatch, ws, &stats);

@@ -63,7 +63,9 @@ struct DesignConfig {
   /// plan::red_activity and searchable as opt axes.
   int lookahead_h = 0;             ///< fold phases a slot may run early
   int lookaside_d = 0;             ///< neighbor slots a promotion may borrow
-  bool bit_accurate = false;       ///< use the slice/bit-plane functional path
+  /// Run MVMs through the configured ADC. Matters only under AdcMode::kClipped:
+  /// the ideal ADC is lossless, so its bit-accurate calls run the exact kernel.
+  bool bit_accurate = false;
   bool tiled = false;              ///< price macros as bounded physical subarrays
   /// Fraction of activations that are zero at runtime (post-ReLU data is
   /// typically ~0.5). Scales the data-dependent energy terms analytically;

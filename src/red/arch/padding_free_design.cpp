@@ -1,5 +1,6 @@
 #include "red/arch/padding_free_design.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "red/common/contracts.h"
@@ -18,18 +19,15 @@ Tensor<std::int32_t> PaddingFreeDesign::run(const nn::DeconvLayerSpec& spec,
   RED_EXPECTS(input.shape() == spec.input_shape());
   RED_EXPECTS(kernel.shape() == spec.kernel_shape());
 
-  // Program the macro: column (i*KW + j)*M + m of row c holds W[i,j,c,m].
-  // (The paper's explicit 180-degree rotation and our scatter-form weights
-  //  cancel; see deconv_padding_free.h.)
+  // Program the macro: column (i*KW + j)*M + m of row c holds W[i,j,c,m], so
+  // each tap's M weights are one copy. (The paper's explicit 180-degree
+  // rotation and our scatter-form weights cancel; see deconv_padding_free.h.)
   const std::int64_t lcols = std::int64_t{spec.kh} * spec.kw * spec.m;
   std::vector<std::int32_t> w(static_cast<std::size_t>(spec.c * lcols));
   for (int c = 0; c < spec.c; ++c)
-    for (int i = 0; i < spec.kh; ++i)
-      for (int j = 0; j < spec.kw; ++j)
-        for (int m = 0; m < spec.m; ++m)
-          w[static_cast<std::size_t>(std::int64_t{c} * lcols +
-                                     (std::int64_t{i} * spec.kw + j) * spec.m + m)] =
-              kernel.at(i, j, c, m);
+    for (std::int64_t tap = 0; tap < std::int64_t{spec.kh} * spec.kw; ++tap)
+      std::copy_n(kernel.data() + (tap * spec.c + c) * spec.m, spec.m,
+                  w.data() + c * lcols + tap * spec.m);
   const xbar::LogicalXbar macro(spec.c, lcols, w, cfg_.quant);
 
   const int canvas_h = (spec.ih - 1) * spec.stride + spec.kh;

@@ -9,6 +9,7 @@
 #include "red/fault/inject.h"
 #include "red/nn/conv.h"
 #include "red/nn/deconv_zero_padding.h"
+#include "red/perf/mvm_kernel.h"
 #include "red/perf/thread_pool.h"
 #include "red/perf/workspace.h"
 #include "red/plan/plan.h"
@@ -17,21 +18,10 @@ namespace red::arch {
 
 namespace {
 
-// Program the macro: row (i*KW + j)*C + c holds the 180-degree-rotated
-// kernel (the stride-1 convolution form of Algorithm 1, step b).
-std::vector<std::int32_t> macro_weights(const nn::DeconvLayerSpec& spec,
-                                        const Tensor<std::int32_t>& kernel) {
-  const Tensor<std::int32_t> rot = nn::rotate180(kernel);
-  const std::int64_t rows = std::int64_t{spec.kh} * spec.kw * spec.c;
-  std::vector<std::int32_t> w(static_cast<std::size_t>(rows * spec.m));
-  for (int i = 0; i < spec.kh; ++i)
-    for (int j = 0; j < spec.kw; ++j)
-      for (int c = 0; c < spec.c; ++c) {
-        const std::int64_t r = (std::int64_t{i} * spec.kw + j) * spec.c + c;
-        for (int m = 0; m < spec.m; ++m)
-          w[static_cast<std::size_t>(r * spec.m + m)] = rot.at(i, j, c, m);
-      }
-  return w;
+/// Thread-local: a run's plane is its caller's canvas, tile windows its runner's.
+perf::MvmWorkspace& zp_workspace() {
+  thread_local perf::MvmWorkspace ws;
+  return ws;
 }
 
 class ZpProgrammedLayer final : public ProgrammedLayer {
@@ -45,39 +35,45 @@ class ZpProgrammedLayer final : public ProgrammedLayer {
 
   Tensor<std::int32_t> run(const Tensor<std::int32_t>& input, RunStats* stats) const override {
     const auto& spec = spec_;
-    RED_EXPECTS(input.shape() == spec.input_shape());
-    const Tensor<std::int32_t> padded = nn::zero_pad_input(spec, input);
     const int oh = spec.oh(), ow = spec.ow();
-    const std::int64_t rows = macro_.rows();  // KH*KW*C: one padded window
-    const std::int64_t pw = padded.shape().dim(3);
     const std::int64_t out_plane = std::int64_t{oh} * ow;
+    // Windows are row copies: batch-minor for the exact kernel's batch sweep
+    // (macro row (i*KW + j)*C + c is `ow` values of the channel-major
+    // plane), else vector-major (KH runs of KW*C channel-minor values).
+    const bool batch_minor = perf::reads_batch_minor(macro_, bit_accurate_);
+    const nn::PaddedGeometry g = nn::padded_geometry(spec);
+    const std::int64_t ph = g.padded_h, pw = g.padded_w;
+    const std::int64_t run = std::int64_t{spec.kw} * spec.c;
+    std::vector<std::int32_t>& plane = zp_workspace().canvas;
+    plane.assign(static_cast<std::size_t>(spec.c * ph * pw), 0);
+    nn::zero_insert(spec, input, batch_minor, plane);  // checks the input's shape
 
     Tensor<std::int32_t> out(spec.output_shape());
     // Output rows are independent: tile them across the pool. Each tile
-    // gathers one output row of windows at a time into its own buffer and
-    // runs it as one batched MVM; per-tile RunStats slots are merged in tile
-    // order after the join, so any thread count is bit-exact vs serial.
+    // builds one output row of windows at a time and runs it as one batched
+    // MVM; per-tile RunStats slots are merged in tile order after the join,
+    // so any thread count is bit-exact vs serial.
     const std::int64_t tiles = perf::chunk_count(threads_, oh);
     std::vector<RunStats> tile_stats(static_cast<std::size_t>(tiles));
     perf::parallel_chunks(tiles, oh, [&](std::int64_t t, std::int64_t y0, std::int64_t y1) {
       RunStats& local = tile_stats[static_cast<std::size_t>(t)];
-      // Thread-local: repeated Monte Carlo trial runs skip re-allocation.
-      thread_local perf::MvmWorkspace ws;
-      std::vector<std::int32_t> windows(static_cast<std::size_t>(ow * rows));
+      perf::MvmWorkspace& ws = zp_workspace();
+      ws.windows.resize(static_cast<std::size_t>(ow * macro_.rows()));
       for (std::int64_t y = y0; y < y1; ++y) {
-        for (int x = 0; x < ow; ++x) {
-          std::int32_t* window = windows.data() + x * rows;
-          for (int c = 0; c < spec.c; ++c) {
-            const std::int32_t* plane = padded.ptr(0, c);
-            for (int i = 0; i < spec.kh; ++i) {
-              const std::int32_t* prow = plane + (y + i) * pw + x;
-              for (int j = 0; j < spec.kw; ++j)
-                window[static_cast<std::size_t>((std::int64_t{i} * spec.kw + j) * spec.c + c)] =
-                    prow[j];
-            }
-          }
+        std::int32_t* dst = ws.windows.data();
+        if (batch_minor) {
+          for (int i = 0; i < spec.kh; ++i)
+            for (int j = 0; j < spec.kw; ++j)
+              for (int c = 0; c < spec.c; ++c, dst += ow)
+                std::copy_n(plane.data() + (c * ph + y + i) * pw + j, ow, dst);
+        } else {
+          for (int x = 0; x < ow; ++x)
+            for (int i = 0; i < spec.kh; ++i, dst += run)
+              std::copy_n(plane.data() + ((y + i) * pw + x) * spec.c, run, dst);
         }
-        const auto results = macro_.mvm_batch(windows, ow, bit_accurate_, ws, &local.mvm);
+        const auto results =
+            batch_minor ? perf::mvm_exact_batch_minor(macro_, ws.windows, ow, ws, &local.mvm)
+                        : macro_.mvm_batch(ws.windows, ow, bit_accurate_, ws, &local.mvm);
         local.cycles += ow;
         for (int x = 0; x < ow; ++x) {
           const std::int64_t* res = results.data() + std::int64_t{x} * spec.m;
@@ -126,8 +122,12 @@ std::unique_ptr<ProgrammedLayer> ZeroPaddingDesign::program(
   check_plan(plan);
   const auto& spec = plan.spec;
   RED_EXPECTS(kernel.shape() == spec.kernel_shape());
+  // Macro row (i*KW + j)*C + c holds the 180-degree-rotated kernel's tap
+  // (i, j, c), the stride-1 convolution form of Algorithm 1, step b.
+  const Tensor<std::int32_t> rot = nn::rotate180(kernel);
   const std::int64_t rows = std::int64_t{spec.kh} * spec.kw * spec.c;
-  xbar::LogicalXbar macro(rows, spec.m, macro_weights(spec, kernel), cfg_.quant, variation_salt);
+  xbar::LogicalXbar macro(rows, spec.m, {rot.data(), static_cast<std::size_t>(rot.size())},
+                          cfg_.quant, variation_salt);
   return std::make_unique<ZpProgrammedLayer>(spec, cfg_.threads, cfg_.bit_accurate,
                                              std::move(macro));
 }

@@ -121,11 +121,9 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
         const auto& xb = xbars_[static_cast<std::size_t>(gi)];
         const std::int64_t rows = xb.rows();
         const std::int64_t num_sc = rows / spec.c;
-        // A macro narrower than one vector runs the exact kernel's batch
-        // sweep, so the gather writes its block batch-minor (row r of cycle k
-        // at r * batch + k) and the kernel reads it in place.
-        const bool batch_minor =
-            !prog_->cfg.bit_accurate && perf::exact_sweep(xb) == perf::ExactSweep::kBatch;
+        // On the exact kernel's batch sweep the gather writes its block
+        // batch-minor (row r of cycle k at r * batch + k), read in place.
+        const bool batch_minor = perf::reads_batch_minor(xb, prog_->cfg.bit_accurate);
         for (std::int64_t c0 = 0; c0 < num_cycles; c0 += row_cycles) {
           const std::int64_t batch = std::min(row_cycles, num_cycles - c0);
           // Pass 1: what each cycle of the block row reads and completes.

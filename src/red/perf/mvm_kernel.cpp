@@ -113,23 +113,19 @@ __attribute__((always_inline)) inline EncodeSummary summarize_body(const std::in
                          : summarize_loop<true, kNative>(x, n, q);
 }
 
-EncodeSummary summarize_input(std::span<const std::int32_t> input, const QuantConfig& q) {
-  return summarize_body(input.data(), static_cast<std::int64_t>(input.size()), q);
-}
-
 // ---------------------------------------------------------------------------
-// Packed bit-plane kernels (the bit-accurate regime).
+// The packed bit-plane kernel (bit-accurate calls under a clipped ADC).
 //
 // Both operand sides are bitmaps over the rows: LogicalXbar keeps one packed
 // plane per stored-level bit u (weight planes, per column), and encode_packed
-// lays down one plane per input bit j. Every kernel then reduces to weighted
+// lays down one plane per input bit j. The kernel then reduces to weighted
 // popcounts of plane intersections:
 //
 //   L[j][u] = popcount(in_plane_j & w_plane_u[c])   (ones shared by bit j of
 //                                                    the input and bit u of
 //                                                    the stored levels)
 //
-// lane_sums_* computes the only aggregate the kernels need — for a run of
+// lane_sums_* computes the only aggregate the kernel needs — for a run of
 // `ucount` consecutive weight planes, lanes[j] = sum_du (L[j][du] << du) —
 // with the input planes word-major (all planes of word w adjacent) so one
 // broadcast weight word feeds 4-lane SIMD popcounts.
@@ -270,7 +266,7 @@ LaneSumsFn lane_sums_fn(MvmIsa isa) {
 /// Uniform for every dac_bits — a multi-bit DAC digit is just a run of
 /// consecutive bit-planes — and negative dac_bits==1 activations wrap to
 /// their two's-complement abits pattern exactly like the reference encode.
-/// Inputs must already be range-checked (summarize_input). Only set bits are
+/// Inputs must already be range-checked (summarize_body). Only set bits are
 /// scattered, so sparse inputs encode in O(set bits).
 void encode_packed(std::span<const std::int32_t> input, const QuantConfig& q, int planes_pad,
                    std::uint64_t* ip) {
@@ -290,31 +286,6 @@ void encode_packed(std::span<const std::int32_t> input, const QuantConfig& q, in
       base[std::countr_zero(u)] |= row_bit;
       u &= u - 1;
     } while (u != 0);
-  }
-}
-
-/// Packed ideal-ADC kernel: per column one
-/// lane_sums pass over all weight planes yields S_j = sum_u 2^u * L[j][u],
-/// and out[c] = sum_j pw(j) * S_j - offset * input_sum, with pw(j) = -2^j on
-/// the two's-complement MSB plane and +2^j otherwise.
-void packed_ideal_kernel(const LogicalXbar& xbar, const EncodeSummary& sum, MvmWorkspace& ws,
-                         std::int64_t* out, LaneSumsFn fn) {
-  const std::int64_t cols = xbar.cols();
-  const std::int64_t words = xbar.packed_words();
-  const QuantConfig& q = xbar.config();
-  const int planes_pad = padded_planes(q);
-  const std::int64_t correction = std::int64_t{q.weight_offset()} * sum.input_sum;
-  std::int64_t lanes[kMaxPlanesPad];
-  for (std::int64_t c = 0; c < cols; ++c) {
-    fn(ws.in_planes.data(), words, planes_pad, xbar.packed_col_planes(c),
-       xbar.packed_weight_planes(), lanes);
-    std::int64_t o = 0;
-    for (int j = 0; j < q.abits; ++j) {
-      const std::int64_t pw = (q.dac_bits == 1 && j == q.abits - 1) ? -(std::int64_t{1} << j)
-                                                                    : (std::int64_t{1} << j);
-      o += pw * lanes[j];
-    }
-    out[c] = o - correction;
   }
 }
 
@@ -835,26 +806,12 @@ void add_stats(const LogicalXbar& xbar, const EncodeSummary& sum, std::int64_t c
   stats->adc_clips += clips;
 }
 
-/// One bit-accurate MVM into `out` (cols() values). Assumes ws is prepared
-/// (prepare + prepare_packed) and input.size() == rows().
-void bit_accurate_into(const LogicalXbar& xbar, std::span<const std::int32_t> input,
-                       MvmWorkspace& ws, std::int64_t* out, MvmStats* stats, LaneSumsFn fn) {
-  const QuantConfig& q = xbar.config();
-  const EncodeSummary sum = summarize_input(input, q);
-  encode_packed(input, q, padded_planes(q), ws.in_planes.data());
-  std::int64_t clips = 0;
-  if (q.adc.mode == AdcMode::kIdeal)
-    packed_ideal_kernel(xbar, sum, ws, out, fn);
-  else
-    clips = packed_clipped_kernel(xbar, sum, ws, out, fn);
-  add_stats(xbar, sum, 1, clips, stats);
-}
-
 /// Observe-only instrumentation of the public entry points (never the inner
 /// kernels): per-kernel invocation counters plus MvmStats deltas rolled into
-/// `mvm.*` counters. Exact calls count under "mvm.calls.scalar", bit-accurate
-/// ones under their popcount tier. Static names keep the enabled path
-/// allocation-free; the disabled path is the metrics() load + one branch.
+/// `mvm.*` counters. Calls that run the exact kernel count under
+/// "mvm.calls.scalar", clipped-ADC ones under their popcount tier. Static
+/// names keep the enabled path allocation-free; the disabled path is the
+/// metrics() load + one branch.
 constexpr const char* kExactCallsCounter = "mvm.calls.scalar";
 
 const char* bit_accurate_calls_counter(MvmIsa isa) {
@@ -884,8 +841,8 @@ void record_mvm_call(telemetry::MetricsRegistry* m, const char* counter, std::in
 }
 
 /// The one body behind every entry point: `batch` MVMs on tier `isa`.
-/// Exact inputs are batch-minor when `batch_minor` (bit-accurate ones are
-/// always vector-major), and `sweep` orients the exact kernel's lanes.
+/// Exact inputs are batch-minor when `batch_minor` (the popcount kernel's
+/// are always vector-major), and `sweep` orients the exact kernel's lanes.
 std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
                                         std::span<const std::int32_t> inputs, std::int64_t batch,
                                         bool bit_accurate, ExactSweep sweep, bool batch_minor,
@@ -893,20 +850,26 @@ std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
   RED_EXPECTS(batch >= 0);
   RED_EXPECTS_MSG(inputs.size() == static_cast<std::size_t>(batch * xbar.rows()),
                   "input size mismatch");
-  RED_EXPECTS(!(bit_accurate && batch_minor));
+  const bool exact = runs_exact_kernel(xbar, bit_accurate);
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.cols(), batch);
-  if (bit_accurate) {
-    const LaneSumsFn fn = lane_sums_fn(isa);
-    ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
+  if (!exact) {
+    const QuantConfig& q = xbar.config();
+    ws.prepare_packed(xbar.rows(), padded_planes(q));
     // The crossbar's packed planes are built by their first reader.
     if (xbar.ensure_packed_planes() && m != nullptr)
       m->counter("xbar.packed_plane_builds")->add(1);
     const auto rows = static_cast<std::size_t>(xbar.rows());
-    for (std::int64_t v = 0; v < batch; ++v)
-      bit_accurate_into(xbar, inputs.subspan(static_cast<std::size_t>(v) * rows, rows), ws,
-                        ws.out.data() + v * xbar.cols(), stats, fn);
+    for (std::int64_t v = 0; v < batch; ++v) {
+      const auto input = inputs.subspan(static_cast<std::size_t>(v) * rows, rows);
+      const EncodeSummary sum = summarize_body(input.data(), xbar.rows(), q);
+      encode_packed(input, q, padded_planes(q), ws.in_planes.data());
+      add_stats(xbar, sum, 1,
+                packed_clipped_kernel(xbar, sum, ws, ws.out.data() + v * xbar.cols(),
+                                      lane_sums_fn(isa)),
+                stats);
+    }
   } else if (batch > 0) {
     const ExactInputs in{inputs.data(), batch_minor ? 1 : xbar.rows(),
                          batch_minor ? batch : 1};
@@ -914,8 +877,8 @@ std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
     add_stats(xbar, sum, batch, 0, stats);
   }
   if (m != nullptr && batch > 0)
-    record_mvm_call(m, bit_accurate ? bit_accurate_calls_counter(isa) : kExactCallsCounter, batch,
-                    stats, before);
+    record_mvm_call(m, exact ? kExactCallsCounter : bit_accurate_calls_counter(isa), batch, stats,
+                    before);
   return {ws.out.data(), static_cast<std::size_t>(batch * xbar.cols())};
 }
 
@@ -956,8 +919,16 @@ int mvm_lanes(MvmIsa isa) {
   return PortableExact::kLanes;
 }
 
+bool runs_exact_kernel(const LogicalXbar& xbar, bool bit_accurate) {
+  return !bit_accurate || xbar.config().adc.mode == AdcMode::kIdeal;
+}
+
 ExactSweep exact_sweep(const LogicalXbar& xbar) {
   return xbar.cols() < mvm_lanes(mvm_active_isa()) ? ExactSweep::kBatch : ExactSweep::kColumns;
+}
+
+bool reads_batch_minor(const LogicalXbar& xbar, bool bit_accurate) {
+  return runs_exact_kernel(xbar, bit_accurate) && exact_sweep(xbar) == ExactSweep::kBatch;
 }
 
 void gather_inputs(const std::int32_t* src, std::span<const std::int32_t> index,
@@ -990,8 +961,8 @@ std::int64_t exact_flush_rows(const QuantConfig& q) {
 std::span<const std::int64_t> mvm_bit_accurate(const LogicalXbar& xbar,
                                                std::span<const std::int32_t> input,
                                                MvmWorkspace& ws, MvmStats* stats) {
-  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/true,
-                   ExactSweep::kColumns, /*batch_minor=*/false, ws, stats);
+  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/true, exact_sweep(xbar),
+                   /*batch_minor=*/false, ws, stats);
 }
 
 std::span<const std::int64_t> mvm_exact(const LogicalXbar& xbar,
@@ -1022,7 +993,7 @@ std::span<const std::int64_t> mvm_bit_accurate_on(MvmIsa tier, const LogicalXbar
                                                   std::span<const std::int32_t> input,
                                                   MvmWorkspace& ws, MvmStats* stats) {
   return run_batch(std::min(tier, mvm_active_isa()), xbar, input, 1, /*bit_accurate=*/true,
-                   ExactSweep::kColumns, /*batch_minor=*/false, ws, stats);
+                   exact_sweep(xbar), /*batch_minor=*/false, ws, stats);
 }
 
 std::span<const std::int64_t> mvm_exact_on(MvmIsa tier, ExactSweep sweep,

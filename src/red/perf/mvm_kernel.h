@@ -1,12 +1,11 @@
 // MVM kernels: one per regime, each compiled at every SIMD tier (MvmIsa).
 //
-//  * exact (mvm_exact, mvm_batch with bit_accurate=false,
-//    mvm_exact_batch_minor) — ideal-ADC semantics, so the result is the
+//  * exact (mvm_exact, mvm_batch, mvm_exact_batch_minor, and bit-accurate
+//    calls under an ideal ADC, which is lossless: runs_exact_kernel) — the
 //    integer dot product with the round-tripped weights. A row sweep over
-//    LogicalXbar's narrow weight copy (stored_weights8/16: int8 or int16,
-//    chosen from QuantConfig::stored_weight_bits so a faulted top slice
-//    still fits) that skips zero activations, the way RED's zero-skipping
-//    data flow skips them in hardware.
+//    LogicalXbar's narrow weight copy (visit_stored_weights, sized by
+//    QuantConfig::stored_weight_bits so a faulted top slice still fits) that
+//    skips zero activations, the way RED's zero-skipping data flow does.
 //      - Products accumulate in int32 lanes and flush to the int64 outputs
 //        every exact_flush_rows() rows, a bound from QuantConfig under which
 //        overflow is impossible. Where one product cannot fit in int32 the
@@ -14,26 +13,22 @@
 //      - Orientation rule (exact_sweep): a macro with at least one vector of
 //        columns sweeps across its columns, one input vector at a time; a
 //        narrower one (RED's 288x3 output stage) sweeps across the batch,
-//        lanes over vectors, reading a batch-minor block. RED's gather
-//        writes that block directly (mvm_exact_batch_minor); vector-major
-//        callers are copied batch-minor inside the call.
+//        lanes over vectors, reading a batch-minor block. RED's gather and
+//        ZP's window build write that block directly
+//        (mvm_exact_batch_minor); vector-major callers are copied
+//        batch-minor inside the call.
 //      - Pulse counts are a popcount form per value, and the activation
 //        range check runs once per block over its min and max: an
 //        out-of-range activation still throws.
-//  * bit-accurate (mvm_bit_accurate, mvm_batch with bit_accurate=true) —
-//    packed bit-planes: every stored-level bit of a column lives in
-//    LogicalXbar's packed weight planes (one 64-bit-word bitmap per level
-//    bit), the input's bit-planes are packed the same way into the
-//    workspace, and the per-(pulse, slice) analog integration collapses to
-//    popcount(input_plane & weight_plane) sums. Two ADC regimes:
-//      - ideal ADC — no clipping can occur, so the pulse/slice decomposition
-//        is algebraically collapsible: out[c] = sum_j pw(j) * sum_u 2^u *
-//        popcount(in_plane_j & w_plane_u[c]) minus the offset correction,
-//        where pw(j) = ±2^j is the bit-j pulse weight.
-//      - clipped ADC — per (column, slice) the cell_bits weight planes are
-//        popcount-combined into per-input-plane lane sums; the per-pulse DAC
-//        digits then recombine and saturate scalar-side, exactly like the
-//        reference (clip counts included).
+//  * packed popcount (mvm_bit_accurate, mvm_batch with bit_accurate=true,
+//    under a clipped ADC only) — packed bit-planes: every stored-level bit
+//    of a column lives in LogicalXbar's packed weight planes (one
+//    64-bit-word bitmap per level bit, built on this kernel's first call),
+//    the input's bit-planes are packed the same way into the workspace, and
+//    per (column, slice) the cell_bits weight planes are popcount-combined
+//    into per-input-plane lane sums; the per-pulse DAC digits then recombine
+//    and saturate scalar-side, exactly like the reference (clip counts
+//    included).
 //
 // Tiers: portable C++ (scalar lanes, std::popcount; the only one on non-x86
 // hosts), AVX2 (8 int32 lanes, vpshufb popcount) and AVX-512 (16 int32
@@ -67,6 +62,10 @@ enum class MvmIsa : int {
 /// int32 lanes of one exact-kernel vector at `isa` (1, 8, 16).
 [[nodiscard]] int mvm_lanes(MvmIsa isa);
 
+/// True when an MVM on `xbar` runs the exact kernel: all but bit-accurate
+/// calls under a clipped ADC, which run the popcount kernel.
+[[nodiscard]] bool runs_exact_kernel(const xbar::LogicalXbar& xbar, bool bit_accurate);
+
 /// Orientation of the exact kernel's lanes.
 enum class ExactSweep : int {
   kColumns = 0,  ///< across the columns, one input vector at a time
@@ -76,6 +75,10 @@ enum class ExactSweep : int {
 /// The orientation the exact kernel uses for `xbar` on this CPU: kBatch
 /// when cols() < mvm_lanes(mvm_active_isa()), else kColumns.
 [[nodiscard]] ExactSweep exact_sweep(const xbar::LogicalXbar& xbar);
+
+/// runs_exact_kernel and exact_sweep() kBatch: a caller building its own
+/// input block writes it batch-minor and calls mvm_exact_batch_minor.
+[[nodiscard]] bool reads_batch_minor(const xbar::LogicalXbar& xbar, bool bit_accurate);
 
 /// Rows of worst-magnitude products (largest |activation| times largest
 /// |stored weight|) an int32 accumulator holds without overflow: the exact

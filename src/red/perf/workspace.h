@@ -1,8 +1,8 @@
 // Reusable scratch buffers for the MVM kernels.
 //
 // Every buffer an MVM call needs — the packed input bit-planes of the
-// bit-accurate kernels, the exact kernel's non-zero row list and
-// batch-minor input copy, and the output block — lives here, so a warmed-up
+// popcount kernel, the exact kernel's non-zero row list and batch-minor
+// input copy, and the output block — lives here, so a warmed-up
 // workspace makes an MVM call allocation-free. Workspaces are plain value
 // types: one per thread (the kernels never share one across threads),
 // reusable across crossbars of any geometry because prepare() and
@@ -15,7 +15,7 @@
 namespace red::perf {
 
 struct MvmWorkspace {
-  /// Packed input bit-planes for the popcount kernels, word-major so one
+  /// Packed input bit-planes for the popcount kernel, word-major so one
   /// weight word broadcasts against all planes: in_planes[w * planes_pad + j]
   /// is word w (rows 64w..64w+63) of input bit-plane j, with planes_pad the
   /// plane count rounded up to a multiple of 4 (one 256-bit lane group); the
@@ -31,9 +31,11 @@ struct MvmWorkspace {
   std::vector<std::int32_t> in_t;
   /// Kernel output block: batch * cols results, vector-major.
   std::vector<std::int64_t> out;
-  /// Scratch canvas for deconv scatter loops; reused for as long as the
-  /// owning workspace lives (contents are transient per layer).
+  /// Scratch plane for deconv loops (padding-free's scatter canvas, zero
+  /// padding's zero-inserted input); contents are transient per layer.
   std::vector<std::int32_t> canvas;
+  /// Zero padding: one output row's windows, the MVM's input block.
+  std::vector<std::int32_t> windows;
 
   /// Grow (never shrink) the output block for a batch of `batch` MVMs on a
   /// cols-column crossbar.

@@ -56,9 +56,14 @@ LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
   RED_EXPECTS(rows >= 1 && cols >= 1);
   RED_EXPECTS_MSG(weights.size() == static_cast<std::size_t>(rows * cols),
                   "weights must be rows*cols");
-  const int slices = config_.slices();
-  const int cell_bits = config_.cell_bits;
-  const std::size_t plane = weights.size();
+  // One reduction range-checks every weight: in range exactly when
+  // w + offset (unsigned, so wrapping) has no bit at or above wbits.
+  const std::int32_t offset = config_.weight_offset();
+  std::uint32_t out_of_range = 0;
+  for (const std::int32_t w : weights)
+    out_of_range |= (static_cast<std::uint32_t>(w) + static_cast<std::uint32_t>(offset)) >>
+                    config_.wbits;
+  RED_EXPECTS_MSG(out_of_range == 0, "weight outside wbits signed range");
   const int stored_bits = config_.stored_weight_bits();
   if (stored_bits <= 8)
     weights_.emplace<std::vector<std::int8_t>>(weights.begin(), weights.end());
@@ -66,31 +71,31 @@ LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
     weights_.emplace<std::vector<std::int16_t>>(weights.begin(), weights.end());
   else
     weights_.emplace<std::vector<std::int32_t>>(weights.begin(), weights.end());
+  // Offset encoding one slice at a time (xbar/codec's encode_weight is the
+  // oracle; lossless for in-range weights, so weights_ starts as the input),
+  // summing each column's levels in int32 lanes flushed every kSumRows rows
+  // (kSumRows levels < 2^31) into col_level_sums_.
+  constexpr std::int64_t kSumRows = std::int64_t{1} << 27;
+  const int slices = config_.slices();
+  const std::size_t plane = weights.size();
+  const std::int32_t mask = config_.max_level();
   levels_.resize(plane * static_cast<std::size_t>(slices));
-
-  // Running per-(col, slice) column sums of the programmed levels feed the
-  // lossless-ADC-bits cache; kept as a member so delta reprogramming can
-  // update the cache incrementally.
   col_level_sums_.assign(static_cast<std::size_t>(cols) * slices, 0);
-
-  // Offset encoding in place (xbar/codec's encode_weight/decode_weight are
-  // the oracle): w + offset split into base-2^cell_bits digits, least
-  // significant slice first. Lossless for in-range weights, so weights_
-  // starts as the input.
-  const std::int64_t offset = config_.weight_offset();
-  const std::int64_t mask = config_.max_level();
-  std::size_t i = 0;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < cols; ++c, ++i) {
-      const std::int32_t w = weights[i];
-      RED_EXPECTS_MSG(w >= -offset && w < offset, "weight outside wbits signed range");
-      std::int64_t u = w + offset;
-      std::int64_t* sums = col_level_sums_.data() + c * slices;
-      for (int s = 0; s < slices; ++s, u >>= cell_bits) {
-        const auto l = static_cast<std::uint8_t>(u & mask);
-        levels_[static_cast<std::size_t>(s) * plane + i] = l;
-        sums[s] += l;
-      }
+  std::vector<std::int32_t> sums(static_cast<std::size_t>(cols));
+  for (int s = 0; s < slices; ++s) {
+    std::uint8_t* lp = levels_.data() + static_cast<std::size_t>(s) * plane;
+    std::int64_t* col_sums = col_level_sums_.data() + s * cols;
+    const int shift = s * config_.cell_bits;
+    for (std::int64_t r0 = 0; r0 < rows; r0 += kSumRows) {
+      std::fill(sums.begin(), sums.end(), 0);
+      for (std::int64_t i = r0 * cols; i < std::min(rows, r0 + kSumRows) * cols; i += cols)
+        for (std::int64_t c = 0; c < cols; ++c) {
+          const std::int32_t l =
+              ((weights[static_cast<std::size_t>(i + c)] + offset) >> shift) & mask;
+          lp[i + c] = static_cast<std::uint8_t>(l);
+          sums[static_cast<std::size_t>(c)] += l;
+        }
+      for (std::int64_t c = 0; c < cols; ++c) col_sums[c] += sums[static_cast<std::size_t>(c)];
     }
   }
   refresh_lossless_adc_bits();
@@ -213,9 +218,8 @@ void LogicalXbar::patch_cell(std::size_t idx, std::uint8_t level) {
         w[i] = static_cast<T>(w[i] + delta);
       },
       weights_);
-  col_level_sums_[(i % static_cast<std::size_t>(cols_)) *
-                      static_cast<std::size_t>(config_.slices()) +
-                  s] += static_cast<std::int64_t>(level) - static_cast<std::int64_t>(original);
+  col_level_sums_[s * static_cast<std::size_t>(cols_) + i % static_cast<std::size_t>(cols_)] +=
+      static_cast<std::int64_t>(level) - static_cast<std::int64_t>(original);
   std::vector<std::uint64_t>* planes = packed_.get_mut();
   if (planes == nullptr) return;  // built later, from the patched levels
   // One bit per level bit of this cell, at row bit (r % 64) of word (r / 64)
@@ -266,7 +270,10 @@ bool LogicalXbar::PackedCache::ensure(const LogicalXbar& owner) const {
   return built;
 }
 
-bool LogicalXbar::ensure_packed_planes() const { return packed_.ensure(*this); }
+bool LogicalXbar::ensure_packed_planes() const {
+  RED_EXPECTS_MSG(config_.adc.mode == AdcMode::kClipped, "packed planes need a clipped ADC");
+  return packed_.ensure(*this);
+}
 
 void LogicalXbar::build_packed_planes(std::vector<std::uint64_t>& planes) const {
   const int cell_bits = config_.cell_bits;

@@ -9,11 +9,10 @@
 //                 that skips zero activations.
 //                 Activity (pulses, conversions, row drives) is counted
 //                 analytically from the inputs.
-//  * mvm_bit_accurate() — simulates every slice column and every input bit
-//                 plane through the ADC transfer function, as popcounts over
-//                 the packed bit-planes. This is the path that models a
-//                 clipped ADC; with an ideal ADC it must equal mvm()
-//                 bit-exactly (asserted by tests).
+//  * mvm_bit_accurate() — honors the configured ADC. The ideal ADC is
+//                 lossless, so it always runs the exact kernel; a clipped
+//                 one simulates every slice column and input bit plane
+//                 through the ADC, as popcounts over packed bit-planes.
 //  * mvm_bit_accurate_reference() — the original straight-line simulation of
 //                 the same semantics, kept as the one equivalence oracle for
 //                 both kernels (and as the "before" in bench_micro_simulator).
@@ -23,16 +22,16 @@
 // rows x cols row-major matrix holding weight slice s. The planes feed the
 // packed bit-planes, fault injection (red/fault) and the reference.
 //
-// Write side. Programming from weights encodes each weight into its slices
-// in place. Device variation is drawn by one sampler, a sparse pass over
+// Write side. Programming from weights encodes them one slice at a time in
+// vector passes. Device variation is drawn by one sampler, a sparse pass over
 // the clean levels: programming from weights under a variation config runs
 // it in place, and a perturbed sibling runs it on a copy of the clean
 // crossbar, so the two agree bit for bit. A reprogrammed sibling (variation,
 // or faults via red/fault's inject_faults) is a copy of the clean crossbar
 // plus sparse per-cell patches, so it costs one copy plus O(changed cells).
-// The packed bit-planes only serve the bit-accurate kernels: they are built
-// the first time one of those reads them, at most once per crossbar, and the
-// exact path never builds them.
+// The packed bit-planes only serve the popcount kernel, so only a crossbar
+// with a clipped ADC builds them: the first time that kernel reads them, at
+// most once per crossbar. The exact path never builds them.
 #pragma once
 
 #include <atomic>
@@ -133,7 +132,7 @@ class LogicalXbar {
     return level_plane(s)[static_cast<std::size_t>(r * cols_ + c)];
   }
 
-  /// Packed weight bit-planes backing the popcount kernels: per column,
+  /// Packed weight bit-planes backing the popcount kernel: per column,
   /// one 64-bit-word bitmap per stored-level bit. Plane u = s * cell_bits + t
   /// holds bit t of slice s over the rows (bit r of word r/64), so there are
   /// slices() * cell_bits planes — one per level bit, covering out-of-range
@@ -150,7 +149,7 @@ class LogicalXbar {
   [[nodiscard]] std::int64_t packed_words() const { return packed_words_; }
 
   /// Build the packed planes unless they exist. Returns true exactly once
-  /// per crossbar: for the call that built them.
+  /// per crossbar: for the call that built them. Requires a clipped ADC.
   bool ensure_packed_planes() const;
 
   /// The packed_weight_planes() consecutive planes (packed_words() words
@@ -197,6 +196,11 @@ class LogicalXbar {
   /// the fast kernels. Identical outputs and stats to mvm_bit_accurate().
   [[nodiscard]] std::vector<std::int64_t> mvm_bit_accurate_reference(
       std::span<const std::int32_t> input, MvmStats* stats = nullptr) const;
+
+  /// Sum of column c's slice-s levels (lossless_adc_bits() covers the largest).
+  [[nodiscard]] std::int64_t col_level_sum(std::int64_t c, int s) const {
+    return col_level_sums_[static_cast<std::size_t>(s * cols_ + c)];
+  }
 
   /// Smallest clipped-ADC resolution that keeps mvm_bit_accurate lossless for
   /// this crossbar (worst-case column sum of one bit plane). Cached at
@@ -266,7 +270,7 @@ class LogicalXbar {
   std::vector<std::uint8_t> levels_;       ///< cell levels, plane-major [slice][row][col]
   PackedCache packed_;
   std::int64_t packed_words_ = 0;
-  /// Per-(col, slice) programmed-level sums backing lossless_adc_bits_; kept
+  /// Per-(slice, col) programmed-level sums backing lossless_adc_bits_; kept
   /// so delta reprogramming can update the cache incrementally.
   std::vector<std::int64_t> col_level_sums_;
   int lossless_adc_bits_ = 1;

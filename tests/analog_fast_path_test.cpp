@@ -272,6 +272,9 @@ TEST(VariationPass, FromWeightsEqualsCleanPlusVariation) {
     QuantConfig q;
     q.cell_bits = k.cell_bits;
     const auto weights = random_weights(rng, 70 * 5, q);
+    // Packed planes serve only the clipped-ADC kernel, here at the clean
+    // crossbar's lossless resolution.
+    q.adc = {xbar::AdcMode::kClipped, LogicalXbar(70, 5, weights, q).lossless_adc_bits()};
     for (const std::uint64_t salt : {std::uint64_t{0}, std::uint64_t{5}}) {
       const std::string what = std::string(k.name) + " salt " + std::to_string(salt);
       QuantConfig qv = q;

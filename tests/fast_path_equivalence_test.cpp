@@ -111,6 +111,17 @@ std::vector<QuantConfig> config_matrix() {
   return configs;
 }
 
+/// The crossbar of (rows, cols, w, q) under a clipped ADC at its
+/// lossless_adc_bits(), so bit-accurate calls run the popcount kernel (an
+/// ideal ADC runs the exact one); with dac_bits 1 its outputs still equal
+/// the ideal ADC's. A clipped `q` is kept as it is.
+LogicalXbar popcount_twin(std::int64_t rows, std::int64_t cols, std::span<const std::int32_t> w,
+                          QuantConfig q) {
+  if (q.adc.mode == AdcMode::kIdeal)
+    q.adc = {AdcMode::kClipped, LogicalXbar(rows, cols, w, q).lossless_adc_bits()};
+  return LogicalXbar(rows, cols, w, q);
+}
+
 TEST(FastPathEquivalence, BitAccurateMatchesReferenceAcrossConfigs) {
   Rng rng(1234);
   int clipped_cases = 0;
@@ -118,21 +129,25 @@ TEST(FastPathEquivalence, BitAccurateMatchesReferenceAcrossConfigs) {
     for (int trial = 0; trial < 4; ++trial) {
       const std::int64_t rows = rng.uniform_int(1, 96);
       const std::int64_t cols = rng.uniform_int(1, 24);
-      const LogicalXbar xb(rows, cols, random_weights(rng, rows * cols, q), q);
+      const auto w = random_weights(rng, rows * cols, q);
       const auto in = random_input(rng, rows, q, /*include_zeros=*/true);
+      // The configured ADC (an ideal one runs the exact kernel), then the
+      // popcount kernel on the lossless-clipped twin of an ideal config.
+      for (const LogicalXbar& xb :
+           {LogicalXbar(rows, cols, w, q), popcount_twin(rows, cols, w, q)}) {
+        MvmStats ref_stats, fast_stats, ws_stats;
+        const auto ref = xb.mvm_bit_accurate_reference(in, &ref_stats);
+        const auto fast = xb.mvm_bit_accurate(in, &fast_stats);
+        EXPECT_EQ(fast, ref);
+        EXPECT_EQ(fast_stats, ref_stats);
 
-      MvmStats ref_stats, fast_stats, ws_stats;
-      const auto ref = xb.mvm_bit_accurate_reference(in, &ref_stats);
-      const auto fast = xb.mvm_bit_accurate(in, &fast_stats);
-      EXPECT_EQ(fast, ref);
-      EXPECT_EQ(fast_stats, ref_stats);
+        perf::MvmWorkspace ws;
+        const auto span = xb.mvm_bit_accurate(in, ws, &ws_stats);
+        EXPECT_EQ(std::vector<std::int64_t>(span.begin(), span.end()), ref);
+        EXPECT_EQ(ws_stats, ref_stats);
 
-      perf::MvmWorkspace ws;
-      const auto span = xb.mvm_bit_accurate(in, ws, &ws_stats);
-      EXPECT_EQ(std::vector<std::int64_t>(span.begin(), span.end()), ref);
-      EXPECT_EQ(ws_stats, ref_stats);
-
-      if (ref_stats.adc_clips > 0) ++clipped_cases;
+        if (ref_stats.adc_clips > 0) ++clipped_cases;
+      }
     }
   }
   // The matrix must actually exercise the saturating-ADC kernel.
@@ -221,26 +236,32 @@ std::vector<std::int64_t> plain_dot(const LogicalXbar& xb, std::span<const std::
   return out;
 }
 
-/// Checks one input on `xb`: the bit-accurate kernel on every supported tier
-/// against mvm_bit_accurate_reference, and the exact kernel against
-/// plain_dot with the reference's activity stats (an exact MVM never clips).
-void expect_kernels_match(const LogicalXbar& xb, std::span<const std::int32_t> in,
-                          const std::string& what) {
-  MvmStats ref_stats;
-  const auto ref = xb.mvm_bit_accurate_reference(in, &ref_stats);
+/// Checks one input on `xb`: bit-accurate calls on every supported tier
+/// against mvm_bit_accurate_reference, on `xb` and on `twin` (its
+/// popcount_twin, where they run the popcount kernel), and the exact kernel
+/// against plain_dot with the reference's activity stats (an exact MVM never
+/// clips).
+void expect_kernels_match(const LogicalXbar& xb, const LogicalXbar& twin,
+                          std::span<const std::int32_t> in, const std::string& what) {
+  MvmStats want;  // xb's reference activity, which the exact kernel reports too
   perf::MvmWorkspace ws;
-  for (const auto isa : supported_isas()) {
-    const char* name = perf::mvm_isa_name(isa);
-    MvmStats got_stats;
-    const auto got = perf::detail::mvm_bit_accurate_on(isa, xb, in, ws, &got_stats);
-    EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), ref) << name << " " << what;
-    EXPECT_EQ(got_stats, ref_stats) << name << " " << what;
+  for (const LogicalXbar* bx : {&xb, &twin}) {
+    MvmStats ref_stats;
+    const auto ref = bx->mvm_bit_accurate_reference(in, &ref_stats);
+    if (bx == &xb) want = ref_stats;
+    for (const auto isa : supported_isas()) {
+      const std::string label = std::string(perf::mvm_isa_name(isa)) + " " + what +
+                                (bx == &twin ? " (lossless clipped)" : "");
+      MvmStats got_stats;
+      const auto got = perf::detail::mvm_bit_accurate_on(isa, *bx, in, ws, &got_stats);
+      EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), ref) << label;
+      EXPECT_EQ(got_stats, ref_stats) << label;
+    }
   }
 
   MvmStats exact_stats;
   const auto exact = xb.mvm(in, ws, &exact_stats);
   EXPECT_EQ(std::vector<std::int64_t>(exact.begin(), exact.end()), plain_dot(xb, in)) << what;
-  MvmStats want = ref_stats;
   want.adc_clips = 0;
   EXPECT_EQ(exact_stats, want) << what;
 }
@@ -255,7 +276,9 @@ TEST(FastPathEquivalence, PackedKernelsMatchReferenceOnAwkwardShapes) {
                                   std::int64_t{65}, std::int64_t{127}, std::int64_t{129}}) {
     for (const std::int64_t cols : {std::int64_t{1}, std::int64_t{7}}) {
       for (const auto& q : config_matrix()) {
-        const LogicalXbar xb(rows, cols, random_weights(rng, rows * cols, q), q);
+        const auto w = random_weights(rng, rows * cols, q);
+        const LogicalXbar xb(rows, cols, w, q);
+        const LogicalXbar twin = popcount_twin(rows, cols, w, q);
         const std::int32_t dense = q.dac_bits == 1
                                        ? -(std::int32_t{1} << (q.abits - 1))  // widest magnitude
                                        : (std::int32_t{1} << q.abits) - 1;
@@ -265,7 +288,7 @@ TEST(FastPathEquivalence, PackedKernelsMatchReferenceOnAwkwardShapes) {
             std::vector<std::int32_t>(static_cast<std::size_t>(rows), dense)  // all planes set
         };
         for (const auto& in : inputs)
-          expect_kernels_match(xb, in,
+          expect_kernels_match(xb, twin, in,
                                "rows=" + std::to_string(rows) + " cols=" + std::to_string(cols));
       }
     }
@@ -285,7 +308,9 @@ TEST(FastPathEquivalence, KernelsMatchReferenceOnDcganMacros) {
     for (const auto& macro : layer.activity.macros) {
       const std::int64_t rows = macro.rows;
       const std::int64_t cols = layer.spec.m;
-      const LogicalXbar xb(rows, cols, random_weights(rng, rows * cols, q), q);
+      const auto w = random_weights(rng, rows * cols, q);
+      const LogicalXbar xb(rows, cols, w, q);
+      const LogicalXbar twin = popcount_twin(rows, cols, w, q);
       std::vector<std::int32_t> in(static_cast<std::size_t>(rows));
       for (auto& v : in)
         v = rng.bernoulli(0.5) ? 0
@@ -293,7 +318,7 @@ TEST(FastPathEquivalence, KernelsMatchReferenceOnDcganMacros) {
                                      rng.uniform_int(1, (std::int64_t{1} << (q.abits - 1)) - 1));
       zeros += std::count(in.begin(), in.end(), 0);
       total += rows;
-      expect_kernels_match(xb, in, layer.spec.name + " " + std::to_string(rows) + "x" +
+      expect_kernels_match(xb, twin, in, layer.spec.name + " " + std::to_string(rows) + "x" +
                                        std::to_string(cols));
     }
   }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "red/common/error.h"
+#include "red/common/math_util.h"
 #include "red/common/rng.h"
 #include "red/core/designs.h"
 #include "red/fault/campaign.h"
@@ -299,7 +300,11 @@ TEST(FaultInject, SingleDrawPassMatchesPerCellOracle) {
     const xbar::LogicalXbar clean(g.rows, g.cols, w, q);
     // A second clean crossbar whose packed planes exist before injection, so
     // the faulted copies patch them in place instead of building them later.
-    const xbar::LogicalXbar clean_packed(g.rows, g.cols, w, q);
+    // Packed planes serve only the clipped-ADC kernel; this resolution holds
+    // any column of levels (rows * max_level), so it never clips.
+    xbar::QuantConfig q_packed = q;
+    q_packed.adc = {xbar::AdcMode::kClipped, ilog2_ceil(g.rows * q.max_level() + 1)};
+    const xbar::LogicalXbar clean_packed(g.rows, g.cols, w, q_packed);
     EXPECT_TRUE(clean_packed.ensure_packed_planes());
     std::vector<std::int32_t> x(static_cast<std::size_t>(g.rows));
     for (auto& v : x) v = static_cast<std::int32_t>(rng.uniform_int(-128, 127));

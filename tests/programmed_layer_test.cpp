@@ -7,9 +7,12 @@
 //    clean and then perturbed() bit for bit, and Design::run,
 //    StreamingExecutor and the programmed layer's VariationStats reproduce
 //    pinned digests;
-//  * lazy packed planes — only bit-accurate reads build a crossbar's packed
-//    bit-planes, exactly once per crossbar at any thread count, counted by
-//    the xbar.packed_plane_builds telemetry counter.
+//  * one kernel for the ideal ADC — bit-accurate runs under an ideal ADC
+//    equal the exact path and build no packed planes; zero padding's
+//    windows are pinned to parent-commit digests;
+//  * lazy packed planes — only bit-accurate reads under a clipped ADC build
+//    a crossbar's packed bit-planes, exactly once per crossbar at any thread
+//    count, counted by the xbar.packed_plane_builds telemetry counter.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "red/common/error.h"
+#include "red/common/math_util.h"
 #include "red/common/rng.h"
 #include "red/core/designs.h"
 #include "red/fault/model.h"
@@ -362,6 +366,9 @@ TEST(PackedPlanes, ExactPathNeverBuildsThem) {
   }
 }
 
+// The popcount kernel runs only under a clipped ADC. At a resolution that
+// holds the tallest macro's worst column sum (rows * max_level) it is
+// lossless, so outputs equal the ideal-ADC run.
 TEST(PackedPlanes, BitAccurateRunBuildsEachCrossbarOnceAtAnyThreadCount) {
   const nn::DeconvLayerSpec spec{"bitacc_planes", 6, 6, 8, 4, 4, 4, 2, 1, 0};
   Rng rng(13);
@@ -371,6 +378,9 @@ TEST(PackedPlanes, BitAccurateRunBuildsEachCrossbarOnceAtAnyThreadCount) {
     arch::DesignConfig cfg;
     cfg.bit_accurate = true;
     cfg.threads = threads;
+    cfg.quant.adc = {xbar::AdcMode::kClipped,
+                     ilog2_ceil(std::int64_t{spec.kh} * spec.kw * spec.c *
+                                    cfg.quant.max_level() + 1)};
     const std::uint64_t red_xbars = plan::plan_layer(DesignKind::kRed, spec, cfg).groups.size();
     ASSERT_GT(red_xbars, 1u);
     for (const auto& [kind, xbars] : {std::pair{DesignKind::kZeroPadding, std::uint64_t{1}},
@@ -378,8 +388,10 @@ TEST(PackedPlanes, BitAccurateRunBuildsEachCrossbarOnceAtAnyThreadCount) {
       const auto programmed = core::make_design(kind, cfg)->program(spec, kernel);
       const std::string what =
           core::make_design(kind, cfg)->name() + " threads " + std::to_string(threads);
-      EXPECT_EQ(packed_plane_builds([&] { (void)programmed->run(input); }), xbars) << what;
+      Tensor<std::int32_t> out;
+      EXPECT_EQ(packed_plane_builds([&] { out = programmed->run(input); }), xbars) << what;
       EXPECT_EQ(packed_plane_builds([&] { (void)programmed->run(input); }), 0u) << what;
+      EXPECT_EQ(out, core::make_design(kind)->program(spec, kernel)->run(input)) << what;
     }
   }
 
@@ -387,10 +399,14 @@ TEST(PackedPlanes, BitAccurateRunBuildsEachCrossbarOnceAtAnyThreadCount) {
   Rng wrng(14);
   std::vector<std::int32_t> w(130 * 6);
   for (auto& v : w) v = static_cast<std::int32_t>(wrng.uniform_int(-128, 127));
-  const xbar::LogicalXbar xb(130, 6, w, xbar::QuantConfig{});
+  const xbar::LogicalXbar ideal(130, 6, w, xbar::QuantConfig{});
+  EXPECT_THROW((void)ideal.ensure_packed_planes(), ContractViolation);
+  xbar::QuantConfig clipped;
+  clipped.adc = {xbar::AdcMode::kClipped, ideal.lossless_adc_bits()};
+  const xbar::LogicalXbar xb(130, 6, w, clipped);
   std::vector<std::int32_t> x(130);
   for (auto& v : x) v = static_cast<std::int32_t>(wrng.uniform_int(-128, 127));
-  const auto expected = xb.mvm(x);
+  const auto expected = ideal.mvm(x);
   std::vector<std::vector<std::int64_t>> outs(8);
   EXPECT_EQ(packed_plane_builds([&] {
               perf::parallel_for_shared(8, [&](std::int64_t i) {
@@ -399,6 +415,79 @@ TEST(PackedPlanes, BitAccurateRunBuildsEachCrossbarOnceAtAnyThreadCount) {
             }),
             1u);
   for (const auto& out : outs) EXPECT_EQ(out, expected);
+}
+
+// ---------------------------------------------------------------------------
+// One kernel for the ideal ADC
+// ---------------------------------------------------------------------------
+
+/// Zero padding on every dcgan/div4 stage, pinned per stage to digests taken
+/// at the parent commit (before ZP built its windows by row copies): the
+/// exact path and bit-accurate with an ideal ADC (one pin: they must agree),
+/// and bit-accurate under a clipped 6-bit ADC, at 1 and 4 threads. Stage 3's
+/// 800x3 macro reads its windows batch-minor on the exact kernel.
+TEST(ZeroPaddingDigests, DcganDiv4OutputsAndRunStatsArePinned) {
+  const auto stack = workloads::named_stack("dcgan", 4);
+  const auto kernels = workloads::make_stack_kernels(stack, 5);
+  const std::uint64_t ideal[] = {0xdffbb867c5b7fe56ULL, 0x4a43575851c340feULL,
+                                 0xe7b8fa664d0cf4f5ULL, 0x4216ff204a22e651ULL};
+  const std::uint64_t clipped[] = {0xe46cc4b56bed7632ULL, 0x54f0e8072797020dULL,
+                                   0x0560dfe3530f6297ULL, 0x147726aecd25b91dULL};
+  ASSERT_EQ(stack.size(), 4u);
+  for (const int threads : {1, 4})
+    for (const int mode : {0, 1, 2}) {
+      arch::DesignConfig cfg;
+      cfg.threads = threads;
+      cfg.bit_accurate = mode != 0;
+      if (mode == 2) cfg.quant.adc = {xbar::AdcMode::kClipped, 6};
+      for (std::size_t i = 0; i < stack.size(); ++i) {
+        Rng rng(17 + i);
+        const auto input = workloads::make_input(stack[i], rng, 0, 7);
+        arch::RunStats stats;
+        Digest d;
+        d.add(core::make_design(DesignKind::kZeroPadding, cfg)
+                  ->program(stack[i], kernels[i])
+                  ->run(input, &stats));
+        d.add(stats);
+        EXPECT_EQ(d.h, mode == 2 ? clipped[i] : ideal[i])
+            << "stage " << i << " mode " << mode << " threads " << threads;
+      }
+    }
+}
+
+/// Under an ideal ADC a bit-accurate run is the exact run: the same
+/// outputs and RunStats (MvmStats included), and no packed planes built.
+/// Every layer of sngan, dcgan and fcn8s at div 4, on all three designs (4
+/// threads: fcn8s_up8's zero-padding run is ~1.8 s serial).
+TEST(IdealAdc, BitAccurateRunsEqualTheExactPath) {
+  arch::DesignConfig exact_cfg;
+  exact_cfg.threads = 4;
+  arch::DesignConfig bitacc = exact_cfg;
+  bitacc.bit_accurate = true;
+  for (const char* net : {"sngan", "dcgan", "fcn8s"}) {
+    const auto stack = workloads::named_stack(net, 4);
+    const auto kernels = workloads::make_stack_kernels(stack, 3);
+    for (std::size_t i = 0; i < stack.size(); ++i) {
+      Rng rng(23 + i);
+      const auto input = workloads::make_input(stack[i], rng, 0, 7);
+      for (const auto kind :
+           {DesignKind::kZeroPadding, DesignKind::kPaddingFree, DesignKind::kRed}) {
+        const std::string what = core::make_design(kind)->name() + " " + stack[i].name;
+        arch::RunStats exact_stats, bitacc_stats;
+        const auto exact =
+            core::make_design(kind, exact_cfg)->run(stack[i], input, kernels[i], &exact_stats);
+        Tensor<std::int32_t> out;
+        EXPECT_EQ(packed_plane_builds([&] {
+                    out = core::make_design(kind, bitacc)
+                              ->run(stack[i], input, kernels[i], &bitacc_stats);
+                  }),
+                  0u)
+            << what;
+        EXPECT_EQ(out, exact) << what;
+        EXPECT_EQ(bitacc_stats, exact_stats) << what;
+      }
+    }
+  }
 }
 
 }  // namespace

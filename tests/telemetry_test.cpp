@@ -373,8 +373,10 @@ TEST(Telemetry, InstrumentedRunPopulatesSinks) {
   EXPECT_FALSE(tracer.merged_events().empty());
 }
 
-// Exact MVMs count under mvm.calls.scalar (the row-sweep kernel), bit-accurate
-// ones under the popcount tier this CPU runs.
+// MVMs that run the exact kernel count under mvm.calls.scalar: exact calls,
+// and bit-accurate ones under an ideal ADC. Bit-accurate calls under a
+// clipped ADC (here at lossless_adc_bits(), where outputs stay exact) count
+// under the popcount tier this CPU runs.
 TEST(Telemetry, MvmCallsCountUnderTheKernelThatRan) {
   constexpr std::int64_t kRows = 70, kCols = 5, kBatch = 6;
   Rng rng(11);
@@ -383,6 +385,9 @@ TEST(Telemetry, MvmCallsCountUnderTheKernelThatRan) {
   std::vector<std::int32_t> inputs(static_cast<std::size_t>(kRows * kBatch));
   for (auto& v : inputs) v = static_cast<std::int32_t>(rng.uniform_int(-128, 127));
   const xbar::LogicalXbar xb(kRows, kCols, weights, xbar::QuantConfig{});
+  xbar::QuantConfig clipped;
+  clipped.adc = {xbar::AdcMode::kClipped, xb.lossless_adc_bits()};
+  const xbar::LogicalXbar clipped_xb(kRows, kCols, weights, clipped);
   const std::string tier =
       std::string("mvm.calls.") + perf::mvm_isa_name(perf::mvm_active_isa());
 
@@ -391,9 +396,14 @@ TEST(Telemetry, MvmCallsCountUnderTheKernelThatRan) {
   perf::MvmWorkspace ws;
   (void)xb.mvm_batch(inputs, kBatch, /*bit_accurate=*/false, ws);
   EXPECT_EQ(reg.counter("mvm.calls.scalar")->value(), static_cast<std::uint64_t>(kBatch));
-  EXPECT_EQ(reg.counter(tier)->value(), 0u);
   (void)xb.mvm_batch(inputs, kBatch, /*bit_accurate=*/true, ws);
-  EXPECT_EQ(reg.counter("mvm.calls.scalar")->value(), static_cast<std::uint64_t>(kBatch));
+  EXPECT_EQ(reg.counter("mvm.calls.scalar")->value(), static_cast<std::uint64_t>(2 * kBatch));
+  EXPECT_EQ(reg.counter(tier)->value(), 0u);
+  const auto exact = xb.mvm_batch(inputs, kBatch, /*bit_accurate=*/false, ws);
+  const std::vector<std::int64_t> want(exact.begin(), exact.end());
+  const auto got = clipped_xb.mvm_batch(inputs, kBatch, /*bit_accurate=*/true, ws);
+  EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), want);
+  EXPECT_EQ(reg.counter("mvm.calls.scalar")->value(), static_cast<std::uint64_t>(3 * kBatch));
   EXPECT_EQ(reg.counter(tier)->value(), static_cast<std::uint64_t>(kBatch));
 }
 

@@ -2,10 +2,14 @@
 // path, ADC clipping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "red/common/error.h"
+#include "red/common/math_util.h"
 #include "red/common/rng.h"
 #include "red/xbar/codec.h"
 #include "red/xbar/crossbar.h"
@@ -78,6 +82,70 @@ TEST(Codec, ProgrammingMatchesCodecForEveryInRangeWeight) {
   }
   const std::vector<std::int32_t> out_of_range{128};
   EXPECT_THROW(LogicalXbar(1, 1, out_of_range, default_q()), ContractViolation);
+}
+
+TEST(Codec, ProgrammingMatchesCodecOracleOnEveryCell) {
+  // The constructor's vector passes (one min/max range check, levels slice
+  // by slice, column sums per slice) against encode_weight cell by cell, on
+  // a shape no SIMD vector divides, with both ends of the range present.
+  struct Widths {
+    int wbits, cell_bits;
+  };
+  constexpr std::int64_t kRows = 37, kCols = 29;
+  for (const Widths wc :
+       {Widths{8, 2}, Widths{7, 2}, Widths{5, 2}, Widths{16, 2}, Widths{16, 3}}) {
+    QuantConfig q;
+    q.wbits = wc.wbits;
+    q.cell_bits = wc.cell_bits;
+    const std::string what =
+        "wbits " + std::to_string(wc.wbits) + " cell_bits " + std::to_string(wc.cell_bits);
+    const std::int32_t half = q.weight_offset();
+    Rng rng(static_cast<std::uint64_t>(wc.wbits * 8 + wc.cell_bits));
+    std::vector<std::int32_t> w(static_cast<std::size_t>(kRows * kCols));
+    for (auto& v : w) v = static_cast<std::int32_t>(rng.uniform_int(-half, half - 1));
+    w.front() = -half;
+    w.back() = half - 1;
+    const LogicalXbar xb(kRows, kCols, w, q);
+
+    const int slices = q.slices();
+    std::vector<std::int64_t> sums(static_cast<std::size_t>(kCols * slices), 0);
+    std::int64_t mismatches = 0;
+    for (std::int64_t r = 0; r < kRows; ++r)
+      for (std::int64_t c = 0; c < kCols; ++c) {
+        const std::int32_t weight = w[static_cast<std::size_t>(r * kCols + c)];
+        const auto lv = encode_weight(weight, q);
+        for (int s = 0; s < slices; ++s) {
+          mismatches += xb.level(r, c, s) != lv[static_cast<std::size_t>(s)];
+          sums[static_cast<std::size_t>(c * slices + s)] += lv[static_cast<std::size_t>(s)];
+        }
+        mismatches += xb.stored_weight(r, c) != weight;
+      }
+    EXPECT_EQ(mismatches, 0) << what;
+    std::int64_t worst = 0;
+    for (std::int64_t c = 0; c < kCols; ++c)
+      for (int s = 0; s < slices; ++s) {
+        const std::int64_t sum = sums[static_cast<std::size_t>(c * slices + s)];
+        EXPECT_EQ(xb.col_level_sum(c, s), sum) << what << " col " << c << " slice " << s;
+        worst = std::max(worst, sum);
+      }
+    EXPECT_EQ(xb.lossless_adc_bits(), worst == 0 ? 1 : ilog2_ceil(worst + 1)) << what;
+
+    // One out-of-range weight, at the first or at the last element, throws.
+    for (const std::size_t at : {std::size_t{0}, w.size() - 1})
+      for (const std::int32_t bad : {-half - 1, half, std::numeric_limits<std::int32_t>::min(),
+                                     std::numeric_limits<std::int32_t>::max()}) {
+        auto bad_w = w;
+        bad_w[at] = bad;
+        try {
+          (void)LogicalXbar(kRows, kCols, bad_w, q);
+          ADD_FAILURE() << what << ": weight " << bad << " at " << at << " did not throw";
+        } catch (const ContractViolation& e) {
+          EXPECT_NE(std::string(e.what()).find("weight outside wbits signed range"),
+                    std::string::npos)
+              << what << ": " << e.what();
+        }
+      }
+  }
 }
 
 TEST(Codec, WeightRangeChecked) {

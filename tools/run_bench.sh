@@ -41,21 +41,27 @@ if [ -x "${build_dir}/bench_micro_simulator" ]; then
     min_time_flag="--benchmark_min_time=0.001"
   fi
   "${build_dir}/bench_micro_simulator" \
-    --benchmark_filter='BM_Mvm|BM_SimulateNetwork' \
+    --benchmark_filter='BM_Mvm|BM_XbarProgram|BM_ZpRun|BM_SimulateNetwork' \
     ${min_time_flag} \
     --benchmark_out="${out_dir}/BENCH_mvm.json" \
     --benchmark_out_format=json
   echo ""
   echo "Wrote ${out_dir}/BENCH_mvm.json"
-  echo "Before/after pairs: BM_MvmBitAccurateReference vs BM_MvmBitAccurate,"
+  echo "Before/after pairs: BM_MvmBitAccurateReference vs BM_MvmBitAccurate"
+  echo "(ideal ADC: the reference walk vs the exact kernel it runs),"
   echo "BM_MvmClippedReference vs BM_MvmClipped, BM_SimulateNetwork/1 vs /4,"
-  echo "BM_MvmPackedIsa/portable vs /avx2 /avx512 (one row per popcount tier;"
-  echo "the run refuses to start unless every tier this CPU supports is"
-  echo "bit-identical to the reference oracle, both kernels), BM_MvmDcganMacro"
-  echo "bitacc:1 vs bitacc:0 (packed ideal-ADC kernel vs the exact row sweep),"
+  echo "BM_MvmPackedIsa/portable vs /avx2 /avx512 (one row per popcount tier,"
+  echo "clipped ADC at its lossless resolution; the run refuses to start unless"
+  echo "every tier this CPU supports is bit-identical to the reference oracle,"
+  echo "both kernels), BM_MvmDcganMacro bitacc:1 vs bitacc:0 (the popcount"
+  echo "kernel vs the exact row sweep on one lossless-clipped macro),"
   echo "BM_MvmDcganMacroExact/portable vs /avx2 /avx512 (the exact kernel per"
-  echo "tier), and BM_MvmDcganStage3BatchMinor mode:0 vs mode:1 (288x3 swept"
-  echo "across the columns vs across a batch-minor block)."
+  echo "tier), BM_MvmDcganStage3BatchMinor mode:0 vs mode:1 (288x3 swept"
+  echo "across the columns vs across a batch-minor block), BM_XbarProgram"
+  echo "(programming one crossbar on sngan/div4's zero-padding and"
+  echo "padding-free macro shapes), and BM_ZpRun (zero padding's run per"
+  echo "dcgan/div4 stage; stage:3's 800x3 macro reads batch-minor windows,"
+  echo "the others vector-major)."
 else
   echo "warning: ${build_dir}/bench_micro_simulator not found (google-benchmark" >&2
   echo "missing at configure time?); skipping ${out_dir}/BENCH_mvm.json." >&2
