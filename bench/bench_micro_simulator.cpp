@@ -1,6 +1,7 @@
 // Micro-benchmarks of the simulator itself (google-benchmark): crossbar MVM
 // exact vs popcount kernels (both per SIMD tier), crossbar programming,
-// design schedule execution, and analytic cost evaluation throughput.
+// fault injection and repair, design schedule execution, and analytic cost
+// evaluation throughput.
 //
 // The binary doubles as the bench_smoke oracle gate: main() refuses to run
 // (exit 1) unless every tier this CPU supports reproduces
@@ -21,7 +22,10 @@
 
 #include "red/common/rng.h"
 #include "red/core/designs.h"
+#include "red/core/mode_groups.h"
+#include "red/core/pixel_wise_mapping.h"
 #include "red/core/schedule.h"
+#include "red/fault/inject.h"
 #include "red/perf/mvm_kernel.h"
 #include "red/perf/workspace.h"
 #include "red/plan/plan.h"
@@ -313,6 +317,49 @@ void BM_XbarProgram(benchmark::State& state) {
 BENCHMARK(BM_XbarProgram)
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->ArgNames({"stage", "pf"});
+
+// One fault draw pass plus repair (fault::inject_faults) on a GAN_Deconv4
+// mode-group crossbar (4 sub-crossbars of 512 channels: 2048x256, 1024
+// physical columns at 2-bit cells), under the fault-repair workload's
+// environment (e2ebench fault_environment(): rare stuck cells, 0.1% faulty
+// lines, drift sigma 0.2, write-verify with 2 retries). arm:0 is the bare
+// policy, arm:1 the repaired one (4 spare rows and columns, row remap).
+void BM_InjectFaults(benchmark::State& state) {
+  nn::DeconvLayerSpec spec;
+  for (const auto& l : workloads::table1_benchmarks())
+    if (l.name == "GAN_Deconv4") spec = l;
+  Rng rng(1);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  const core::SubCrossbarTensor sct(spec, kernel);
+  const auto groups = core::compute_mode_groups(spec);
+  std::vector<std::int32_t> w;
+  for (const auto& sc : groups.front().scs) {
+    const auto& blk = sct.sc_weights(sc);
+    w.insert(w.end(), blk.begin(), blk.end());
+  }
+  const xbar::LogicalXbar clean(std::ssize(groups.front().scs) * spec.c, spec.m, w, {});
+  fault::FaultModel model;
+  model.sa0_rate = 2.5e-5;
+  model.sa1_rate = 2.5e-5;
+  model.wordline_rate = 0.001;
+  model.bitline_rate = 0.001;
+  model.drift_sigma = 0.2;
+  fault::RepairPolicy policy;
+  if (state.range(0) != 0) {
+    policy.spare_rows = 4;
+    policy.spare_cols = 4;
+    policy.remap_rows = true;
+    policy.verify_retries = 2;
+  }
+  state.SetLabel(std::to_string(clean.rows()) + "x" + std::to_string(clean.cols()));
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    model.seed = seed++;
+    benchmark::DoNotOptimize(fault::inject_faults(clean, model, policy));
+  }
+  state.SetItemsProcessed(state.iterations() * clean.rows() * clean.phys_cols());
+}
+BENCHMARK(BM_InjectFaults)->Arg(0)->Arg(1)->ArgName("arm")->Unit(benchmark::kMillisecond);
 
 // Zero padding's programmed run on each dcgan/div4 stage (bit-accurate under
 // an ideal ADC, so the exact kernel; one thread). Windows are row copies of

@@ -48,19 +48,61 @@ std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec
   return xbars;
 }
 
-// Trial-invariant half of the programmed layer: config and schedule. Shared
-// (const) across every perturbed and faulted sibling, so Monte Carlo and
-// fault trials never rebuild the schedule.
+// One mode group's walk of the schedule, resolved to pixels: which input
+// pixel each SC reads and which output pixel each cycle completes. Both are
+// fixed by the schedule, whatever the input.
+struct GatherTable {
+  /// Cycles come in block rows of row_cycles (the last may be shorter); the
+  /// block row starting at cycle c0 holds num_sc * batch entries at
+  /// num_sc * c0, SC-major ([sc][k]). An entry is h * iw + w, or
+  /// ih * iw (the zero slot after each input plane) for an idle SC.
+  std::vector<std::int32_t> sc_pixel;
+  std::vector<std::int64_t> out_pixel;  ///< per cycle: oy * ow + ox, or -1
+};
+
+std::vector<GatherTable> build_gather_tables(const ZeroSkipSchedule& schedule) {
+  const auto& spec = schedule.spec();
+  const std::int64_t num_cycles = schedule.num_cycles();
+  const std::int64_t row_cycles = std::int64_t{schedule.blocks_x()} * schedule.phases();
+  const auto idle = static_cast<std::int32_t>(std::int64_t{spec.ih} * spec.iw);
+  std::vector<GatherTable> tables(schedule.groups().size());
+  GroupWork work;  // rebuilt in place each cycle, reusing inputs capacity
+  for (std::size_t gi = 0; gi < tables.size(); ++gi) {
+    auto& t = tables[gi];
+    const auto num_sc = static_cast<std::int64_t>(schedule.groups()[gi].scs.size());
+    t.sc_pixel.assign(static_cast<std::size_t>(num_sc * num_cycles), idle);
+    t.out_pixel.resize(static_cast<std::size_t>(num_cycles));
+    for (std::int64_t c0 = 0; c0 < num_cycles; c0 += row_cycles) {
+      const std::int64_t batch = std::min(row_cycles, num_cycles - c0);
+      std::int32_t* block = t.sc_pixel.data() + num_sc * c0;
+      for (std::int64_t k = 0; k < batch; ++k) {
+        schedule.group_work(c0 + k, static_cast<int>(gi), work);
+        t.out_pixel[static_cast<std::size_t>(c0 + k)] =
+            work.produces_output ? std::int64_t{work.out_y} * spec.ow() + work.out_x : -1;
+        for (const auto& in : work.inputs)
+          if (in.active)  // zero-skip: padded zeros are never streamed
+            block[in.sc_index * batch + k] = in.h * spec.iw + in.w;
+      }
+    }
+  }
+  return tables;
+}
+
+// Trial-invariant half of the programmed layer: config, schedule and its
+// gather tables. Shared (const) across every perturbed and faulted sibling,
+// so Monte Carlo and fault trials never rebuild or re-walk the schedule.
 struct RedProgram {
   arch::DesignConfig cfg;
   nn::DeconvLayerSpec spec;
   ZeroSkipSchedule schedule;
+  std::vector<GatherTable> gather;  ///< one per mode group
 
   RedProgram(arch::DesignConfig c, const nn::DeconvLayerSpec& s, int fold,
              std::vector<ModeGroup> groups)
       : cfg(std::move(c)),
         spec(s),
-        schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d, std::move(groups)) {}
+        schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d, std::move(groups)),
+        gather(build_gather_tables(schedule)) {}
 };
 
 class RedProgrammedLayer final : public arch::ProgrammedLayer {
@@ -108,13 +150,7 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
       // Thread-local workspace: Monte Carlo trials call run() thousands of
       // times, so the per-call construction cost matters here.
       thread_local perf::MvmWorkspace ws;
-      GroupWork work;  // rebuilt in place each cycle, reusing inputs capacity
       std::vector<std::int32_t> gathered;  // one block row of cycle inputs
-      // Output pixel each gathered cycle completes (-1: none).
-      std::vector<std::int64_t> out_pixel(static_cast<std::size_t>(row_cycles));
-      // Input pixel each SC reads in each gathered cycle, SC-major
-      // (in_plane, the zero slot: idle SC).
-      std::vector<std::int32_t> sc_pixel;
       // Per-group accumulator carrying partial sums across fold phases (Eq. 2).
       std::vector<std::int64_t> group_acc(static_cast<std::size_t>(spec.m));
       for (std::int64_t gi = g0; gi < g1; ++gi) {
@@ -124,26 +160,17 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
         // On the exact kernel's batch sweep the gather writes its block
         // batch-minor (row r of cycle k at r * batch + k), read in place.
         const bool batch_minor = perf::reads_batch_minor(xb, prog_->cfg.bit_accurate);
+        const GatherTable& table = prog_->gather[static_cast<std::size_t>(gi)];
         for (std::int64_t c0 = 0; c0 < num_cycles; c0 += row_cycles) {
           const std::int64_t batch = std::min(row_cycles, num_cycles - c0);
-          // Pass 1: what each cycle of the block row reads and completes.
-          sc_pixel.assign(static_cast<std::size_t>(num_sc * batch),
-                          static_cast<std::int32_t>(in_plane));
-          for (std::int64_t k = 0; k < batch; ++k) {
-            schedule.group_work(c0 + k, static_cast<int>(gi), work);
-            out_pixel[static_cast<std::size_t>(k)] =
-                work.produces_output ? std::int64_t{work.out_y} * spec.ow() + work.out_x : -1;
-            for (const auto& in : work.inputs)
-              if (in.active)  // zero-skip: padded zeros are never streamed
-                sc_pixel[static_cast<std::size_t>(in.sc_index * batch + k)] =
-                    in.h * spec.iw + in.w;
-          }
-          // Pass 2: every element, by vector gathers along contiguous rows
-          // of the block: one channel across the cycles (batch-minor), or one
-          // SC's channels in one cycle (vector-major).
+          const std::int32_t* sc_pixel = table.sc_pixel.data() + num_sc * c0;
+          const std::int64_t* out_pixel = table.out_pixel.data() + c0;
+          // Every element, by vector gathers along contiguous rows of the
+          // block: one channel across the cycles (batch-minor), or one SC's
+          // channels in one cycle (vector-major).
           gathered.resize(static_cast<std::size_t>(batch * rows));
           for (std::int64_t sc = 0; sc < num_sc; ++sc) {
-            const std::int32_t* pixel = sc_pixel.data() + sc * batch;
+            const std::int32_t* pixel = sc_pixel + sc * batch;
             if (batch_minor) {
               for (int c = 0; c < spec.c; ++c)
                 perf::gather_inputs(padded.data() + c * padded_plane,
@@ -163,7 +190,7 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
             if ((c0 + k) % phases == 0) std::fill(group_acc.begin(), group_acc.end(), 0);
             const std::int64_t* p = partials.data() + k * spec.m;
             for (int m = 0; m < spec.m; ++m) group_acc[static_cast<std::size_t>(m)] += p[m];
-            const std::int64_t pixel = out_pixel[static_cast<std::size_t>(k)];
+            const std::int64_t pixel = out_pixel[k];
             if (pixel >= 0)
               for (int m = 0; m < spec.m; ++m)
                 out.data()[m * out_plane + pixel] =

@@ -1,6 +1,7 @@
 #include "red/fault/inject.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <numeric>
@@ -8,6 +9,13 @@
 
 #include "red/common/contracts.h"
 #include "red/telemetry/metrics.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define RED_FAULT_X86 1
+#include <immintrin.h>
+#else
+#define RED_FAULT_X86 0
+#endif
 
 namespace red::fault {
 
@@ -59,6 +67,113 @@ LineState draw_lines(const FaultModel& m, std::uint64_t salt, Domain domain, dou
   return st;
 }
 
+// Hit masks: bit p of words[p / 64] is set when draw p of one counter stream
+// falls below a rate, for p < n (bits past n stay clear). Draw p hashes
+// z = z0 + p * dz, where z0 = counter0 * kFaultCounterMul + 1 and
+// dz = stride * kFaultCounterMul (mod 2^64), so it is exactly
+// fault_rnd_keyed(key, counter0 + p * stride); the lanes advance z by a
+// vector add instead of a multiply. `below` is unit_threshold(rate).
+using HitMaskFn = void (*)(std::uint64_t key, std::uint64_t z0, std::uint64_t dz,
+                           std::uint64_t below, std::int64_t n, std::uint64_t* words);
+
+// (h >> 11) * 2^-53 < x  <=>  (h >> 11) < ceil(x * 2^53) for x in [0, 1]:
+// both sides scale by a power of two exactly, and h >> 11 is an integer.
+std::uint64_t unit_threshold(double x) {
+  return x >= 1.0 ? std::uint64_t{1} << 53
+                  : static_cast<std::uint64_t>(std::ceil(std::ldexp(x, 53)));
+}
+
+void hit_mask_portable(std::uint64_t key, std::uint64_t z, std::uint64_t dz,
+                       std::uint64_t below, std::int64_t n, std::uint64_t* words) {
+  for (std::int64_t w = 0; w * 64 < n; ++w) {
+    const int bits = static_cast<int>(std::min<std::int64_t>(64, n - w * 64));
+    std::uint64_t m = 0;
+    for (int b = 0; b < bits; ++b, z += dz)
+      m |= static_cast<std::uint64_t>((fault_mix(key ^ fault_mix(z)) >> 11) < below) << b;
+    words[w] = m;
+  }
+}
+
+#if RED_FAULT_X86
+
+// The bits of mask word w that lie below n.
+std::uint64_t tail_bits(std::int64_t n, std::int64_t w) {
+  const std::int64_t left = n - w * 64;
+  return left >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << left) - 1;
+}
+
+using U64x4 = std::uint64_t __attribute__((vector_size(32)));
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+
+// fault_mix in every lane, in place. Inlined into the tier functions below,
+// whose target decides the code: vpmullq at AVX-512 (DQ), three vpmuludq per
+// multiply at AVX2.
+template <class V>
+[[gnu::always_inline]] inline void mix_lanes(V& z) {
+  z = (z ^ (z >> 30)) * kFaultMixMul1;
+  z = (z ^ (z >> 27)) * kFaultMixMul2;
+  z ^= z >> 31;
+}
+
+__attribute__((target("avx2"))) void hit_mask_avx2(std::uint64_t key, std::uint64_t z0,
+                                                   std::uint64_t dz, std::uint64_t below,
+                                                   std::int64_t n, std::uint64_t* words) {
+  // below is at most 2^53 and h >> 11 below 2^53: a signed compare is exact.
+  const auto lim = reinterpret_cast<__m256i>(U64x4{} + below);
+  U64x4 z = U64x4{0, 1, 2, 3} * dz + z0;
+  for (std::int64_t w = 0; w * 64 < n; ++w) {
+    const std::int64_t blocks = std::min<std::int64_t>(16, (n - w * 64 + 3) / 4);
+    std::uint64_t m = 0;
+    for (std::int64_t b = 0; b < blocks; ++b, z += 4 * dz) {
+      U64x4 h = z;
+      mix_lanes(h);
+      h ^= key;
+      mix_lanes(h);
+      h >>= 11;
+      const __m256i hit = _mm256_cmpgt_epi64(lim, reinterpret_cast<__m256i>(h));
+      m |= static_cast<std::uint64_t>(_mm256_movemask_pd(_mm256_castsi256_pd(hit))) << (4 * b);
+    }
+    words[w] = m & tail_bits(n, w);
+  }
+}
+
+__attribute__((target("avx512f,avx512dq"))) void hit_mask_avx512(
+    std::uint64_t key, std::uint64_t z0, std::uint64_t dz, std::uint64_t below, std::int64_t n,
+    std::uint64_t* words) {
+  const auto lim = reinterpret_cast<__m512i>(U64x8{} + below);
+  U64x8 z = U64x8{0, 1, 2, 3, 4, 5, 6, 7} * dz + z0;
+  for (std::int64_t w = 0; w * 64 < n; ++w) {
+    const std::int64_t blocks = std::min<std::int64_t>(8, (n - w * 64 + 7) / 8);
+    std::uint64_t m = 0;
+    for (std::int64_t b = 0; b < blocks; ++b, z += 8 * dz) {
+      U64x8 h = z;
+      mix_lanes(h);
+      h ^= key;
+      mix_lanes(h);
+      h >>= 11;
+      m |= static_cast<std::uint64_t>(
+               _mm512_cmplt_epu64_mask(reinterpret_cast<__m512i>(h), lim))
+           << (8 * b);
+    }
+    words[w] = m & tail_bits(n, w);
+  }
+}
+
+#endif  // RED_FAULT_X86
+
+HitMaskFn hit_mask_for(perf::MvmIsa isa) {
+  switch (isa) {
+#if RED_FAULT_X86
+    case perf::MvmIsa::kAvx2:
+      return hit_mask_avx2;
+    case perf::MvmIsa::kAvx512:
+      return hit_mask_avx512;
+#endif
+    default:
+      return hit_mask_portable;
+  }
+}
+
 // One physical cell whose level may differ from the clean one, whatever
 // logical row the remap puts there.
 enum class EventKind : std::uint8_t { kDead, kSa0, kSa1, kDrift };
@@ -107,6 +222,14 @@ struct Tally {
 xbar::LogicalXbar inject_faults(const xbar::LogicalXbar& clean, const FaultModel& model,
                                 const RepairPolicy& policy, std::uint64_t salt,
                                 RepairReport* report) {
+  return detail::inject_faults_on(perf::mvm_active_isa(), clean, model, policy, salt, report);
+}
+
+namespace detail {
+
+xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& clean,
+                                   const FaultModel& model, const RepairPolicy& policy,
+                                   std::uint64_t salt, RepairReport* report) {
   RED_EXPECTS_MSG(!clean.config().variation.enabled(),
                   "faulted copies must derive from a variation-free crossbar");
   model.validate();
@@ -158,55 +281,89 @@ xbar::LogicalXbar inject_faults(const xbar::LogicalXbar& clean, const FaultModel
   // The one draw pass. Fault draws key on the physical position: dead lines
   // zero the cell, stuck cells force their polarity, live cells drift under
   // write-verify (closed-loop programming keeps the best-verified attempt,
-  // so more retries never worsen a cell).
+  // so more retries never worsen a cell). Per live row, a branch-free sweep
+  // at the SIMD tier marks the stuck cells (cell draw below sa0 + sa1) and
+  // the drift candidates (attempt-0 change draw below p_star); the scalar
+  // code then visits only the dead, stuck and candidate cells, in column
+  // order. Every live cell's stuck draw and every live unstuck cell's
+  // change draw count as drawn, as when each was hashed one at a time.
   const std::uint64_t cell_key = domain_key(model, salt, kCell);
   const std::uint64_t change_key = domain_key(model, salt, kDriftChange);
   const std::uint64_t level_key = domain_key(model, salt, kDriftLevel);
+  const HitMaskFn hit_mask = hit_mask_for(std::min(tier, perf::mvm_active_isa()));
+  const std::uint64_t stuck_below = unit_threshold(stuck);
+  const std::uint64_t drift_below = unit_threshold(p_star);
+  const std::int64_t words = (P + 63) / 64;
+  std::vector<std::uint64_t> dead_cols(static_cast<std::size_t>(words), 0);
+  std::vector<std::uint64_t> stuck_hits(static_cast<std::size_t>(words), 0);
+  std::vector<std::uint64_t> drift_hits(static_cast<std::size_t>(words), 0);
+  std::int64_t live = P;
+  for (std::int64_t p = 0; p < P; ++p)
+    if (bl.dead[static_cast<std::size_t>(p)] != 0) {
+      dead_cols[static_cast<std::size_t>(p / 64)] |= std::uint64_t{1} << (p % 64);
+      --live;
+    }
   ev.row_begin.resize(static_cast<std::size_t>(R) + 1);
   for (std::int64_t q = 0; q < R; ++q) {
     ev.row_begin[static_cast<std::size_t>(q)] = static_cast<std::int64_t>(ev.cells.size());
-    const bool row_dead = wl.dead[static_cast<std::size_t>(q)] != 0;
-    for (std::int64_t p = 0; p < P; ++p) {
-      Event e{static_cast<std::int32_t>(p)};
-      if (row_dead || bl.dead[static_cast<std::size_t>(p)] != 0) {
-        ev.cells.push_back(e);
-        continue;
-      }
-      const std::uint64_t idx = static_cast<std::uint64_t>(q * P + p);
-      if (stuck > 0.0) {
-        ++ev.draws;
-        const double su = fault_unit_keyed(cell_key, idx);
-        if (su < stuck) {
-          const bool at0 = su < sa0;
+    if (wl.dead[static_cast<std::size_t>(q)] != 0) {
+      for (std::int64_t p = 0; p < P; ++p) ev.cells.push_back({static_cast<std::int32_t>(p)});
+      continue;
+    }
+    const std::uint64_t idx0 = static_cast<std::uint64_t>(q * P);
+    if (stuck > 0.0)
+      hit_mask(cell_key, idx0 * kFaultCounterMul + 1, kFaultCounterMul, stuck_below, P,
+               stuck_hits.data());
+    if (drifting)
+      hit_mask(change_key, idx0 * 64 * kFaultCounterMul + 1, 64 * kFaultCounterMul, drift_below,
+               P, drift_hits.data());
+    std::int64_t row_stuck = 0;
+    for (std::int64_t w = 0; w < words; ++w) {
+      const auto i = static_cast<std::size_t>(w);
+      stuck_hits[i] &= ~dead_cols[i];
+      drift_hits[i] &= ~(dead_cols[i] | stuck_hits[i]);
+      row_stuck += std::popcount(stuck_hits[i]);
+    }
+    if (stuck > 0.0) ev.draws += live;
+    if (drifting) ev.draws += live - row_stuck;
+
+    for (std::int64_t w = 0; w < words; ++w) {
+      const auto i = static_cast<std::size_t>(w);
+      for (std::uint64_t hits = dead_cols[i] | stuck_hits[i] | drift_hits[i]; hits != 0;
+           hits &= hits - 1) {
+        const int b = std::countr_zero(hits);
+        const std::uint64_t bit = std::uint64_t{1} << b;
+        const std::int64_t p = w * 64 + b;
+        Event e{static_cast<std::int32_t>(p)};
+        const std::uint64_t idx = idx0 + static_cast<std::uint64_t>(p);
+        if ((stuck_hits[i] & bit) != 0) {
+          const bool at0 = fault_unit_keyed(cell_key, idx) < sa0;
           e.kind = at0 ? EventKind::kSa0 : EventKind::kSa1;
           ++ev.stuck;
           ++(at0 ? ev.sa0 : ev.sa1);
-          ev.cells.push_back(e);
-          continue;
-        }
+        } else if ((drift_hits[i] & bit) != 0) {
+          e.kind = EventKind::kDrift;
+          e.draw = static_cast<std::uint32_t>(ev.pool.size() / 2);
+          double u = fault_unit_keyed(change_key, idx * 64);
+          for (int a = 0;;) {
+            ev.pool.push_back(u);
+            ev.pool.push_back(
+                fault_unit_keyed(level_key, idx * 64 + static_cast<std::uint64_t>(a)));
+            ++ev.draws;
+            ++e.attempts;
+            if (++a == attempts) break;
+            ++ev.draws;
+            u = fault_unit_keyed(change_key, idx * 64 + static_cast<std::uint64_t>(a));
+            if (u >= p_star) {  // verifies here at every level: no level draw
+              ev.pool.push_back(u);
+              ev.pool.push_back(0.0);
+              ++e.attempts;
+              break;
+            }
+          }
+        }  // else a dead column: kDead
+        ev.cells.push_back(e);
       }
-      if (!drifting) continue;
-      ++ev.draws;
-      double u = fault_unit_keyed(change_key, idx * 64);
-      if (u >= p_star) continue;  // verifies on attempt 0 at every level
-      e.kind = EventKind::kDrift;
-      e.draw = static_cast<std::uint32_t>(ev.pool.size() / 2);
-      for (int a = 0;;) {
-        ev.pool.push_back(u);
-        ev.pool.push_back(fault_unit_keyed(level_key, idx * 64 + static_cast<std::uint64_t>(a)));
-        ++ev.draws;
-        ++e.attempts;
-        if (++a == attempts) break;
-        ++ev.draws;
-        u = fault_unit_keyed(change_key, idx * 64 + static_cast<std::uint64_t>(a));
-        if (u >= p_star) {  // verifies here at every level: no level draw
-          ev.pool.push_back(u);
-          ev.pool.push_back(0.0);
-          ++e.attempts;
-          break;
-        }
-      }
-      ev.cells.push_back(e);
     }
   }
   ev.row_begin[static_cast<std::size_t>(R)] = static_cast<std::int64_t>(ev.cells.size());
@@ -358,6 +515,8 @@ xbar::LogicalXbar inject_faults(const xbar::LogicalXbar& clean, const FaultModel
     m->counter("fault.rng_draws")->add(static_cast<std::uint64_t>(ev.draws));
   return xbar::LogicalXbar(clean, patches, vstats);
 }
+
+}  // namespace detail
 
 double weight_error_sq(const xbar::LogicalXbar& clean, const xbar::LogicalXbar& faulted) {
   RED_EXPECTS(clean.rows() == faulted.rows() && clean.cols() == faulted.cols());

@@ -10,8 +10,9 @@
 // repaired crossbar is never worse than the unrepaired one in Σ Δw².
 //
 // Cost contract: one draw pass per call. The pass hashes each cell's stuck
-// and attempt-0 drift draws once (2 per cell off the dead lines) and keeps a
-// sparse physical event list — dead-line cells, stuck cells, and drift
+// and attempt-0 drift draws once (2 per cell off the dead lines), as a hit
+// mask per physical row swept at the MVM kernels' SIMD tier (8 cells per
+// vector at AVX-512), and keeps a sparse physical event list — dead-line cells, stuck cells, and drift
 // candidates with their verify-attempt draws. The unrepaired arm, the remap
 // damage scan and the remap candidate are all evaluated from that list, the
 // remap priced from Σ Δw² deltas of the rows it moves. The faulted sibling
@@ -22,6 +23,7 @@
 #include <cstdint>
 
 #include "red/fault/model.h"
+#include "red/perf/mvm_kernel.h"
 #include "red/xbar/crossbar.h"
 
 namespace red::fault {
@@ -53,5 +55,19 @@ namespace red::fault {
 [[nodiscard]] double analytic_snr_db(const FaultModel& model, const RepairPolicy& policy,
                                      const xbar::QuantConfig& quant, std::int64_t rows,
                                      std::int64_t cols);
+
+namespace detail {
+
+/// inject_faults() with the draw pass's hit masks swept on `tier`, clamped
+/// to perf::mvm_active_isa(). For tests that check every compiled tier on
+/// one host; every tier gives the bit-identical result.
+[[nodiscard]] xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier,
+                                                 const xbar::LogicalXbar& clean,
+                                                 const FaultModel& model,
+                                                 const RepairPolicy& policy,
+                                                 std::uint64_t salt = 0,
+                                                 RepairReport* report = nullptr);
+
+}  // namespace detail
 
 }  // namespace red::fault

@@ -167,9 +167,15 @@ struct RepairReport {
 /// (seed, salt, counter). Every fault decision hashes its physical position
 /// through this, so masks are evaluation-order independent — the foundation
 /// of the campaign thread-invariance guarantee.
+/// The finalizer's multipliers, and the one fault_rnd_keyed applies to the
+/// counter: the vector sweep in inject.cpp evaluates the same chain.
+inline constexpr std::uint64_t kFaultMixMul1 = 0xbf58476d1ce4e5b9ULL;
+inline constexpr std::uint64_t kFaultMixMul2 = 0x94d049bb133111ebULL;
+inline constexpr std::uint64_t kFaultCounterMul = 0xc4ceb9fe1a85ec53ULL;
+
 [[nodiscard]] inline std::uint64_t fault_mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  z = (z ^ (z >> 30)) * kFaultMixMul1;
+  z = (z ^ (z >> 27)) * kFaultMixMul2;
   return z ^ (z >> 31);
 }
 
@@ -181,7 +187,7 @@ struct RepairReport {
 }
 
 [[nodiscard]] inline std::uint64_t fault_rnd_keyed(std::uint64_t key, std::uint64_t counter) {
-  return fault_mix(key ^ fault_mix(counter * 0xc4ceb9fe1a85ec53ULL + 1));
+  return fault_mix(key ^ fault_mix(counter * kFaultCounterMul + 1));
 }
 
 [[nodiscard]] inline std::uint64_t fault_rnd(std::uint64_t seed, std::uint64_t salt,

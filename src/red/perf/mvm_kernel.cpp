@@ -888,7 +888,9 @@ MvmIsa mvm_active_isa() {
   // Detected once per process: the widest tier this CPU supports.
   static const MvmIsa isa = [] {
 #if RED_MVM_X86
-    if (__builtin_cpu_supports("avx512vpopcntdq") && __builtin_cpu_supports("avx512vl"))
+    // avx512dq: the fault draw pass's 64-bit lane multiplies (vpmullq).
+    if (__builtin_cpu_supports("avx512vpopcntdq") && __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512dq"))
       return MvmIsa::kAvx512;
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) return MvmIsa::kAvx2;
 #endif

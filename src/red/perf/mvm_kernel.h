@@ -32,8 +32,9 @@
 //
 // Tiers: portable C++ (scalar lanes, std::popcount; the only one on non-x86
 // hosts), AVX2 (8 int32 lanes, vpshufb popcount) and AVX-512 (16 int32
-// lanes, VPOPCNTDQ). CPU detection picks the widest once per process, for
-// both kernels. detail::mvm_exact_on() and detail::mvm_bit_accurate_on() run
+// lanes, VPOPCNTDQ; DQ for the fault draw pass, which sweeps at the same
+// tier). CPU detection picks the widest once per process, for both kernels
+// and that pass. detail::mvm_exact_on() and detail::mvm_bit_accurate_on() run
 // a given tier (and, for the exact kernel, a given orientation) so tests and
 // benchmarks can check every compiled tier on one host.
 //
@@ -56,7 +57,8 @@ enum class MvmIsa : int {
   kAvx512 = 2,
 };
 
-/// Tier both kernels run on this CPU (kPortable at minimum).
+/// Tier both kernels (and fault::inject_faults) run on this CPU (kPortable at
+/// minimum).
 [[nodiscard]] MvmIsa mvm_active_isa();
 
 /// int32 lanes of one exact-kernel vector at `isa` (1, 8, 16).

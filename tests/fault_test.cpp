@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "red/common/error.h"
@@ -20,6 +21,7 @@
 #include "red/fault/inject.h"
 #include "red/nn/deconv_reference.h"
 #include "red/opt/space.h"
+#include "red/perf/mvm_kernel.h"
 #include "red/plan/plan.h"
 #include "red/report/json.h"
 #include "red/sim/streaming.h"
@@ -49,6 +51,14 @@ bool same_levels(const xbar::LogicalXbar& a, const xbar::LogicalXbar& b) {
       for (std::int64_t c = 0; c < a.cols(); ++c)
         if (a.level(r, c, s) != b.level(r, c, s)) return false;
   return true;
+}
+
+/// Every tier of the draw pass this CPU runs.
+std::vector<perf::MvmIsa> supported_tiers() {
+  std::vector<perf::MvmIsa> tiers;
+  for (const auto t : {perf::MvmIsa::kPortable, perf::MvmIsa::kAvx2, perf::MvmIsa::kAvx512})
+    if (t <= perf::mvm_active_isa()) tiers.push_back(t);
+  return tiers;
 }
 
 FaultModel mixed_model(std::uint64_t seed = 3) {
@@ -246,8 +256,12 @@ TEST(FaultInject, SingleDrawPassMatchesPerCellOracle) {
     int wbits, cell_bits;
   };
   // 67 rows: not a multiple of 64, so the packed planes' last word is partial.
-  // 7 bits over 3-bit cells leaves a partial top slice.
-  const Geometry geometries[] = {{67, 5, 8, 2}, {64, 4, 7, 3}, {40, 3, 8, 1}};
+  // 7 bits over 3-bit cells leaves a partial top slice. The draw pass sweeps
+  // each physical row in hit-mask words: 70x67 at 8/2 (268 physical columns)
+  // spans several vectors and words and ends in a partial block; 45x2 at 6/2
+  // (6 physical columns) is narrower than one vector.
+  const Geometry geometries[] = {{67, 5, 8, 2}, {64, 4, 7, 3}, {40, 3, 8, 1},
+                                 {70, 67, 8, 2}, {45, 2, 6, 2}};
 
   struct Env {
     const char* name;
@@ -320,9 +334,12 @@ TEST(FaultInject, SingleDrawPassMatchesPerCellOracle) {
           const auto ref = oracle::inject_faults_reference(clean, env.model, pol, salt);
           accepted += ref.report.rows_remapped > 0;
           rejected += ref.remap_rejected;
-          RepairReport rep;
-          expect_matches_reference(inject_faults(clean, env.model, pol, salt, &rep), rep, ref,
-                                   what);
+          for (const perf::MvmIsa tier : supported_tiers()) {
+            RepairReport rep;
+            expect_matches_reference(
+                detail::inject_faults_on(tier, clean, env.model, pol, salt, &rep), rep, ref,
+                what + " tier=" + perf::mvm_isa_name(tier));
+          }
           RepairReport rep_packed;
           const auto patched = inject_faults(clean_packed, env.model, pol, salt, &rep_packed);
           expect_matches_reference(patched, rep_packed, ref, what + " (patched planes)");
@@ -339,64 +356,75 @@ TEST(FaultInject, OneDrawPassPerCall) {
   // stuck and one drift-change draw per live cell (a stuck cell skips the
   // drift draw), plus the verify-attempt draws of drift candidates — cells
   // whose attempt-0 change draw lies below the largest change probability.
-  const auto clean = make_xbar(67, 5);
-  FaultModel m = mixed_model();
-  m.drift_sigma = 0.3;
-  RepairPolicy pol;
-  pol.spare_rows = 1;
-  pol.spare_cols = 1;
-  pol.remap_rows = true;
-  pol.verify_retries = 2;
-  const std::uint64_t salt = 1;
+  // Physical rows of 20, 268 (several hit-mask words, a partial last block)
+  // and 4 columns (narrower than one vector), at every tier.
+  for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{67, 5}, {70, 67},
+                                   {300, 1}}) {
+    const auto clean = make_xbar(rows, cols);
+    FaultModel m = mixed_model();
+    m.drift_sigma = 0.3;
+    RepairPolicy pol;
+    pol.spare_rows = 1;
+    pol.spare_cols = 1;
+    pol.remap_rows = true;
+    pol.verify_retries = 2;
+    const std::uint64_t salt = 1;
 
-  const std::int64_t R = clean.rows();
-  const std::int64_t P = clean.phys_cols();
-  const auto draw = [&](std::uint64_t domain, std::uint64_t counter) {
-    return fault_unit(m.seed, salt * 8 + domain, counter);
-  };
-  const auto dead_lines = [&](std::uint64_t domain, double rate, std::int64_t n, int spares) {
-    std::vector<bool> dead(static_cast<std::size_t>(n));
-    int faults = 0;
-    for (std::int64_t i = 0; i < n; ++i)
-      if (draw(domain, static_cast<std::uint64_t>(i)) < rate && ++faults > spares)
-        dead[static_cast<std::size_t>(i)] = true;
-    return dead;
-  };
-  const auto dead_rows = dead_lines(0, m.wordline_rate, R, pol.spare_rows);
-  const auto dead_cols = dead_lines(1, m.bitline_rate, P, pol.spare_cols);
-  const xbar::NoiseLaw law(m.drift_sigma, clean.config().max_level());
-  double p_star = 0.0;
-  for (int l = 0; l <= clean.config().max_level(); ++l)
-    p_star = std::max(p_star, law.change[static_cast<std::size_t>(l)]);
+    const std::int64_t R = clean.rows();
+    const std::int64_t P = clean.phys_cols();
+    const auto draw = [&](std::uint64_t domain, std::uint64_t counter) {
+      return fault_unit(m.seed, salt * 8 + domain, counter);
+    };
+    const auto dead_lines = [&](std::uint64_t domain, double rate, std::int64_t n, int spares) {
+      std::vector<bool> dead(static_cast<std::size_t>(n));
+      int faults = 0;
+      for (std::int64_t i = 0; i < n; ++i)
+        if (draw(domain, static_cast<std::uint64_t>(i)) < rate && ++faults > spares)
+          dead[static_cast<std::size_t>(i)] = true;
+      return dead;
+    };
+    const auto dead_rows = dead_lines(0, m.wordline_rate, R, pol.spare_rows);
+    const auto dead_cols = dead_lines(1, m.bitline_rate, P, pol.spare_cols);
+    const xbar::NoiseLaw law(m.drift_sigma, clean.config().max_level());
+    double p_star = 0.0;
+    for (int l = 0; l <= clean.config().max_level(); ++l)
+      p_star = std::max(p_star, law.change[static_cast<std::size_t>(l)]);
 
-  std::int64_t live = 0, stuck = 0, retry_draws = 0;
-  for (std::int64_t q = 0; q < R; ++q)
-    for (std::int64_t p = 0; p < P; ++p) {
-      if (dead_rows[static_cast<std::size_t>(q)] || dead_cols[static_cast<std::size_t>(p)])
-        continue;
-      ++live;
-      const std::uint64_t idx = static_cast<std::uint64_t>(q * P + p);
-      if (draw(2, idx) < m.sa0_rate + m.sa1_rate) {
-        ++stuck;
-        continue;
+    std::int64_t live = 0, stuck = 0, retry_draws = 0;
+    for (std::int64_t q = 0; q < R; ++q)
+      for (std::int64_t p = 0; p < P; ++p) {
+        if (dead_rows[static_cast<std::size_t>(q)] || dead_cols[static_cast<std::size_t>(p)])
+          continue;
+        ++live;
+        const std::uint64_t idx = static_cast<std::uint64_t>(q * P + p);
+        if (draw(2, idx) < m.sa0_rate + m.sa1_rate) {
+          ++stuck;
+          continue;
+        }
+        for (int a = 0; a <= pol.verify_retries; ++a) {
+          if (a > 0) ++retry_draws;  // the attempt's change draw
+          if (draw(3, idx * 64 + static_cast<std::uint64_t>(a)) >= p_star) break;
+          ++retry_draws;  // the attempt's level draw
+        }
       }
-      for (int a = 0; a <= pol.verify_retries; ++a) {
-        if (a > 0) ++retry_draws;  // the attempt's change draw
-        if (draw(3, idx * 64 + static_cast<std::uint64_t>(a)) >= p_star) break;
-        ++retry_draws;  // the attempt's level draw
-      }
+    const std::string what = std::to_string(R) + "x" + std::to_string(P);
+    ASSERT_GT(retry_draws, 0) << what;
+    ASSERT_GT(stuck, 0) << what;
+
+    for (const perf::MvmIsa tier : supported_tiers()) {
+      telemetry::MetricsRegistry registry;
+      telemetry::install_metrics(&registry);
+      RepairReport rep;
+      (void)detail::inject_faults_on(tier, clean, m, pol, salt, &rep);
+      telemetry::install_metrics(nullptr);
+      const std::uint64_t draws = registry.counter("fault.rng_draws")->value();
+      EXPECT_EQ(static_cast<std::int64_t>(draws), R + P + 2 * live - stuck + retry_draws)
+          << what << " tier=" << perf::mvm_isa_name(tier);
+      EXPECT_EQ(rep.stuck_cells, stuck) << what << " tier=" << perf::mvm_isa_name(tier);
+      // The remap was priced without drawing again.
+      EXPECT_GT(rep.rows_remapped, 0) << what << " tier=" << perf::mvm_isa_name(tier);
     }
-  ASSERT_GT(retry_draws, 0);
-  ASSERT_GT(stuck, 0);
-
-  telemetry::MetricsRegistry registry;
-  telemetry::install_metrics(&registry);
-  RepairReport rep;
-  (void)inject_faults(clean, m, pol, salt, &rep);
-  telemetry::install_metrics(nullptr);
-  const std::uint64_t draws = registry.counter("fault.rng_draws")->value();
-  EXPECT_EQ(static_cast<std::int64_t>(draws), R + P + 2 * live - stuck + retry_draws);
-  EXPECT_GT(rep.rows_remapped, 0);  // the remap was priced without drawing again
+  }
 }
 
 TEST(FaultInject, GanDeconv4CampaignDigestsArePinned) {
