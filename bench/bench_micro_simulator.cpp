@@ -25,6 +25,7 @@
 #include "red/core/mode_groups.h"
 #include "red/core/pixel_wise_mapping.h"
 #include "red/core/schedule.h"
+#include "red/fault/campaign.h"
 #include "red/fault/inject.h"
 #include "red/perf/mvm_kernel.h"
 #include "red/perf/workspace.h"
@@ -318,16 +319,36 @@ BENCHMARK(BM_XbarProgram)
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->ArgNames({"stage", "pf"});
 
-// One fault draw pass plus repair (fault::inject_faults) on a GAN_Deconv4
-// mode-group crossbar (4 sub-crossbars of 512 channels: 2048x256, 1024
-// physical columns at 2-bit cells), under the fault-repair workload's
-// environment (e2ebench fault_environment(): rare stuck cells, 0.1% faulty
-// lines, drift sigma 0.2, write-verify with 2 retries). arm:0 is the bare
-// policy, arm:1 the repaired one (4 spare rows and columns, row remap).
-void BM_InjectFaults(benchmark::State& state) {
-  nn::DeconvLayerSpec spec;
-  for (const auto& l : workloads::table1_benchmarks())
-    if (l.name == "GAN_Deconv4") spec = l;
+// The fault-repair workload's environment (e2ebench fault_environment():
+// rare stuck cells, 0.1% faulty lines, drift sigma 0.2) and its repair
+// policy (4 spare rows and columns, row remap, write-verify with 2 retries).
+fault::FaultModel fault_repair_model() {
+  fault::FaultModel model;
+  model.sa0_rate = 2.5e-5;
+  model.sa1_rate = 2.5e-5;
+  model.wordline_rate = 0.001;
+  model.bitline_rate = 0.001;
+  model.drift_sigma = 0.2;
+  return model;
+}
+
+fault::RepairPolicy fault_repair_policy() {
+  fault::RepairPolicy policy;
+  policy.spare_rows = 4;
+  policy.spare_cols = 4;
+  policy.remap_rows = true;
+  policy.verify_retries = 2;
+  return policy;
+}
+
+// Fault injection on a GAN_Deconv4 mode-group crossbar (4 sub-crossbars of
+// 512 channels: 2048x256, 1024 physical columns at 2-bit cells), under the
+// fault-repair workload's environment. arm:0 draws and repairs under the
+// bare policy, arm:1 under the repaired one (fault::inject_faults: one draw
+// pass plus one repair each); arm:both is what a campaign trial does, one
+// draw pass (fault::draw_faults) and both repairs from it.
+void BM_InjectFaults(benchmark::State& state, int arm) {
+  const nn::DeconvLayerSpec spec = workloads::gan_deconv4();
   Rng rng(1);
   const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
   const core::SubCrossbarTensor sct(spec, kernel);
@@ -338,28 +359,48 @@ void BM_InjectFaults(benchmark::State& state) {
     w.insert(w.end(), blk.begin(), blk.end());
   }
   const xbar::LogicalXbar clean(std::ssize(groups.front().scs) * spec.c, spec.m, w, {});
-  fault::FaultModel model;
-  model.sa0_rate = 2.5e-5;
-  model.sa1_rate = 2.5e-5;
-  model.wordline_rate = 0.001;
-  model.bitline_rate = 0.001;
-  model.drift_sigma = 0.2;
-  fault::RepairPolicy policy;
-  if (state.range(0) != 0) {
-    policy.spare_rows = 4;
-    policy.spare_cols = 4;
-    policy.remap_rows = true;
-    policy.verify_retries = 2;
-  }
+  fault::FaultModel model = fault_repair_model();
+  const fault::RepairPolicy arms[] = {fault::RepairPolicy{}, fault_repair_policy()};
   state.SetLabel(std::to_string(clean.rows()) + "x" + std::to_string(clean.cols()));
   std::uint64_t seed = 1;
   for (auto _ : state) {
     model.seed = seed++;
-    benchmark::DoNotOptimize(fault::inject_faults(clean, model, policy));
+    if (arm < 2) {
+      benchmark::DoNotOptimize(fault::inject_faults(clean, model, arms[arm]));
+      continue;
+    }
+    const fault::FaultDraw draw = fault::draw_faults(clean, model, arms);
+    for (const auto& policy : arms)
+      benchmark::DoNotOptimize(fault::repair_faults(clean, draw, policy));
   }
   state.SetItemsProcessed(state.iterations() * clean.rows() * clean.phys_cols());
 }
-BENCHMARK(BM_InjectFaults)->Arg(0)->Arg(1)->ArgName("arm")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectFaults, arm:0, 0)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectFaults, arm:1, 1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectFaults, arm:both, 2)->Unit(benchmark::kMillisecond);
+
+// One fault-repair campaign call (fault::run_fault_campaign): GAN_Deconv4 on
+// RED, 2 trials on 2 lanes, each trial a bare and a repaired arm, under the
+// workload's environment. The clean layer is programmed inside the call, as
+// the workload does; the base seed advances per iteration. At least 1 s of
+// calls: the first one also starts the pool and faults in ~50 MB, which a
+// handful of iterations would average in.
+void BM_FaultCampaignCall(benchmark::State& state) {
+  const nn::DeconvLayerSpec spec = workloads::gan_deconv4();
+  Rng rng(1);
+  const auto input = workloads::make_input(spec, rng, 1, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  fault::FaultCampaignOptions opts;
+  opts.trials = 2;
+  opts.threads = 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fault::run_fault_campaign(
+        core::DesignKind::kRed, arch::DesignConfig{}, {fault_repair_model()},
+        fault_repair_policy(), spec, input, kernel, opts));
+    opts.base_seed += 2;
+  }
+}
+BENCHMARK(BM_FaultCampaignCall)->Unit(benchmark::kMillisecond)->UseRealTime()->MinTime(1.0);
 
 // Zero padding's programmed run on each dcgan/div4 stage (bit-accurate under
 // an ideal ADC, so the exact kernel; one thread). Windows are row copies of

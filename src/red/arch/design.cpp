@@ -32,6 +32,13 @@ std::vector<Tensor<std::int32_t>> ProgrammedLayer::run_batch(
   return outputs;
 }
 
+std::unique_ptr<ProgrammedLayer> ProgrammedLayer::faulted(const fault::FaultModel& model,
+                                                          const fault::RepairPolicy& policy,
+                                                          std::uint64_t salt,
+                                                          fault::RepairReport* report) const {
+  return repaired(draw_faults(model, {&policy, 1}, salt), policy, report);
+}
+
 Tensor<std::int32_t> Design::run(const nn::DeconvLayerSpec& spec,
                                  const Tensor<std::int32_t>& input,
                                  const Tensor<std::int32_t>& kernel, RunStats* stats) const {

@@ -31,6 +31,7 @@
 
 #include "red/arch/activity.h"
 #include "red/arch/cost_report.h"
+#include "red/fault/inject.h"
 #include "red/fault/model.h"
 #include "red/nn/layer.h"
 #include "red/tech/calibration.h"
@@ -180,17 +181,31 @@ class ProgrammedLayer {
   [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> perturbed(
       const xbar::VariationModel& var) const = 0;
 
-  /// Sibling layer with `model`'s faults injected into the clean programmed
-  /// levels and `policy`'s repairs applied (red/fault semantics: stuck cells,
-  /// line faults healed by spares, write-verified drift, optional row
-  /// remapping). `salt` namespaces the fault mask per layer/stage so stacked
-  /// layers sharing one model draw independent faults; `report` (optional)
-  /// receives the summed RepairReport. Deterministic in (model.seed, salt)
-  /// and thread-invariant. Like perturbed(), only valid on a variation-free
+  /// One trial's fault draw on each of this layer's crossbars
+  /// (fault::draw_faults), made once for every policy in `arms`. `salt`
+  /// namespaces the draw per layer/stage so stacked layers sharing one model
+  /// draw independent faults. Deterministic in (model.seed, salt) and
+  /// thread-invariant. Like perturbed(), only valid on a variation-free
   /// instance.
-  [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> faulted(
+  [[nodiscard]] virtual std::vector<fault::FaultDraw> draw_faults(
+      const fault::FaultModel& model, std::span<const fault::RepairPolicy> arms,
+      std::uint64_t salt = 0) const = 0;
+
+  /// Sibling layer with `draws` (this layer's draw_faults(), covering
+  /// `policy`) applied to the clean programmed levels under `policy`'s
+  /// repairs (red/fault semantics: stuck cells, line faults healed by
+  /// spares, write-verified drift, optional row remapping). `report`
+  /// (optional) receives the summed RepairReport. The sibling runs on
+  /// `threads` lanes; 0 keeps this layer's.
+  [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> repaired(
+      std::span<const fault::FaultDraw> draws, const fault::RepairPolicy& policy,
+      fault::RepairReport* report = nullptr, int threads = 0) const = 0;
+
+  /// Sibling layer with `model`'s faults injected and `policy`'s repairs
+  /// applied: draw_faults() for `policy` alone, then repaired().
+  [[nodiscard]] std::unique_ptr<ProgrammedLayer> faulted(
       const fault::FaultModel& model, const fault::RepairPolicy& policy, std::uint64_t salt = 0,
-      fault::RepairReport* report = nullptr) const = 0;
+      fault::RepairReport* report = nullptr) const;
 
   /// What the variation model did to this instance's crossbars (summed).
   [[nodiscard]] virtual xbar::VariationStats variation_stats() const = 0;

@@ -94,12 +94,20 @@ class ZpProgrammedLayer final : public ProgrammedLayer {
         spec_, threads_, bit_accurate_, xbar::LogicalXbar(macro_, var, /*salt=*/0));
   }
 
-  std::unique_ptr<ProgrammedLayer> faulted(const fault::FaultModel& model,
-                                           const fault::RepairPolicy& policy, std::uint64_t salt,
-                                           fault::RepairReport* report) const override {
+  std::vector<fault::FaultDraw> draw_faults(const fault::FaultModel& model,
+                                            std::span<const fault::RepairPolicy> arms,
+                                            std::uint64_t salt) const override {
+    return {fault::draw_faults(macro_, model, arms, salt)};
+  }
+
+  std::unique_ptr<ProgrammedLayer> repaired(std::span<const fault::FaultDraw> draws,
+                                            const fault::RepairPolicy& policy,
+                                            fault::RepairReport* report,
+                                            int threads) const override {
+    RED_EXPECTS(draws.size() == 1);
     return std::make_unique<ZpProgrammedLayer>(
-        spec_, threads_, bit_accurate_,
-        fault::inject_faults(macro_, model, policy, salt, report));
+        spec_, threads > 0 ? threads : threads_, bit_accurate_,
+        fault::repair_faults(macro_, draws.front(), policy, report));
   }
 
   xbar::VariationStats variation_stats() const override { return macro_.variation_stats(); }

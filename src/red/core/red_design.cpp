@@ -26,25 +26,38 @@ std::uint64_t group_salt(std::uint64_t salt, std::size_t gi) { return salt * 409
 // shared bitlines (vertical sum-up), C rows each, M logical columns. Group
 // gi draws its device variation with group_salt(salt, gi) (gi at salt 0, as
 // perturbed() does), so same-shaped groups and layers get independent masks.
+// Groups are independent: each of `threads` lanes builds a contiguous range
+// of them into its own vector, joined in group order, so every lane count
+// programs the same crossbars and one lane builds them in place. (Building
+// into per-group slots and moving them out instead made glibc trim and
+// re-fault the heap on every program: red-stream-exact's setup_s rose ~35%.)
 std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec,
                                                  const std::vector<ModeGroup>& groups,
                                                  const Tensor<std::int32_t>& kernel,
                                                  const xbar::QuantConfig& quant,
-                                                 std::uint64_t salt) {
+                                                 std::uint64_t salt, int threads) {
   const SubCrossbarTensor sct(spec, kernel);
-  std::vector<xbar::LogicalXbar> xbars;
-  xbars.reserve(groups.size());
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const auto& g = groups[gi];
-    std::vector<std::int32_t> w;
-    w.reserve(g.scs.size() * static_cast<std::size_t>(spec.c) * spec.m);
-    for (const auto& sc : g.scs) {
-      const auto& blk = sct.sc_weights(sc);
-      w.insert(w.end(), blk.begin(), blk.end());
+  const auto num_groups = std::ssize(groups);
+  const std::int64_t chunks = perf::chunk_count(threads, num_groups);
+  std::vector<std::vector<xbar::LogicalXbar>> parts(static_cast<std::size_t>(chunks));
+  perf::parallel_chunks(chunks, num_groups, [&](std::int64_t t, std::int64_t g0, std::int64_t g1) {
+    auto& part = parts[static_cast<std::size_t>(t)];
+    part.reserve(static_cast<std::size_t>(g1 - g0));
+    for (std::int64_t gi = g0; gi < g1; ++gi) {
+      const auto& g = groups[static_cast<std::size_t>(gi)];
+      std::vector<std::int32_t> w;
+      w.reserve(g.scs.size() * static_cast<std::size_t>(spec.c) * spec.m);
+      for (const auto& sc : g.scs) {
+        const auto& blk = sct.sc_weights(sc);
+        w.insert(w.end(), blk.begin(), blk.end());
+      }
+      part.emplace_back(static_cast<std::int64_t>(g.scs.size()) * spec.c, spec.m, w, quant,
+                        group_salt(salt, static_cast<std::size_t>(gi)));
     }
-    xbars.emplace_back(static_cast<std::int64_t>(g.scs.size()) * spec.c, spec.m, w, quant,
-                       group_salt(salt, gi));
-  }
+  });
+  std::vector<xbar::LogicalXbar> xbars = std::move(parts.front());
+  for (std::size_t t = 1; t < parts.size(); ++t)
+    for (auto& x : parts[t]) xbars.push_back(std::move(x));
   return xbars;
 }
 
@@ -108,8 +121,8 @@ struct RedProgram {
 class RedProgrammedLayer final : public arch::ProgrammedLayer {
  public:
   RedProgrammedLayer(std::shared_ptr<const RedProgram> prog,
-                     std::vector<xbar::LogicalXbar> xbars)
-      : prog_(std::move(prog)), xbars_(std::move(xbars)) {}
+                     std::vector<xbar::LogicalXbar> xbars, int threads)
+      : prog_(std::move(prog)), xbars_(std::move(xbars)), threads_(threads) {}
 
   Tensor<std::int32_t> run(const Tensor<std::int32_t>& input,
                            arch::RunStats* stats) const override {
@@ -142,7 +155,7 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
     // output residue class per group). Chunk them across the pool; per-chunk
     // stats are merged in chunk order after the join, so any thread count
     // reproduces the serial cycle-major walk bit-exactly.
-    const std::int64_t chunks = perf::chunk_count(prog_->cfg.threads, num_groups);
+    const std::int64_t chunks = perf::chunk_count(threads_, num_groups);
     std::vector<arch::RunStats> chunk_stats(static_cast<std::size_t>(chunks));
     perf::parallel_chunks(chunks, num_groups, [&](std::int64_t t, std::int64_t g0,
                                                   std::int64_t g1) {
@@ -212,25 +225,36 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
     perturbed_xbars.reserve(xbars_.size());
     for (std::size_t gi = 0; gi < xbars_.size(); ++gi)
       perturbed_xbars.emplace_back(xbars_[gi], var, /*salt=*/gi);
-    return std::make_unique<RedProgrammedLayer>(prog_, std::move(perturbed_xbars));
+    return std::make_unique<RedProgrammedLayer>(prog_, std::move(perturbed_xbars), threads_);
   }
 
-  std::unique_ptr<arch::ProgrammedLayer> faulted(const fault::FaultModel& model,
-                                                 const fault::RepairPolicy& policy,
-                                                 std::uint64_t salt,
-                                                 fault::RepairReport* report) const override {
+  std::vector<fault::FaultDraw> draw_faults(const fault::FaultModel& model,
+                                            std::span<const fault::RepairPolicy> arms,
+                                            std::uint64_t salt) const override {
+    // Sub-salt per group crossbar so groups draw independent fault masks.
+    std::vector<fault::FaultDraw> draws;
+    draws.reserve(xbars_.size());
+    for (std::size_t gi = 0; gi < xbars_.size(); ++gi)
+      draws.push_back(fault::draw_faults(xbars_[gi], model, arms, group_salt(salt, gi)));
+    return draws;
+  }
+
+  std::unique_ptr<arch::ProgrammedLayer> repaired(std::span<const fault::FaultDraw> draws,
+                                                  const fault::RepairPolicy& policy,
+                                                  fault::RepairReport* report,
+                                                  int threads) const override {
+    RED_EXPECTS(draws.size() == xbars_.size());
     std::vector<xbar::LogicalXbar> faulted_xbars;
     faulted_xbars.reserve(xbars_.size());
     fault::RepairReport total;
     for (std::size_t gi = 0; gi < xbars_.size(); ++gi) {
-      // Sub-salt per group crossbar so groups draw independent fault masks.
       fault::RepairReport rep;
-      faulted_xbars.push_back(fault::inject_faults(xbars_[gi], model, policy,
-                                                   group_salt(salt, gi), &rep));
+      faulted_xbars.push_back(fault::repair_faults(xbars_[gi], draws[gi], policy, &rep));
       total += rep;
     }
     if (report != nullptr) *report = total;
-    return std::make_unique<RedProgrammedLayer>(prog_, std::move(faulted_xbars));
+    return std::make_unique<RedProgrammedLayer>(prog_, std::move(faulted_xbars),
+                                                threads > 0 ? threads : threads_);
   }
 
   xbar::VariationStats variation_stats() const override {
@@ -242,6 +266,7 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
  private:
   std::shared_ptr<const RedProgram> prog_;
   std::vector<xbar::LogicalXbar> xbars_;
+  int threads_;  ///< run() lanes over the mode groups
 };
 
 }  // namespace
@@ -257,9 +282,9 @@ std::unique_ptr<arch::ProgrammedLayer> RedDesign::program(
   RED_EXPECTS(kernel.shape() == plan.spec.kernel_shape());
   // Consume the compiled mapping: fold and mode groups come from the plan.
   auto prog = std::make_shared<RedProgram>(cfg_, plan.spec, plan.fold, plan.groups);
-  auto xbars =
-      build_group_xbars(plan.spec, prog->schedule.groups(), kernel, cfg_.quant, variation_salt);
-  return std::make_unique<RedProgrammedLayer>(std::move(prog), std::move(xbars));
+  auto xbars = build_group_xbars(plan.spec, prog->schedule.groups(), kernel, cfg_.quant,
+                                 variation_salt, cfg_.threads);
+  return std::make_unique<RedProgrammedLayer>(std::move(prog), std::move(xbars), cfg_.threads);
 }
 
 }  // namespace red::core

@@ -78,8 +78,10 @@ struct FaultCampaignOptions {
 };
 
 /// Sweep `models` x trials over one layer. The clean layer is programmed
-/// once (variation and fault config cleared) and doubles as the oracle; each
-/// trial injects into the programmed levels via ProgrammedLayer::faulted.
+/// once on opts.threads lanes (variation and fault config cleared) and
+/// doubles as the oracle; each trial draws its faults once
+/// (ProgrammedLayer::draw_faults) and builds, runs and drops its two arms
+/// from that draw in turn (ProgrammedLayer::repaired), each on one lane.
 /// Throws ConfigError when the design has no programmed fast path.
 [[nodiscard]] std::vector<FaultCampaignPoint> run_fault_campaign(
     core::DesignKind kind, const arch::DesignConfig& base_cfg,
@@ -88,9 +90,10 @@ struct FaultCampaignOptions {
     const Tensor<std::int32_t>& kernel, const FaultCampaignOptions& opts = {});
 
 /// Whole-stack variant: the clean stack is programmed once into a
-/// StreamingExecutor, each trial streams `images` through a faulted sibling
-/// executor (per-stage salts), and scores aggregate the exact pixel errors
-/// across every image's final output. Same determinism and oracle contracts.
+/// StreamingExecutor, each trial draws once per stage and streams `images`
+/// through each arm's faulted sibling executor (per-stage salts), and scores
+/// aggregate the exact pixel errors across every image's final output. Same
+/// determinism and oracle contracts.
 [[nodiscard]] std::vector<FaultCampaignPoint> run_fault_campaign_stack(
     core::DesignKind kind, const arch::DesignConfig& base_cfg,
     const std::vector<FaultModel>& models, const RepairPolicy& policy,

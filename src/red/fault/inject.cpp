@@ -38,33 +38,32 @@ std::uint64_t domain_key(const FaultModel& m, std::uint64_t salt, Domain d) {
 
 double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
-// Line faults drawn per physical index with repairs applied in index order:
-// the first `spares` faulty lines are absorbed, the rest stay dead.
-struct LineState {
-  std::vector<std::uint8_t> dead;
-  std::int64_t faults = 0;
-  std::int64_t spares_used = 0;
-  std::int64_t unrepaired = 0;
-};
+// The largest change probability of any level: a cell whose change draw
+// lies at or above it verifies at every level.
+double max_change(const xbar::NoiseLaw& law, int max_level) {
+  double p_star = 0.0;
+  for (int l = 0; l <= max_level; ++l)
+    p_star = std::max(p_star, law.change[static_cast<std::size_t>(l)]);
+  return p_star;
+}
 
-LineState draw_lines(const FaultModel& m, std::uint64_t salt, Domain domain, double rate,
-                     std::int64_t n, int spares, std::int64_t& draws) {
-  LineState st;
-  st.dead.assign(static_cast<std::size_t>(n), 0);
-  if (rate <= 0.0) return st;
+// Line faults drawn per physical index: the faulty indices, in index order.
+std::vector<std::int32_t> draw_lines(const FaultModel& m, std::uint64_t salt, Domain domain,
+                                     double rate, std::int64_t n, std::int64_t& draws) {
+  std::vector<std::int32_t> faulty;
+  if (rate <= 0.0) return faulty;
   const std::uint64_t key = domain_key(m, salt, domain);
   draws += n;
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (fault_unit_keyed(key, static_cast<std::uint64_t>(i)) >= rate) continue;
-    ++st.faults;
-    if (st.spares_used < spares) {
-      ++st.spares_used;  // remapped onto a spare line: fully healed
-    } else {
-      st.dead[static_cast<std::size_t>(i)] = 1;
-      ++st.unrepaired;
-    }
-  }
-  return st;
+  for (std::int64_t i = 0; i < n; ++i)
+    if (fault_unit_keyed(key, static_cast<std::uint64_t>(i)) < rate)
+      faulty.push_back(static_cast<std::int32_t>(i));
+  return faulty;
+}
+
+// Repairs apply in index order: the first `spares` faulty lines move onto
+// spare lines and are fully healed, the rest stay dead.
+std::span<const std::int32_t> dead_lines(const std::vector<std::int32_t>& faulty, int spares) {
+  return std::span(faulty).subspan(std::min(faulty.size(), static_cast<std::size_t>(spares)));
 }
 
 // Hit masks: bit p of words[p / 64] is set when draw p of one counter stream
@@ -174,30 +173,29 @@ HitMaskFn hit_mask_for(perf::MvmIsa isa) {
   }
 }
 
-// One physical cell whose level may differ from the clean one, whatever
-// logical row the remap puts there.
+// One physical cell whose level may differ from the clean one under one
+// repair, whatever logical row the remap puts there.
 enum class EventKind : std::uint8_t { kDead, kSa0, kSa1, kDrift };
 
 struct Event {
   std::int32_t p = 0;  ///< physical column (c * slices + s); row_begin gives the row
   EventKind kind = EventKind::kDead;
   std::uint8_t attempts = 0;  ///< kDrift: (change, level) draw pairs stored
+  bool verifies = false;      ///< kDrift: the attempt after them verifies at every level
   std::uint32_t draw = 0;     ///< kDrift: first pair in the draw pool
 };
 
-// The physical event list of one injection: every dead-line cell, every
-// stuck cell and every drift candidate, in (row, column) order, with
-// row_begin[q] indexing row q's events. A drift candidate is a live,
-// unstuck cell whose attempt-0 change draw falls below the largest change
-// probability of any level, so only candidates can drift for any
-// assignment of logical rows. Its verify-attempt draws are stored as
-// (change, level) pairs, up to the first change draw no level can drift on.
+// The physical event list of one repair: every dead-line cell, every stuck
+// cell and every drift candidate, in (row, column) order, with row_begin[q]
+// indexing row q's events. A candidate's verify-attempt draws are stored as
+// (change, level) pairs, up to the first change draw no level can drift on,
+// which only sets `verifies`.
 struct Events {
   std::vector<Event> cells;
   std::vector<std::int64_t> row_begin;
   std::vector<double> pool;
   std::int64_t stuck = 0, sa0 = 0, sa1 = 0;
-  std::int64_t draws = 0;  ///< counter-RNG draws, lines included
+  std::int64_t draws = 0;  ///< counter-RNG draws of this repair's arm, lines included
 };
 
 // What one logical-row assignment produces, summed over rows: the exact
@@ -219,6 +217,11 @@ struct Tally {
 
 }  // namespace
 
+FaultDraw draw_faults(const xbar::LogicalXbar& clean, const FaultModel& model,
+                      std::span<const RepairPolicy> arms, std::uint64_t salt) {
+  return detail::draw_faults_on(perf::mvm_active_isa(), clean, model, arms, salt);
+}
+
 xbar::LogicalXbar inject_faults(const xbar::LogicalXbar& clean, const FaultModel& model,
                                 const RepairPolicy& policy, std::uint64_t salt,
                                 RepairReport* report) {
@@ -230,10 +233,112 @@ namespace detail {
 xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& clean,
                                    const FaultModel& model, const RepairPolicy& policy,
                                    std::uint64_t salt, RepairReport* report) {
+  return repair_faults(clean, draw_faults_on(tier, clean, model, {&policy, 1}, salt), policy,
+                       report);
+}
+
+FaultDraw draw_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& clean,
+                         const FaultModel& model, std::span<const RepairPolicy> arms,
+                         std::uint64_t salt) {
   RED_EXPECTS_MSG(!clean.config().variation.enabled(),
                   "faulted copies must derive from a variation-free crossbar");
+  RED_EXPECTS_MSG(!arms.empty(), "a fault draw serves at least one repair policy");
   model.validate();
-  policy.validate();
+
+  FaultDraw d;
+  d.model = model;
+  d.salt = salt;
+  d.rows = clean.rows();
+  d.phys_cols = clean.phys_cols();
+  for (const RepairPolicy& arm : arms) {
+    arm.validate();
+    d.spare_rows = std::max(d.spare_rows, arm.spare_rows);
+    d.spare_cols = std::max(d.spare_cols, arm.spare_cols);
+  }
+  if (!model.enabled()) return d;
+
+  const std::int64_t R = d.rows;
+  const std::int64_t P = d.phys_cols;
+  RED_EXPECTS_MSG(P < (std::int64_t{1} << 30), "DrawnCell holds 30-bit physical columns");
+  d.faulty_rows = draw_lines(model, salt, kWordline, model.wordline_rate, R, d.line_draws);
+  d.faulty_cols = draw_lines(model, salt, kBitline, model.bitline_rate, P, d.line_draws);
+
+  const int max_level = clean.config().max_level();
+  const double stuck = model.sa0_rate + model.sa1_rate;
+  const bool drifting = model.drift_sigma > 0.0;
+  const xbar::NoiseLaw law(drifting ? model.drift_sigma : 1.0, max_level);
+
+  // The one draw pass, over the cells that are live under some arm: lines
+  // dead under every arm (the faulty ones past the largest spare budget)
+  // are skipped. Fault draws key on the physical position. Per swept row, a
+  // branch-free sweep at the SIMD tier marks the stuck cells (cell draw
+  // below sa0 + sa1) and the drift candidates (attempt-0 change draw below
+  // p_star); the scalar code then visits only those, in column order.
+  const std::uint64_t cell_key = domain_key(model, salt, kCell);
+  const std::uint64_t change_key = domain_key(model, salt, kDriftChange);
+  const HitMaskFn hit_mask = hit_mask_for(std::min(tier, perf::mvm_active_isa()));
+  const std::uint64_t stuck_below = unit_threshold(stuck);
+  const std::uint64_t drift_below = unit_threshold(max_change(law, max_level));
+  const std::int64_t words = (P + 63) / 64;
+  std::vector<std::uint64_t> dead_cols(static_cast<std::size_t>(words), 0);
+  std::vector<std::uint64_t> stuck_hits(static_cast<std::size_t>(words), 0);
+  std::vector<std::uint64_t> drift_hits(static_cast<std::size_t>(words), 0);
+  for (const std::int32_t p : dead_lines(d.faulty_cols, d.spare_cols))
+    dead_cols[static_cast<std::size_t>(p / 64)] |= std::uint64_t{1} << (p % 64);
+  std::vector<std::uint8_t> dead_row(static_cast<std::size_t>(R), 0);
+  for (const std::int32_t q : dead_lines(d.faulty_rows, d.spare_rows))
+    dead_row[static_cast<std::size_t>(q)] = 1;
+  d.row_begin.resize(static_cast<std::size_t>(R) + 1);
+  for (std::int64_t q = 0; q < R; ++q) {
+    d.row_begin[static_cast<std::size_t>(q)] = static_cast<std::int64_t>(d.cells.size());
+    if (dead_row[static_cast<std::size_t>(q)] != 0) continue;
+    const std::uint64_t idx0 = static_cast<std::uint64_t>(q * P);
+    if (stuck > 0.0)
+      hit_mask(cell_key, idx0 * kFaultCounterMul + 1, kFaultCounterMul, stuck_below, P,
+               stuck_hits.data());
+    if (drifting)
+      hit_mask(change_key, idx0 * 64 * kFaultCounterMul + 1, 64 * kFaultCounterMul, drift_below,
+               P, drift_hits.data());
+    for (std::int64_t w = 0; w < words; ++w) {
+      const auto i = static_cast<std::size_t>(w);
+      stuck_hits[i] &= ~dead_cols[i];
+      drift_hits[i] &= ~(dead_cols[i] | stuck_hits[i]);
+      for (std::uint64_t hits = stuck_hits[i] | drift_hits[i]; hits != 0; hits &= hits - 1) {
+        const int b = std::countr_zero(hits);
+        const std::int64_t p = w * 64 + b;
+        DrawnCell e{static_cast<std::uint32_t>(p), DrawnCell::Kind::kDrift};
+        if ((stuck_hits[i] >> b & 1) != 0) {
+          const std::uint64_t idx = idx0 + static_cast<std::uint64_t>(p);
+          const bool at0 = fault_unit_keyed(cell_key, idx) < model.sa0_rate;
+          e.kind = at0 ? DrawnCell::Kind::kSa0 : DrawnCell::Kind::kSa1;
+        }
+        d.cells.push_back(e);
+      }
+    }
+  }
+  d.row_begin[static_cast<std::size_t>(R)] = static_cast<std::int64_t>(d.cells.size());
+  return d;
+}
+
+}  // namespace detail
+
+namespace {
+
+// What one repair changes: the sibling's patches and stats, and the draws
+// its arm counts.
+struct Repair {
+  std::vector<xbar::LevelPatch> patches;
+  xbar::VariationStats vstats;
+  RepairReport report;
+  std::int64_t draws = 0;
+};
+
+// repair_faults() up to the copy, for an enabled model. `stored` is the
+// clean crossbar's stored weights (visit_stored_weights).
+template <typename W>
+Repair plan_repair(const xbar::LogicalXbar& clean, std::span<const W> stored,
+                   const FaultDraw& draw, const RepairPolicy& policy) {
+  const FaultModel& model = draw.model;
 
   const std::int64_t R = clean.rows();
   const std::int64_t C = clean.cols();
@@ -242,129 +347,89 @@ xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& c
   const std::int64_t P = C * S;  // physical columns
   const std::size_t plane = static_cast<std::size_t>(R * C);
   const int max_level = clean.config().max_level();
-  const std::int32_t offset = clean.config().weight_offset();
-  const std::uint8_t* clean_levels = clean.level_plane(0);  // [slice][row][col]
+  const std::uint32_t offset = static_cast<std::uint32_t>(clean.config().weight_offset());
 
-  RepairReport rep;
+  Repair out;
+  RepairReport& rep = out.report;
   rep.cells = R * P;
-  xbar::VariationStats vstats;
+  xbar::VariationStats& vstats = out.vstats;
   vstats.cells = rep.cells;
 
-  if (!model.enabled()) {
-    // A bit-exact copy: the zero-rate path of a campaign must be
-    // indistinguishable from the fault-free oracle.
-    if (report != nullptr) *report = rep;
-    return xbar::LogicalXbar(clean, std::span<const xbar::LevelPatch>{}, vstats);
-  }
+  const auto dead_rows = dead_lines(draw.faulty_rows, policy.spare_rows);
+  const auto dead_cols = dead_lines(draw.faulty_cols, policy.spare_cols);
+  rep.wordline_faults = std::ssize(draw.faulty_rows);
+  rep.bitline_faults = std::ssize(draw.faulty_cols);
+  rep.unrepaired_wordlines = std::ssize(dead_rows);
+  rep.unrepaired_bitlines = std::ssize(dead_cols);
+  rep.spare_rows_used = rep.wordline_faults - rep.unrepaired_wordlines;
+  rep.spare_cols_used = rep.bitline_faults - rep.unrepaired_bitlines;
+  std::vector<std::uint8_t> dead_row(static_cast<std::size_t>(R), 0);
+  for (const std::int32_t q : dead_rows) dead_row[static_cast<std::size_t>(q)] = 1;
 
-  Events ev;
-  const LineState wl =
-      draw_lines(model, salt, kWordline, model.wordline_rate, R, policy.spare_rows, ev.draws);
-  const LineState bl =
-      draw_lines(model, salt, kBitline, model.bitline_rate, P, policy.spare_cols, ev.draws);
-  rep.wordline_faults = wl.faults;
-  rep.bitline_faults = bl.faults;
-  rep.spare_rows_used = wl.spares_used;
-  rep.spare_cols_used = bl.spares_used;
-  rep.unrepaired_wordlines = wl.unrepaired;
-  rep.unrepaired_bitlines = bl.unrepaired;
-
-  const double sa0 = model.sa0_rate;
-  const double stuck = model.sa0_rate + model.sa1_rate;
   const bool drifting = model.drift_sigma > 0.0;
   const xbar::NoiseLaw law(drifting ? model.drift_sigma : 1.0, max_level);
-  double p_star = 0.0;  // the largest change probability of any level
-  for (int l = 0; l <= max_level; ++l)
-    p_star = std::max(p_star, law.change[static_cast<std::size_t>(l)]);
+  const double p_star = max_change(law, max_level);
   const int attempts = 1 + policy.verify_retries;
+  const std::uint64_t change_key = domain_key(model, draw.salt, kDriftChange);
+  const std::uint64_t level_key = domain_key(model, draw.salt, kDriftLevel);
 
-  // The one draw pass. Fault draws key on the physical position: dead lines
-  // zero the cell, stuck cells force their polarity, live cells drift under
-  // write-verify (closed-loop programming keeps the best-verified attempt,
-  // so more retries never worsen a cell). Per live row, a branch-free sweep
-  // at the SIMD tier marks the stuck cells (cell draw below sa0 + sa1) and
-  // the drift candidates (attempt-0 change draw below p_star); the scalar
-  // code then visits only the dead, stuck and candidate cells, in column
-  // order. Every live cell's stuck draw and every live unstuck cell's
-  // change draw count as drawn, as when each was hashed one at a time.
-  const std::uint64_t cell_key = domain_key(model, salt, kCell);
-  const std::uint64_t change_key = domain_key(model, salt, kDriftChange);
-  const std::uint64_t level_key = domain_key(model, salt, kDriftLevel);
-  const HitMaskFn hit_mask = hit_mask_for(std::min(tier, perf::mvm_active_isa()));
-  const std::uint64_t stuck_below = unit_threshold(stuck);
-  const std::uint64_t drift_below = unit_threshold(p_star);
-  const std::int64_t words = (P + 63) / 64;
-  std::vector<std::uint64_t> dead_cols(static_cast<std::size_t>(words), 0);
-  std::vector<std::uint64_t> stuck_hits(static_cast<std::size_t>(words), 0);
-  std::vector<std::uint64_t> drift_hits(static_cast<std::size_t>(words), 0);
-  std::int64_t live = P;
-  for (std::int64_t p = 0; p < P; ++p)
-    if (bl.dead[static_cast<std::size_t>(p)] != 0) {
-      dead_cols[static_cast<std::size_t>(p / 64)] |= std::uint64_t{1} << (p % 64);
-      --live;
-    }
+  // This policy's event list: its dead lines merged in column order with
+  // the drawn cells, a drawn cell on a dead column dropped for the dead
+  // one. Each drift candidate draws its verify attempts under this policy's
+  // retry budget (write-verify: closed-loop programming keeps the
+  // best-verified attempt, so more retries never worsen a cell). The draw
+  // counts are what this arm alone would draw: every live cell's stuck
+  // draw, every live unstuck cell's change draw, and each candidate's level
+  // draws and retry change draws.
+  Events ev;
+  ev.draws = draw.line_draws;
+  const std::int64_t live = P - std::ssize(dead_cols);
   ev.row_begin.resize(static_cast<std::size_t>(R) + 1);
   for (std::int64_t q = 0; q < R; ++q) {
     ev.row_begin[static_cast<std::size_t>(q)] = static_cast<std::int64_t>(ev.cells.size());
-    if (wl.dead[static_cast<std::size_t>(q)] != 0) {
+    if (dead_row[static_cast<std::size_t>(q)] != 0) {
       for (std::int64_t p = 0; p < P; ++p) ev.cells.push_back({static_cast<std::int32_t>(p)});
       continue;
     }
-    const std::uint64_t idx0 = static_cast<std::uint64_t>(q * P);
-    if (stuck > 0.0)
-      hit_mask(cell_key, idx0 * kFaultCounterMul + 1, kFaultCounterMul, stuck_below, P,
-               stuck_hits.data());
-    if (drifting)
-      hit_mask(change_key, idx0 * 64 * kFaultCounterMul + 1, 64 * kFaultCounterMul, drift_below,
-               P, drift_hits.data());
     std::int64_t row_stuck = 0;
-    for (std::int64_t w = 0; w < words; ++w) {
-      const auto i = static_cast<std::size_t>(w);
-      stuck_hits[i] &= ~dead_cols[i];
-      drift_hits[i] &= ~(dead_cols[i] | stuck_hits[i]);
-      row_stuck += std::popcount(stuck_hits[i]);
-    }
-    if (stuck > 0.0) ev.draws += live;
-    if (drifting) ev.draws += live - row_stuck;
-
-    for (std::int64_t w = 0; w < words; ++w) {
-      const auto i = static_cast<std::size_t>(w);
-      for (std::uint64_t hits = dead_cols[i] | stuck_hits[i] | drift_hits[i]; hits != 0;
-           hits &= hits - 1) {
-        const int b = std::countr_zero(hits);
-        const std::uint64_t bit = std::uint64_t{1} << b;
-        const std::int64_t p = w * 64 + b;
-        Event e{static_cast<std::int32_t>(p)};
-        const std::uint64_t idx = idx0 + static_cast<std::uint64_t>(p);
-        if ((stuck_hits[i] & bit) != 0) {
-          const bool at0 = fault_unit_keyed(cell_key, idx) < sa0;
-          e.kind = at0 ? EventKind::kSa0 : EventKind::kSa1;
-          ++ev.stuck;
-          ++(at0 ? ev.sa0 : ev.sa1);
-        } else if ((drift_hits[i] & bit) != 0) {
-          e.kind = EventKind::kDrift;
-          e.draw = static_cast<std::uint32_t>(ev.pool.size() / 2);
-          double u = fault_unit_keyed(change_key, idx * 64);
-          for (int a = 0;;) {
-            ev.pool.push_back(u);
-            ev.pool.push_back(
-                fault_unit_keyed(level_key, idx * 64 + static_cast<std::uint64_t>(a)));
-            ++ev.draws;
-            ++e.attempts;
-            if (++a == attempts) break;
-            ++ev.draws;
-            u = fault_unit_keyed(change_key, idx * 64 + static_cast<std::uint64_t>(a));
-            if (u >= p_star) {  // verifies here at every level: no level draw
-              ev.pool.push_back(u);
-              ev.pool.push_back(0.0);
-              ++e.attempts;
-              break;
-            }
+    auto dc = dead_cols.begin();
+    for (std::int64_t k = draw.row_begin[static_cast<std::size_t>(q)];
+         k < draw.row_begin[static_cast<std::size_t>(q) + 1]; ++k) {
+      const DrawnCell& c = draw.cells[static_cast<std::size_t>(k)];
+      for (; dc != dead_cols.end() && *dc < c.p; ++dc) ev.cells.push_back({*dc});
+      if (dc != dead_cols.end() && *dc == c.p) continue;  // pushed dead next
+      Event e{static_cast<std::int32_t>(c.p)};
+      if (c.kind == DrawnCell::Kind::kDrift) {
+        e.kind = EventKind::kDrift;
+        e.draw = static_cast<std::uint32_t>(ev.pool.size() / 2);
+        const std::uint64_t idx = static_cast<std::uint64_t>(q * P + c.p);
+        double u = fault_unit_keyed(change_key, idx * 64);
+        for (int a = 0;;) {
+          ev.pool.push_back(u);
+          ev.pool.push_back(
+              fault_unit_keyed(level_key, idx * 64 + static_cast<std::uint64_t>(a)));
+          ++ev.draws;
+          ++e.attempts;
+          if (++a == attempts) break;
+          ++ev.draws;
+          u = fault_unit_keyed(change_key, idx * 64 + static_cast<std::uint64_t>(a));
+          if (u >= p_star) {  // verifies here at every level: no level draw
+            e.verifies = true;
+            break;
           }
-        }  // else a dead column: kDead
-        ev.cells.push_back(e);
+        }
+      } else {
+        const bool at0 = c.kind == DrawnCell::Kind::kSa0;
+        e.kind = at0 ? EventKind::kSa0 : EventKind::kSa1;
+        ++row_stuck;
+        ++ev.stuck;
+        ++(at0 ? ev.sa0 : ev.sa1);
       }
+      ev.cells.push_back(e);
     }
+    for (; dc != dead_cols.end(); ++dc) ev.cells.push_back({*dc});
+    if (model.sa0_rate + model.sa1_rate > 0.0) ev.draws += live;
+    if (drifting) ev.draws += live - row_stuck;
   }
   ev.row_begin[static_cast<std::size_t>(R)] = static_cast<std::int64_t>(ev.cells.size());
 
@@ -390,6 +455,10 @@ xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& c
       const int cand = law.sample_changed(l, d[1] * change, max_level);
       if (best < 0 || std::abs(cand - l) < std::abs(best - l)) best = cand;
     }
+    if (e.verifies) {  // a retry verified
+      ++t.retried;
+      return l;
+    }
     ++t.drifted;
     return best;
   };
@@ -414,7 +483,12 @@ xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& c
       }
       const std::size_t at = static_cast<std::size_t>(s) * plane +
                              static_cast<std::size_t>(r * C + c);
-      const int l = clean_levels[at];
+      // The clean level is digit s of the encoded weight w + offset: one
+      // stored array holds every slice, so the walk stays in cache where
+      // the per-slice level planes would not.
+      const std::uint32_t u =
+          static_cast<std::uint32_t>(stored[static_cast<std::size_t>(r * C + c)]) + offset;
+      const int l = static_cast<int>(u >> (cell_bits * s) & static_cast<std::uint32_t>(max_level));
       const int out = outcome(e, l, t);
       if (out == l) continue;
       ++t.perturbed;
@@ -425,7 +499,7 @@ xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& c
     return t;
   };
 
-  std::vector<xbar::LevelPatch> patches;
+  std::vector<xbar::LevelPatch>& patches = out.patches;
   std::vector<std::int64_t> identity_err(static_cast<std::size_t>(R));
   Tally chosen;
   for (std::int64_t q = 0; q < R; ++q) {
@@ -435,12 +509,12 @@ xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& c
   }
   std::int64_t remapped = 0;
 
-  if (policy.remap_rows && (wl.unrepaired > 0 || ev.stuck > 0) && R > 1) {
+  if (policy.remap_rows && (!dead_rows.empty() || ev.stuck > 0) && R > 1) {
     // Damage proxy per physical row: dead rows are worst; otherwise sum the
     // squared slice significance of every stuck cell on a live column.
     std::vector<double> damage(static_cast<std::size_t>(R), 0.0);
     for (std::int64_t q = 0; q < R; ++q) {
-      if (wl.dead[static_cast<std::size_t>(q)] != 0) {
+      if (dead_row[static_cast<std::size_t>(q)] != 0) {
         damage[static_cast<std::size_t>(q)] = 1e30;
         continue;
       }
@@ -454,20 +528,10 @@ xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& c
       }
       damage[static_cast<std::size_t>(q)] = d;
     }
-    // Logical-row importance: encoded magnitude Σ (w + offset)² — exactly the
-    // error a dead row costs, and a faithful proxy for stuck-at-0 damage.
-    std::vector<double> importance(static_cast<std::size_t>(R), 0.0);
-    clean.visit_stored_weights([&](auto stored) {
-      for (std::int64_t r = 0; r < R; ++r) {
-        double m2 = 0.0;
-        for (std::int64_t c = 0; c < C; ++c) {
-          const double u = static_cast<double>(stored[static_cast<std::size_t>(r * C + c)]) +
-                           offset;
-          m2 += u * u;
-        }
-        importance[static_cast<std::size_t>(r)] = m2;
-      }
-    });
+    // Logical-row importance: the encoded magnitude Σ (w + offset)², exactly
+    // the error a dead row costs and a faithful proxy for stuck-at-0 damage.
+    // It depends on the clean weights only, so the crossbar computes it once.
+    const std::span<const double> importance = clean.encoded_row_power();
     std::vector<std::int32_t> phys(static_cast<std::size_t>(R));
     std::iota(phys.begin(), phys.end(), 0);
     std::vector<std::int32_t> logi = phys;
@@ -510,13 +574,37 @@ xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& c
   rep.drifted_cells = chosen.drifted;
   rep.retried_cells = chosen.retried;
   rep.rows_remapped = remapped;
-  if (report != nullptr) *report = rep;
-  if (auto* m = telemetry::metrics())
-    m->counter("fault.rng_draws")->add(static_cast<std::uint64_t>(ev.draws));
-  return xbar::LogicalXbar(clean, patches, vstats);
+  out.draws = ev.draws;
+  return out;
 }
 
-}  // namespace detail
+}  // namespace
+
+xbar::LogicalXbar repair_faults(const xbar::LogicalXbar& clean, const FaultDraw& draw,
+                                const RepairPolicy& policy, RepairReport* report) {
+  policy.validate();
+  RED_EXPECTS_MSG(clean.rows() == draw.rows && clean.phys_cols() == draw.phys_cols,
+                  "a fault draw repairs the crossbar it was drawn on");
+  RED_EXPECTS_MSG(draw.covers(policy), "the fault draw was made for smaller repair budgets");
+  if (!draw.model.enabled()) {
+    // A bit-exact copy: the zero-rate path of a campaign must be
+    // indistinguishable from the fault-free oracle.
+    RepairReport rep;
+    rep.cells = clean.rows() * clean.phys_cols();
+    xbar::VariationStats vstats;
+    vstats.cells = rep.cells;
+    if (report != nullptr) *report = rep;
+    return xbar::LogicalXbar(clean, std::span<const xbar::LevelPatch>{}, vstats);
+  }
+  // The repair's event lists are freed here, before the copy: a lane never
+  // holds both.
+  const Repair r = clean.visit_stored_weights(
+      [&](auto stored) { return plan_repair(clean, stored, draw, policy); });
+  if (report != nullptr) *report = r.report;
+  if (auto* m = telemetry::metrics())
+    m->counter("fault.rng_draws")->add(static_cast<std::uint64_t>(r.draws));
+  return xbar::LogicalXbar(clean, r.patches, r.vstats);
+}
 
 double weight_error_sq(const xbar::LogicalXbar& clean, const xbar::LogicalXbar& faulted) {
   RED_EXPECTS(clean.rows() == faulted.rows() && clean.cols() == faulted.cols());

@@ -9,18 +9,31 @@
 // is kept only when it strictly reduces the exact weight-space error, so a
 // repaired crossbar is never worse than the unrepaired one in Σ Δw².
 //
-// Cost contract: one draw pass per call. The pass hashes each cell's stuck
-// and attempt-0 drift draws once (2 per cell off the dead lines), as a hit
-// mask per physical row swept at the MVM kernels' SIMD tier (8 cells per
-// vector at AVX-512), and keeps a sparse physical event list — dead-line cells, stuck cells, and drift
-// candidates with their verify-attempt draws. The unrepaired arm, the remap
-// damage scan and the remap candidate are all evaluated from that list, the
-// remap priced from Σ Δw² deltas of the rows it moves. The faulted sibling
-// is a copy of `clean` plus sparse level patches. Telemetry counts the
-// draws under fault.rng_draws.
+// It is two steps, and campaigns call them apart: draw_faults() makes the
+// fault draw, which depends only on (seed, salt, geometry), and
+// repair_faults() builds one repair policy's sibling from it. inject_faults
+// is exactly draw_faults for one policy, then repair_faults.
+//
+// Cost contract: one draw pass per trial and crossbar, whatever the number
+// of repair arms built from it. The pass hashes each cell's stuck and
+// attempt-0 drift draws once (2 per cell off the lines dead under every
+// arm), as a hit mask per physical row swept at the MVM kernels' SIMD tier
+// (8 cells per vector at AVX-512), and keeps the sparse list of stuck cells
+// and drift candidates. Each repair walks that list once to build its own
+// physical event list: its dead lines, and each candidate's verify-attempt
+// draws up to its retry budget (a few hashes per candidate, ~1% of cells,
+// recomputed rather than held so a trial's draws stay small). The unrepaired
+// tally, the remap damage scan and the remap candidate are all evaluated
+// from that list, the remap priced from Σ Δw² deltas of the rows it moves
+// against the clean crossbar's row importance (computed once per clean
+// crossbar). The faulted sibling is a copy of `clean` plus sparse level
+// patches. Telemetry counts each repair's draws under fault.rng_draws, as if
+// its arm had drawn alone.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "red/fault/model.h"
 #include "red/perf/mvm_kernel.h"
@@ -28,11 +41,58 @@
 
 namespace red::fault {
 
+/// One cell of a fault draw whose level can differ from the clean one under
+/// some repair arm: a stuck cell, or a drift candidate (a live, unstuck cell
+/// whose attempt-0 change draw lies below the largest change probability of
+/// any level, so only candidates can drift whatever logical row the remap
+/// puts there).
+struct DrawnCell {
+  enum class Kind : std::uint8_t { kSa0, kSa1, kDrift };
+  std::uint32_t p : 30;  ///< physical column (c * slices + s)
+  Kind kind : 2;
+};
+static_assert(sizeof(DrawnCell) == 4, "a trial holds one DrawnCell per event it drew");
+
+/// One crossbar's fault draw for one trial: what draw_faults() produced and
+/// repair_faults() reads. It serves every policy within its spare budgets;
+/// retries and remapping do not change it.
+struct FaultDraw {
+  FaultModel model;
+  std::uint64_t salt = 0;
+  std::int64_t rows = 0, phys_cols = 0;
+  int spare_rows = 0, spare_cols = 0;  ///< the largest budgets of the arms drawn for
+  std::vector<std::int32_t> faulty_rows, faulty_cols;  ///< line faults, index order
+  std::int64_t line_draws = 0;
+  /// Stuck cells and drift candidates off the lines dead under every arm, in
+  /// (row, column) order; row q's are [row_begin[q], row_begin[q + 1]).
+  std::vector<DrawnCell> cells;
+  std::vector<std::int64_t> row_begin;
+
+  /// `policy`'s spare budgets lie within the ones drawn for.
+  [[nodiscard]] bool covers(const RepairPolicy& policy) const {
+    return policy.spare_rows <= spare_rows && policy.spare_cols <= spare_cols;
+  }
+};
+
+/// Draw `model`'s faults on `clean` (a variation-free programmed crossbar)
+/// once for every policy in `arms`: the draw covers the largest spare
+/// budgets among them. `salt` distinguishes crossbars sharing one
+/// model (stage index, group index): same (seed, salt, geometry) always
+/// draws the same faults.
+[[nodiscard]] FaultDraw draw_faults(const xbar::LogicalXbar& clean, const FaultModel& model,
+                                    std::span<const RepairPolicy> arms, std::uint64_t salt = 0);
+
+/// The faulted sibling of `clean` under `policy`, built from `draw` (which
+/// must come from `clean` and cover the policy): bit-identical to
+/// inject_faults(clean, draw.model, policy, salt), report and telemetry
+/// included. A disabled model returns a bit-exact copy of `clean`.
+[[nodiscard]] xbar::LogicalXbar repair_faults(const xbar::LogicalXbar& clean,
+                                              const FaultDraw& draw, const RepairPolicy& policy,
+                                              RepairReport* report = nullptr);
+
 /// Inject `model`'s faults into `clean` (a variation-free programmed
-/// crossbar) and apply `policy`'s repairs. `salt` distinguishes crossbars
-/// sharing one model (stage index, group index): same (seed, salt, geometry)
-/// always produces the bit-identical faulted sibling. A disabled model
-/// returns a bit-exact copy of `clean`.
+/// crossbar) and apply `policy`'s repairs: draw_faults for `policy` alone,
+/// then repair_faults.
 [[nodiscard]] xbar::LogicalXbar inject_faults(const xbar::LogicalXbar& clean,
                                               const FaultModel& model,
                                               const RepairPolicy& policy,
@@ -58,9 +118,15 @@ namespace red::fault {
 
 namespace detail {
 
-/// inject_faults() with the draw pass's hit masks swept on `tier`, clamped
-/// to perf::mvm_active_isa(). For tests that check every compiled tier on
-/// one host; every tier gives the bit-identical result.
+/// draw_faults() with the draw pass's hit masks swept on `tier`, clamped to
+/// perf::mvm_active_isa(). For tests that check every compiled tier on one
+/// host; every tier gives the bit-identical draw.
+[[nodiscard]] FaultDraw draw_faults_on(perf::MvmIsa tier, const xbar::LogicalXbar& clean,
+                                       const FaultModel& model,
+                                       std::span<const RepairPolicy> arms,
+                                       std::uint64_t salt = 0);
+
+/// inject_faults() with the draw swept on `tier`, as draw_faults_on.
 [[nodiscard]] xbar::LogicalXbar inject_faults_on(perf::MvmIsa tier,
                                                  const xbar::LogicalXbar& clean,
                                                  const FaultModel& model,

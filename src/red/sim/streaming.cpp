@@ -111,12 +111,23 @@ StreamingExecutor::StreamingExecutor(plan::StackPlan stack_plan,
 
 StreamingExecutor::~StreamingExecutor() = default;
 
-std::unique_ptr<StreamingExecutor> StreamingExecutor::faulted(
-    const fault::FaultModel& model, const fault::RepairPolicy& policy,
-    std::vector<fault::RepairReport>* reports) const {
+std::vector<std::vector<fault::FaultDraw>> StreamingExecutor::draw_faults(
+    const fault::FaultModel& model, std::span<const fault::RepairPolicy> arms) const {
   if (!programmed_fast_path_)
-    throw ConfigError("faulted() needs the programmed fast path on every stage: design '" +
+    throw ConfigError("fault injection needs the programmed fast path on every stage: design '" +
                       design_name_ + "' has a reprogram-per-image fallback stage");
+  std::vector<std::vector<fault::FaultDraw>> draws;
+  draws.reserve(programmed_.size());
+  for (std::size_t i = 0; i < programmed_.size(); ++i)
+    draws.push_back(programmed_[i]->draw_faults(model, arms, /*salt=*/i));
+  return draws;
+}
+
+std::unique_ptr<StreamingExecutor> StreamingExecutor::repaired(
+    const std::vector<std::vector<fault::FaultDraw>>& draws, const fault::RepairPolicy& policy,
+    std::vector<fault::RepairReport>* reports) const {
+  RED_EXPECTS_MSG(programmed_fast_path_ && draws.size() == programmed_.size(),
+                  "one fault draw per programmed stage");
   // Private default ctor: clone the compiled plan and stack, then swap every
   // programmed stage for its faulted sibling. design_ is rebuilt (Designs are
   // non-copyable) but never reprograms — execution goes through programmed_.
@@ -130,11 +141,17 @@ std::unique_ptr<StreamingExecutor> StreamingExecutor::faulted(
   if (reports != nullptr) reports->assign(programmed_.size(), {});
   for (std::size_t i = 0; i < programmed_.size(); ++i) {
     fault::RepairReport rep;
-    out->programmed_[i] = programmed_[i]->faulted(model, policy, /*salt=*/i, &rep);
+    out->programmed_[i] = programmed_[i]->repaired(draws[i], policy, &rep);
     if (reports != nullptr) (*reports)[i] = rep;
   }
   out->programmed_fast_path_ = true;
   return out;
+}
+
+std::unique_ptr<StreamingExecutor> StreamingExecutor::faulted(
+    const fault::FaultModel& model, const fault::RepairPolicy& policy,
+    std::vector<fault::RepairReport>* reports) const {
+  return repaired(draw_faults(model, {&policy, 1}), policy, reports);
 }
 
 const arch::LayerActivity& StreamingExecutor::predicted(std::size_t stage) const {

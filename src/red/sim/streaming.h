@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,20 +142,33 @@ class StreamingExecutor {
       const std::vector<Tensor<std::int32_t>>& images,
       const StreamingOptions& opts = {}) const;
 
+  /// One trial's fault draw on every programmed stage
+  /// (ProgrammedLayer::draw_faults, stage index = fault salt, so stacked
+  /// layers draw independent masks from one model), made once for every
+  /// policy in `arms`: draws[i] is stage i's. Requires the programmed fast
+  /// path on every stage — throws ConfigError otherwise, since a
+  /// reprogram-per-image fallback cannot hold a persistent fault mask.
+  [[nodiscard]] std::vector<std::vector<fault::FaultDraw>> draw_faults(
+      const fault::FaultModel& model, std::span<const fault::RepairPolicy> arms) const;
+
   /// Faulted sibling executor: every programmed stage is replaced by its
-  /// ProgrammedLayer::faulted() copy (stage index = fault salt, so stacked
-  /// layers draw independent masks from one model). Requires the programmed
-  /// fast path on every stage — throws ConfigError otherwise, since a
-  /// reprogram-per-image fallback cannot hold a persistent fault mask. When
-  /// `reports` is non-null it receives one RepairReport per stage.
-  /// Deterministic in model.seed and thread-invariant, like the injection
-  /// itself. The clean executor stays untouched and usable as the oracle.
+  /// ProgrammedLayer::repaired() copy from `draws` (this executor's
+  /// draw_faults(), covering `policy`). When `reports` is non-null it
+  /// receives one RepairReport per stage. The clean executor stays
+  /// untouched and usable as the oracle.
+  [[nodiscard]] std::unique_ptr<StreamingExecutor> repaired(
+      const std::vector<std::vector<fault::FaultDraw>>& draws, const fault::RepairPolicy& policy,
+      std::vector<fault::RepairReport>* reports = nullptr) const;
+
+  /// Faulted sibling executor: draw_faults() for `policy` alone, then
+  /// repaired(). Deterministic in model.seed and thread-invariant, like the
+  /// injection itself.
   [[nodiscard]] std::unique_ptr<StreamingExecutor> faulted(
       const fault::FaultModel& model, const fault::RepairPolicy& policy,
       std::vector<fault::RepairReport>* reports = nullptr) const;
 
  private:
-  StreamingExecutor() = default;  ///< shell for faulted() to fill in
+  StreamingExecutor() = default;  ///< shell for repaired() to fill in
 
   /// Throw MismatchError if `stats` contradicts stage `stage`'s analytic
   /// activity. `image` only labels the error message.

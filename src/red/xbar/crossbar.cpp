@@ -220,7 +220,7 @@ void LogicalXbar::patch_cell(std::size_t idx, std::uint8_t level) {
       weights_);
   col_level_sums_[s * static_cast<std::size_t>(cols_) + i % static_cast<std::size_t>(cols_)] +=
       static_cast<std::int64_t>(level) - static_cast<std::int64_t>(original);
-  std::vector<std::uint64_t>* planes = packed_.get_mut();
+  std::vector<std::uint64_t>* planes = derived_.get_mut();
   if (planes == nullptr) return;  // built later, from the patched levels
   // One bit per level bit of this cell, at row bit (r % 64) of word (r / 64)
   // in plane s * cell_bits + t.
@@ -245,19 +245,19 @@ void LogicalXbar::refresh_lossless_adc_bits() {
   lossless_adc_bits_ = worst == 0 ? 1 : ilog2_ceil(worst + 1);
 }
 
-LogicalXbar::PackedCache::PackedCache(const PackedCache& other) {
+LogicalXbar::DerivedCache::DerivedCache(const DerivedCache& other) {
   if (const auto* words = other.get()) {
     state_->words = *words;
     state_->ready.store(true, std::memory_order_release);
   }
 }
 
-LogicalXbar::PackedCache& LogicalXbar::PackedCache::operator=(const PackedCache& other) {
-  if (this != &other) *this = PackedCache(other);
+LogicalXbar::DerivedCache& LogicalXbar::DerivedCache::operator=(const DerivedCache& other) {
+  if (this != &other) *this = DerivedCache(other);
   return *this;
 }
 
-bool LogicalXbar::PackedCache::ensure(const LogicalXbar& owner) const {
+bool LogicalXbar::DerivedCache::ensure(const LogicalXbar& owner) const {
   if (get() != nullptr) return false;
   bool built = false;
   std::call_once(state_->once, [&] {
@@ -270,9 +270,34 @@ bool LogicalXbar::PackedCache::ensure(const LogicalXbar& owner) const {
   return built;
 }
 
+const std::vector<double>& LogicalXbar::DerivedCache::row_power(
+    const LogicalXbar& owner) const {
+  std::call_once(state_->power_once, [&] {
+    const std::int64_t rows = owner.rows_, cols = owner.cols_;
+    const std::int32_t offset = owner.config_.weight_offset();
+    state_->power.assign(static_cast<std::size_t>(rows), 0.0);
+    owner.visit_stored_weights([&](auto stored) {
+      for (std::int64_t r = 0; r < rows; ++r) {
+        double m2 = 0.0;
+        for (std::int64_t c = 0; c < cols; ++c) {
+          const double u =
+              static_cast<double>(stored[static_cast<std::size_t>(r * cols + c)]) + offset;
+          m2 += u * u;
+        }
+        state_->power[static_cast<std::size_t>(r)] = m2;
+      }
+    });
+  });
+  return state_->power;
+}
+
+std::span<const double> LogicalXbar::encoded_row_power() const {
+  return derived_.row_power(*this);
+}
+
 bool LogicalXbar::ensure_packed_planes() const {
   RED_EXPECTS_MSG(config_.adc.mode == AdcMode::kClipped, "packed planes need a clipped ADC");
-  return packed_.ensure(*this);
+  return derived_.ensure(*this);
 }
 
 void LogicalXbar::build_packed_planes(std::vector<std::uint64_t>& planes) const {

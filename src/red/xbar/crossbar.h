@@ -155,10 +155,10 @@ class LogicalXbar {
   /// The packed_weight_planes() consecutive planes (packed_words() words
   /// each) of column `c`, plane-major. Builds the planes on first use.
   [[nodiscard]] const std::uint64_t* packed_col_planes(std::int64_t c) const {
-    const std::vector<std::uint64_t>* planes = packed_.get();
+    const std::vector<std::uint64_t>* planes = derived_.get();
     if (planes == nullptr) {
       ensure_packed_planes();
-      planes = packed_.get();
+      planes = derived_.get();
     }
     return planes->data() +
            static_cast<std::size_t>(c) * static_cast<std::size_t>(packed_weight_planes()) *
@@ -207,20 +207,30 @@ class LogicalXbar {
   /// program time; O(1) per call.
   [[nodiscard]] int lossless_adc_bits() const { return lossless_adc_bits_; }
 
+  /// Per logical row, Σ over its columns of (stored weight + weight_offset)²
+  /// in column order: the encoded magnitude the row holds, which is the
+  /// weight-space error of zeroing its cells (fault repair's row remap ranks
+  /// rows by it). Computed by the first reader, at most once per crossbar and
+  /// safe under concurrent readers; a copy computes its own.
+  [[nodiscard]] std::span<const double> encoded_row_power() const;
+
   /// What the configured VariationModel did at program time.
   [[nodiscard]] const VariationStats& variation_stats() const { return variation_stats_; }
 
  private:
-  /// Packed planes built by the first reader. Copying copies the planes only
-  /// when they are built; a moved-from cache is empty and never read.
-  class PackedCache {
+  /// What the first reader derives from the cells: the packed planes, and
+  /// the encoded row powers. Copying copies the planes only when they are
+  /// built (a sparse reprogram then patches them) and never the row powers
+  /// (a copy is a reprogrammed sibling whose weights differ); a moved-from
+  /// cache is empty and never read.
+  class DerivedCache {
    public:
-    PackedCache() = default;
-    PackedCache(const PackedCache& other);
-    PackedCache& operator=(const PackedCache& other);
-    PackedCache(PackedCache&&) noexcept = default;
-    PackedCache& operator=(PackedCache&&) noexcept = default;
-    ~PackedCache() = default;
+    DerivedCache() = default;
+    DerivedCache(const DerivedCache& other);
+    DerivedCache& operator=(const DerivedCache& other);
+    DerivedCache(DerivedCache&&) noexcept = default;
+    DerivedCache& operator=(DerivedCache&&) noexcept = default;
+    ~DerivedCache() = default;
 
     /// The planes when built, else nullptr.
     [[nodiscard]] const std::vector<std::uint64_t>* get() const {
@@ -236,11 +246,16 @@ class LogicalXbar {
     /// when this call built them.
     bool ensure(const LogicalXbar& owner) const;
 
+    /// `owner`'s encoded row powers, computed on first use.
+    [[nodiscard]] const std::vector<double>& row_power(const LogicalXbar& owner) const;
+
    private:
     struct State {
       std::once_flag once;
       std::atomic<bool> ready{false};
       std::vector<std::uint64_t> words;
+      std::once_flag power_once;
+      std::vector<double> power;
     };
     std::unique_ptr<State> state_ = std::make_unique<State>();
   };
@@ -268,7 +283,7 @@ class LogicalXbar {
   std::variant<std::vector<std::int8_t>, std::vector<std::int16_t>, std::vector<std::int32_t>>
       weights_;
   std::vector<std::uint8_t> levels_;       ///< cell levels, plane-major [slice][row][col]
-  PackedCache packed_;
+  DerivedCache derived_;
   std::int64_t packed_words_ = 0;
   /// Per-(slice, col) programmed-level sums backing lossless_adc_bits_; kept
   /// so delta reprogramming can update the cache incrementally.

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -427,6 +428,111 @@ TEST(FaultInject, OneDrawPassPerCall) {
   }
 }
 
+TEST(FaultInject, SharedDrawMatchesPerArmInjection) {
+  // One draw serving two repair policies builds each arm bit-identical to
+  // that policy's own injection: levels, RepairReport, VariationStats and
+  // the arm's fault.rng_draws, against the separate call and the per-cell
+  // oracle. The pairs differ in spares (0 vs 4), retries (0 vs 5) and
+  // remapping, each in both orders, so the draw's cover is set by either
+  // arm. Random geometries, at every tier.
+  Rng geo(2026);
+  FaultModel m = mixed_model(11);
+  for (int g = 0; g < 3; ++g) {
+    xbar::QuantConfig q;
+    q.wbits = static_cast<int>(geo.uniform_int(5, 8));
+    q.cell_bits = static_cast<int>(geo.uniform_int(1, 3));
+    const std::int64_t rows = geo.uniform_int(20, 90);
+    const std::int64_t cols = geo.uniform_int(2, 40);
+    const std::int32_t half = q.weight_offset();
+    std::vector<std::int32_t> w(static_cast<std::size_t>(rows * cols));
+    for (auto& v : w) v = static_cast<std::int32_t>(geo.uniform_int(-half, half - 1));
+    const xbar::LogicalXbar clean(rows, cols, w, q);
+    const std::uint64_t salt = static_cast<std::uint64_t>(g);
+    m.seed = 11 + static_cast<std::uint64_t>(g);
+
+    for (const bool remap : {false, true})
+      for (const auto& [spares_a, spares_b] : {std::pair{0, 4}, {4, 0}})
+        for (const auto& [retries_a, retries_b] : {std::pair{0, 5}, {5, 0}}) {
+          RepairPolicy arms[2];
+          arms[0].spare_rows = arms[0].spare_cols = spares_a;
+          arms[0].verify_retries = retries_a;
+          arms[0].remap_rows = remap;
+          arms[1].spare_rows = arms[1].spare_cols = spares_b;
+          arms[1].verify_retries = retries_b;
+          arms[1].remap_rows = !remap;
+          for (const perf::MvmIsa tier : supported_tiers()) {
+            const FaultDraw draw = detail::draw_faults_on(tier, clean, m, arms, salt);
+            for (const RepairPolicy& pol : arms) {
+              const std::string what =
+                  std::to_string(rows) + "x" + std::to_string(cols) + " wbits=" +
+                  std::to_string(q.wbits) + " cell_bits=" + std::to_string(q.cell_bits) +
+                  " spares=" + std::to_string(pol.spare_rows) + " retries=" +
+                  std::to_string(pol.verify_retries) + " remap=" +
+                  std::to_string(pol.remap_rows) + " tier=" + perf::mvm_isa_name(tier);
+              const auto counted = [](auto&& inject) {
+                telemetry::MetricsRegistry registry;
+                telemetry::install_metrics(&registry);
+                RepairReport rep;
+                auto faulted = inject(&rep);
+                telemetry::install_metrics(nullptr);
+                return std::tuple{std::move(faulted), rep,
+                                  registry.counter("fault.rng_draws")->value()};
+              };
+              const auto [shared, shared_rep, shared_draws] =
+                  counted([&](RepairReport* r) { return repair_faults(clean, draw, pol, r); });
+              const auto [alone, alone_rep, alone_draws] = counted([&](RepairReport* r) {
+                return detail::inject_faults_on(tier, clean, m, pol, salt, r);
+              });
+              EXPECT_TRUE(same_levels(shared, alone)) << what;
+              EXPECT_EQ(shared_draws, alone_draws) << what;
+              expect_matches_reference(alone, alone_rep, oracle::inject_faults_reference(
+                                                              clean, m, pol, salt),
+                                       what + " (alone)");
+              expect_matches_reference(
+                  shared, shared_rep, oracle::inject_faults_reference(clean, m, pol, salt),
+                  what + " (shared)");
+            }
+          }
+        }
+  }
+}
+
+TEST(FaultInject, SharedDrawLayersMatchFaulted) {
+  // ProgrammedLayer level, RED and zero padding: a sibling repaired from one
+  // shared draw runs bit-identical to faulted() under its own policy.
+  const nn::DeconvLayerSpec spec{"fshared", 4, 4, 8, 4, 3, 3, 2, 1, 0};
+  Rng rng(5);
+  const auto input = workloads::make_input(spec, rng, 1, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  const FaultModel m = mixed_model(13);
+  RepairPolicy arms[2];
+  arms[1].spare_rows = arms[1].spare_cols = 2;
+  arms[1].remap_rows = true;
+  arms[1].verify_retries = 3;
+  for (const auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed}) {
+    const auto clean = core::make_design(kind, arch::DesignConfig{})->program(spec, kernel);
+    ASSERT_NE(clean, nullptr);
+    const auto draws = clean->draw_faults(m, arms, /*salt=*/3);
+    for (const RepairPolicy& pol : arms) {
+      RepairReport shared_rep, alone_rep;
+      arch::RunStats shared_stats, alone_stats;
+      const auto shared = clean->repaired(draws, pol, &shared_rep, /*threads=*/1);
+      const auto alone = clean->faulted(m, pol, /*salt=*/3, &alone_rep);
+      EXPECT_EQ(first_mismatch(alone->run(input, &alone_stats),
+                               shared->run(input, &shared_stats)),
+                "");
+      EXPECT_EQ(shared_stats, alone_stats);
+      EXPECT_EQ(shared_rep.stuck_cells, alone_rep.stuck_cells);
+      EXPECT_EQ(shared_rep.drifted_cells, alone_rep.drifted_cells);
+      EXPECT_EQ(shared_rep.retried_cells, alone_rep.retried_cells);
+      EXPECT_EQ(shared_rep.rows_remapped, alone_rep.rows_remapped);
+      EXPECT_EQ(shared_rep.unrepaired_wordlines, alone_rep.unrepaired_wordlines);
+      EXPECT_EQ(shared->variation_stats().perturbed_cells,
+                alone->variation_stats().perturbed_cells);
+    }
+  }
+}
+
 TEST(FaultInject, GanDeconv4CampaignDigestsArePinned) {
   // FNV-1a digests of every trial field of a GAN_Deconv4 RED campaign at
   // fault seeds 1-4 (2 trial lanes), computed with the per-cell injector the
@@ -623,22 +729,35 @@ TEST_F(FaultCampaignTest, ZeroRateIsOracleExactAndRepairNeverHurts) {
 }
 
 TEST_F(FaultCampaignTest, ThreadCountDoesNotChangeAnyScore) {
-  FaultCampaignOptions serial;
-  serial.trials = 3;
-  FaultCampaignOptions wide = serial;
-  wide.threads = 4;
-  const auto a = run_fault_campaign(core::DesignKind::kRed, arch::DesignConfig{}, models(),
-                                    policy(), spec_, input_, kernel_, serial);
-  const auto b = run_fault_campaign(core::DesignKind::kRed, arch::DesignConfig{}, models(),
-                                    policy(), spec_, input_, kernel_, wide);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].trials.size(), b[i].trials.size());
-    for (std::size_t t = 0; t < a[i].trials.size(); ++t) {
-      EXPECT_EQ(a[i].trials[t].unrepaired.score.mse, b[i].trials[t].unrepaired.score.mse);
-      EXPECT_EQ(a[i].trials[t].repaired.score.mse, b[i].trials[t].repaired.score.mse);
-      EXPECT_EQ(a[i].trials[t].repaired.score.bit_errors,
-                b[i].trials[t].repaired.score.bit_errors);
+  // The lanes build the clean layer, run the oracle and fan out the trials:
+  // every score, report and run stat is the same at 1, 2 and 4 lanes.
+  for (const auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed}) {
+    FaultCampaignOptions serial;
+    serial.trials = 3;
+    const auto a = run_fault_campaign(kind, arch::DesignConfig{}, models(), policy(), spec_,
+                                      input_, kernel_, serial);
+    for (const int lanes : {2, 4}) {
+      FaultCampaignOptions wide = serial;
+      wide.threads = lanes;
+      const auto b = run_fault_campaign(kind, arch::DesignConfig{}, models(), policy(), spec_,
+                                        input_, kernel_, wide);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].trials.size(), b[i].trials.size());
+        for (std::size_t t = 0; t < a[i].trials.size(); ++t)
+          for (const bool repaired : {false, true}) {
+            const auto& x = repaired ? a[i].trials[t].repaired : a[i].trials[t].unrepaired;
+            const auto& y = repaired ? b[i].trials[t].repaired : b[i].trials[t].unrepaired;
+            const std::string what = "lanes=" + std::to_string(lanes) + " point " +
+                                     std::to_string(i) + " trial " + std::to_string(t);
+            EXPECT_EQ(x.score.mse, y.score.mse) << what;
+            EXPECT_EQ(x.score.bit_errors, y.score.bit_errors) << what;
+            EXPECT_EQ(x.stats, y.stats) << what;
+            EXPECT_EQ(x.repair.rows_remapped, y.repair.rows_remapped) << what;
+            EXPECT_EQ(x.repair.drifted_cells, y.repair.drifted_cells) << what;
+            EXPECT_EQ(x.variation.perturbed_cells, y.variation.perturbed_cells) << what;
+          }
+      }
     }
   }
 }

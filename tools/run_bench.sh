@@ -41,7 +41,7 @@ if [ -x "${build_dir}/bench_micro_simulator" ]; then
     min_time_flag="--benchmark_min_time=0.001"
   fi
   "${build_dir}/bench_micro_simulator" \
-    --benchmark_filter='BM_Mvm|BM_XbarProgram|BM_InjectFaults|BM_ZpRun|BM_SimulateNetwork' \
+    --benchmark_filter='BM_Mvm|BM_XbarProgram|BM_InjectFaults|BM_FaultCampaignCall|BM_ZpRun|BM_SimulateNetwork' \
     ${min_time_flag} \
     --benchmark_out="${out_dir}/BENCH_mvm.json" \
     --benchmark_out_format=json
@@ -59,9 +59,12 @@ if [ -x "${build_dir}/bench_micro_simulator" ]; then
   echo "tier), BM_MvmDcganStage3BatchMinor mode:0 vs mode:1 (288x3 swept"
   echo "across the columns vs across a batch-minor block), BM_XbarProgram"
   echo "(programming one crossbar on sngan/div4's zero-padding and"
-  echo "padding-free macro shapes), BM_InjectFaults arm:0 vs arm:1 (one fault"
-  echo "draw pass plus repair on a 2048x256 GAN_Deconv4 group crossbar, bare vs"
-  echo "repaired policy, at the active tier), and BM_ZpRun (zero padding's run"
+  echo "padding-free macro shapes), BM_InjectFaults arm:0 + arm:1 vs arm:both"
+  echo "(on a 2048x256 GAN_Deconv4 group crossbar at the active tier: a draw"
+  echo "pass plus a repair per policy, bare and repaired, vs one draw pass and"
+  echo "both repairs from it, as a campaign trial runs them),"
+  echo "BM_FaultCampaignCall (one 2-trial, 2-lane GAN_Deconv4 campaign call, the"
+  echo "fault-repair workload's unit pair), and BM_ZpRun (zero padding's run"
   echo "per dcgan/div4 stage; stage:3's 800x3 macro reads batch-minor windows,"
   echo "the others vector-major)."
 else
