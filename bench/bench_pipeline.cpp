@@ -116,14 +116,6 @@ int main(int argc, char** argv) try {
                          std::to_string(threads),
                      stream_ms, reps});
 
-  double layer_major_ms = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto res = executor.stream_layer_major(images, opts);
-    const double t_ms = res.wall_ms;
-    layer_major_ms = r == 0 ? t_ms : std::min(layer_major_ms, t_ms);
-  }
-  entries.push_back({"BM_StreamingLayerMajor_n" + std::to_string(images_n), layer_major_ms, reps});
-
   // ---- Gate 1: streaming must be bit-identical to the sequential chain ----
   // (checked against both the gated run and the unchecked timed run, which
   // must themselves agree bit-for-bit)
@@ -169,7 +161,7 @@ int main(int argc, char** argv) try {
             << "sequential per-image " << format_double(seq_ms, 2) << " ms, streaming "
             << format_double(stream_ms, 2) << " ms (" << format_speedup(speedup) << " at "
             << threads << " threads; program-once " << format_double(program_ms, 2)
-            << " ms, layer-major " << format_double(layer_major_ms, 2) << " ms)\n"
+            << " ms)\n"
             << "fill " << format_double(streamed.fill_ms(), 2) << " ms, steady interval "
             << format_double(streamed.steady_interval_ms(), 3) << " ms/img, "
             << format_double(images_per_s, 0) << " img/s measured\n"

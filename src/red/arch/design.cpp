@@ -22,16 +22,6 @@ void DesignConfig::validate() const {
 
 Design::Design(DesignConfig cfg) : cfg_(std::move(cfg)) { cfg_.validate(); }
 
-std::vector<Tensor<std::int32_t>> ProgrammedLayer::run_batch(
-    std::span<const Tensor<std::int32_t>> inputs, std::vector<RunStats>* stats) const {
-  std::vector<Tensor<std::int32_t>> outputs;
-  outputs.reserve(inputs.size());
-  if (stats != nullptr) stats->assign(inputs.size(), RunStats{});
-  for (std::size_t k = 0; k < inputs.size(); ++k)
-    outputs.push_back(run(inputs[k], stats != nullptr ? &(*stats)[k] : nullptr));
-  return outputs;
-}
-
 std::unique_ptr<ProgrammedLayer> ProgrammedLayer::faulted(const fault::FaultModel& model,
                                                           const fault::RepairPolicy& policy,
                                                           std::uint64_t salt,

@@ -146,9 +146,12 @@ struct RunStats {
 /// the zero-padding and RED designs. Splits execution into a pay-once phase
 /// (weight extraction, scheduling, cell-level encoding) and a repeatable
 /// run(), so streams and statistical sweeps stop rebuilding and
-/// reprogramming the design per image or trial. run() gathers its input in
-/// bounded chunks (one output row / one block row at a time) into per-chunk
-/// buffers, so no buffer scales with output pixels x crossbar rows.
+/// reprogramming the design per image or trial. run() is the one execution
+/// entry point: a sim::StreamingExecutor stage calls it once per image, and
+/// fault campaigns stream through repaired() siblings the same way. It
+/// gathers its input in bounded chunks (one output row / one block row at a
+/// time) into per-chunk buffers, so no buffer scales with output pixels x
+/// crossbar rows.
 /// perturbed() reprograms only the device-variation deltas on the clean cell
 /// levels with the one variation sampler (LogicalXbar's variation pass),
 /// deterministic in the seed and thread-count invariant; programming under
@@ -165,15 +168,6 @@ class ProgrammedLayer {
   /// Execute on the programmed crossbars.
   [[nodiscard]] virtual Tensor<std::int32_t> run(const Tensor<std::int32_t>& input,
                                                  RunStats* stats = nullptr) const = 0;
-
-  /// Batch entry point: stream `inputs` through the programmed crossbars
-  /// back to back. outputs[k] — and, when `stats` is non-null, (*stats)[k]
-  /// (resized to inputs.size()) — are bit-identical to run(inputs[k]) called
-  /// in sequence; the crossbars are programmed exactly once either way. The
-  /// default walks run() per image; overrides may amortize further.
-  [[nodiscard]] virtual std::vector<Tensor<std::int32_t>> run_batch(
-      std::span<const Tensor<std::int32_t>> inputs,
-      std::vector<RunStats>* stats = nullptr) const;
 
   /// Sibling layer with `var` applied to the clean programmed levels. Only
   /// valid on a variation-free instance (Design::program under a config

@@ -1,38 +1,9 @@
 #include "red/core/pixel_wise_mapping.h"
 
-#include <algorithm>
-
 #include "red/common/contracts.h"
 #include "red/common/math_util.h"
 
 namespace red::core {
-
-SubCrossbarTensor::SubCrossbarTensor(const nn::DeconvLayerSpec& spec,
-                                     const Tensor<std::int32_t>& kernel)
-    : kh_(spec.kh), kw_(spec.kw), c_(spec.c), m_(spec.m) {
-  RED_EXPECTS_MSG(kernel.shape() == spec.kernel_shape(), "kernel shape mismatch");
-  blocks_.resize(static_cast<std::size_t>(sc_count()));
-  // Eq. (1): sub-crossbar (i, j) is exactly the kernel's contiguous c x m
-  // block at tap (i, j) — one block copy each, no per-element indexing.
-  const std::int64_t block = std::int64_t{c_} * m_;
-  for (int i = 0; i < kh_; ++i)
-    for (int j = 0; j < kw_; ++j) {
-      auto& blk = blocks_[static_cast<std::size_t>(i * kw_ + j)];
-      blk.resize(static_cast<std::size_t>(block));
-      std::copy_n(kernel.data() + (std::int64_t{i} * kw_ + j) * block, block, blk.data());
-    }
-}
-
-const std::vector<std::int32_t>& SubCrossbarTensor::sc_weights(ScCoord sc) const {
-  RED_EXPECTS(sc.i >= 0 && sc.i < kh_ && sc.j >= 0 && sc.j < kw_);
-  return blocks_[static_cast<std::size_t>(sc.flat(kw_))];
-}
-
-std::int32_t SubCrossbarTensor::at(int c, int m, int flat_sc) const {
-  RED_EXPECTS(flat_sc >= 0 && flat_sc < sc_count());
-  RED_EXPECTS(c >= 0 && c < c_ && m >= 0 && m < m_);
-  return blocks_[static_cast<std::size_t>(flat_sc)][static_cast<std::size_t>(c) * m_ + m];
-}
 
 std::int64_t folded_sc_count(const std::vector<ModeGroup>& groups, int fold) {
   RED_EXPECTS(fold >= 1);

@@ -2,39 +2,20 @@
 //
 // The KHxKWxCxM kernel becomes a sub-crossbar tensor SCT of shape
 // C x M x (KH*KW):  SCT[c, m, i*KW + j] = W[i, j, c, m].
-// Each sub-crossbar is a CxM matrix. The area-efficient trade-off merges
-// `fold` sub-crossbars of a mode group into one of fold*C rows; the data flow
-// then alternates the active row band over `fold` cycles (Eq. 2), trading
-// fold-times longer execution for fold-times fewer sub-crossbar peripheries.
+// Each sub-crossbar is a CxM matrix, the kernel's contiguous block at tap
+// (i, j), so RED programs it straight from the kernel. The area-efficient
+// trade-off merges `fold` sub-crossbars of a mode group into one of fold*C
+// rows; the data flow then alternates the active row band over `fold`
+// cycles (Eq. 2), trading fold-times longer execution for fold-times fewer
+// sub-crossbar peripheries.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "red/core/mode_groups.h"
-#include "red/nn/layer.h"
-#include "red/tensor/tensor.h"
 
 namespace red::core {
-
-class SubCrossbarTensor {
- public:
-  SubCrossbarTensor(const nn::DeconvLayerSpec& spec, const Tensor<std::int32_t>& kernel);
-
-  [[nodiscard]] int c() const { return c_; }
-  [[nodiscard]] int m() const { return m_; }
-  [[nodiscard]] int sc_count() const { return kh_ * kw_; }
-
-  /// Row-major CxM weight block of sub-crossbar (i, j): Eq. 1 slice.
-  [[nodiscard]] const std::vector<std::int32_t>& sc_weights(ScCoord sc) const;
-
-  /// Weight at (c, m, i*KW + j), for direct Eq. 1 verification.
-  [[nodiscard]] std::int32_t at(int c, int m, int flat_sc) const;
-
- private:
-  int kh_, kw_, c_, m_;
-  std::vector<std::vector<std::int32_t>> blocks_;  ///< [i*KW+j] -> CxM row-major
-};
 
 /// Smallest power-of-two fold such that the folded sub-crossbar count
 /// (sum over groups of ceil(group_size / fold)) fits `max_subcrossbars`.

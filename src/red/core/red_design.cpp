@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "red/common/contracts.h"
-#include "red/core/pixel_wise_mapping.h"
 #include "red/fault/inject.h"
 #include "red/core/schedule.h"
 #include "red/perf/mvm_kernel.h"
@@ -26,30 +25,33 @@ std::uint64_t group_salt(std::uint64_t salt, std::size_t gi) { return salt * 409
 // shared bitlines (vertical sum-up), C rows each, M logical columns. Group
 // gi draws its device variation with group_salt(salt, gi) (gi at salt 0, as
 // perturbed() does), so same-shaped groups and layers get independent masks.
-// Groups are independent: each of `threads` lanes builds a contiguous range
-// of them into its own vector, joined in group order, so every lane count
-// programs the same crossbars and one lane builds them in place. (Building
-// into per-group slots and moving them out instead made glibc trim and
-// re-fault the heap on every program: red-stream-exact's setup_s rose ~35%.)
+// Eq. (1): sub-crossbar (i, j) is the kernel's contiguous C x M block at tap
+// (i, j), so a group's rows are gathered straight from the kernel into one
+// buffer its lane reuses across groups. Groups are independent: each of
+// `threads` lanes builds a contiguous range of them into its own vector,
+// joined in group order, so every lane count programs the same crossbars
+// and one lane builds them in place. (Building into per-group slots and
+// moving them out instead made glibc trim and re-fault the heap on every
+// program: red-stream-exact's setup_s rose ~35%.)
 std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec,
                                                  const std::vector<ModeGroup>& groups,
                                                  const Tensor<std::int32_t>& kernel,
                                                  const xbar::QuantConfig& quant,
                                                  std::uint64_t salt, int threads) {
-  const SubCrossbarTensor sct(spec, kernel);
+  const std::size_t block = static_cast<std::size_t>(spec.c) * spec.m;
   const auto num_groups = std::ssize(groups);
   const std::int64_t chunks = perf::chunk_count(threads, num_groups);
   std::vector<std::vector<xbar::LogicalXbar>> parts(static_cast<std::size_t>(chunks));
   perf::parallel_chunks(chunks, num_groups, [&](std::int64_t t, std::int64_t g0, std::int64_t g1) {
     auto& part = parts[static_cast<std::size_t>(t)];
     part.reserve(static_cast<std::size_t>(g1 - g0));
+    std::vector<std::int32_t> w;
     for (std::int64_t gi = g0; gi < g1; ++gi) {
       const auto& g = groups[static_cast<std::size_t>(gi)];
-      std::vector<std::int32_t> w;
-      w.reserve(g.scs.size() * static_cast<std::size_t>(spec.c) * spec.m);
+      w.clear();
       for (const auto& sc : g.scs) {
-        const auto& blk = sct.sc_weights(sc);
-        w.insert(w.end(), blk.begin(), blk.end());
+        const std::int32_t* tap = kernel.data() + sc.flat(spec.kw) * block;
+        w.insert(w.end(), tap, tap + block);
       }
       part.emplace_back(static_cast<std::int64_t>(g.scs.size()) * spec.c, spec.m, w, quant,
                         group_salt(salt, static_cast<std::size_t>(gi)));

@@ -79,41 +79,6 @@ double trial_mean(const std::vector<FaultTrial>& trials, bool repaired,
   return sum / static_cast<double>(trials.size());
 }
 
-// The trial fan-out of both campaign drivers: a flat (grid point, trial)
-// index space over per-slot results, so the pool stays busy and aggregates
-// are bit-identical at any thread count. `trial_body(model, trial)` runs one
-// trial under its seeded model and fills both arms.
-template <typename Body>
-std::vector<FaultCampaignPoint> run_trials(const std::vector<FaultModel>& models,
-                                           const FaultCampaignOptions& opts, const char* span,
-                                           Body&& trial_body) {
-  std::vector<FaultCampaignPoint> points(models.size());
-  for (std::size_t g = 0; g < models.size(); ++g) {
-    points[g].model = models[g];
-    points[g].trials.resize(static_cast<std::size_t>(opts.trials));
-  }
-  const std::int64_t total = static_cast<std::int64_t>(models.size()) * opts.trials;
-  telemetry::ScopedSpan campaign_span(span, "fault");
-  if (auto* m = telemetry::metrics()) {
-    m->counter("fault.grid_points")->add(models.size());
-    m->counter("fault.trials")->add(static_cast<std::uint64_t>(total));
-  }
-  const std::int64_t chunks = perf::chunk_count(opts.threads, total);
-  perf::parallel_chunks(chunks, total, [&](std::int64_t, std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      telemetry::ScopedSpan trial_span("fault.trial", "fault");
-      const std::size_t g = static_cast<std::size_t>(i / opts.trials);
-      const std::int64_t t = i % opts.trials;
-      FaultModel trial_model = models[g];
-      trial_model.seed = opts.base_seed + static_cast<std::uint64_t>(t);
-      FaultTrial& trial = points[g].trials[static_cast<std::size_t>(t)];
-      trial.seed = trial_model.seed;
-      trial_body(trial_model, trial);
-    }
-  });
-  return points;
-}
-
 }  // namespace
 
 FaultScore score_output(const Tensor<std::int32_t>& oracle, const Tensor<std::int32_t>& out) {
@@ -148,49 +113,15 @@ std::vector<FaultCampaignPoint> run_fault_campaign(
     const std::vector<FaultModel>& models, const RepairPolicy& policy,
     const nn::DeconvLayerSpec& spec, const Tensor<std::int32_t>& input,
     const Tensor<std::int32_t>& kernel, const FaultCampaignOptions& opts) {
-  RED_EXPECTS(!models.empty());
-  RED_EXPECTS(opts.trials >= 1);
-  RED_EXPECTS(opts.threads >= 1);
-  for (const auto& m : models) m.validate();
-  policy.validate();
-
-  // Program the clean layer once: it is both the injection substrate and the
-  // fault-free oracle. Its group crossbars are built, and the oracle run, on
-  // opts.threads lanes before any trial starts; after that trials are the
-  // parallel axis, so every arm runs serially regardless of base_cfg.
-  arch::DesignConfig clean_cfg = base_cfg;
-  clean_cfg.quant.variation = {};
-  clean_cfg.fault = {};
-  clean_cfg.threads = opts.threads;
-  const auto design = core::make_design(kind, clean_cfg);
-  const auto programmed = design->program(spec, kernel);
-  if (programmed == nullptr)
-    throw ConfigError("design '" + design->name() +
-                      "' has no programmed fast path; fault campaigns need one");
-  const Tensor<std::int32_t> oracle = programmed->run(input);
-
-  // One draw per trial serves both arms. The arms run one after the other:
-  // build, run, score, drop, so a lane never holds two faulted layers.
-  const RepairPolicy arms[] = {RepairPolicy{}, policy};
-  const auto trial_body = [&](const FaultModel& model, FaultTrial& trial) {
-    const auto draws = programmed->draw_faults(model, arms);
-    const auto run_arm = [&](const RepairPolicy& pol, FaultTrialArm& arm) {
-      const auto layer = programmed->repaired(draws, pol, &arm.repair, /*threads=*/1);
-      const Tensor<std::int32_t> out = layer->run(input, &arm.stats);
-      arm.variation = layer->variation_stats();
-      arm.score = score_output(oracle, out);
-    };
-    run_arm(arms[0], trial.unrepaired);
-    run_arm(arms[1], trial.repaired);
-  };
-  return run_trials(models, opts, "fault.campaign", trial_body);
+  return run_fault_campaign_stack(kind, base_cfg, models, policy, {spec}, {&kernel, 1}, {input},
+                                  opts);
 }
 
 std::vector<FaultCampaignPoint> run_fault_campaign_stack(
     core::DesignKind kind, const arch::DesignConfig& base_cfg,
     const std::vector<FaultModel>& models, const RepairPolicy& policy,
     const std::vector<nn::DeconvLayerSpec>& stack,
-    const std::vector<Tensor<std::int32_t>>& kernels,
+    std::span<const Tensor<std::int32_t>> kernels,
     const std::vector<Tensor<std::int32_t>>& images, const FaultCampaignOptions& opts) {
   RED_EXPECTS(!models.empty());
   RED_EXPECTS(!images.empty());
@@ -199,33 +130,65 @@ std::vector<FaultCampaignPoint> run_fault_campaign_stack(
   for (const auto& m : models) m.validate();
   policy.validate();
 
+  // Program the clean stack once: it is both the injection substrate and the
+  // fault-free oracle. Its group crossbars are built, and the oracle run, on
+  // opts.threads lanes before any trial starts; after that trials are the
+  // parallel axis, so every arm runs on one lane (StreamingExecutor::repaired).
   arch::DesignConfig clean_cfg = base_cfg;
   clean_cfg.quant.variation = {};
   clean_cfg.fault = {};
-  clean_cfg.threads = 1;
+  clean_cfg.threads = opts.threads;
   const sim::StreamingExecutor clean(kind, clean_cfg, stack, kernels);
-  // draw_faults() throws ConfigError when any stage lacks the programmed path.
+  if (!clean.programmed_fast_path())
+    throw ConfigError("design '" + clean.design_name() +
+                      "' has no programmed fast path; fault campaigns need one");
   const sim::StreamingOptions run_opts{/*threads=*/1, /*check=*/false};
-  const auto oracle = clean.stream_layer_major(images, run_opts);
+  const auto oracle = clean.stream(images, run_opts);
 
+  std::vector<FaultCampaignPoint> points(models.size());
+  for (std::size_t g = 0; g < models.size(); ++g) {
+    points[g].model = models[g];
+    points[g].trials.resize(static_cast<std::size_t>(opts.trials));
+  }
+  const std::int64_t total = static_cast<std::int64_t>(models.size()) * opts.trials;
+  telemetry::ScopedSpan campaign_span("fault.campaign", "fault");
+  if (auto* m = telemetry::metrics()) {
+    m->counter("fault.grid_points")->add(models.size());
+    m->counter("fault.trials")->add(static_cast<std::uint64_t>(total));
+  }
+  // A flat (grid point, trial) index space over per-slot results, so the
+  // pool stays busy and aggregates are bit-identical at any thread count.
+  // One draw per trial serves both arms. The arms run one after the other:
+  // build, stream, score, drop, so a lane never holds two faulted stacks.
   const RepairPolicy arms[] = {RepairPolicy{}, policy};
-  const auto trial_body = [&](const FaultModel& model, FaultTrial& trial) {
-    const auto draws = clean.draw_faults(model, arms);
-    const auto run_arm = [&](const RepairPolicy& pol, FaultTrialArm& arm) {
-      std::vector<RepairReport> reports;
-      const auto faulted = clean.repaired(draws, pol, &reports);
-      for (const auto& rep : reports) arm.repair += rep;
-      const auto batch = faulted->stream_layer_major(images, run_opts);
-      arm.stats = batch.total;
-      ScoreAccum acc;
-      for (std::size_t k = 0; k < images.size(); ++k)
-        acc.add(oracle.images[k].output, batch.images[k].output);
-      arm.score = acc.finalize();
-    };
-    run_arm(arms[0], trial.unrepaired);
-    run_arm(arms[1], trial.repaired);
-  };
-  return run_trials(models, opts, "fault.campaign_stack", trial_body);
+  const std::int64_t chunks = perf::chunk_count(opts.threads, total);
+  perf::parallel_chunks(chunks, total, [&](std::int64_t, std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      telemetry::ScopedSpan trial_span("fault.trial", "fault");
+      const std::size_t g = static_cast<std::size_t>(i / opts.trials);
+      const std::int64_t t = i % opts.trials;
+      FaultModel model = models[g];
+      model.seed = opts.base_seed + static_cast<std::uint64_t>(t);
+      FaultTrial& trial = points[g].trials[static_cast<std::size_t>(t)];
+      trial.seed = model.seed;
+      const auto draws = clean.draw_faults(model, arms);
+      const auto run_arm = [&](const RepairPolicy& pol, FaultTrialArm& arm) {
+        std::vector<RepairReport> reports;
+        const auto faulted = clean.repaired(draws, pol, &reports);
+        for (const auto& rep : reports) arm.repair += rep;
+        const auto batch = faulted->stream(images, run_opts);
+        arm.stats = batch.total;
+        arm.variation = faulted->variation_stats();
+        ScoreAccum acc;
+        for (std::size_t k = 0; k < images.size(); ++k)
+          acc.add(oracle.images[k].output, batch.images[k].output);
+        arm.score = acc.finalize();
+      };
+      run_arm(arms[0], trial.unrepaired);
+      run_arm(arms[1], trial.repaired);
+    }
+  });
+  return points;
 }
 
 }  // namespace red::fault

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "red/arch/design.h"
@@ -74,32 +75,33 @@ struct FaultCampaignPoint {
 struct FaultCampaignOptions {
   int trials = 3;
   std::uint64_t base_seed = 1;  ///< trial t draws with seed base_seed + t
-  int threads = 1;              ///< trial fan-out lanes (results invariant)
+  /// Lanes for the clean stack's programming and oracle run, then for the
+  /// trial fan-out (results invariant).
+  int threads = 1;
 };
 
-/// Sweep `models` x trials over one layer. The clean layer is programmed
-/// once on opts.threads lanes (variation and fault config cleared) and
-/// doubles as the oracle; each trial draws its faults once
-/// (ProgrammedLayer::draw_faults) and builds, runs and drops its two arms
-/// from that draw in turn (ProgrammedLayer::repaired), each on one lane.
+/// Sweep `models` x trials over a deconvolution stack — the one campaign
+/// driver. The clean stack is programmed once into a sim::StreamingExecutor
+/// on opts.threads lanes (variation and fault config cleared), and its
+/// stream() of `images` on those lanes is the oracle. Each trial draws its
+/// faults once per stage (StreamingExecutor::draw_faults, stage index =
+/// salt) and builds, streams and drops its two arms' faulted sibling
+/// executors (StreamingExecutor::repaired) in turn, each on one lane. Scores
+/// aggregate the exact pixel errors across every image's final output.
 /// Throws ConfigError when the design has no programmed fast path.
+[[nodiscard]] std::vector<FaultCampaignPoint> run_fault_campaign_stack(
+    core::DesignKind kind, const arch::DesignConfig& base_cfg,
+    const std::vector<FaultModel>& models, const RepairPolicy& policy,
+    const std::vector<nn::DeconvLayerSpec>& stack,
+    std::span<const Tensor<std::int32_t>> kernels,
+    const std::vector<Tensor<std::int32_t>>& images, const FaultCampaignOptions& opts = {});
+
+/// The single-layer campaign: run_fault_campaign_stack over the one-stage
+/// stack {spec} and the one image `input`.
 [[nodiscard]] std::vector<FaultCampaignPoint> run_fault_campaign(
     core::DesignKind kind, const arch::DesignConfig& base_cfg,
     const std::vector<FaultModel>& models, const RepairPolicy& policy,
     const nn::DeconvLayerSpec& spec, const Tensor<std::int32_t>& input,
     const Tensor<std::int32_t>& kernel, const FaultCampaignOptions& opts = {});
-
-/// Whole-stack variant: the clean stack is programmed once into a
-/// StreamingExecutor, each trial draws once per stage and streams `images`
-/// through each arm's faulted sibling executor (per-stage salts), and scores
-/// aggregate the exact pixel errors across every image's final output. Same
-/// determinism and oracle contracts.
-[[nodiscard]] std::vector<FaultCampaignPoint> run_fault_campaign_stack(
-    core::DesignKind kind, const arch::DesignConfig& base_cfg,
-    const std::vector<FaultModel>& models, const RepairPolicy& policy,
-    const std::vector<nn::DeconvLayerSpec>& stack,
-    const std::vector<Tensor<std::int32_t>>& kernels,
-    const std::vector<Tensor<std::int32_t>>& images,
-    const FaultCampaignOptions& opts = {});
 
 }  // namespace red::fault

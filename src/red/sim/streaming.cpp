@@ -79,19 +79,19 @@ Tensor<std::int32_t> requantize_activations(const Tensor<std::int32_t>& t, int a
 
 StreamingExecutor::StreamingExecutor(core::DesignKind kind, const arch::DesignConfig& cfg,
                                      std::vector<nn::DeconvLayerSpec> stack,
-                                     std::vector<Tensor<std::int32_t>> kernels)
-    : StreamingExecutor(plan::plan_stack(kind, stack, cfg), std::move(kernels)) {}
+                                     std::span<const Tensor<std::int32_t>> kernels)
+    : StreamingExecutor(plan::plan_stack(kind, stack, cfg), kernels) {}
 
 StreamingExecutor::StreamingExecutor(plan::StackPlan stack_plan,
-                                     std::vector<Tensor<std::int32_t>> kernels)
-    : plan_(std::move(stack_plan)), kernels_(std::move(kernels)) {
+                                     std::span<const Tensor<std::int32_t>> kernels)
+    : plan_(std::move(stack_plan)) {
   stack_.reserve(plan_.layers.size());
   for (const auto& lp : plan_.layers) stack_.push_back(lp.spec);
   RED_EXPECTS_MSG(!stack_.empty(), "streaming stack must have at least one stage");
-  RED_EXPECTS_MSG(stack_.size() == kernels_.size(), "one kernel per stage");
+  RED_EXPECTS_MSG(stack_.size() == kernels.size(), "one kernel per stage");
   workloads::validate_stack(stack_);
   for (std::size_t i = 0; i < stack_.size(); ++i)
-    RED_EXPECTS_MSG(kernels_[i].shape() == stack_[i].kernel_shape(),
+    RED_EXPECTS_MSG(kernels[i].shape() == stack_[i].kernel_shape(),
                     "kernel shape must match its stage's layer spec");
 
   design_ = core::make_design(plan_.kind, plan_.cfg);
@@ -100,10 +100,15 @@ StreamingExecutor::StreamingExecutor(plan::StackPlan stack_plan,
   // Pay-once programming, consuming each stage's compiled plan. A
   // variation-enabled config programs its perturbed cells here, once: the
   // fixed seed would draw the same cells on every image anyway. Stage i
-  // draws with salt i, as faulted() does, so layers get independent masks.
+  // draws with salt i, as draw_faults() does, so layers get independent
+  // masks. Only a stage without a programmed layer keeps its kernel.
   programmed_.resize(stack_.size());
-  for (std::size_t i = 0; i < stack_.size(); ++i)
-    programmed_[i] = design_->program(plan_.layers[i], kernels_[i], /*variation_salt=*/i);
+  for (std::size_t i = 0; i < stack_.size(); ++i) {
+    programmed_[i] = design_->program(plan_.layers[i], kernels[i], /*variation_salt=*/i);
+    if (programmed_[i] != nullptr) continue;
+    kernels_.resize(stack_.size());
+    kernels_[i] = kernels[i];
+  }
   programmed_fast_path_ =
       std::all_of(programmed_.begin(), programmed_.end(),
                   [](const auto& p) { return p != nullptr; });
@@ -129,29 +134,28 @@ std::unique_ptr<StreamingExecutor> StreamingExecutor::repaired(
   RED_EXPECTS_MSG(programmed_fast_path_ && draws.size() == programmed_.size(),
                   "one fault draw per programmed stage");
   // Private default ctor: clone the compiled plan and stack, then swap every
-  // programmed stage for its faulted sibling. design_ is rebuilt (Designs are
-  // non-copyable) but never reprograms — execution goes through programmed_.
+  // programmed stage for its faulted sibling. design_ and kernels_ stay
+  // empty: no stage falls back to Design::run.
   std::unique_ptr<StreamingExecutor> out(new StreamingExecutor());
   out->plan_ = plan_;
   out->stack_ = stack_;
-  out->kernels_ = kernels_;
-  out->design_ = core::make_design(plan_.kind, plan_.cfg);
   out->design_name_ = design_name_;
   out->programmed_.resize(programmed_.size());
   if (reports != nullptr) reports->assign(programmed_.size(), {});
   for (std::size_t i = 0; i < programmed_.size(); ++i) {
     fault::RepairReport rep;
-    out->programmed_[i] = programmed_[i]->repaired(draws[i], policy, &rep);
+    out->programmed_[i] = programmed_[i]->repaired(draws[i], policy, &rep, /*threads=*/1);
     if (reports != nullptr) (*reports)[i] = rep;
   }
   out->programmed_fast_path_ = true;
   return out;
 }
 
-std::unique_ptr<StreamingExecutor> StreamingExecutor::faulted(
-    const fault::FaultModel& model, const fault::RepairPolicy& policy,
-    std::vector<fault::RepairReport>* reports) const {
-  return repaired(draw_faults(model, {&policy, 1}), policy, reports);
+xbar::VariationStats StreamingExecutor::variation_stats() const {
+  xbar::VariationStats total;
+  for (const auto& p : programmed_)
+    if (p != nullptr) total += p->variation_stats();
+  return total;
 }
 
 const arch::LayerActivity& StreamingExecutor::predicted(std::size_t stage) const {
@@ -255,59 +259,6 @@ StreamingBatchResult StreamingExecutor::stream(const std::vector<Tensor<std::int
         wave_in[static_cast<std::size_t>(i + 1)] =
             std::move(staged[static_cast<std::size_t>(i + 1)]);
     result.wave_ms.push_back(ms_since(t_wave));
-  }
-
-  for (auto& img : result.images) {
-    for (const auto& s : img.layer_stats) img.total += s;
-    result.total += img.total;
-  }
-  result.wall_ms = ms_since(t_start);
-  return result;
-}
-
-StreamingBatchResult StreamingExecutor::stream_layer_major(
-    const std::vector<Tensor<std::int32_t>>& images, const StreamingOptions& opts) const {
-  RED_EXPECTS(opts.threads >= 1);
-  const std::size_t depth = stack_.size();
-  const std::size_t n = images.size();
-
-  StreamingBatchResult result;
-  result.design_name = design_name_;
-  result.depth = depth;
-  result.programmed_fast_path = programmed_fast_path_;
-  result.images.resize(n);
-  for (auto& img : result.images) img.layer_stats.resize(depth);
-  if (n == 0) return result;
-
-  const auto t_start = Clock::now();
-  std::vector<Tensor<std::int32_t>> current;  // stage input batch (stage > 0)
-  for (std::size_t i = 0; i < depth; ++i) {
-    telemetry::ScopedSpan stage_span(stage_span_name(i), "sim");
-    const std::span<const Tensor<std::int32_t>> ins =
-        i == 0 ? std::span<const Tensor<std::int32_t>>(images)
-               : std::span<const Tensor<std::int32_t>>(current);
-    std::vector<arch::RunStats> stage_stats;
-    std::vector<Tensor<std::int32_t>> outs;
-    if (programmed_[i] != nullptr) {
-      outs = programmed_[i]->run_batch(ins, &stage_stats);
-    } else {
-      stage_stats.assign(n, {});
-      outs.reserve(n);
-      for (std::size_t k = 0; k < n; ++k)
-        outs.push_back(design_->run(stack_[i], ins[k], kernels_[i], &stage_stats[k]));
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      if (opts.check) check_stage(i, ins[k], stage_stats[k], static_cast<std::int64_t>(k));
-      result.images[k].layer_stats[i] = stage_stats[k];
-    }
-    if (i + 1 < depth) {
-      std::vector<Tensor<std::int32_t>> next(n);
-      for (std::size_t k = 0; k < n; ++k)
-        next[k] = requantize_activations(outs[k], plan_.cfg.quant.abits);
-      current = std::move(next);
-    } else {
-      for (std::size_t k = 0; k < n; ++k) result.images[k].output = std::move(outs[k]);
-    }
   }
 
   for (auto& img : result.images) {

@@ -19,6 +19,8 @@
 // are reduced in image-then-stage order after the run, so outputs and
 // accumulated RunStats are bit-identical to N independent per-image
 // simulate_network() walks of the same chained inputs, for any thread count.
+// Fault campaigns (red/fault/campaign.h) stream through faulted sibling
+// executors on this same schedule.
 // Wall-clock wave timings are recorded for throughput reporting and are the
 // only non-deterministic output.
 #pragma once
@@ -66,9 +68,8 @@ struct StreamingBatchResult {
   /// a programmed layer.
   bool programmed_fast_path = false;
 
-  /// Wall-clock duration of each wavefront (pipelined schedule only; empty
-  /// for the layer-major schedule). Non-deterministic, unlike every tensor
-  /// and RunStats above.
+  /// Wall-clock duration of each wavefront. Non-deterministic, unlike every
+  /// tensor and RunStats above.
   std::vector<double> wave_ms;
   double wall_ms = 0.0;  ///< wall-clock of the whole batch
 
@@ -96,20 +97,21 @@ class StreamingExecutor {
   /// The stack must chain (workloads::validate_stack) and kernels[i] must
   /// have stack[i]'s kernel shape. Zero-padding and RED stages are always
   /// programmed once — a variation-enabled config included, whose fixed seed
-  /// draws the same perturbed cells Design::run would on every image.
-  /// Padding-free has no programmed layer (see arch/design.h) and runs
-  /// Design::run per image — same results, no pay-once amortization.
+  /// draws the same perturbed cells Design::run would on every image — and
+  /// keep no copy of their kernel. Padding-free has no programmed layer (see
+  /// arch/design.h): it keeps its kernels and runs Design::run per image —
+  /// same results, no pay-once amortization.
   /// Convenience wrapper: compiles the stack plan and delegates to the
   /// plan-consuming constructor.
   StreamingExecutor(core::DesignKind kind, const arch::DesignConfig& cfg,
                     std::vector<nn::DeconvLayerSpec> stack,
-                    std::vector<Tensor<std::int32_t>> kernels);
+                    std::span<const Tensor<std::int32_t>> kernels);
 
   /// Construct from an already-compiled stack plan: every stage's predicted
   /// activity comes from its LayerPlan and programming consumes the plan's
   /// mapping decisions (RED's fold and mode groups) without re-deriving
   /// them. Bit-identical behavior to the spec-taking constructor.
-  StreamingExecutor(plan::StackPlan stack_plan, std::vector<Tensor<std::int32_t>> kernels);
+  StreamingExecutor(plan::StackPlan stack_plan, std::span<const Tensor<std::int32_t>> kernels);
   ~StreamingExecutor();
 
   StreamingExecutor(const StreamingExecutor&) = delete;
@@ -127,20 +129,11 @@ class StreamingExecutor {
   /// Drive `images` through the stack on the pipelined wavefront schedule.
   /// images[k] must have stack[0]'s input shape. Deterministic: outputs and
   /// RunStats are bit-identical for any opts.threads, and identical to
-  /// stream_layer_major() and to per-image simulate_network() over the same
-  /// chained inputs. On a consistency failure (opts.check) the first failing
-  /// cell in wave-then-stage order is reported; later waves are skipped.
+  /// per-image simulate_network() over the same chained inputs. On a
+  /// consistency failure (opts.check) the first failing cell in
+  /// wave-then-stage order is reported; later waves are skipped.
   [[nodiscard]] StreamingBatchResult stream(const std::vector<Tensor<std::int32_t>>& images,
                                             const StreamingOptions& opts = {}) const;
-
-  /// Same results on the layer-major schedule: the whole batch crosses stage
-  /// 0 (one ProgrammedLayer::run_batch call), is requantized, then crosses
-  /// stage 1, and so on. Higher steady-state buffer footprint (N activation
-  /// tensors live between stages), no pipelining — the baseline schedule
-  /// bench_pipeline compares the wavefront against.
-  [[nodiscard]] StreamingBatchResult stream_layer_major(
-      const std::vector<Tensor<std::int32_t>>& images,
-      const StreamingOptions& opts = {}) const;
 
   /// One trial's fault draw on every programmed stage
   /// (ProgrammedLayer::draw_faults, stage index = fault salt, so stacked
@@ -153,19 +146,17 @@ class StreamingExecutor {
 
   /// Faulted sibling executor: every programmed stage is replaced by its
   /// ProgrammedLayer::repaired() copy from `draws` (this executor's
-  /// draw_faults(), covering `policy`). When `reports` is non-null it
+  /// draw_faults(), covering `policy`), running on one lane — campaigns
+  /// run their trials in parallel instead. When `reports` is non-null it
   /// receives one RepairReport per stage. The clean executor stays
   /// untouched and usable as the oracle.
   [[nodiscard]] std::unique_ptr<StreamingExecutor> repaired(
       const std::vector<std::vector<fault::FaultDraw>>& draws, const fault::RepairPolicy& policy,
       std::vector<fault::RepairReport>* reports = nullptr) const;
 
-  /// Faulted sibling executor: draw_faults() for `policy` alone, then
-  /// repaired(). Deterministic in model.seed and thread-invariant, like the
-  /// injection itself.
-  [[nodiscard]] std::unique_ptr<StreamingExecutor> faulted(
-      const fault::FaultModel& model, const fault::RepairPolicy& policy,
-      std::vector<fault::RepairReport>* reports = nullptr) const;
+  /// What device variation and fault repair did to every programmed stage's
+  /// crossbars (ProgrammedLayer::variation_stats, summed in stage order).
+  [[nodiscard]] xbar::VariationStats variation_stats() const;
 
  private:
   StreamingExecutor() = default;  ///< shell for repaired() to fill in
@@ -184,8 +175,8 @@ class StreamingExecutor {
 
   plan::StackPlan plan_;  ///< owns the config (plan_.cfg) and per-stage plans
   std::vector<nn::DeconvLayerSpec> stack_;  ///< per-stage specs, for the stack() API
-  std::vector<Tensor<std::int32_t>> kernels_;
-  std::unique_ptr<arch::Design> design_;
+  std::vector<Tensor<std::int32_t>> kernels_;  ///< kept only for a PF fallback
+  std::unique_ptr<arch::Design> design_;  ///< null in a repaired() sibling
   std::string design_name_;
   std::vector<std::unique_ptr<arch::ProgrammedLayer>> programmed_;  ///< null = PF fallback
   bool programmed_fast_path_ = false;

@@ -49,6 +49,8 @@ expect 4 trace --layer bogus_layer_name
 expect 4 export --format bogus
 expect 4 faults --rates 0,2
 expect 4 faults --trials 0
+# Padding-free has no programmed layer to hold a fault mask.
+expect 4 faults --design pf
 
 expect 4 conv --ih 0
 expect 4 layer --ih notanumber

@@ -729,37 +729,67 @@ TEST_F(FaultCampaignTest, ZeroRateIsOracleExactAndRepairNeverHurts) {
 }
 
 TEST_F(FaultCampaignTest, ThreadCountDoesNotChangeAnyScore) {
-  // The lanes build the clean layer, run the oracle and fan out the trials:
-  // every score, report and run stat is the same at 1, 2 and 4 lanes.
+  // The lanes build the clean layer or stack, run the oracle and fan out the
+  // trials: every score, report and run stat is the same at 1, 2 and 4 lanes,
+  // for the single-layer and the whole-stack entry point alike.
+  const auto stack = workloads::sngan_generator(64);
+  const auto kernels = workloads::make_stack_kernels(stack, 11);
+  const auto images = workloads::make_input_batch(stack[0], 2, 21);
   for (const auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed}) {
-    FaultCampaignOptions serial;
-    serial.trials = 3;
-    const auto a = run_fault_campaign(kind, arch::DesignConfig{}, models(), policy(), spec_,
-                                      input_, kernel_, serial);
-    for (const int lanes : {2, 4}) {
-      FaultCampaignOptions wide = serial;
-      wide.threads = lanes;
-      const auto b = run_fault_campaign(kind, arch::DesignConfig{}, models(), policy(), spec_,
-                                        input_, kernel_, wide);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].trials.size(), b[i].trials.size());
-        for (std::size_t t = 0; t < a[i].trials.size(); ++t)
-          for (const bool repaired : {false, true}) {
-            const auto& x = repaired ? a[i].trials[t].repaired : a[i].trials[t].unrepaired;
-            const auto& y = repaired ? b[i].trials[t].repaired : b[i].trials[t].unrepaired;
-            const std::string what = "lanes=" + std::to_string(lanes) + " point " +
-                                     std::to_string(i) + " trial " + std::to_string(t);
-            EXPECT_EQ(x.score.mse, y.score.mse) << what;
-            EXPECT_EQ(x.score.bit_errors, y.score.bit_errors) << what;
-            EXPECT_EQ(x.stats, y.stats) << what;
-            EXPECT_EQ(x.repair.rows_remapped, y.repair.rows_remapped) << what;
-            EXPECT_EQ(x.repair.drifted_cells, y.repair.drifted_cells) << what;
-            EXPECT_EQ(x.variation.perturbed_cells, y.variation.perturbed_cells) << what;
-          }
+    for (const bool whole_stack : {false, true}) {
+      const auto run = [&](int lanes) {
+        FaultCampaignOptions opts;
+        opts.trials = 3;
+        opts.threads = lanes;
+        return whole_stack ? run_fault_campaign_stack(kind, arch::DesignConfig{}, models(),
+                                                      policy(), stack, kernels, images, opts)
+                           : run_fault_campaign(kind, arch::DesignConfig{}, models(), policy(),
+                                                spec_, input_, kernel_, opts);
+      };
+      const auto a = run(1);
+      for (const int lanes : {2, 4}) {
+        const auto b = run(lanes);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i].trials.size(), b[i].trials.size());
+          for (std::size_t t = 0; t < a[i].trials.size(); ++t)
+            for (const bool repaired : {false, true}) {
+              const auto& x = repaired ? a[i].trials[t].repaired : a[i].trials[t].unrepaired;
+              const auto& y = repaired ? b[i].trials[t].repaired : b[i].trials[t].unrepaired;
+              const std::string what = std::string(whole_stack ? "stack" : "layer") +
+                                       " lanes=" + std::to_string(lanes) + " point " +
+                                       std::to_string(i) + " trial " + std::to_string(t);
+              EXPECT_EQ(x.score.mse, y.score.mse) << what;
+              EXPECT_EQ(x.score.bit_errors, y.score.bit_errors) << what;
+              EXPECT_EQ(x.stats, y.stats) << what;
+              EXPECT_EQ(x.repair.rows_remapped, y.repair.rows_remapped) << what;
+              EXPECT_EQ(x.repair.drifted_cells, y.repair.drifted_cells) << what;
+              EXPECT_EQ(x.variation.perturbed_cells, y.variation.perturbed_cells) << what;
+            }
+        }
       }
     }
   }
+}
+
+TEST_F(FaultCampaignTest, DesignWithoutProgrammedLayerIsRefusedUpFront) {
+  // Padding-free reprograms per image, so it cannot hold a fault mask: both
+  // entry points throw ConfigError before the oracle or any trial runs.
+  const auto stack = workloads::sngan_generator(64);
+  const auto kernels = workloads::make_stack_kernels(stack, 11);
+  const auto images = workloads::make_input_batch(stack[0], 1, 21);
+  telemetry::MetricsRegistry registry;
+  telemetry::install_metrics(&registry);
+  EXPECT_THROW((void)run_fault_campaign(core::DesignKind::kPaddingFree, arch::DesignConfig{},
+                                        models(), policy(), spec_, input_, kernel_),
+               ConfigError);
+  EXPECT_THROW((void)run_fault_campaign_stack(core::DesignKind::kPaddingFree,
+                                              arch::DesignConfig{}, models(), policy(), stack,
+                                              kernels, images),
+               ConfigError);
+  telemetry::install_metrics(nullptr);
+  EXPECT_EQ(registry.counter("fault.trials")->value(), 0u);
+  EXPECT_EQ(registry.counter("streaming.cells")->value(), 0u);
 }
 
 TEST_F(FaultCampaignTest, TrialsDrawIndependentMasks) {
@@ -783,11 +813,14 @@ TEST(FaultStreaming, FaultedExecutorIsDeterministicAndZeroModelExact) {
                                      kernels);
   sim::StreamingOptions run_opts;
   run_opts.check = false;
-  const auto oracle = clean.stream_layer_major(images, run_opts);
+  const auto oracle = clean.stream(images, run_opts);
+  const RepairPolicy bare;
+  const auto faulted = [&](const FaultModel& m, std::vector<RepairReport>* reports = nullptr) {
+    return clean.repaired(clean.draw_faults(m, {&bare, 1}), bare, reports);
+  };
 
   // Zero model: the faulted sibling is the oracle, bit for bit.
-  const auto exact = clean.faulted(FaultModel{}, RepairPolicy{});
-  const auto exact_out = exact->stream_layer_major(images, run_opts);
+  const auto exact_out = faulted(FaultModel{})->stream(images, run_opts);
   for (std::size_t k = 0; k < images.size(); ++k)
     EXPECT_EQ(first_mismatch(oracle.images[k].output, exact_out.images[k].output), "");
 
@@ -797,10 +830,8 @@ TEST(FaultStreaming, FaultedExecutorIsDeterministicAndZeroModelExact) {
   m.sa0_rate = m.sa1_rate = 0.02;
   m.seed = 9;
   std::vector<RepairReport> reports;
-  const auto f1 = clean.faulted(m, RepairPolicy{}, &reports);
-  const auto f2 = clean.faulted(m, RepairPolicy{});
-  const auto o1 = f1->stream_layer_major(images, run_opts);
-  const auto o2 = f2->stream_layer_major(images, run_opts);
+  const auto o1 = faulted(m, &reports)->stream(images, run_opts);
+  const auto o2 = faulted(m)->stream(images, run_opts);
   ASSERT_EQ(reports.size(), stack.size());
   for (const auto& rep : reports) EXPECT_GT(rep.stuck_cells, 0);
   for (std::size_t k = 0; k < images.size(); ++k)
@@ -841,6 +872,45 @@ TEST(FaultStreaming, StackCampaignHonorsTheSameGates) {
   }
   for (const auto& p : points) EXPECT_TRUE(p.repaired_not_worse());
   EXPECT_GT(points[1].mean_mse(false), 0.0);
+}
+
+TEST(FaultStreaming, StackCampaignReportsVariation) {
+  // Each arm carries its faulted stack's cell counters: the sum of every
+  // stage's repaired layer's variation_stats() from the same draw.
+  const auto kind = core::DesignKind::kRed;
+  const auto stack = workloads::sngan_generator(64);
+  const auto kernels = workloads::make_stack_kernels(stack, 11);
+  const auto images = workloads::make_input_batch(stack[0], 1, 21);
+  FaultModel stuck;
+  stuck.sa0_rate = stuck.sa1_rate = 0.01;
+  RepairPolicy pol;
+  pol.spare_rows = 2;
+  pol.spare_cols = 2;
+  FaultCampaignOptions opts;
+  opts.trials = 2;
+  opts.base_seed = 5;
+  const auto points = run_fault_campaign_stack(kind, arch::DesignConfig{}, {stuck}, pol, stack,
+                                               kernels, images, opts);
+  ASSERT_EQ(points.size(), 1u);
+
+  const auto design = core::make_design(kind, arch::DesignConfig{});
+  const auto plan = plan::plan_stack(kind, stack, arch::DesignConfig{});
+  const RepairPolicy arms[] = {RepairPolicy{}, pol};
+  for (const auto& trial : points[0].trials) {
+    FaultModel m = stuck;
+    m.seed = trial.seed;
+    xbar::VariationStats expected[2];
+    for (std::size_t i = 0; i < stack.size(); ++i) {
+      const auto layer = design->program(plan.layers[i], kernels[i], /*variation_salt=*/i);
+      const auto draws = layer->draw_faults(m, arms, /*salt=*/i);
+      for (std::size_t a = 0; a < 2; ++a)
+        expected[a] += layer->repaired(draws, arms[a])->variation_stats();
+    }
+    const std::string what = "fault seed " + std::to_string(trial.seed);
+    EXPECT_GT(trial.unrepaired.variation.stuck_cells, 0) << what;
+    EXPECT_EQ(trial.unrepaired.variation, expected[0]) << what;
+    EXPECT_EQ(trial.repaired.variation, expected[1]) << what;
+  }
 }
 
 TEST(FaultOpt, SpareLinesAxisMaterializesIntoRepairBudget) {

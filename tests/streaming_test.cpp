@@ -91,8 +91,8 @@ TEST(Streaming, DeterministicForAnyThreadCountAndSchedule) {
   serial.threads = 1;
   const auto reference = executor.stream(images, serial);
 
-  // Wave lanes, nested stage tiling (cfg.threads), and the layer-major
-  // schedule must all reproduce the serial walk bit-exactly.
+  // Wave lanes and nested stage tiling (cfg.threads) must reproduce the
+  // serial walk bit-exactly.
   std::vector<StreamingBatchResult> candidates;
   for (int threads : {2, 8}) {
     StreamingOptions opts;
@@ -105,7 +105,6 @@ TEST(Streaming, DeterministicForAnyThreadCountAndSchedule) {
   StreamingOptions nested;
   nested.threads = 2;
   candidates.push_back(tiled.stream(images, nested));
-  candidates.push_back(executor.stream_layer_major(images, nested));
 
   for (const auto& result : candidates) {
     ASSERT_EQ(result.images.size(), reference.images.size());
@@ -132,7 +131,8 @@ TEST(Streaming, VariationStagesDrawIndependentMasks) {
     arch::DesignConfig cfg;
     cfg.quant.variation.level_sigma = 0.4;
     cfg.quant.variation.seed = 3;
-    const StreamingExecutor executor(kind, cfg, stack, {kernel, kernel});
+    const std::vector<Tensor<std::int32_t>> kernels = {kernel, kernel};
+    const StreamingExecutor executor(kind, cfg, stack, kernels);
     const auto streamed = executor.stream({image}).images.at(0).output;
 
     const auto design = core::make_design(kind, cfg);
@@ -170,32 +170,6 @@ TEST(Streaming, RequantizeClampsReluAndFitsAbits) {
   // Already in range: identity on non-negative values.
   const auto identity = requantize_activations(q8, 8);
   EXPECT_EQ(first_mismatch(identity, q8), "");
-}
-
-TEST(ProgrammedLayer, RunBatchMatchesSequentialRuns) {
-  const nn::DeconvLayerSpec spec{"batch_probe", 6, 6, 8, 4, 4, 4, 2, 1, 0};
-  Rng rng(9);
-  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
-  std::vector<Tensor<std::int32_t>> inputs;
-  for (int k = 0; k < 3; ++k) {
-    Rng irng(50 + static_cast<std::uint64_t>(k));
-    inputs.push_back(workloads::make_input(spec, irng, 0, 7));
-  }
-  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed}) {
-    const auto design = core::make_design(kind);
-    const auto programmed = design->program(spec, kernel);
-    ASSERT_NE(programmed, nullptr);
-    std::vector<arch::RunStats> batch_stats;
-    const auto outputs = programmed->run_batch(inputs, &batch_stats);
-    ASSERT_EQ(outputs.size(), inputs.size());
-    ASSERT_EQ(batch_stats.size(), inputs.size());
-    for (std::size_t k = 0; k < inputs.size(); ++k) {
-      arch::RunStats single;
-      const auto expected = programmed->run(inputs[k], &single);
-      EXPECT_EQ(first_mismatch(expected, outputs[k]), "") << design->name() << " image " << k;
-      EXPECT_EQ(batch_stats[k], single) << design->name() << " image " << k;
-    }
-  }
 }
 
 // ---- ThreadPool under the streaming workload shapes ------------------------
