@@ -352,11 +352,10 @@ void BM_InjectFaults(benchmark::State& state, int arm) {
   Rng rng(1);
   const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
   const auto groups = core::compute_mode_groups(spec);
-  const std::size_t block = static_cast<std::size_t>(spec.c) * spec.m;
   std::vector<std::int32_t> w;
   for (const auto& sc : groups.front().scs) {
-    const std::int32_t* tap = kernel.data() + sc.flat(spec.kw) * block;
-    w.insert(w.end(), tap, tap + block);
+    const auto blk = core::sc_block(spec, kernel, sc);
+    w.insert(w.end(), blk.begin(), blk.end());
   }
   const xbar::LogicalXbar clean(std::ssize(groups.front().scs) * spec.c, spec.m, w, {});
   fault::FaultModel model = fault_repair_model();

@@ -5,6 +5,13 @@
 
 namespace red::core {
 
+std::span<const std::int32_t> sc_block(const nn::DeconvLayerSpec& spec,
+                                       const Tensor<std::int32_t>& kernel, ScCoord sc) {
+  RED_EXPECTS_MSG(kernel.shape() == spec.kernel_shape(), "kernel shape mismatch");
+  RED_EXPECTS(sc.i >= 0 && sc.i < spec.kh && sc.j >= 0 && sc.j < spec.kw);
+  return {kernel.ptr(sc.i, sc.j), static_cast<std::size_t>(spec.c) * spec.m};
+}
+
 std::int64_t folded_sc_count(const std::vector<ModeGroup>& groups, int fold) {
   RED_EXPECTS(fold >= 1);
   std::int64_t n = 0;

@@ -3,19 +3,28 @@
 // The KHxKWxCxM kernel becomes a sub-crossbar tensor SCT of shape
 // C x M x (KH*KW):  SCT[c, m, i*KW + j] = W[i, j, c, m].
 // Each sub-crossbar is a CxM matrix, the kernel's contiguous block at tap
-// (i, j), so RED programs it straight from the kernel. The area-efficient
-// trade-off merges `fold` sub-crossbars of a mode group into one of fold*C
-// rows; the data flow then alternates the active row band over `fold`
-// cycles (Eq. 2), trading fold-times longer execution for fold-times fewer
-// sub-crossbar peripheries.
+// (i, j) (sc_block), so RED programs it straight from the kernel. The
+// area-efficient trade-off merges `fold` sub-crossbars of a mode group into
+// one of fold*C rows; the data flow then alternates the active row band over
+// `fold` cycles (Eq. 2), trading fold-times longer execution for fold-times
+// fewer sub-crossbar peripheries.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "red/core/mode_groups.h"
+#include "red/nn/layer.h"
+#include "red/tensor/tensor.h"
 
 namespace red::core {
+
+/// Eq. 1 slice: the row-major C x M weight block of sub-crossbar `sc`, a view
+/// into `kernel` (shape spec.kernel_shape()) with no copy.
+[[nodiscard]] std::span<const std::int32_t> sc_block(const nn::DeconvLayerSpec& spec,
+                                                     const Tensor<std::int32_t>& kernel,
+                                                     ScCoord sc);
 
 /// Smallest power-of-two fold such that the folded sub-crossbar count
 /// (sum over groups of ceil(group_size / fold)) fits `max_subcrossbars`.

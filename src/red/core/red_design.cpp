@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "red/common/contracts.h"
+#include "red/core/pixel_wise_mapping.h"
 #include "red/fault/inject.h"
 #include "red/core/schedule.h"
 #include "red/perf/mvm_kernel.h"
@@ -26,19 +27,21 @@ std::uint64_t group_salt(std::uint64_t salt, std::size_t gi) { return salt * 409
 // gi draws its device variation with group_salt(salt, gi) (gi at salt 0, as
 // perturbed() does), so same-shaped groups and layers get independent masks.
 // Eq. (1): sub-crossbar (i, j) is the kernel's contiguous C x M block at tap
-// (i, j), so a group's rows are gathered straight from the kernel into one
-// buffer its lane reuses across groups. Groups are independent: each of
-// `threads` lanes builds a contiguous range of them into its own vector,
-// joined in group order, so every lane count programs the same crossbars
-// and one lane builds them in place. (Building into per-group slots and
-// moving them out instead made glibc trim and re-fault the heap on every
-// program: red-stream-exact's setup_s rose ~35%.)
+// (i, j) (sc_block), so a group's rows are gathered straight from the kernel
+// into one buffer its lane reuses across groups (not reserved at the exact
+// group size: letting it grow geometrically keeps glibc from trimming and
+// re-faulting the heap on every program; see docs/PERFORMANCE.md, "One
+// campaign driver"). Groups are independent: each of `threads` lanes builds
+// a contiguous range of them into its own vector, joined in group order, so
+// every lane count programs the same crossbars and one lane builds them in
+// place. (Building into per-group slots and moving them out instead made
+// glibc trim and re-fault the heap on every program: red-stream-exact's
+// setup_s rose ~35%.)
 std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec,
                                                  const std::vector<ModeGroup>& groups,
                                                  const Tensor<std::int32_t>& kernel,
                                                  const xbar::QuantConfig& quant,
                                                  std::uint64_t salt, int threads) {
-  const std::size_t block = static_cast<std::size_t>(spec.c) * spec.m;
   const auto num_groups = std::ssize(groups);
   const std::int64_t chunks = perf::chunk_count(threads, num_groups);
   std::vector<std::vector<xbar::LogicalXbar>> parts(static_cast<std::size_t>(chunks));
@@ -50,8 +53,8 @@ std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec
       const auto& g = groups[static_cast<std::size_t>(gi)];
       w.clear();
       for (const auto& sc : g.scs) {
-        const std::int32_t* tap = kernel.data() + sc.flat(spec.kw) * block;
-        w.insert(w.end(), tap, tap + block);
+        const auto blk = sc_block(spec, kernel, sc);
+        w.insert(w.end(), blk.begin(), blk.end());
       }
       part.emplace_back(static_cast<std::int64_t>(g.scs.size()) * spec.c, spec.m, w, quant,
                         group_salt(salt, static_cast<std::size_t>(gi)));

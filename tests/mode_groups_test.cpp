@@ -99,6 +99,37 @@ TEST(ModeGroups, InputOffsetExactDivision) {
   EXPECT_THROW((void)ModeGroup::input_offset(0, 0, 1, 2), ContractViolation);
 }
 
+TEST(PixelWiseMapping, Eq1Layout) {
+  // SCT[c, m, i*KW + j] == W[i, j, c, m] for every index.
+  const auto spec = paper_example();
+  Tensor<std::int32_t> kernel(spec.kernel_shape());
+  Rng rng(11);
+  fill_random(kernel, rng, -9, 9);
+  for (int i = 0; i < spec.kh; ++i)
+    for (int j = 0; j < spec.kw; ++j) {
+      const auto blk = sc_block(spec, kernel, ScCoord{i, j});
+      for (int c = 0; c < spec.c; ++c)
+        for (int m = 0; m < spec.m; ++m)
+          EXPECT_EQ(blk[static_cast<std::size_t>(c) * spec.m + m], kernel.at(i, j, c, m));
+    }
+  EXPECT_THROW((void)sc_block(spec, kernel, ScCoord{spec.kh, 0}), ContractViolation);
+  EXPECT_THROW((void)sc_block(spec, kernel, ScCoord{0, spec.kw}), ContractViolation);
+}
+
+TEST(PixelWiseMapping, ScBlockIsRowMajorCxM) {
+  const auto spec = paper_example();
+  Tensor<std::int32_t> kernel(spec.kernel_shape());
+  Rng rng(12);
+  fill_random(kernel, rng, -9, 9);
+  const auto blk = sc_block(spec, kernel, ScCoord{1, 2});
+  ASSERT_EQ(blk.size(), static_cast<std::size_t>(spec.c) * spec.m);
+  for (int c = 0; c < spec.c; ++c)
+    for (int m = 0; m < spec.m; ++m)
+      EXPECT_EQ(blk[static_cast<std::size_t>(c) * spec.m + m], kernel.at(1, 2, c, m));
+  const Tensor<std::int32_t> other(Shape4{spec.kh, spec.kw, spec.c, spec.m + 1});
+  EXPECT_THROW((void)sc_block(spec, other, ScCoord{0, 0}), ContractViolation);
+}
+
 TEST(Folding, PaperFcnExample) {
   // Sec. III-C: stride 8, kernel 16x16 -> 256 sub-crossbars; with the
   // 128-subarray budget the fold is 2 ("128 sub-arrays complete the 64
