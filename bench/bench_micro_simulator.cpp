@@ -423,6 +423,26 @@ void BM_ZpRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ZpRun)->DenseRange(0, 3)->ArgName("stage")->Unit(benchmark::kMicrosecond);
 
+// Padding free's Design::run on each sngan/div4 stage (bit-accurate under an
+// ideal ADC, one thread): padding free has no programmed layer, so every
+// call programs its C x (KH*KW*M) macro and then streams the input rows
+// through it. This is the per-image cost of baseline-bitacc's PF half.
+void BM_PfRun(benchmark::State& state) {
+  const auto stack = workloads::named_stack("sngan", 4);
+  const auto i = static_cast<std::size_t>(state.range(0));
+  const auto kernels = workloads::make_stack_kernels(stack, 5);
+  arch::DesignConfig cfg;
+  cfg.bit_accurate = true;
+  const auto design = core::make_design(core::DesignKind::kPaddingFree, cfg);
+  Rng rng(17 + i);
+  const auto& spec = stack[i];
+  const auto input = workloads::make_input(spec, rng, 0, 7);
+  state.SetLabel(std::to_string(spec.c) + "x" +
+                 std::to_string(std::int64_t{spec.kh} * spec.kw * spec.m));
+  for (auto _ : state) benchmark::DoNotOptimize(design->run(spec, input, kernels[i]));
+}
+BENCHMARK(BM_PfRun)->DenseRange(0, 2)->ArgName("stage")->Unit(benchmark::kMicrosecond);
+
 void BM_DesignRun(benchmark::State& state) {
   const auto kind = static_cast<core::DesignKind>(state.range(0));
   const auto design = core::make_design(kind);

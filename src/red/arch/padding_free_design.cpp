@@ -22,8 +22,12 @@ Tensor<std::int32_t> PaddingFreeDesign::run(const nn::DeconvLayerSpec& spec,
   // Program the macro: column (i*KW + j)*M + m of row c holds W[i,j,c,m], so
   // each tap's M weights are one copy. (The paper's explicit 180-degree
   // rotation and our scatter-form weights cancel; see deconv_padding_free.h.)
+  // Padding free programs on every run: per-thread scratch for the macro's
+  // weights (no kernel writes them) and the MVM workspace.
+  thread_local std::vector<std::int32_t> w;
+  thread_local perf::MvmWorkspace ws;
   const std::int64_t lcols = std::int64_t{spec.kh} * spec.kw * spec.m;
-  std::vector<std::int32_t> w(static_cast<std::size_t>(spec.c * lcols));
+  w.resize(static_cast<std::size_t>(spec.c * lcols));
   for (int c = 0; c < spec.c; ++c)
     for (std::int64_t tap = 0; tap < std::int64_t{spec.kh} * spec.kw; ++tap)
       std::copy_n(kernel.data() + (tap * spec.c + c) * spec.m, spec.m,
@@ -33,8 +37,8 @@ Tensor<std::int32_t> PaddingFreeDesign::run(const nn::DeconvLayerSpec& spec,
   const int canvas_h = (spec.ih - 1) * spec.stride + spec.kh;
   const int canvas_w = (spec.iw - 1) * spec.stride + spec.kw;
   const std::int64_t canvas_plane = std::int64_t{canvas_h} * canvas_w;
-  std::vector<std::int32_t> row_pixels(static_cast<std::size_t>(spec.iw) * spec.c);
-  perf::MvmWorkspace ws;
+  std::vector<std::int32_t>& row_pixels = ws.windows;
+  row_pixels.resize(static_cast<std::size_t>(spec.iw) * spec.c);
   // Workspace-backed scatter canvas, [m][canvas_h][canvas_w].
   ws.canvas.assign(static_cast<std::size_t>(spec.m) * static_cast<std::size_t>(canvas_plane), 0);
   std::int32_t* canvas = ws.canvas.data();

@@ -484,8 +484,7 @@ Repair plan_repair(const xbar::LogicalXbar& clean, std::span<const W> stored,
       const std::size_t at = static_cast<std::size_t>(s) * plane +
                              static_cast<std::size_t>(r * C + c);
       // The clean level is digit s of the encoded weight w + offset: one
-      // stored array holds every slice, so the walk stays in cache where
-      // the per-slice level planes would not.
+      // stored array holds every slice, so a row's events stay in cache.
       const std::uint32_t u =
           static_cast<std::uint32_t>(stored[static_cast<std::size_t>(r * C + c)]) + offset;
       const int l = static_cast<int>(u >> (cell_bits * s) & static_cast<std::uint32_t>(max_level));

@@ -34,7 +34,8 @@ struct MvmWorkspace {
   /// Scratch plane for deconv loops (padding-free's scatter canvas, zero
   /// padding's zero-inserted input); contents are transient per layer.
   std::vector<std::int32_t> canvas;
-  /// Zero padding: one output row's windows, the MVM's input block.
+  /// The deconv loops' MVM input block: zero padding's one output row of
+  /// windows, padding-free's one input row of pixels.
   std::vector<std::int32_t> windows;
 
   /// Grow (never shrink) the output block for a batch of `batch` MVMs on a

@@ -1,6 +1,7 @@
 #include "red/xbar/crossbar.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -71,32 +72,26 @@ LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
     weights_.emplace<std::vector<std::int16_t>>(weights.begin(), weights.end());
   else
     weights_.emplace<std::vector<std::int32_t>>(weights.begin(), weights.end());
-  // Offset encoding one slice at a time (xbar/codec's encode_weight is the
-  // oracle; lossless for in-range weights, so weights_ starts as the input),
-  // summing each column's levels in int32 lanes flushed every kSumRows rows
-  // (kSumRows levels < 2^31) into col_level_sums_.
+  // Column level sums: digit s of w + offset is the slice-s level
+  // (xbar/codec's encode_weight is the oracle), summed per row while the row
+  // is in cache, in int32 lanes flushed every kSumRows rows (kSumRows
+  // levels < 2^31) into col_level_sums_.
   constexpr std::int64_t kSumRows = std::int64_t{1} << 27;
   const int slices = config_.slices();
-  const std::size_t plane = weights.size();
   const std::int32_t mask = config_.max_level();
-  levels_.resize(plane * static_cast<std::size_t>(slices));
   col_level_sums_.assign(static_cast<std::size_t>(cols) * slices, 0);
-  std::vector<std::int32_t> sums(static_cast<std::size_t>(cols));
-  for (int s = 0; s < slices; ++s) {
-    std::uint8_t* lp = levels_.data() + static_cast<std::size_t>(s) * plane;
-    std::int64_t* col_sums = col_level_sums_.data() + s * cols;
-    const int shift = s * config_.cell_bits;
-    for (std::int64_t r0 = 0; r0 < rows; r0 += kSumRows) {
-      std::fill(sums.begin(), sums.end(), 0);
-      for (std::int64_t i = r0 * cols; i < std::min(rows, r0 + kSumRows) * cols; i += cols)
-        for (std::int64_t c = 0; c < cols; ++c) {
-          const std::int32_t l =
-              ((weights[static_cast<std::size_t>(i + c)] + offset) >> shift) & mask;
-          lp[i + c] = static_cast<std::uint8_t>(l);
-          sums[static_cast<std::size_t>(c)] += l;
-        }
-      for (std::int64_t c = 0; c < cols; ++c) col_sums[c] += sums[static_cast<std::size_t>(c)];
+  std::vector<std::int32_t> sums(col_level_sums_.size());
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kSumRows) {
+    std::fill(sums.begin(), sums.end(), 0);
+    for (std::int64_t r = r0; r < std::min(rows, r0 + kSumRows); ++r) {
+      const std::int32_t* wr = weights.data() + r * cols;
+      for (int s = 0; s < slices; ++s) {
+        std::int32_t* col_sums = sums.data() + s * cols;
+        const int shift = s * config_.cell_bits;
+        for (std::int64_t c = 0; c < cols; ++c) col_sums[c] += ((wr[c] + offset) >> shift) & mask;
+      }
     }
+    for (std::size_t k = 0; k < sums.size(); ++k) col_level_sums_[k] += sums[k];
   }
   refresh_lossless_adc_bits();
   // Device variation reaches the cells only through the one sparse pass
@@ -126,13 +121,6 @@ void LogicalXbar::apply_variation(std::uint64_t salt) {
   const NoiseLaw law(var.level_sigma > 0.0 ? var.level_sigma : 1.0, max_level);
   SplitMix64 rng(var.seed ^ mix64(salt));
 
-  // Sparse deltas over the clean state. levels_ is one contiguous
-  // [slice][row][col] array, so `idx` walks all cells flat.
-  const auto apply_change = [&](std::size_t idx, std::uint8_t level) {
-    ++variation_stats_.perturbed_cells;
-    patch_cell(idx, level);
-  };
-
   double p_star = 0.0;  // upper bound on any cell's change probability
   for (int l = 0; l <= max_level; ++l)
     p_star = std::max(p_star, law.change[static_cast<std::size_t>(l)]);
@@ -140,51 +128,61 @@ void LogicalXbar::apply_variation(std::uint64_t salt) {
 
   const double sa0 = var.sa0();
   const double stuck = var.stuck_total();
-  if (stuck == 0.0 && p_star < 0.25) {
-    // Noise-only, low change probability: geometric skip-sampling. Candidate
-    // cells fire as a Bernoulli(p_star) process walked by geometric gaps and
-    // are accepted with probability change[level] / p_star — exact rejection
-    // sampling of the same per-cell law, in O(changed cells) draws instead
-    // of O(cells). (Stuck-at needs the per-cell walk: a stuck event counts
-    // in the stats even when it lands on the unchanged level.)
-    if (p_star > 0.0) {
-      const double log1m = std::log1p(-p_star);
-      std::size_t idx = 0;
-      while (idx < total) {
-        const double gap = std::floor(std::log1p(-rng.uniform()) / log1m);
-        if (gap >= static_cast<double>(total - idx)) break;
-        idx += static_cast<std::size_t>(gap);
-        const std::uint8_t original = levels_[idx];
-        const double change = law.change[original];
-        if (rng.uniform() * p_star < change)
-          apply_change(idx, law.sample_changed(original, rng.uniform() * change, max_level));
-        ++idx;
-      }
-    }
-  } else {
-    for (std::size_t idx = 0; idx < total; ++idx) {
-      const std::uint8_t original = levels_[idx];
-      std::uint8_t level = original;
-      bool forced = false;
-      if (stuck > 0.0) {
-        const double su = rng.uniform();
-        if (su < stuck) {
-          forced = true;
-          const bool at0 = su < sa0;
-          level = at0 ? 0 : static_cast<std::uint8_t>(max_level);
-          ++variation_stats_.stuck_cells;
-          ++(at0 ? variation_stats_.sa0_cells : variation_stats_.sa1_cells);
+  std::visit(
+      [&](auto& weights) {
+        // Sparse deltas over the clean state, cells in flat [slice][row][col]
+        // order, each decoded from its stored weight as the walk reaches it
+        // (patching one digit of a weight leaves its other digits).
+        const std::span w(weights);
+        const auto apply_change = [&](int s, std::size_t i, std::uint8_t level) {
+          ++variation_stats_.perturbed_cells;
+          patch_cell(w, s, i, level);
+        };
+        if (stuck == 0.0 && p_star < 0.25) {
+          // Noise-only, low change probability: geometric skip-sampling.
+          // Candidate cells fire as a Bernoulli(p_star) process walked by
+          // geometric gaps and are accepted with probability change[level] /
+          // p_star — exact rejection sampling of the same per-cell law, in
+          // O(changed cells) draws instead of O(cells). (Stuck-at needs the
+          // per-cell walk: a stuck event counts in the stats even when it
+          // lands on the unchanged level.)
+          if (p_star == 0.0) return;
+          const double log1m = std::log1p(-p_star);
+          std::size_t idx = 0;  // flat cell index, s * plane + i
+          int s = 0;
+          std::size_t i = 0;
+          while (idx < total) {
+            const double gap = std::floor(std::log1p(-rng.uniform()) / log1m);
+            if (gap >= static_cast<double>(total - idx)) break;
+            idx += static_cast<std::size_t>(gap);
+            for (i += static_cast<std::size_t>(gap); i >= plane; i -= plane) ++s;
+            const std::uint8_t original = level_of(w[i], s);
+            const double change = law.change[original];
+            if (rng.uniform() * p_star < change)
+              apply_change(s, i, law.sample_changed(original, rng.uniform() * change, max_level));
+            ++idx;
+            ++i;  // wraps into the next slice with the next gap
+          }
+          return;
         }
-      }
-      if (!forced && var.level_sigma > 0.0) {
-        const double u = rng.uniform();
-        if (u < law.change[original]) {
-          level = law.sample_changed(original, rng.uniform() * law.change[original], max_level);
-        }
-      }
-      if (level != original) apply_change(idx, level);
-    }
-  }
+        for (int s = 0; s < slices; ++s)
+          for (std::size_t i = 0; i < plane; ++i) {
+            const std::uint8_t original = level_of(w[i], s);
+            std::uint8_t level = original;
+            const double su = stuck > 0.0 ? rng.uniform() : 1.0;
+            const double change = law.change[original];
+            if (su < stuck) {
+              const bool at0 = su < sa0;
+              level = at0 ? 0 : static_cast<std::uint8_t>(max_level);
+              ++variation_stats_.stuck_cells;
+              ++(at0 ? variation_stats_.sa0_cells : variation_stats_.sa1_cells);
+            } else if (var.level_sigma > 0.0 && rng.uniform() < change) {
+              level = law.sample_changed(original, rng.uniform() * change, max_level);
+            }
+            if (level != original) apply_change(s, i, level);
+          }
+      },
+      weights_);
   refresh_lossless_adc_bits();
 }
 
@@ -192,36 +190,35 @@ LogicalXbar::LogicalXbar(const LogicalXbar& clean, std::span<const LevelPatch> p
                          VariationStats stats)
     : LogicalXbar(clean) {
   variation_stats_ = stats;
-  for (const LevelPatch& p : patches) {
-    RED_EXPECTS_MSG(p.index < levels_.size() && p.level <= config_.max_level(),
-                    "level patch outside the crossbar");
-    patch_cell(p.index, p.level);
-  }
+  const auto plane = static_cast<std::size_t>(rows_ * cols_);
+  const std::size_t total = plane * static_cast<std::size_t>(config_.slices());
+  std::visit(
+      [&](auto& weights) {
+        const std::span w(weights);
+        for (const LevelPatch& p : patches) {
+          RED_EXPECTS_MSG(p.index < total && p.level <= config_.max_level(),
+                          "level patch outside the crossbar");
+          patch_cell(w, static_cast<int>(p.index / plane), p.index % plane, p.level);
+        }
+      },
+      weights_);
   refresh_lossless_adc_bits();
 }
 
-void LogicalXbar::patch_cell(std::size_t idx, std::uint8_t level) {
-  const std::uint8_t original = levels_[idx];
+template <typename T>
+void LogicalXbar::patch_cell(std::span<T> weights, int s, std::size_t i, std::uint8_t level) {
+  const std::uint8_t original = level_of(weights[i], s);
   if (level == original) return;
-  const auto plane = static_cast<std::size_t>(rows_ * cols_);
-  const std::size_t s = idx / plane;
-  const std::size_t i = idx % plane;
   const int cell_bits = config_.cell_bits;
-  levels_[idx] = level;
   // The patched weight fits: stored_weight_bits() covers every level.
   const std::int32_t delta =
-      (static_cast<std::int32_t>(level) - static_cast<std::int32_t>(original))
-      << (cell_bits * static_cast<int>(s));
-  std::visit(
-      [&](auto& w) {
-        using T = typename std::decay_t<decltype(w)>::value_type;
-        w[i] = static_cast<T>(w[i] + delta);
-      },
-      weights_);
-  col_level_sums_[s * static_cast<std::size_t>(cols_) + i % static_cast<std::size_t>(cols_)] +=
+      (static_cast<std::int32_t>(level) - static_cast<std::int32_t>(original)) << (cell_bits * s);
+  weights[i] = static_cast<T>(weights[i] + delta);
+  col_level_sums_[static_cast<std::size_t>(s) * static_cast<std::size_t>(cols_) +
+                  i % static_cast<std::size_t>(cols_)] +=
       static_cast<std::int64_t>(level) - static_cast<std::int64_t>(original);
   std::vector<std::uint64_t>* planes = derived_.get_mut();
-  if (planes == nullptr) return;  // built later, from the patched levels
+  if (planes == nullptr) return;  // built later, from the patched weights
   // One bit per level bit of this cell, at row bit (r % 64) of word (r / 64)
   // in plane s * cell_bits + t.
   const std::int64_t r = static_cast<std::int64_t>(i) / cols_;
@@ -231,7 +228,7 @@ void LogicalXbar::patch_cell(std::size_t idx, std::uint8_t level) {
   const std::size_t col_base =
       static_cast<std::size_t>(c) * static_cast<std::size_t>(packed_weight_planes()) * words;
   for (int t = 0; t < cell_bits; ++t) {
-    const std::size_t u = s * static_cast<std::size_t>(cell_bits) + static_cast<std::size_t>(t);
+    const auto u = static_cast<std::size_t>(s * cell_bits + t);
     std::uint64_t& word = (*planes)[col_base + u * words + static_cast<std::size_t>(r >> 6)];
     if ((level >> t) & 1)
       word |= row_bit;
@@ -301,31 +298,26 @@ bool LogicalXbar::ensure_packed_planes() const {
 }
 
 void LogicalXbar::build_packed_planes(std::vector<std::uint64_t>& planes) const {
-  const int cell_bits = config_.cell_bits;
-  const int num_planes = packed_weight_planes();
-  planes.assign(static_cast<std::size_t>(cols_) * static_cast<std::size_t>(num_planes) *
-                    static_cast<std::size_t>(packed_words_),
-                0);
-  const std::size_t plane = static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
-  for (int s = 0; s < config_.slices(); ++s) {
-    const std::uint8_t* lp = levels_.data() + static_cast<std::size_t>(s) * plane;
+  const auto num_planes = static_cast<std::size_t>(packed_weight_planes());
+  const auto words = static_cast<std::size_t>(packed_words_);
+  planes.assign(static_cast<std::size_t>(cols_) * num_planes * words, 0);
+  const std::int32_t offset = config_.weight_offset();
+  // Plane u = s * cell_bits + t holds bit t of digit s of w + offset, which
+  // is bit u of w + offset itself: every set bit of the encoded weight is
+  // one plane bit.
+  visit_stored_weights([&](auto w) {
     for (std::int64_t r = 0; r < rows_; ++r) {
       const std::uint64_t row_bit = std::uint64_t{1} << (r & 63);
-      const std::size_t word = static_cast<std::size_t>(r >> 6);
+      const auto word = static_cast<std::size_t>(r >> 6);
       for (std::int64_t c = 0; c < cols_; ++c) {
-        std::uint8_t lv = lp[static_cast<std::size_t>(r * cols_ + c)];
-        const std::size_t col_base = static_cast<std::size_t>(c) *
-                                     static_cast<std::size_t>(num_planes) *
-                                     static_cast<std::size_t>(packed_words_);
-        for (int t = 0; lv != 0; ++t, lv >>= 1)
-          if (lv & 1)
-            planes[col_base +
-                   static_cast<std::size_t>(s * cell_bits + t) *
-                       static_cast<std::size_t>(packed_words_) +
-                   word] |= row_bit;
+        std::uint64_t* col = planes.data() + static_cast<std::size_t>(c) * num_planes * words;
+        for (auto u = static_cast<std::uint32_t>(w[static_cast<std::size_t>(r * cols_ + c)] +
+                                                 offset);
+             u != 0; u &= u - 1)
+          col[static_cast<std::size_t>(std::countr_zero(u)) * words + word] |= row_bit;
       }
     }
-  }
+  });
 }
 
 std::int32_t LogicalXbar::stored_weight(std::int64_t r, std::int64_t c) const {

@@ -18,12 +18,11 @@
 //                 both kernels (and as the "before" in bench_micro_simulator).
 // The first two are implemented in red/perf/mvm_kernel.h.
 //
-// Cell levels are stored plane-major: level_plane(s) is one contiguous
-// rows x cols row-major matrix holding weight slice s. The planes feed the
-// packed bit-planes, fault injection (red/fault) and the reference.
+// The narrow stored weights are the only copy of the cells: the level of
+// slice s is digit s of stored weight + weight_offset(), decoded on read.
 //
-// Write side. Programming from weights encodes them one slice at a time in
-// vector passes. Device variation is drawn by one sampler, a sparse pass over
+// Write side. Programming from weights stores them and sums each column's
+// levels in vector passes. Device variation is drawn by one sampler, a sparse pass over
 // the clean levels: programming from weights under a variation config runs
 // it in place, and a perturbed sibling runs it on a copy of the clean
 // crossbar, so the two agree bit for bit. A reprogrammed sibling (variation,
@@ -61,8 +60,8 @@ struct MvmStats {
   friend bool operator==(const MvmStats&, const MvmStats&) = default;
 };
 
-/// One cell of a sparse reprogram: the new level of flat cell `index` in the
-/// plane-major [slice][row][col] level array (slice s, row r, col c is
+/// One cell of a sparse reprogram: the new level of flat cell `index`, the
+/// cells numbered slice-major as [slice][row][col] (slice s, row r, col c is
 /// s * rows * cols + r * cols + c).
 struct LevelPatch {
   std::size_t index = 0;
@@ -122,14 +121,9 @@ class LogicalXbar {
                       weights_);
   }
 
-  /// Contiguous rows x cols row-major matrix of cell levels for slice `s`.
-  [[nodiscard]] const std::uint8_t* level_plane(int s) const {
-    return levels_.data() + static_cast<std::size_t>(s) * static_cast<std::size_t>(rows_ * cols_);
-  }
-
-  /// Cell level at (r, c, slice s).
+  /// Cell level at (r, c, slice s), decoded from the stored weight.
   [[nodiscard]] std::uint8_t level(std::int64_t r, std::int64_t c, int s) const {
-    return level_plane(s)[static_cast<std::size_t>(r * cols_ + c)];
+    return level_of(stored_weight(r, c), s);
   }
 
   /// Packed weight bit-planes backing the popcount kernel: per column,
@@ -137,7 +131,7 @@ class LogicalXbar {
   /// holds bit t of slice s over the rows (bit r of word r/64), so there are
   /// slices() * cell_bits planes — one per level bit, covering out-of-range
   /// levels a fault or stuck-at-max cell can program into a partial top
-  /// slice. Built from the levels by the first reader (ensure_packed_planes
+  /// slice. Built from the stored weights by the first reader (ensure_packed_planes
   /// or packed_col_planes), at most once per crossbar and safe under
   /// concurrent readers; sparse reprograms patch them in place when they
   /// were built before the copy. Never recomputed per MVM.
@@ -242,7 +236,7 @@ class LogicalXbar {
       return state_ != nullptr && state_->ready.load(std::memory_order_relaxed) ? &state_->words
                                                                                 : nullptr;
     }
-    /// Build the planes from `owner`'s levels unless they are built; true
+    /// Build the planes from `owner`'s stored weights unless they are built; true
     /// when this call built them.
     bool ensure(const LogicalXbar& owner) const;
 
@@ -260,29 +254,36 @@ class LogicalXbar {
     std::unique_ptr<State> state_ = std::make_unique<State>();
   };
 
+  /// Slice-s level of a cell storing `stored`: digit s of stored + offset,
+  /// one-to-one over every storable level (stored_weight_bits() covers all).
+  [[nodiscard]] std::uint8_t level_of(std::int32_t stored, int s) const {
+    return static_cast<std::uint8_t>(
+        ((stored + config_.weight_offset()) >> (s * config_.cell_bits)) & config_.max_level());
+  }
+
   /// Draw config_.variation over the current (clean) levels with the
   /// stream keyed on (seed, salt), record what it did in variation_stats_,
   /// and refresh the lossless-ADC cache. A disabled model changes nothing.
   void apply_variation(std::uint64_t salt);
 
-  /// Fill `planes` from levels_ ([(c * packed_weight_planes() + u) * words + w],
-  /// see packed_col_planes()).
+  /// Fill `planes` from the stored weights: plane u is bit u of stored +
+  /// offset ([(c * packed_weight_planes() + u) * words + w]).
   void build_packed_planes(std::vector<std::uint64_t>& planes) const;
 
-  /// The one sparse-delta routine: set flat cell `idx` to `level`, patching
-  /// the stored weight (decode is linear in each slice), the column level
-  /// sum and the packed planes when built. Call refresh_lossless_adc_bits()
-  /// after the last patch.
-  void patch_cell(std::size_t idx, std::uint8_t level);
+  /// The one sparse-delta routine: set cell i (row-major) of slice s to
+  /// `level`, patching its digit of the stored weight in `weights`
+  /// (weights_'s active vector), the column level sum and the packed planes
+  /// when built. Call refresh_lossless_adc_bits() after the last patch.
+  template <typename T>
+  void patch_cell(std::span<T> weights, int s, std::size_t i, std::uint8_t level);
   void refresh_lossless_adc_bits();
 
   std::int64_t rows_;
   std::int64_t cols_;
   QuantConfig config_;
-  /// Stored signed weights, row-major, at their narrowest width.
+  /// Stored signed weights, row-major, at their narrowest width: the cells.
   std::variant<std::vector<std::int8_t>, std::vector<std::int16_t>, std::vector<std::int32_t>>
       weights_;
-  std::vector<std::uint8_t> levels_;       ///< cell levels, plane-major [slice][row][col]
   DerivedCache derived_;
   std::int64_t packed_words_ = 0;
   /// Per-(slice, col) programmed-level sums backing lossless_adc_bits_; kept

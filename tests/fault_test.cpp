@@ -219,11 +219,12 @@ TEST(FaultInject, RemapMovesRowsOnlyWhenItHelps) {
 /// `faulted` equals the per-cell reference in every observable field.
 void expect_matches_reference(const xbar::LogicalXbar& faulted, const RepairReport& rep,
                               const oracle::FaultedCells& ref, const std::string& what) {
-  const std::int64_t plane = faulted.rows() * faulted.cols();
+  const std::int64_t cols = faulted.cols();
+  const std::int64_t plane = faulted.rows() * cols;
   std::int64_t level_mismatches = 0;
   for (int s = 0; s < faulted.config().slices(); ++s)
     for (std::int64_t i = 0; i < plane; ++i)
-      level_mismatches += faulted.level_plane(s)[i] !=
+      level_mismatches += faulted.level(i / cols, i % cols, s) !=
                           ref.levels[static_cast<std::size_t>(s * plane + i)];
   EXPECT_EQ(level_mismatches, 0) << what;
   const auto w = faulted.stored_weights();

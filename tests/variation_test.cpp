@@ -230,6 +230,68 @@ TEST(Variation, RedGroupsDrawIndependentMasks) {
   }
 }
 
+TEST(Variation, BothSamplerBranchesArePinned) {
+  // FNV-1a digests of the stored weights, column level sums, lossless-ADC
+  // bits and VariationStats of a 300x70 crossbar under each branch of the
+  // variation pass: the per-cell walk (stuck+noise, and noise too likely to
+  // skip-sample) and the noise-only geometric skip. The partial top slice of
+  // 7-bit weights on 2-bit cells puts stuck-at-max cells above the in-range
+  // levels. Programming from weights and the perturbed sibling of the clean
+  // crossbar must both hit the pin.
+  struct Pin {
+    const char* what;
+    int wbits;
+    double sigma, sa0, sa1;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"per-cell walk, stuck + noise", 8, 0.45, 0.01, 0.02, 0x0c524c1f20428718ULL},
+      {"per-cell walk, stuck only, partial top slice", 7, 0.0, 0.03, 0.05,
+       0x31a9f10dcd6d0008ULL},
+      {"per-cell walk, noise with change probability >= 1/4", 8, 1.2, 0.0, 0.0,
+       0x0968b1437683bb44ULL},
+      {"geometric skip", 8, 0.3, 0.0, 0.0, 0x37faa23b2eedb54aULL},
+      {"geometric skip, partial top slice", 7, 0.25, 0.0, 0.0, 0xe6ff9cb1a605b31bULL},
+  };
+  constexpr std::int64_t kRows = 300, kCols = 70;
+  constexpr std::uint64_t kSalt = 5;
+  for (const Pin& pin : pins) {
+    QuantConfig q;
+    q.wbits = pin.wbits;
+    const std::int32_t half = q.weight_offset();
+    Rng rng(41);
+    std::vector<std::int32_t> w(static_cast<std::size_t>(kRows * kCols));
+    for (auto& v : w) v = static_cast<std::int32_t>(rng.uniform_int(-half, half - 1));
+    const LogicalXbar clean(kRows, kCols, w, q);
+    VariationModel var;
+    var.level_sigma = pin.sigma;
+    var.sa0_rate = pin.sa0;
+    var.sa1_rate = pin.sa1;
+    var.seed = 2024;
+    q.variation = var;
+    for (const LogicalXbar& xb : {LogicalXbar(kRows, kCols, w, q, kSalt),
+                                  LogicalXbar(clean, var, kSalt)}) {
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      const auto add = [&h](std::int64_t v) {
+        for (int b = 0; b < 8; ++b) {
+          h ^= (static_cast<std::uint64_t>(v) >> (8 * b)) & 0xffU;
+          h *= 0x100000001b3ULL;
+        }
+      };
+      for (const std::int32_t v : xb.stored_weights()) add(v);
+      for (std::int64_t c = 0; c < kCols; ++c)
+        for (int s = 0; s < q.slices(); ++s) add(xb.col_level_sum(c, s));
+      add(xb.lossless_adc_bits());
+      const VariationStats& st = xb.variation_stats();
+      for (const std::int64_t x :
+           {st.cells, st.perturbed_cells, st.stuck_cells, st.sa0_cells, st.sa1_cells})
+        add(x);
+      EXPECT_GT(st.perturbed_cells, 0) << pin.what;
+      EXPECT_EQ(h, pin.digest) << pin.what << std::hex << ": digest 0x" << h;
+    }
+  }
+}
+
 TEST(Variation, FaultFreeRedStillBitExact) {
   // Regression guard: adding the variation plumbing must not disturb the
   // noise-free path.

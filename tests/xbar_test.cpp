@@ -288,6 +288,77 @@ TEST(LogicalXbar, StatsCountDrivesPulsesConversions) {
   EXPECT_EQ(stats2.mac_pulses, stats.mac_pulses);
 }
 
+TEST(LogicalXbar, LevelsDecodeFromStoredWeightsAfterPatches) {
+  // Sparse patches, every top-slice cell stuck at the maximum level among
+  // them (above the in-range levels of a partial top slice): level() reads
+  // the patch level on patched cells and encode_weight elsewhere, and the
+  // column sums and lossless-ADC bits follow the decoded levels.
+  struct Widths {
+    int wbits, cell_bits;
+  };
+  constexpr std::int64_t kRows = 41, kCols = 23;
+  for (const Widths wc : {Widths{5, 2}, Widths{7, 2}, Widths{8, 1}, Widths{7, 3}}) {
+    QuantConfig q;
+    q.wbits = wc.wbits;
+    q.cell_bits = wc.cell_bits;
+    const std::string what =
+        "wbits " + std::to_string(wc.wbits) + " cell_bits " + std::to_string(wc.cell_bits);
+    const int slices = q.slices();
+    const auto plane = static_cast<std::size_t>(kRows * kCols);
+    const std::size_t total = plane * static_cast<std::size_t>(slices);
+    const std::int32_t half = q.weight_offset();
+    Rng rng(static_cast<std::uint64_t>(wc.wbits * 8 + wc.cell_bits));
+    std::vector<std::int32_t> w(plane);
+    for (auto& v : w) v = static_cast<std::int32_t>(rng.uniform_int(-half, half - 1));
+    const LogicalXbar clean(kRows, kCols, w, q);
+
+    std::vector<int> patched(total, -1);
+    std::vector<LevelPatch> patches;
+    const auto patch = [&](std::size_t idx, std::uint8_t level) {
+      patches.push_back({idx, level});
+      patched[idx] = level;
+    };
+    const std::size_t top = static_cast<std::size_t>(slices - 1) * plane;
+    for (std::size_t i = 0; i < plane; ++i)
+      patch(top + i, static_cast<std::uint8_t>(q.max_level()));
+    for (std::size_t idx = 0; idx < top; ++idx)
+      if (rng.uniform_real(0.0, 1.0) < 0.1)
+        patch(idx, static_cast<std::uint8_t>(rng.uniform_int(0, q.max_level())));
+    const LogicalXbar faulted(clean, patches, VariationStats{});
+
+    std::int64_t mismatches = 0;
+    std::int64_t worst = 0;
+    for (std::int64_t c = 0; c < kCols; ++c)
+      for (int s = 0; s < slices; ++s) {
+        std::int64_t sum = 0;
+        for (std::int64_t r = 0; r < kRows; ++r) {
+          const std::size_t idx =
+              static_cast<std::size_t>(s) * plane + static_cast<std::size_t>(r * kCols + c);
+          const int expected = patched[idx] >= 0
+                                   ? patched[idx]
+                                   : encode_weight(w[static_cast<std::size_t>(r * kCols + c)],
+                                                   q)[static_cast<std::size_t>(s)];
+          mismatches += faulted.level(r, c, s) != expected;
+          sum += faulted.level(r, c, s);
+        }
+        EXPECT_EQ(faulted.col_level_sum(c, s), sum) << what << " col " << c << " slice " << s;
+        worst = std::max(worst, sum);
+      }
+    EXPECT_EQ(mismatches, 0) << what;
+    EXPECT_EQ(faulted.lossless_adc_bits(), worst == 0 ? 1 : ilog2_ceil(worst + 1)) << what;
+
+    const std::vector<LevelPatch> outside{{total, 0}};
+    try {
+      (void)LogicalXbar(clean, outside, VariationStats{});
+      ADD_FAILURE() << what << ": patch index rows*cols*slices accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("level patch outside the crossbar"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
+}
+
 TEST(LogicalXbar, RejectsBadGeometry) {
   const std::vector<std::int32_t> w{1, 2};
   EXPECT_THROW((LogicalXbar{2, 2, w, default_q()}), ContractViolation);  // wrong size

@@ -41,7 +41,7 @@ if [ -x "${build_dir}/bench_micro_simulator" ]; then
     min_time_flag="--benchmark_min_time=0.001"
   fi
   "${build_dir}/bench_micro_simulator" \
-    --benchmark_filter='BM_Mvm|BM_XbarProgram|BM_InjectFaults|BM_FaultCampaignCall|BM_ZpRun|BM_SimulateNetwork' \
+    --benchmark_filter='BM_Mvm|BM_XbarProgram|BM_InjectFaults|BM_FaultCampaignCall|BM_ZpRun|BM_PfRun|BM_SimulateNetwork' \
     ${min_time_flag} \
     --benchmark_out="${out_dir}/BENCH_mvm.json" \
     --benchmark_out_format=json
