@@ -246,7 +246,8 @@ void BM_MvmDcganStage3BatchMinor(benchmark::State& state) {
   perf::MvmWorkspace ws;
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        batch_minor ? perf::mvm_exact_batch_minor(xb, in, kBatch, ws)
+        batch_minor ? perf::mvm_gathered(xb, {}, in, kBatch, /*batch_minor=*/true,
+                                         /*bit_accurate=*/false, ws)
                     : perf::detail::mvm_exact_on(perf::mvm_active_isa(),
                                                  perf::ExactSweep::kColumns, xb, in, kBatch, ws));
   state.SetItemsProcessed(state.iterations() * rows * cols * kBatch);
@@ -401,13 +402,15 @@ void BM_FaultCampaignCall(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultCampaignCall)->Unit(benchmark::kMillisecond)->UseRealTime()->MinTime(1.0);
 
-// Zero padding's programmed run on each dcgan/div4 stage (bit-accurate under
-// an ideal ADC, so the exact kernel; one thread). Windows are row copies of
-// the zero-inserted plane: vector-major on stages 0-2, batch-minor on stage
-// 3, whose 800x3 macro is narrower than one vector (the exact kernel's batch
-// sweep reads them in place).
-void BM_ZpRun(benchmark::State& state) {
-  const auto stack = workloads::named_stack("dcgan", 4);
+// Zero padding's programmed run on each dcgan/div4 stage, and on fcn8s/div4's
+// fcn8s_up8 (16x16 kernel at stride 8: 5,376-row macro, at most 84 rows per
+// output pixel hold an input pixel). Bit-accurate under an ideal ADC, so the
+// exact kernel; one thread. Each output phase's gathered block drives only
+// the rows its taps can hit: vector-major on dcgan stages 0-2 and fcn8s_up8,
+// batch-minor on dcgan stage 3, whose 800x3 macro is narrower than one
+// vector (the exact kernel's batch sweep reads it in place).
+void BM_ZpRun(benchmark::State& state, const char* net) {
+  const auto stack = workloads::named_stack(net, 4);
   const auto i = static_cast<std::size_t>(state.range(0));
   const auto kernels = workloads::make_stack_kernels(stack, 5);
   arch::DesignConfig cfg;
@@ -421,7 +424,11 @@ void BM_ZpRun(benchmark::State& state) {
                  std::to_string(spec.m));
   for (auto _ : state) benchmark::DoNotOptimize(layer->run(input));
 }
-BENCHMARK(BM_ZpRun)->DenseRange(0, 3)->ArgName("stage")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ZpRun, dcgan, "dcgan")
+    ->DenseRange(0, 3)
+    ->ArgName("stage")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ZpRun, fcn8s, "fcn8s")->Arg(2)->ArgName("stage")->Unit(benchmark::kMillisecond);
 
 // Padding free's Design::run on each sngan/div4 stage (bit-accurate under an
 // ideal ADC, one thread): padding free has no programmed layer, so every

@@ -5,93 +5,97 @@
 #include <utility>
 #include <vector>
 
+#include "red/arch/gathered_run.h"
 #include "red/common/contracts.h"
 #include "red/fault/inject.h"
 #include "red/nn/conv.h"
-#include "red/nn/deconv_zero_padding.h"
-#include "red/perf/mvm_kernel.h"
-#include "red/perf/thread_pool.h"
-#include "red/perf/workspace.h"
 #include "red/plan/plan.h"
 
 namespace red::arch {
 
 namespace {
 
-/// Thread-local: a run's plane is its caller's canvas, tile windows its runner's.
-perf::MvmWorkspace& zp_workspace() {
-  thread_local perf::MvmWorkspace ws;
-  return ws;
+// Zero padding's gather: one table per output phase (ry, rx) = (y mod s,
+// x mod s), each over the one macro. Row y + i of output row y's window in
+// the zero-inserted plane holds input row h exactly when y + i - offset_top
+// = h * s, so the taps i that can hit an input row are i = offset_top - ry
+// (mod s), fixed by the phase (likewise j along x). A phase's table lists
+// the macro rows of those taps (tap (i, j) is rows (i*KW + j)*C + c) and,
+// per output pixel, each tap's input pixel, or the zero slot where h or w
+// falls outside the input. A phase no tap reaches (a kernel narrower than
+// the stride) feeds tap (0, 0) from the zero slot only. Blocks are `ow`
+// vectors, the batch of one dense output row.
+std::vector<GatherTable> build_phase_tables(const nn::DeconvLayerSpec& spec) {
+  const nn::PaddedGeometry g = nn::padded_geometry(spec);
+  const int s = spec.stride, oh = spec.oh(), ow = spec.ow();
+  const auto idle = static_cast<std::int32_t>(std::int64_t{spec.ih} * spec.iw);
+  const auto taps = [s](int k_len, int offset, int r) {
+    std::vector<int> t;
+    for (int k = ((offset - r) % s + s) % s; k < k_len; k += s) t.push_back(k);
+    return t;
+  };
+  std::vector<GatherTable> tables;
+  for (int ry = 0; ry < std::min(s, oh); ++ry)
+    for (int rx = 0; rx < std::min(s, ow); ++rx) {
+      std::vector<int> ti = taps(spec.kh, g.offset_top, ry);
+      std::vector<int> tj = taps(spec.kw, g.offset_left, rx);
+      const bool dead = ti.empty() || tj.empty();
+      if (dead) ti = tj = {0};
+      GatherTable& t = tables.emplace_back();
+      for (const int i : ti)
+        for (const int j : tj)
+          for (int c = 0; c < spec.c; ++c)
+            t.rows.push_back(static_cast<std::int32_t>((i * spec.kw + j) * spec.c + c));
+      t.block = ow;
+      const std::int64_t nx = (ow - rx + s - 1) / s;
+      const std::int64_t vectors = (oh - ry + s - 1) / s * nx;
+      const auto slots = static_cast<std::int64_t>(ti.size() * tj.size());
+      t.out_pixel.resize(static_cast<std::size_t>(vectors));
+      t.pixel.assign(static_cast<std::size_t>(slots * vectors), idle);
+      for (std::int64_t v0 = 0; v0 < vectors; v0 += t.block) {
+        const std::int64_t batch = std::min(t.block, vectors - v0);
+        std::int32_t* block = t.pixel.data() + slots * v0;
+        for (std::int64_t k = 0; k < batch; ++k) {
+          const std::int64_t y = ry + (v0 + k) / nx * s;
+          const std::int64_t x = rx + (v0 + k) % nx * s;
+          t.out_pixel[static_cast<std::size_t>(v0 + k)] = y * ow + x;
+          if (dead) continue;
+          std::int32_t* slot = block + k;
+          for (const int i : ti) {
+            const std::int64_t hs = y + i - g.offset_top;  // h * s
+            for (const int j : tj) {
+              const std::int64_t ws = x + j - g.offset_left;  // w * s
+              if (hs >= 0 && hs < std::int64_t{spec.ih} * s && ws >= 0 &&
+                  ws < std::int64_t{spec.iw} * s)
+                *slot = static_cast<std::int32_t>(hs / s * spec.iw + ws / s);
+              slot += batch;
+            }
+          }
+        }
+      }
+    }
+  return tables;
 }
 
 class ZpProgrammedLayer final : public ProgrammedLayer {
  public:
-  ZpProgrammedLayer(nn::DeconvLayerSpec spec, int threads, bool bit_accurate,
-                    xbar::LogicalXbar macro)
+  ZpProgrammedLayer(nn::DeconvLayerSpec spec, std::shared_ptr<const std::vector<GatherTable>> tables,
+                    int threads, bool bit_accurate, xbar::LogicalXbar macro)
       : spec_(std::move(spec)),
+        tables_(std::move(tables)),
         threads_(threads),
         bit_accurate_(bit_accurate),
         macro_(std::move(macro)) {}
 
+  // One cycle per output pixel, each on its phase's gathered rows.
   Tensor<std::int32_t> run(const Tensor<std::int32_t>& input, RunStats* stats) const override {
-    const auto& spec = spec_;
-    const int oh = spec.oh(), ow = spec.ow();
-    const std::int64_t out_plane = std::int64_t{oh} * ow;
-    // Windows are row copies: batch-minor for the exact kernel's batch sweep
-    // (macro row (i*KW + j)*C + c is `ow` values of the channel-major
-    // plane), else vector-major (KH runs of KW*C channel-minor values).
-    const bool batch_minor = perf::reads_batch_minor(macro_, bit_accurate_);
-    const nn::PaddedGeometry g = nn::padded_geometry(spec);
-    const std::int64_t ph = g.padded_h, pw = g.padded_w;
-    const std::int64_t run = std::int64_t{spec.kw} * spec.c;
-    std::vector<std::int32_t>& plane = zp_workspace().canvas;
-    plane.assign(static_cast<std::size_t>(spec.c * ph * pw), 0);
-    nn::zero_insert(spec, input, batch_minor, plane);  // checks the input's shape
-
-    Tensor<std::int32_t> out(spec.output_shape());
-    // Output rows are independent: tile them across the pool. Each tile
-    // builds one output row of windows at a time and runs it as one batched
-    // MVM; per-tile RunStats slots are merged in tile order after the join,
-    // so any thread count is bit-exact vs serial.
-    const std::int64_t tiles = perf::chunk_count(threads_, oh);
-    std::vector<RunStats> tile_stats(static_cast<std::size_t>(tiles));
-    perf::parallel_chunks(tiles, oh, [&](std::int64_t t, std::int64_t y0, std::int64_t y1) {
-      RunStats& local = tile_stats[static_cast<std::size_t>(t)];
-      perf::MvmWorkspace& ws = zp_workspace();
-      ws.windows.resize(static_cast<std::size_t>(ow * macro_.rows()));
-      for (std::int64_t y = y0; y < y1; ++y) {
-        std::int32_t* dst = ws.windows.data();
-        if (batch_minor) {
-          for (int i = 0; i < spec.kh; ++i)
-            for (int j = 0; j < spec.kw; ++j)
-              for (int c = 0; c < spec.c; ++c, dst += ow)
-                std::copy_n(plane.data() + (c * ph + y + i) * pw + j, ow, dst);
-        } else {
-          for (int x = 0; x < ow; ++x)
-            for (int i = 0; i < spec.kh; ++i, dst += run)
-              std::copy_n(plane.data() + ((y + i) * pw + x) * spec.c, run, dst);
-        }
-        const auto results =
-            batch_minor ? perf::mvm_exact_batch_minor(macro_, ws.windows, ow, ws, &local.mvm)
-                        : macro_.mvm_batch(ws.windows, ow, bit_accurate_, ws, &local.mvm);
-        local.cycles += ow;
-        for (int x = 0; x < ow; ++x) {
-          const std::int64_t* res = results.data() + std::int64_t{x} * spec.m;
-          std::int32_t* opix = out.data() + y * ow + x;
-          for (int m = 0; m < spec.m; ++m)
-            opix[m * out_plane] = static_cast<std::int32_t>(res[m]);
-        }
-      }
-    });
-    RunStats local;
-    for (const auto& ts : tile_stats) local += ts;
-    if (stats != nullptr) *stats = local;
-    return out;
+    return run_gathered(spec_, *tables_, {&macro_, 1}, /*period=*/1, bit_accurate_, threads_,
+                        std::int64_t{spec_.oh()} * spec_.ow(), input, stats);
   }
 
   std::unique_ptr<ProgrammedLayer> perturbed(const xbar::VariationModel& var) const override {
-    return std::make_unique<ZpProgrammedLayer>(
-        spec_, threads_, bit_accurate_, xbar::LogicalXbar(macro_, var, /*salt=*/0));
+    return std::make_unique<ZpProgrammedLayer>(spec_, tables_, threads_, bit_accurate_,
+                                               xbar::LogicalXbar(macro_, var, /*salt=*/0));
   }
 
   std::vector<fault::FaultDraw> draw_faults(const fault::FaultModel& model,
@@ -106,7 +110,7 @@ class ZpProgrammedLayer final : public ProgrammedLayer {
                                             int threads) const override {
     RED_EXPECTS(draws.size() == 1);
     return std::make_unique<ZpProgrammedLayer>(
-        spec_, threads > 0 ? threads : threads_, bit_accurate_,
+        spec_, tables_, threads > 0 ? threads : threads_, bit_accurate_,
         fault::repair_faults(macro_, draws.front(), policy, report));
   }
 
@@ -114,6 +118,8 @@ class ZpProgrammedLayer final : public ProgrammedLayer {
 
  private:
   nn::DeconvLayerSpec spec_;
+  /// Trial-invariant: shared (const) by every perturbed and faulted sibling.
+  std::shared_ptr<const std::vector<GatherTable>> tables_;
   int threads_;
   bool bit_accurate_;
   xbar::LogicalXbar macro_;
@@ -136,8 +142,9 @@ std::unique_ptr<ProgrammedLayer> ZeroPaddingDesign::program(
   const std::int64_t rows = std::int64_t{spec.kh} * spec.kw * spec.c;
   xbar::LogicalXbar macro(rows, spec.m, {rot.data(), static_cast<std::size_t>(rot.size())},
                           cfg_.quant, variation_salt);
-  return std::make_unique<ZpProgrammedLayer>(spec, cfg_.threads, cfg_.bit_accurate,
-                                             std::move(macro));
+  return std::make_unique<ZpProgrammedLayer>(
+      spec, std::make_shared<const std::vector<GatherTable>>(build_phase_tables(spec)),
+      cfg_.threads, cfg_.bit_accurate, std::move(macro));
 }
 
 }  // namespace red::arch

@@ -5,13 +5,12 @@
 #include <utility>
 #include <vector>
 
+#include "red/arch/gathered_run.h"
 #include "red/common/contracts.h"
 #include "red/core/pixel_wise_mapping.h"
-#include "red/fault/inject.h"
 #include "red/core/schedule.h"
-#include "red/perf/mvm_kernel.h"
+#include "red/fault/inject.h"
 #include "red/perf/thread_pool.h"
-#include "red/perf/workspace.h"
 #include "red/plan/plan.h"
 
 namespace red::core {
@@ -66,33 +65,29 @@ std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec
   return xbars;
 }
 
-// One mode group's walk of the schedule, resolved to pixels: which input
-// pixel each SC reads and which output pixel each cycle completes. Both are
-// fixed by the schedule, whatever the input.
-struct GatherTable {
-  /// Cycles come in block rows of row_cycles (the last may be shorter); the
-  /// block row starting at cycle c0 holds num_sc * batch entries at
-  /// num_sc * c0, SC-major ([sc][k]). An entry is h * iw + w, or
-  /// ih * iw (the zero slot after each input plane) for an idle SC.
-  std::vector<std::int32_t> sc_pixel;
-  std::vector<std::int64_t> out_pixel;  ///< per cycle: oy * ow + ox, or -1
-};
-
-std::vector<GatherTable> build_gather_tables(const ZeroSkipSchedule& schedule) {
+// One gather table per mode group (xbar gi): the group's walk of the
+// schedule resolved to pixels, in blocks of one output block row
+// (blocks_x() * phases() cycles; the last may be shorter). A block's
+// phases() coalesced cycles (== fold with the lookahead/lookaside window
+// off) are adjacent, so a block never splits a fold accumulation. Slot sc
+// is the group's sub-crossbar sc; an idle SC reads the zero slot.
+std::vector<arch::GatherTable> build_gather_tables(const ZeroSkipSchedule& schedule) {
   const auto& spec = schedule.spec();
   const std::int64_t num_cycles = schedule.num_cycles();
   const std::int64_t row_cycles = std::int64_t{schedule.blocks_x()} * schedule.phases();
   const auto idle = static_cast<std::int32_t>(std::int64_t{spec.ih} * spec.iw);
-  std::vector<GatherTable> tables(schedule.groups().size());
+  std::vector<arch::GatherTable> tables(schedule.groups().size());
   GroupWork work;  // rebuilt in place each cycle, reusing inputs capacity
   for (std::size_t gi = 0; gi < tables.size(); ++gi) {
     auto& t = tables[gi];
     const auto num_sc = static_cast<std::int64_t>(schedule.groups()[gi].scs.size());
-    t.sc_pixel.assign(static_cast<std::size_t>(num_sc * num_cycles), idle);
+    t.xbar = gi;
+    t.block = row_cycles;
+    t.pixel.assign(static_cast<std::size_t>(num_sc * num_cycles), idle);
     t.out_pixel.resize(static_cast<std::size_t>(num_cycles));
     for (std::int64_t c0 = 0; c0 < num_cycles; c0 += row_cycles) {
       const std::int64_t batch = std::min(row_cycles, num_cycles - c0);
-      std::int32_t* block = t.sc_pixel.data() + num_sc * c0;
+      std::int32_t* block = t.pixel.data() + num_sc * c0;
       for (std::int64_t k = 0; k < batch; ++k) {
         schedule.group_work(c0 + k, static_cast<int>(gi), work);
         t.out_pixel[static_cast<std::size_t>(c0 + k)] =
@@ -113,7 +108,7 @@ struct RedProgram {
   arch::DesignConfig cfg;
   nn::DeconvLayerSpec spec;
   ZeroSkipSchedule schedule;
-  std::vector<GatherTable> gather;  ///< one per mode group
+  std::vector<arch::GatherTable> gather;  ///< one per mode group
 
   RedProgram(arch::DesignConfig c, const nn::DeconvLayerSpec& s, int fold,
              std::vector<ModeGroup> groups)
@@ -129,99 +124,16 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
                      std::vector<xbar::LogicalXbar> xbars, int threads)
       : prog_(std::move(prog)), xbars_(std::move(xbars)), threads_(threads) {}
 
+  // Mode groups are independent executors: each owns its crossbar, its
+  // fold accumulator (one period of phases() cycles) and a disjoint set of
+  // output pixels (one (a, b) output residue class per group). Cycles are a
+  // schedule property, counted once.
   Tensor<std::int32_t> run(const Tensor<std::int32_t>& input,
                            arch::RunStats* stats) const override {
-    const auto& spec = prog_->spec;
-    RED_EXPECTS(input.shape() == spec.input_shape());
     const auto& schedule = prog_->schedule;
-    const std::int64_t num_cycles = schedule.num_cycles();
-    const int num_groups = static_cast<int>(schedule.groups().size());
-    const std::int64_t out_plane = std::int64_t{spec.oh()} * spec.ow();
-    const int phases = schedule.phases();
-    // One output block row per batched MVM: a block's phases() coalesced
-    // cycles (== fold with the lookahead/lookaside window off) are adjacent,
-    // so a batch never splits a fold accumulation.
-    const std::int64_t row_cycles = std::int64_t{schedule.blocks_x()} * phases;
-
-    // The input planes, each followed by one zero: an idle SC reads that
-    // slot, so the gather below copies without a branch.
-    const std::int64_t in_plane = std::int64_t{spec.ih} * spec.iw;
-    const std::int64_t padded_plane = in_plane + 1;
-    std::vector<std::int32_t> padded(static_cast<std::size_t>(spec.c * padded_plane), 0);
-    std::vector<std::int32_t> channel_offset(static_cast<std::size_t>(spec.c));
-    for (int c = 0; c < spec.c; ++c) {
-      std::copy_n(input.ptr(0, c), in_plane, padded.data() + c * padded_plane);
-      channel_offset[static_cast<std::size_t>(c)] = static_cast<std::int32_t>(c * padded_plane);
-    }
-
-    Tensor<std::int32_t> out(spec.output_shape());
-    // Mode groups are independent executors: each owns its crossbar, its
-    // fold accumulator, and a disjoint set of output pixels (one (a, b)
-    // output residue class per group). Chunk them across the pool; per-chunk
-    // stats are merged in chunk order after the join, so any thread count
-    // reproduces the serial cycle-major walk bit-exactly.
-    const std::int64_t chunks = perf::chunk_count(threads_, num_groups);
-    std::vector<arch::RunStats> chunk_stats(static_cast<std::size_t>(chunks));
-    perf::parallel_chunks(chunks, num_groups, [&](std::int64_t t, std::int64_t g0,
-                                                  std::int64_t g1) {
-      arch::RunStats& local = chunk_stats[static_cast<std::size_t>(t)];
-      // Thread-local workspace: Monte Carlo trials call run() thousands of
-      // times, so the per-call construction cost matters here.
-      thread_local perf::MvmWorkspace ws;
-      std::vector<std::int32_t> gathered;  // one block row of cycle inputs
-      // Per-group accumulator carrying partial sums across fold phases (Eq. 2).
-      std::vector<std::int64_t> group_acc(static_cast<std::size_t>(spec.m));
-      for (std::int64_t gi = g0; gi < g1; ++gi) {
-        const auto& xb = xbars_[static_cast<std::size_t>(gi)];
-        const std::int64_t rows = xb.rows();
-        const std::int64_t num_sc = rows / spec.c;
-        // On the exact kernel's batch sweep the gather writes its block
-        // batch-minor (row r of cycle k at r * batch + k), read in place.
-        const bool batch_minor = perf::reads_batch_minor(xb, prog_->cfg.bit_accurate);
-        const GatherTable& table = prog_->gather[static_cast<std::size_t>(gi)];
-        for (std::int64_t c0 = 0; c0 < num_cycles; c0 += row_cycles) {
-          const std::int64_t batch = std::min(row_cycles, num_cycles - c0);
-          const std::int32_t* sc_pixel = table.sc_pixel.data() + num_sc * c0;
-          const std::int64_t* out_pixel = table.out_pixel.data() + c0;
-          // Every element, by vector gathers along contiguous rows of the
-          // block: one channel across the cycles (batch-minor), or one SC's
-          // channels in one cycle (vector-major).
-          gathered.resize(static_cast<std::size_t>(batch * rows));
-          for (std::int64_t sc = 0; sc < num_sc; ++sc) {
-            const std::int32_t* pixel = sc_pixel + sc * batch;
-            if (batch_minor) {
-              for (int c = 0; c < spec.c; ++c)
-                perf::gather_inputs(padded.data() + c * padded_plane,
-                                    {pixel, static_cast<std::size_t>(batch)},
-                                    gathered.data() + (sc * spec.c + c) * batch);
-            } else {
-              for (std::int64_t k = 0; k < batch; ++k)
-                perf::gather_inputs(padded.data() + pixel[k], channel_offset,
-                                    gathered.data() + k * rows + sc * spec.c);
-            }
-          }
-          const auto partials =
-              batch_minor ? perf::mvm_exact_batch_minor(xb, gathered, batch, ws, &local.mvm)
-                          : xb.mvm_batch(gathered, batch, prog_->cfg.bit_accurate, ws,
-                                         &local.mvm);
-          for (std::int64_t k = 0; k < batch; ++k) {
-            if ((c0 + k) % phases == 0) std::fill(group_acc.begin(), group_acc.end(), 0);
-            const std::int64_t* p = partials.data() + k * spec.m;
-            for (int m = 0; m < spec.m; ++m) group_acc[static_cast<std::size_t>(m)] += p[m];
-            const std::int64_t pixel = out_pixel[k];
-            if (pixel >= 0)
-              for (int m = 0; m < spec.m; ++m)
-                out.data()[m * out_plane + pixel] =
-                    static_cast<std::int32_t>(group_acc[static_cast<std::size_t>(m)]);
-          }
-        }
-      }
-    });
-    arch::RunStats local;
-    for (const auto& cs : chunk_stats) local += cs;
-    local.cycles = num_cycles;  // cycles are a schedule property, counted once
-    if (stats != nullptr) *stats = local;
-    return out;
+    return arch::run_gathered(prog_->spec, prog_->gather, xbars_, schedule.phases(),
+                              prog_->cfg.bit_accurate, threads_, schedule.num_cycles(), input,
+                              stats);
   }
 
   std::unique_ptr<arch::ProgrammedLayer> perturbed(
@@ -271,7 +183,7 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
  private:
   std::shared_ptr<const RedProgram> prog_;
   std::vector<xbar::LogicalXbar> xbars_;
-  int threads_;  ///< run() lanes over the mode groups
+  int threads_;  ///< run() lanes over the gathered blocks
 };
 
 }  // namespace

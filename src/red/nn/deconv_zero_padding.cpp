@@ -6,30 +6,19 @@
 
 namespace red::nn {
 
-void zero_insert(const DeconvLayerSpec& spec, const Tensor<std::int32_t>& input,
-                 bool channel_major, std::span<std::int32_t> plane) {
+Tensor<std::int32_t> zero_pad_input(const DeconvLayerSpec& spec,
+                                    const Tensor<std::int32_t>& input) {
   RED_EXPECTS_MSG(input.shape() == spec.input_shape(), "input shape mismatch");
   const PaddedGeometry g = padded_geometry(spec);
-  const std::int64_t pixels = std::int64_t{g.padded_h} * g.padded_w;
-  RED_EXPECTS(plane.size() == static_cast<std::size_t>(spec.c * pixels));
-  const std::int64_t channel_step = channel_major ? pixels : 1;
-  const std::int64_t pixel_step = channel_major ? 1 : spec.c;
+  Tensor<std::int32_t> padded(Shape4{1, spec.c, g.padded_h, g.padded_w});
   for (int c = 0; c < spec.c; ++c)
     for (int h = 0; h < spec.ih; ++h) {
       const std::int32_t* src = input.ptr(0, c) + std::int64_t{h} * spec.iw;
-      std::int32_t* dst =
-          plane.data() + c * channel_step +
-          (std::int64_t{g.offset_top + h * spec.stride} * g.padded_w + g.offset_left) * pixel_step;
-      for (int w = 0; w < spec.iw; ++w) dst[std::int64_t{w} * spec.stride * pixel_step] = src[w];
+      std::int32_t* dst = padded.ptr(0, c) +
+                          std::int64_t{g.offset_top + h * spec.stride} * g.padded_w +
+                          g.offset_left;
+      for (int w = 0; w < spec.iw; ++w) dst[std::int64_t{w} * spec.stride] = src[w];
     }
-}
-
-Tensor<std::int32_t> zero_pad_input(const DeconvLayerSpec& spec,
-                                    const Tensor<std::int32_t>& input) {
-  const PaddedGeometry g = padded_geometry(spec);
-  Tensor<std::int32_t> padded(Shape4{1, spec.c, g.padded_h, g.padded_w});
-  zero_insert(spec, input, /*channel_major=*/true,
-              {padded.data(), static_cast<std::size_t>(padded.size())});
   return padded;
 }
 

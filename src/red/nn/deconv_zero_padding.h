@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "red/nn/layer.h"
 #include "red/tensor/tensor.h"
@@ -34,12 +33,6 @@ struct ZeroPaddingResult {
   Tensor<std::int32_t> output;
   ZeroPaddingStats stats;
 };
-
-/// Write Algorithm 1 step a)'s zero-inserted input into `plane`, which holds
-/// C * padded_h * padded_w zeros: channel-major ([c][y][x], the padded
-/// tensor's layout) or channel-minor ([y][x][c]).
-void zero_insert(const DeconvLayerSpec& spec, const Tensor<std::int32_t>& input,
-                 bool channel_major, std::span<std::int32_t> plane);
 
 /// Build the padded input tensor (1, C, padded_h, padded_w) of Algorithm 1 step a).
 [[nodiscard]] Tensor<std::int32_t> zero_pad_input(const DeconvLayerSpec& spec,

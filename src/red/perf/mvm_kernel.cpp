@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <type_traits>
 
 #include "red/common/contracts.h"
 #include "red/telemetry/metrics.h"
@@ -408,17 +409,17 @@ struct PortableExact {
     }
   }
 
-  template <int kC, typename W>
+  template <int kC, typename W, typename R>
   [[gnu::aligned(64)]] static void batch_tile(const W* w, std::int64_t rows, std::int64_t cols,
                                               const std::int32_t* xt, std::int64_t batch,
-                                              std::int64_t b0, std::int64_t k,
+                                              std::int64_t b0, std::int64_t k, R row_of,
                                               std::int64_t* out) {
     std::int32_t acc[kC] = {};
     std::int64_t done = 0;
     for (std::int64_t r = 0; r < rows; ++r) {
       const std::int32_t x = xt[r * batch + b0];
       if (x == 0) continue;
-      const W* wr = w + r * cols;
+      const W* wr = w + row_of(r) * cols;
       for (int c = 0; c < kC; ++c) acc[c] += static_cast<std::int32_t>(wr[c]) * x;
       if (++done == k) {
         flush_lanes(acc, kC, out + b0 * cols);
@@ -477,10 +478,10 @@ struct Avx2Exact {
     }
   }
 
-  template <int kC, typename W>
+  template <int kC, typename W, typename R>
   [[gnu::target("avx2"), gnu::aligned(64)]] static void batch_tile(
       const W* w, std::int64_t rows, std::int64_t cols, const std::int32_t* xt,
-      std::int64_t batch, std::int64_t b0, std::int64_t k, std::int64_t* out) {
+      std::int64_t batch, std::int64_t b0, std::int64_t k, R row_of, std::int64_t* out) {
     const int n = static_cast<int>(std::min<std::int64_t>(8, batch - b0));
     const __m256i live =
         _mm256_cmpgt_epi32(_mm256_set1_epi32(n), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
@@ -491,7 +492,7 @@ struct Avx2Exact {
     for (std::int64_t r = 0; r < rows; ++r) {
       const __m256i x = _mm256_maskload_epi32(xt + r * batch + b0, live);
       if (_mm256_testz_si256(x, x)) continue;
-      const W* wr = w + r * cols;
+      const W* wr = w + row_of(r) * cols;
       for (int c = 0; c < kC; ++c)
         acc[c] = _mm256_add_epi32(
             acc[c], _mm256_mullo_epi32(_mm256_set1_epi32(static_cast<std::int32_t>(wr[c])), x));
@@ -560,10 +561,10 @@ struct Avx512Exact {
     }
   }
 
-  template <int kC, typename W>
+  template <int kC, typename W, typename R>
   [[gnu::target("avx512f"), gnu::aligned(64)]] static void batch_tile(
       const W* w, std::int64_t rows, std::int64_t cols, const std::int32_t* xt,
-      std::int64_t batch, std::int64_t b0, std::int64_t k, std::int64_t* out) {
+      std::int64_t batch, std::int64_t b0, std::int64_t k, R row_of, std::int64_t* out) {
     const int n = static_cast<int>(std::min<std::int64_t>(16, batch - b0));
     const auto live = static_cast<__mmask16>((1U << n) - 1);
     __m512i acc[kC];
@@ -573,7 +574,7 @@ struct Avx512Exact {
     for (std::int64_t r = 0; r < rows; ++r) {
       const __m512i x = _mm512_maskz_loadu_epi32(live, xt + r * batch + b0);
       if (_mm512_test_epi32_mask(x, x) == 0) continue;
-      const W* wr = w + r * cols;
+      const W* wr = w + row_of(r) * cols;
       for (int c = 0; c < kC; ++c)
         acc[c] = _mm512_add_epi32(
             acc[c], _mm512_mullo_epi32(_mm512_set1_epi32(static_cast<std::int32_t>(wr[c])), x));
@@ -678,59 +679,72 @@ void col_sweep(const W* w, std::int64_t cols, const std::int32_t* idx, const std
   }
 }
 
-/// Batch sweep of a batch-minor block: column groups of up to four, each
-/// over every tile of Tier::kLanes vectors.
-template <typename Tier, typename W>
+/// Crossbar row of block row r: r itself on a dense block, rows[r] on a
+/// gathered one (a function object, so the dense sweeps compile without the
+/// indirection).
+struct DenseRows {
+  std::int64_t operator()(std::int64_t r) const { return r; }
+};
+struct GatheredRows {
+  const std::int32_t* rows;
+  std::int64_t operator()(std::int64_t r) const { return rows[r]; }
+};
+
+/// Batch sweep of a batch-minor block of `rows` block rows: column groups of
+/// up to four, each over every tile of Tier::kLanes vectors.
+template <typename Tier, typename W, typename R>
 void batch_sweep(const W* w, std::int64_t rows, std::int64_t cols, const std::int32_t* xt,
-                 std::int64_t batch, std::int64_t k, std::int64_t* out) {
+                 std::int64_t batch, std::int64_t k, R row_of, std::int64_t* out) {
   for (std::int64_t c0 = 0; c0 < cols; c0 += 4) {
     const std::int64_t group = std::min<std::int64_t>(4, cols - c0);
     for (std::int64_t b0 = 0; b0 < batch; b0 += Tier::kLanes) {
       if (group == 1)
-        Tier::template batch_tile<1>(w + c0, rows, cols, xt, batch, b0, k, out + c0);
+        Tier::template batch_tile<1>(w + c0, rows, cols, xt, batch, b0, k, row_of, out + c0);
       else if (group == 2)
-        Tier::template batch_tile<2>(w + c0, rows, cols, xt, batch, b0, k, out + c0);
+        Tier::template batch_tile<2>(w + c0, rows, cols, xt, batch, b0, k, row_of, out + c0);
       else if (group == 3)
-        Tier::template batch_tile<3>(w + c0, rows, cols, xt, batch, b0, k, out + c0);
+        Tier::template batch_tile<3>(w + c0, rows, cols, xt, batch, b0, k, row_of, out + c0);
       else
-        Tier::template batch_tile<4>(w + c0, rows, cols, xt, batch, b0, k, out + c0);
+        Tier::template batch_tile<4>(w + c0, rows, cols, xt, batch, b0, k, row_of, out + c0);
     }
   }
 }
 
-/// Where one exact block's inputs live: element (vector v, row r) is
+/// Where one exact block's inputs live: element (vector v, block row r) is
 /// x[v * vec_stride + r * row_stride] — vector-major (rows, 1) or
-/// batch-minor (1, batch).
+/// batch-minor (1, batch) — and block row r drives crossbar row
+/// row_of[r], or row r when row_of is null.
 struct ExactInputs {
   const std::int32_t* x;
   std::int64_t vec_stride;
   std::int64_t row_stride;
+  std::int64_t rows;
+  const std::int32_t* row_of;
 };
 
 /// The int64 row sweep, for configs where one product can overflow int32
 /// (exact_flush_rows() == 0).
-template <typename W>
+template <typename W, typename R>
 void wide_sweep(const W* weights, const LogicalXbar& xbar, const ExactInputs& in,
-                std::int64_t batch, std::int64_t* out) {
-  const std::int64_t rows = xbar.rows();
+                std::int64_t batch, R row_of, std::int64_t* out) {
   const std::int64_t cols = xbar.cols();
   for (std::int64_t v = 0; v < batch; ++v) {
     std::int64_t* o = out + v * cols;
-    for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t r = 0; r < in.rows; ++r) {
       const std::int32_t a = in.x[v * in.vec_stride + r * in.row_stride];
       if (a == 0) continue;
-      const W* wrow = weights + r * cols;
+      const W* wrow = weights + row_of(r) * cols;
       for (std::int64_t c = 0; c < cols; ++c) o[c] += std::int64_t{a} * wrow[c];
     }
   }
 }
 
 /// The narrow sweeps on tier Tier with weights of type W.
-template <typename Tier, typename W>
+template <typename Tier, typename W, typename R>
 void narrow_sweep(const W* w, const LogicalXbar& xbar, const ExactInputs& in,
-                  std::int64_t batch, ExactSweep sweep, std::int64_t k, MvmWorkspace& ws,
-                  std::int64_t* out) {
-  const std::int64_t rows = xbar.rows();
+                  std::int64_t batch, ExactSweep sweep, std::int64_t k, R row_of,
+                  MvmWorkspace& ws, std::int64_t* out) {
+  const std::int64_t rows = in.rows;
   const std::int64_t cols = xbar.cols();
   if (sweep == ExactSweep::kBatch) {
     const std::int32_t* xt = in.x;
@@ -745,7 +759,7 @@ void narrow_sweep(const W* w, const LogicalXbar& xbar, const ExactInputs& in,
                       ws.in_t.data() + r * batch);
       xt = ws.in_t.data();
     }
-    batch_sweep<Tier>(w, rows, cols, xt, batch, k, out);
+    batch_sweep<Tier>(w, rows, cols, xt, batch, k, row_of, out);
     return;
   }
   ws.prepare_exact(rows, 0);
@@ -754,6 +768,8 @@ void narrow_sweep(const W* w, const LogicalXbar& xbar, const ExactInputs& in,
   for (std::int64_t v = 0; v < batch; ++v) {
     const std::int64_t nnz =
         Tier::compact(in.x + v * in.vec_stride, rows, in.row_stride, idx, val);
+    if constexpr (!std::is_same_v<R, DenseRows>)
+      for (std::int64_t i = 0; i < nnz; ++i) idx[i] = static_cast<std::int32_t>(row_of(idx[i]));
     col_sweep<Tier>(w, cols, idx, val, nnz, k, out + v * cols);
   }
 }
@@ -761,15 +777,21 @@ void narrow_sweep(const W* w, const LogicalXbar& xbar, const ExactInputs& in,
 template <typename Tier>
 EncodeSummary exact_on_tier(const LogicalXbar& xbar, const ExactInputs& in, std::int64_t batch,
                             ExactSweep sweep, MvmWorkspace& ws, std::int64_t* out) {
-  const EncodeSummary sum = Tier::summarize(in.x, batch * xbar.rows(), xbar.config());
+  const EncodeSummary sum = Tier::summarize(in.x, batch * in.rows, xbar.config());
   std::fill(out, out + batch * xbar.cols(), std::int64_t{0});
   const std::int64_t k = exact_flush_rows(xbar.config());
-  xbar.visit_stored_weights([&](auto w) {
-    if (k == 0)
-      wide_sweep(w.data(), xbar, in, batch, out);
-    else
-      narrow_sweep<Tier>(w.data(), xbar, in, batch, sweep, k, ws, out);
-  });
+  const auto run = [&](auto row_of) {
+    xbar.visit_stored_weights([&](auto w) {
+      if (k == 0)
+        wide_sweep(w.data(), xbar, in, batch, row_of, out);
+      else
+        narrow_sweep<Tier>(w.data(), xbar, in, batch, sweep, k, row_of, ws, out);
+    });
+  };
+  if (in.row_of == nullptr)
+    run(DenseRows{});
+  else
+    run(GatheredRows{in.row_of});
   return sum;
 }
 
@@ -840,17 +862,29 @@ void record_mvm_call(telemetry::MetricsRegistry* m, const char* counter, std::in
   bump("mvm.adc_clips", stats->adc_clips - before.adc_clips);
 }
 
-/// The one body behind every entry point: `batch` MVMs on tier `isa`.
-/// Exact inputs are batch-minor when `batch_minor` (the popcount kernel's
-/// are always vector-major), and `sweep` orients the exact kernel's lanes.
+/// Throw unless `rows` lists crossbar rows of `xbar` in strictly increasing
+/// order, so every crossbar row takes at most one gathered value.
+void check_gathered_rows(std::span<const std::int32_t> rows, const LogicalXbar& xbar) {
+  bool ok = rows.front() >= 0 && rows.back() < xbar.rows();
+  for (std::size_t i = 1; i < rows.size(); ++i) ok &= rows[i - 1] < rows[i];
+  RED_EXPECTS_MSG(ok, "gathered rows must be increasing crossbar rows");
+}
+
+/// The one body behind every entry point: `batch` MVMs on tier `isa` over
+/// the block rows `rows` (empty: every crossbar row). Exact inputs are
+/// batch-minor when `batch_minor` (the popcount kernel's are always
+/// vector-major), and `sweep` orients the exact kernel's lanes.
 std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
+                                        std::span<const std::int32_t> rows,
                                         std::span<const std::int32_t> inputs, std::int64_t batch,
                                         bool bit_accurate, ExactSweep sweep, bool batch_minor,
                                         MvmWorkspace& ws, MvmStats* stats) {
   RED_EXPECTS(batch >= 0);
-  RED_EXPECTS_MSG(inputs.size() == static_cast<std::size_t>(batch * xbar.rows()),
-                  "input size mismatch");
+  const std::int64_t n = rows.empty() ? xbar.rows() : std::ssize(rows);
+  RED_EXPECTS_MSG(inputs.size() == static_cast<std::size_t>(batch * n), "input size mismatch");
+  if (!rows.empty()) check_gathered_rows(rows, xbar);
   const bool exact = runs_exact_kernel(xbar, bit_accurate);
+  RED_EXPECTS_MSG(exact || !batch_minor, "only the exact kernel reads batch-minor blocks");
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.cols(), batch);
@@ -860,10 +894,16 @@ std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
     // The crossbar's packed planes are built by their first reader.
     if (xbar.ensure_packed_planes() && m != nullptr)
       m->counter("xbar.packed_plane_builds")->add(1);
-    const auto rows = static_cast<std::size_t>(xbar.rows());
+    // A gathered vector is scattered over a dense zero one: every vector
+    // writes the same rows, so the others stay zero across the block.
+    if (!rows.empty()) ws.in_t.assign(static_cast<std::size_t>(xbar.rows()), 0);
     for (std::int64_t v = 0; v < batch; ++v) {
-      const auto input = inputs.subspan(static_cast<std::size_t>(v) * rows, rows);
-      const EncodeSummary sum = summarize_body(input.data(), xbar.rows(), q);
+      auto input = inputs.subspan(static_cast<std::size_t>(v * n), static_cast<std::size_t>(n));
+      const EncodeSummary sum = summarize_body(input.data(), n, q);
+      if (!rows.empty()) {
+        for (std::int64_t i = 0; i < n; ++i) ws.in_t[static_cast<std::size_t>(rows[i])] = input[i];
+        input = std::span(ws.in_t).first(static_cast<std::size_t>(xbar.rows()));
+      }
       encode_packed(input, q, padded_planes(q), ws.in_planes.data());
       add_stats(xbar, sum, 1,
                 packed_clipped_kernel(xbar, sum, ws, ws.out.data() + v * xbar.cols(),
@@ -871,8 +911,8 @@ std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
                 stats);
     }
   } else if (batch > 0) {
-    const ExactInputs in{inputs.data(), batch_minor ? 1 : xbar.rows(),
-                         batch_minor ? batch : 1};
+    const ExactInputs in{inputs.data(), batch_minor ? 1 : n, batch_minor ? batch : 1, n,
+                         rows.empty() ? nullptr : rows.data()};
     const EncodeSummary sum = exact_block(isa, xbar, in, batch, sweep, ws, ws.out.data());
     add_stats(xbar, sum, batch, 0, stats);
   }
@@ -963,30 +1003,31 @@ std::int64_t exact_flush_rows(const QuantConfig& q) {
 std::span<const std::int64_t> mvm_bit_accurate(const LogicalXbar& xbar,
                                                std::span<const std::int32_t> input,
                                                MvmWorkspace& ws, MvmStats* stats) {
-  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/true, exact_sweep(xbar),
-                   /*batch_minor=*/false, ws, stats);
+  return run_batch(mvm_active_isa(), xbar, {}, input, 1, /*bit_accurate=*/true,
+                   exact_sweep(xbar), /*batch_minor=*/false, ws, stats);
 }
 
 std::span<const std::int64_t> mvm_exact(const LogicalXbar& xbar,
                                         std::span<const std::int32_t> input, MvmWorkspace& ws,
                                         MvmStats* stats) {
-  return run_batch(mvm_active_isa(), xbar, input, 1, /*bit_accurate=*/false, exact_sweep(xbar),
-                   /*batch_minor=*/false, ws, stats);
+  return run_batch(mvm_active_isa(), xbar, {}, input, 1, /*bit_accurate=*/false,
+                   exact_sweep(xbar), /*batch_minor=*/false, ws, stats);
 }
 
 std::span<const std::int64_t> mvm_batch(const LogicalXbar& xbar,
                                         std::span<const std::int32_t> inputs, std::int64_t batch,
                                         bool bit_accurate, MvmWorkspace& ws, MvmStats* stats) {
-  return run_batch(mvm_active_isa(), xbar, inputs, batch, bit_accurate, exact_sweep(xbar),
+  return run_batch(mvm_active_isa(), xbar, {}, inputs, batch, bit_accurate, exact_sweep(xbar),
                    /*batch_minor=*/false, ws, stats);
 }
 
-std::span<const std::int64_t> mvm_exact_batch_minor(const LogicalXbar& xbar,
-                                                    std::span<const std::int32_t> inputs,
-                                                    std::int64_t batch, MvmWorkspace& ws,
-                                                    MvmStats* stats) {
-  return run_batch(mvm_active_isa(), xbar, inputs, batch, /*bit_accurate=*/false,
-                   exact_sweep(xbar), /*batch_minor=*/true, ws, stats);
+std::span<const std::int64_t> mvm_gathered(const LogicalXbar& xbar,
+                                           std::span<const std::int32_t> rows,
+                                           std::span<const std::int32_t> inputs,
+                                           std::int64_t batch, bool batch_minor,
+                                           bool bit_accurate, MvmWorkspace& ws, MvmStats* stats) {
+  return run_batch(mvm_active_isa(), xbar, rows, inputs, batch, bit_accurate, exact_sweep(xbar),
+                   batch_minor, ws, stats);
 }
 
 namespace detail {
@@ -994,7 +1035,7 @@ namespace detail {
 std::span<const std::int64_t> mvm_bit_accurate_on(MvmIsa tier, const LogicalXbar& xbar,
                                                   std::span<const std::int32_t> input,
                                                   MvmWorkspace& ws, MvmStats* stats) {
-  return run_batch(std::min(tier, mvm_active_isa()), xbar, input, 1, /*bit_accurate=*/true,
+  return run_batch(std::min(tier, mvm_active_isa()), xbar, {}, input, 1, /*bit_accurate=*/true,
                    exact_sweep(xbar), /*batch_minor=*/false, ws, stats);
 }
 
@@ -1002,8 +1043,8 @@ std::span<const std::int64_t> mvm_exact_on(MvmIsa tier, ExactSweep sweep,
                                            const LogicalXbar& xbar,
                                            std::span<const std::int32_t> inputs,
                                            std::int64_t batch, MvmWorkspace& ws,
-                                           MvmStats* stats) {
-  return run_batch(std::min(tier, mvm_active_isa()), xbar, inputs, batch,
+                                           MvmStats* stats, std::span<const std::int32_t> rows) {
+  return run_batch(std::min(tier, mvm_active_isa()), xbar, rows, inputs, batch,
                    /*bit_accurate=*/false, sweep, /*batch_minor=*/false, ws, stats);
 }
 

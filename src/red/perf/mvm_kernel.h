@@ -1,11 +1,17 @@
 // MVM kernels: one per regime, each compiled at every SIMD tier (MvmIsa).
 //
-//  * exact (mvm_exact, mvm_batch, mvm_exact_batch_minor, and bit-accurate
-//    calls under an ideal ADC, which is lossless: runs_exact_kernel) — the
+//  * exact (mvm_exact, mvm_batch, mvm_gathered, and bit-accurate calls
+//    under an ideal ADC, which is lossless: runs_exact_kernel) — the
 //    integer dot product with the round-tripped weights. A row sweep over
 //    LogicalXbar's narrow weight copy (visit_stored_weights, sized by
 //    QuantConfig::stored_weight_bits so a faulted top slice still fits) that
 //    skips zero activations, the way RED's zero-skipping data flow does.
+//      - A gathered block (mvm_gathered) carries values for listed rows
+//        only, the other rows zero: zero padding's phase gather drives
+//        just the rows whose taps can land on an input pixel. The column
+//        sweep maps its non-zero positions through the list and the batch
+//        sweep reads weight rows through it; a dense block (every caller
+//        but zero padding) does neither.
 //      - Products accumulate in int32 lanes and flush to the int64 outputs
 //        every exact_flush_rows() rows, a bound from QuantConfig under which
 //        overflow is impossible. Where one product cannot fit in int32 the
@@ -13,15 +19,15 @@
 //      - Orientation rule (exact_sweep): a macro with at least one vector of
 //        columns sweeps across its columns, one input vector at a time; a
 //        narrower one (RED's 288x3 output stage) sweeps across the batch,
-//        lanes over vectors, reading a batch-minor block. RED's gather and
-//        ZP's window build write that block directly
-//        (mvm_exact_batch_minor); vector-major callers are copied
-//        batch-minor inside the call.
+//        lanes over vectors, reading a batch-minor block. The programmed
+//        layers' gather (arch/gathered_run.h) writes that block directly;
+//        vector-major callers are copied batch-minor inside the call.
 //      - Pulse counts are a popcount form per value, and the activation
 //        range check runs once per block over its min and max: an
 //        out-of-range activation still throws.
-//  * packed popcount (mvm_bit_accurate, mvm_batch with bit_accurate=true,
-//    under a clipped ADC only) — packed bit-planes: every stored-level bit
+//  * packed popcount (mvm_bit_accurate, mvm_batch / mvm_gathered with
+//    bit_accurate=true, under a clipped ADC only; a gathered vector is
+//    scattered over a dense zero one) — packed bit-planes: every stored-level bit
 //    of a column lives in LogicalXbar's packed weight planes (one
 //    64-bit-word bitmap per level bit, built on this kernel's first call),
 //    the input's bit-planes are packed the same way into the workspace, and
@@ -79,7 +85,7 @@ enum class ExactSweep : int {
 [[nodiscard]] ExactSweep exact_sweep(const xbar::LogicalXbar& xbar);
 
 /// runs_exact_kernel and exact_sweep() kBatch: a caller building its own
-/// input block writes it batch-minor and calls mvm_exact_batch_minor.
+/// input block writes it batch-minor for mvm_gathered.
 [[nodiscard]] bool reads_batch_minor(const xbar::LogicalXbar& xbar, bool bit_accurate);
 
 /// Rows of worst-magnitude products (largest |activation| times largest
@@ -120,13 +126,20 @@ std::span<const std::int64_t> mvm_batch(const xbar::LogicalXbar& xbar,
 void gather_inputs(const std::int32_t* src, std::span<const std::int32_t> index,
                    std::int32_t* dst);
 
-/// mvm_batch(bit_accurate=false) on a batch-minor block: inputs[r * batch +
-/// v] is row r of vector v. Returns batch * cols() results, vector-major, in
-/// `ws.out`. RED's gather writes this layout when exact_sweep() is kBatch.
-std::span<const std::int64_t> mvm_exact_batch_minor(const xbar::LogicalXbar& xbar,
-                                                    std::span<const std::int32_t> inputs,
-                                                    std::int64_t batch, MvmWorkspace& ws,
-                                                    xbar::MvmStats* stats = nullptr);
+/// mvm_batch on a gathered block: `batch` vectors of n values, value i
+/// driving crossbar row rows[i] (strictly increasing) and every other row
+/// zero, or n = rows() values driving every row in order when `rows` is
+/// empty. `inputs` is vector-major, or batch-minor when `batch_minor`
+/// (inputs[i * batch + v] is value i of vector v; exact kernel only). The
+/// exact kernel reads the block in place; the popcount kernel scatters each
+/// vector over a dense zero one. Outputs and stats equal mvm_batch on the
+/// dense vectors. Returns batch * cols() results, vector-major, in `ws.out`.
+std::span<const std::int64_t> mvm_gathered(const xbar::LogicalXbar& xbar,
+                                           std::span<const std::int32_t> rows,
+                                           std::span<const std::int32_t> inputs,
+                                           std::int64_t batch, bool batch_minor,
+                                           bool bit_accurate, MvmWorkspace& ws,
+                                           xbar::MvmStats* stats = nullptr);
 
 namespace detail {
 
@@ -137,13 +150,14 @@ std::span<const std::int64_t> mvm_bit_accurate_on(MvmIsa tier, const xbar::Logic
                                                   MvmWorkspace& ws,
                                                   xbar::MvmStats* stats = nullptr);
 
-/// mvm_batch(bit_accurate=false) on `tier`, clamped to mvm_active_isa(),
+/// mvm_gathered(bit_accurate=false) on `tier`, clamped to mvm_active_isa(),
 /// with the orientation forced to `sweep`. `inputs` is vector-major.
 std::span<const std::int64_t> mvm_exact_on(MvmIsa tier, ExactSweep sweep,
                                            const xbar::LogicalXbar& xbar,
                                            std::span<const std::int32_t> inputs,
                                            std::int64_t batch, MvmWorkspace& ws,
-                                           xbar::MvmStats* stats = nullptr);
+                                           xbar::MvmStats* stats = nullptr,
+                                           std::span<const std::int32_t> rows = {});
 
 }  // namespace detail
 

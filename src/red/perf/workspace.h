@@ -27,15 +27,14 @@ struct MvmWorkspace {
   std::vector<std::int32_t> nz_rows;
   std::vector<std::int32_t> nz_vals;
   /// Exact kernel, batch sweep: a vector-major batch copied batch-minor
-  /// (in_t[r * batch + v] is row r of vector v).
+  /// (in_t[r * batch + v] is row r of vector v). Popcount kernel: a
+  /// gathered vector scattered over every crossbar row.
   std::vector<std::int32_t> in_t;
   /// Kernel output block: batch * cols results, vector-major.
   std::vector<std::int64_t> out;
-  /// Scratch plane for deconv loops (padding-free's scatter canvas, zero
-  /// padding's zero-inserted input); contents are transient per layer.
+  /// Padding-free's scatter canvas; contents are transient per layer.
   std::vector<std::int32_t> canvas;
-  /// The deconv loops' MVM input block: zero padding's one output row of
-  /// windows, padding-free's one input row of pixels.
+  /// Padding-free's MVM input block: one input row of pixels.
   std::vector<std::int32_t> windows;
 
   /// Grow (never shrink) the output block for a batch of `batch` MVMs on a

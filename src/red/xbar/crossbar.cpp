@@ -72,28 +72,6 @@ LogicalXbar::LogicalXbar(std::int64_t rows, std::int64_t cols,
     weights_.emplace<std::vector<std::int16_t>>(weights.begin(), weights.end());
   else
     weights_.emplace<std::vector<std::int32_t>>(weights.begin(), weights.end());
-  // Column level sums: digit s of w + offset is the slice-s level
-  // (xbar/codec's encode_weight is the oracle), summed per row while the row
-  // is in cache, in int32 lanes flushed every kSumRows rows (kSumRows
-  // levels < 2^31) into col_level_sums_.
-  constexpr std::int64_t kSumRows = std::int64_t{1} << 27;
-  const int slices = config_.slices();
-  const std::int32_t mask = config_.max_level();
-  col_level_sums_.assign(static_cast<std::size_t>(cols) * slices, 0);
-  std::vector<std::int32_t> sums(col_level_sums_.size());
-  for (std::int64_t r0 = 0; r0 < rows; r0 += kSumRows) {
-    std::fill(sums.begin(), sums.end(), 0);
-    for (std::int64_t r = r0; r < std::min(rows, r0 + kSumRows); ++r) {
-      const std::int32_t* wr = weights.data() + r * cols;
-      for (int s = 0; s < slices; ++s) {
-        std::int32_t* col_sums = sums.data() + s * cols;
-        const int shift = s * config_.cell_bits;
-        for (std::int64_t c = 0; c < cols; ++c) col_sums[c] += ((wr[c] + offset) >> shift) & mask;
-      }
-    }
-    for (std::size_t k = 0; k < sums.size(); ++k) col_level_sums_[k] += sums[k];
-  }
-  refresh_lossless_adc_bits();
   // Device variation reaches the cells only through the one sparse pass
   // over the clean levels.
   apply_variation(variation_salt);
@@ -183,7 +161,6 @@ void LogicalXbar::apply_variation(std::uint64_t salt) {
           }
       },
       weights_);
-  refresh_lossless_adc_bits();
 }
 
 LogicalXbar::LogicalXbar(const LogicalXbar& clean, std::span<const LevelPatch> patches,
@@ -202,7 +179,6 @@ LogicalXbar::LogicalXbar(const LogicalXbar& clean, std::span<const LevelPatch> p
         }
       },
       weights_);
-  refresh_lossless_adc_bits();
 }
 
 template <typename T>
@@ -214,9 +190,6 @@ void LogicalXbar::patch_cell(std::span<T> weights, int s, std::size_t i, std::ui
   const std::int32_t delta =
       (static_cast<std::int32_t>(level) - static_cast<std::int32_t>(original)) << (cell_bits * s);
   weights[i] = static_cast<T>(weights[i] + delta);
-  col_level_sums_[static_cast<std::size_t>(s) * static_cast<std::size_t>(cols_) +
-                  i % static_cast<std::size_t>(cols_)] +=
-      static_cast<std::int64_t>(level) - static_cast<std::int64_t>(original);
   std::vector<std::uint64_t>* planes = derived_.get_mut();
   if (planes == nullptr) return;  // built later, from the patched weights
   // One bit per level bit of this cell, at row bit (r % 64) of word (r / 64)
@@ -235,11 +208,6 @@ void LogicalXbar::patch_cell(std::span<T> weights, int s, std::size_t i, std::ui
     else
       word &= ~row_bit;
   }
-}
-
-void LogicalXbar::refresh_lossless_adc_bits() {
-  const std::int64_t worst = *std::max_element(col_level_sums_.begin(), col_level_sums_.end());
-  lossless_adc_bits_ = worst == 0 ? 1 : ilog2_ceil(worst + 1);
 }
 
 LogicalXbar::DerivedCache::DerivedCache(const DerivedCache& other) {
@@ -286,6 +254,29 @@ const std::vector<double>& LogicalXbar::DerivedCache::row_power(
     });
   });
   return state_->power;
+}
+
+const LogicalXbar::DerivedCache::ColumnSums& LogicalXbar::DerivedCache::column_sums(
+    const LogicalXbar& owner) const {
+  std::call_once(state_->sums_once, [&] {
+    // Digit s of stored + offset is the slice-s level (xbar/codec's
+    // encode_weight is the oracle), summed per row while the row is in
+    // cache.
+    const std::int64_t rows = owner.rows_, cols = owner.cols_;
+    const int slices = owner.config_.slices();
+    std::vector<std::int64_t>& sums = state_->sums.sums;
+    sums.assign(static_cast<std::size_t>(cols * slices), 0);
+    owner.visit_stored_weights([&](auto stored) {
+      for (std::int64_t r = 0; r < rows; ++r)
+        for (int s = 0; s < slices; ++s)
+          for (std::int64_t c = 0; c < cols; ++c)
+            sums[static_cast<std::size_t>(s * cols + c)] +=
+                owner.level_of(stored[static_cast<std::size_t>(r * cols + c)], s);
+    });
+    const std::int64_t worst = *std::max_element(sums.begin(), sums.end());
+    state_->sums.lossless_adc_bits = worst == 0 ? 1 : ilog2_ceil(worst + 1);
+  });
+  return state_->sums;
 }
 
 std::span<const double> LogicalXbar::encoded_row_power() const {

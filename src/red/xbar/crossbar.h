@@ -21,16 +21,17 @@
 // The narrow stored weights are the only copy of the cells: the level of
 // slice s is digit s of stored weight + weight_offset(), decoded on read.
 //
-// Write side. Programming from weights stores them and sums each column's
-// levels in vector passes. Device variation is drawn by one sampler, a sparse pass over
+// Write side. Programming from weights stores them, nothing more. Device
+// variation is drawn by one sampler, a sparse pass over
 // the clean levels: programming from weights under a variation config runs
 // it in place, and a perturbed sibling runs it on a copy of the clean
 // crossbar, so the two agree bit for bit. A reprogrammed sibling (variation,
 // or faults via red/fault's inject_faults) is a copy of the clean crossbar
 // plus sparse per-cell patches, so it costs one copy plus O(changed cells).
-// The packed bit-planes only serve the popcount kernel, so only a crossbar
-// with a clipped ADC builds them: the first time that kernel reads them, at
-// most once per crossbar. The exact path never builds them.
+// What is derived from the cells is computed by its first reader, at most
+// once per crossbar: the packed bit-planes (only the popcount kernel reads
+// them, so the exact path never builds them), the column level sums behind
+// lossless_adc_bits(), and the encoded row powers.
 #pragma once
 
 #include <atomic>
@@ -90,10 +91,9 @@ class LogicalXbar {
 
   /// Sparse reprogram: a copy of `clean` with each cell in `patches` set to
   /// its new level (fault injection and repair, red/fault). A cell appears
-  /// at most once. Stored weights, column level sums, the lossless-ADC cache
-  /// and any packed planes `clean` has built are patched in place, so the
-  /// cost is one copy plus O(patches). `stats` records what the
-  /// transformation did.
+  /// at most once. Stored weights and any packed planes `clean` has built
+  /// are patched in place, so the cost is one copy plus O(patches). `stats`
+  /// records what the transformation did.
   LogicalXbar(const LogicalXbar& clean, std::span<const LevelPatch> patches,
               VariationStats stats);
 
@@ -191,15 +191,20 @@ class LogicalXbar {
   [[nodiscard]] std::vector<std::int64_t> mvm_bit_accurate_reference(
       std::span<const std::int32_t> input, MvmStats* stats = nullptr) const;
 
-  /// Sum of column c's slice-s levels (lossless_adc_bits() covers the largest).
+  /// Sum of column c's slice-s levels (lossless_adc_bits() covers the
+  /// largest). All sums are computed from the stored weights by the first
+  /// reader of either, at most once per crossbar and safe under concurrent
+  /// readers; a copy computes its own.
   [[nodiscard]] std::int64_t col_level_sum(std::int64_t c, int s) const {
-    return col_level_sums_[static_cast<std::size_t>(s * cols_ + c)];
+    return derived_.column_sums(*this).sums[static_cast<std::size_t>(s * cols_ + c)];
   }
 
   /// Smallest clipped-ADC resolution that keeps mvm_bit_accurate lossless for
-  /// this crossbar (worst-case column sum of one bit plane). Cached at
-  /// program time; O(1) per call.
-  [[nodiscard]] int lossless_adc_bits() const { return lossless_adc_bits_; }
+  /// this crossbar (worst-case column sum of one bit plane), from the column
+  /// level sums.
+  [[nodiscard]] int lossless_adc_bits() const {
+    return derived_.column_sums(*this).lossless_adc_bits;
+  }
 
   /// Per logical row, Σ over its columns of (stored weight + weight_offset)²
   /// in column order: the encoded magnitude the row holds, which is the
@@ -212,13 +217,18 @@ class LogicalXbar {
   [[nodiscard]] const VariationStats& variation_stats() const { return variation_stats_; }
 
  private:
-  /// What the first reader derives from the cells: the packed planes, and
-  /// the encoded row powers. Copying copies the planes only when they are
-  /// built (a sparse reprogram then patches them) and never the row powers
-  /// (a copy is a reprogrammed sibling whose weights differ); a moved-from
-  /// cache is empty and never read.
+  /// What the first reader derives from the cells: the packed planes, the
+  /// column level sums and the encoded row powers. Copying copies the
+  /// planes only when they are built (a sparse reprogram then patches them)
+  /// and never the sums or row powers (a copy is a reprogrammed sibling
+  /// whose weights differ); a moved-from cache is empty and never read.
   class DerivedCache {
    public:
+    struct ColumnSums {
+      std::vector<std::int64_t> sums;  ///< [slice][col]
+      int lossless_adc_bits = 1;
+    };
+
     DerivedCache() = default;
     DerivedCache(const DerivedCache& other);
     DerivedCache& operator=(const DerivedCache& other);
@@ -243,6 +253,9 @@ class LogicalXbar {
     /// `owner`'s encoded row powers, computed on first use.
     [[nodiscard]] const std::vector<double>& row_power(const LogicalXbar& owner) const;
 
+    /// `owner`'s column level sums, computed on first use.
+    [[nodiscard]] const ColumnSums& column_sums(const LogicalXbar& owner) const;
+
    private:
     struct State {
       std::once_flag once;
@@ -250,6 +263,8 @@ class LogicalXbar {
       std::vector<std::uint64_t> words;
       std::once_flag power_once;
       std::vector<double> power;
+      std::once_flag sums_once;
+      ColumnSums sums;
     };
     std::unique_ptr<State> state_ = std::make_unique<State>();
   };
@@ -262,8 +277,8 @@ class LogicalXbar {
   }
 
   /// Draw config_.variation over the current (clean) levels with the
-  /// stream keyed on (seed, salt), record what it did in variation_stats_,
-  /// and refresh the lossless-ADC cache. A disabled model changes nothing.
+  /// stream keyed on (seed, salt) and record what it did in
+  /// variation_stats_. A disabled model changes nothing.
   void apply_variation(std::uint64_t salt);
 
   /// Fill `planes` from the stored weights: plane u is bit u of stored +
@@ -272,11 +287,9 @@ class LogicalXbar {
 
   /// The one sparse-delta routine: set cell i (row-major) of slice s to
   /// `level`, patching its digit of the stored weight in `weights`
-  /// (weights_'s active vector), the column level sum and the packed planes
-  /// when built. Call refresh_lossless_adc_bits() after the last patch.
+  /// (weights_'s active vector) and the packed planes when built.
   template <typename T>
   void patch_cell(std::span<T> weights, int s, std::size_t i, std::uint8_t level);
-  void refresh_lossless_adc_bits();
 
   std::int64_t rows_;
   std::int64_t cols_;
@@ -286,10 +299,6 @@ class LogicalXbar {
       weights_;
   DerivedCache derived_;
   std::int64_t packed_words_ = 0;
-  /// Per-(slice, col) programmed-level sums backing lossless_adc_bits_; kept
-  /// so delta reprogramming can update the cache incrementally.
-  std::vector<std::int64_t> col_level_sums_;
-  int lossless_adc_bits_ = 1;
   VariationStats variation_stats_;
 };
 

@@ -542,12 +542,94 @@ TEST(ExactKernel, OutOfRangeActivationThrowsThroughEveryPath) {
     std::vector<std::int32_t> inputs(5 * 9, 1);
     inputs[40] = bad;
     perf::MvmWorkspace ws;
-    EXPECT_THROW((void)perf::mvm_exact_batch_minor(xb, inputs, 9, ws), ContractViolation) << bad;
+    EXPECT_THROW((void)perf::mvm_gathered(xb, {}, inputs, 9, /*batch_minor=*/true,
+                                          /*bit_accurate=*/false, ws),
+                 ContractViolation)
+        << bad;
     for (const auto isa : supported_isas())
       for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch})
         EXPECT_THROW((void)perf::detail::mvm_exact_on(isa, sweep, xb, inputs, 9, ws),
                      ContractViolation)
             << bad << " " << perf::mvm_isa_name(isa);
+  }
+}
+
+/// A gathered block (a row list) through every tier and orientation, the
+/// int64 wide sweep, and the popcount kernel under a clipped ADC: outputs
+/// and stats equal the reference on each vector scattered over a dense zero
+/// one, and an out-of-range gathered activation still throws.
+TEST(ExactKernel, GatheredRowsMatchReferenceOnScatteredVectors) {
+  Rng rng(909);
+  QuantConfig wide;
+  wide.wbits = 16;
+  wide.abits = 16;
+  wide.cell_bits = 3;
+  ASSERT_EQ(perf::exact_flush_rows(wide), 0);
+  for (const auto& [q, cols] : {std::pair{QuantConfig{}, std::int64_t{21}},
+                                std::pair{QuantConfig{}, std::int64_t{3}},
+                                std::pair{wide, std::int64_t{17}}}) {
+    const std::int64_t rows = 150;
+    const LogicalXbar xb(rows, cols, random_weights(rng, rows * cols, q), q);
+    std::vector<std::int32_t> list;
+    for (std::int32_t r = 0; r < rows; ++r)
+      if (rng.bernoulli(0.3)) list.push_back(r);
+    const auto n = static_cast<std::int64_t>(list.size());
+    const std::int64_t batch = 19;
+    const auto block = random_input(rng, batch * n, q, /*include_zeros=*/true);
+    std::vector<std::int64_t> want;
+    MvmStats want_stats;
+    std::vector<std::int32_t> dense(static_cast<std::size_t>(batch * rows), 0);
+    for (std::int64_t v = 0; v < batch; ++v) {
+      for (std::int64_t i = 0; i < n; ++i)
+        dense[static_cast<std::size_t>(v * rows + list[static_cast<std::size_t>(i)])] =
+            block[static_cast<std::size_t>(v * n + i)];
+      const auto ref = xb.mvm_bit_accurate_reference(
+          std::span(dense).subspan(static_cast<std::size_t>(v * rows), static_cast<std::size_t>(rows)),
+          &want_stats);
+      want.insert(want.end(), ref.begin(), ref.end());
+    }
+    const std::string what = "cols " + std::to_string(cols) + " wbits " + std::to_string(q.wbits);
+    perf::MvmWorkspace ws;
+    for (const auto isa : supported_isas())
+      for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch}) {
+        MvmStats got_stats;
+        const auto got =
+            perf::detail::mvm_exact_on(isa, sweep, xb, block, batch, ws, &got_stats, list);
+        EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), want)
+            << what << " " << perf::mvm_isa_name(isa) << " sweep " << static_cast<int>(sweep);
+        EXPECT_EQ(got_stats, want_stats) << what << " " << perf::mvm_isa_name(isa);
+      }
+    if (q.wbits == 8) {
+      // The popcount kernel below the lossless resolution: clips included.
+      QuantConfig clipped = q;
+      clipped.adc = {AdcMode::kClipped, 3};
+      ASSERT_LT(3, xb.lossless_adc_bits());
+      const LogicalXbar cx(rows, cols, xb.stored_weights(), clipped);
+      MvmStats ref_stats, got_stats;
+      std::vector<std::int64_t> ref;
+      for (std::int64_t v = 0; v < batch; ++v) {
+        const auto o = cx.mvm_bit_accurate_reference(
+            std::span(dense).subspan(static_cast<std::size_t>(v * rows), static_cast<std::size_t>(rows)),
+            &ref_stats);
+        ref.insert(ref.end(), o.begin(), o.end());
+      }
+      const auto got = perf::mvm_gathered(cx, list, block, batch, /*batch_minor=*/false,
+                                          /*bit_accurate=*/true, ws, &got_stats);
+      EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), ref) << what << " clipped";
+      EXPECT_EQ(got_stats, ref_stats) << what << " clipped";
+      EXPECT_GT(got_stats.adc_clips, 0) << what;
+    }
+    auto bad = block;
+    bad[bad.size() / 2] = q.dac_bits == 1 ? (1 << (q.abits - 1)) : -1;
+    for (const auto isa : supported_isas())
+      for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch})
+        EXPECT_THROW((void)perf::detail::mvm_exact_on(isa, sweep, xb, bad, batch, ws, nullptr, list),
+                     ContractViolation)
+            << what << " " << perf::mvm_isa_name(isa);
+    const std::vector<std::int32_t> unsorted = {2, 1};
+    EXPECT_THROW((void)perf::mvm_gathered(xb, unsorted, std::vector<std::int32_t>(2, 0), 1, false,
+                                          false, ws),
+                 ContractViolation);
   }
 }
 

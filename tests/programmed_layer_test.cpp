@@ -34,6 +34,7 @@
 #include "red/tensor/tensor_ops.h"
 #include "red/workloads/generator.h"
 #include "red/workloads/networks.h"
+#include "reference_oracle.h"
 
 // Heap-bytes probe: every operator new in this binary counts its size.
 namespace {
@@ -451,6 +452,76 @@ TEST(ZeroPaddingDigests, DcganDiv4OutputsAndRunStatsArePinned) {
             << "stage " << i << " mode " << mode << " threads " << threads;
       }
     }
+}
+
+/// Zero padding's gathered run against the dense oracle (zero-inserted
+/// plane, one window per output pixel): outputs and RunStats equal on the
+/// oracle cases (strides 1-4), an fcn8s_up8-shaped layer (16x16 kernel,
+/// stride 8) and dcgan/div4 stage 3 (800x3, the batch sweep), at 1, 2 and 4
+/// lanes, on the exact path, bit-accurate under an ideal ADC and under a
+/// clipped ADC below lossless_adc_bits(), on the clean, a perturbed() and a
+/// repaired(draw_faults()) layer.
+TEST(ZeroPaddingGather, MatchesTheDenseOracle) {
+  std::vector<oracle::Case> cases;
+  for (std::uint64_t k = 0; k < 8; ++k) cases.push_back(oracle::draw_case(9100 + k));
+  Rng rng(41);
+  for (const auto& spec : {nn::DeconvLayerSpec{"up8_small", 5, 5, 3, 4, 16, 16, 8, 4, 0},
+                           workloads::named_stack("dcgan", 4)[3]}) {
+    oracle::Case c;
+    c.spec = spec;
+    c.input = workloads::make_input(spec, rng, 0, 7);
+    c.kernel = workloads::make_kernel(spec, rng, -7, 7);
+    cases.push_back(std::move(c));
+  }
+  xbar::VariationModel var;
+  var.level_sigma = 0.4;
+  var.sa1_rate = 0.01;
+  var.seed = 7;
+  fault::FaultModel model;
+  model.sa0_rate = 0.01;
+  model.wordline_rate = 0.02;
+  model.drift_sigma = 0.3;
+  fault::RepairPolicy policy;
+  policy.spare_rows = 2;
+  policy.verify_retries = 1;
+  std::int64_t clips = 0;
+  for (const auto& c : cases) {
+    const int lossless =
+        oracle::zero_padding_macro(c.spec, c.kernel, xbar::QuantConfig{}).lossless_adc_bits();
+    for (const int mode : {0, 1, 2})
+      for (const int threads : {1, 2, 4}) {
+        arch::DesignConfig cfg;
+        cfg.threads = threads;
+        cfg.bit_accurate = mode != 0;
+        if (mode == 2) cfg.quant.adc = {xbar::AdcMode::kClipped, std::max(1, lossless - 2)};
+        const auto clean = core::make_design(DesignKind::kZeroPadding, cfg)
+                               ->program(c.spec, c.kernel);
+        const auto macro = oracle::zero_padding_macro(c.spec, c.kernel, cfg.quant);
+        const auto draw = fault::draw_faults(macro, model, {&policy, 1}, 0);
+        const std::pair<std::unique_ptr<arch::ProgrammedLayer>, xbar::LogicalXbar> arms[] = {
+            {clean->perturbed(var), xbar::LogicalXbar(macro, var, 0)},
+            {clean->repaired(clean->draw_faults(model, {&policy, 1}), policy),
+             fault::repair_faults(macro, draw, policy)},
+        };
+        const auto check = [&](const arch::ProgrammedLayer& layer, const xbar::LogicalXbar& xb,
+                               const char* arm) {
+          arch::RunStats got_stats, want_stats;
+          const auto got = layer.run(c.input, &got_stats);
+          const auto want =
+              oracle::zero_padding_dense_run(c.spec, xb, c.input, cfg.bit_accurate, &want_stats);
+          const std::string what = c.spec.name + " s=" + std::to_string(c.spec.stride) +
+                                   " mode " + std::to_string(mode) + " threads " +
+                                   std::to_string(threads) + " " + arm;
+          EXPECT_EQ(first_mismatch(want, got), "") << what;
+          EXPECT_EQ(got_stats, want_stats) << what;
+          clips += got_stats.mvm.adc_clips;
+        };
+        check(*clean, macro, "clean");
+        check(*arms[0].first, arms[0].second, "perturbed");
+        check(*arms[1].first, arms[1].second, "repaired");
+      }
+  }
+  EXPECT_GT(clips, 0);  // the clipped ADC saturates somewhere
 }
 
 /// Under an ideal ADC a bit-accurate run is the exact run: the same

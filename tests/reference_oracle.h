@@ -7,6 +7,9 @@
 // zero activations, so zero-skipping and data-dependent wordline drives are
 // exercised too.
 //
+// Zero padding: zero_padding_dense_run is the dense execution (zero-inserted
+// plane, one window per output pixel) its gathered run must reproduce.
+//
 // Write side: inject_faults_reference is the straight per-cell fault
 // injector — every cell's draws hashed from scratch through fault_unit, one
 // full build per row assignment — that fault::inject_faults' single draw
@@ -27,7 +30,10 @@
 #include "red/common/rng.h"
 #include "red/fault/model.h"
 #include "red/xbar/crossbar.h"
+#include "red/nn/conv.h"
 #include "red/nn/deconv_reference.h"
+#include "red/nn/deconv_zero_padding.h"
+#include "red/perf/workspace.h"
 #include "red/sim/engine.h"
 #include "red/tensor/tensor_ops.h"
 #include "red/workloads/generator.h"
@@ -89,6 +95,51 @@ inline void expect_matches(const Case& c, const arch::LayerActivity& predicted,
   EXPECT_EQ(first_mismatch(c.reference, out), "") << what;
   const auto issues = sim::consistency_issues(predicted, stats, count_zeros(c.input) == 0);
   EXPECT_TRUE(issues.empty()) << what << ": " << (issues.empty() ? "" : issues.front());
+}
+
+// ---------------------------------------------------------------------------
+// Zero padding's dense execution
+// ---------------------------------------------------------------------------
+
+/// The rotated-kernel macro ZeroPaddingDesign::program builds: row
+/// (i*KW + j)*C + c holds the 180-degree-rotated kernel's tap (i, j, c).
+inline xbar::LogicalXbar zero_padding_macro(const nn::DeconvLayerSpec& spec,
+                                            const Tensor<std::int32_t>& kernel,
+                                            const xbar::QuantConfig& quant) {
+  const Tensor<std::int32_t> rot = nn::rotate180(kernel);
+  return xbar::LogicalXbar(std::int64_t{spec.kh} * spec.kw * spec.c, spec.m,
+                           {rot.data(), static_cast<std::size_t>(rot.size())}, quant);
+}
+
+/// Algorithm 1 on `macro` the dense way: the zero-inserted input, one dense
+/// KH*KW*C window per output pixel, one MVM per window (a batch per output
+/// row). The oracle of zero padding's gathered run.
+inline Tensor<std::int32_t> zero_padding_dense_run(const nn::DeconvLayerSpec& spec,
+                                                   const xbar::LogicalXbar& macro,
+                                                   const Tensor<std::int32_t>& input,
+                                                   bool bit_accurate, arch::RunStats* stats) {
+  const Tensor<std::int32_t> plane = nn::zero_pad_input(spec, input);
+  const int oh = spec.oh(), ow = spec.ow();
+  const std::int64_t rows = macro.rows();
+  Tensor<std::int32_t> out(spec.output_shape());
+  std::vector<std::int32_t> windows(static_cast<std::size_t>(ow * rows));
+  perf::MvmWorkspace ws;
+  arch::RunStats local;
+  for (int y = 0; y < oh; ++y) {
+    for (int x = 0; x < ow; ++x)
+      for (int i = 0; i < spec.kh; ++i)
+        for (int j = 0; j < spec.kw; ++j)
+          for (int c = 0; c < spec.c; ++c)
+            windows[static_cast<std::size_t>(x * rows + (i * spec.kw + j) * spec.c + c)] =
+                plane.at(0, c, y + i, x + j);
+    const auto res = macro.mvm_batch(windows, ow, bit_accurate, ws, &local.mvm);
+    local.cycles += ow;
+    for (int x = 0; x < ow; ++x)
+      for (int m = 0; m < spec.m; ++m)
+        out.at(0, m, y, x) = static_cast<std::int32_t>(res[static_cast<std::size_t>(x * spec.m + m)]);
+  }
+  if (stats != nullptr) *stats = local;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
