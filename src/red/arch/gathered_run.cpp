@@ -42,9 +42,7 @@ Tensor<std::int32_t> run_gathered(const nn::DeconvLayerSpec& spec,
   std::vector<RunStats> chunk_stats(static_cast<std::size_t>(chunks));
   perf::parallel_chunks(chunks, blocks, [&](std::int64_t t, std::int64_t b0, std::int64_t b1) {
     RunStats& local = chunk_stats[static_cast<std::size_t>(t)];
-    // Thread-local workspace: Monte Carlo trials call run() thousands of
-    // times, so the per-call construction cost matters here.
-    thread_local perf::MvmWorkspace ws;
+    thread_local perf::MvmWorkspace ws;  // Monte Carlo calls run() thousands of times
     std::vector<std::int32_t> gathered;  // one block of vector inputs
     // Partial sums carried across the vectors of one period (Eq. 2).
     std::vector<std::int64_t> acc(static_cast<std::size_t>(spec.m));
@@ -60,12 +58,10 @@ Tensor<std::int32_t> run_gathered(const nn::DeconvLayerSpec& spec,
       const std::int64_t batch = std::min(table.block, std::ssize(table.out_pixel) - v0);
       const std::int32_t* pixel = table.pixel.data() + slots * v0;
       const std::int64_t* out_pixel = table.out_pixel.data() + v0;
-      // On the exact kernel's batch sweep the block is written batch-minor
-      // (gathered row r of vector k at r * batch + k) and read in place.
+      // Vector gathers along contiguous rows of the block: one channel
+      // across the vectors (batch-minor, read in place by the batch sweep),
+      // or one slot's channels in one vector (vector-major).
       const bool batch_minor = perf::reads_batch_minor(xb, bit_accurate);
-      // Every element, by vector gathers along contiguous rows of the block:
-      // one channel across the vectors (batch-minor), or one slot's
-      // channels in one vector (vector-major).
       gathered.resize(static_cast<std::size_t>(batch * rows));
       for (std::int64_t s = 0; s < slots; ++s) {
         const std::int32_t* slot_pixel = pixel + s * batch;

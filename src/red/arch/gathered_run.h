@@ -1,15 +1,8 @@
-// The one way a programmed layer feeds its crossbars: gathered blocks.
-//
-// RED and zero padding both know at program() time which input pixel drives
-// each crossbar row in each cycle; only the values come from the input.
-// RED's zero-skip schedule fixes them per mode group. Zero padding's are
-// fixed by the output pixel's phase (y mod stride, x mod stride): the phase
-// decides which kernel taps can land on an input pixel of the zero-inserted
-// plane, and the output pixel decides which one. Each design resolves its
-// walk into GatherTables once; run_gathered then copies each block's values
-// straight from the input planes and runs the block as one MVM
-// (perf::mvm_gathered). No zero-inserted canvas or dense window is built:
-// inserted zeros drive no rows and cost no host time.
+// The one way a programmed layer feeds its crossbars. RED (per mode group,
+// from its schedule) and zero padding (per output phase) resolve at
+// program() time which input pixel drives each crossbar row in each cycle;
+// run_gathered copies only the values from the input, block by block, and
+// runs each block as one perf::mvm_gathered call.
 #pragma once
 
 #include <cstddef>
@@ -24,31 +17,26 @@
 
 namespace red::arch {
 
-/// One crossbar's walk of a layer, resolved to input and output pixels.
-/// Vectors (cycles) come in blocks of `block` (the last may be shorter),
-/// and each block is one batched MVM.
+/// One crossbar's walk of a layer: vectors (cycles) in blocks of `block`,
+/// the last maybe shorter, one batched MVM each.
 struct GatherTable {
   std::size_t xbar = 0;  ///< index of the crossbar this table drives
-  /// Crossbar row of each gathered row, strictly increasing; empty: every
-  /// row of the crossbar, in order.
+  /// Crossbar row of each gathered row (perf::mvm_gathered); empty: all.
   std::vector<std::int32_t> rows;
   std::int64_t block = 0;
-  /// Slot s of a vector feeds gathered rows s * C + c (channel c) from one
-  /// input pixel. The block starting at vector v0 holds slots * batch
-  /// entries at slots * v0, slot-major ([slot][k]). An entry is h * iw + w,
-  /// or ih * iw (the zero slot after each input plane) for an idle slot.
+  /// Slot s feeds gathered rows s * C + c from one input pixel h * iw + w,
+  /// or from ih * iw (the zero after each input plane) when idle. The block
+  /// at vector v0 holds slots * batch entries at slots * v0, [slot][k].
   std::vector<std::int32_t> pixel;
   std::vector<std::int64_t> out_pixel;  ///< per vector: oy * ow + ox, or -1
 };
 
-/// Run `input` (spec.input_shape()) through `tables`, table t on
-/// xbars[t.xbar], and return the output. Vector v's partial sums accumulate
-/// over the run of `period` vectors containing it (runs start at multiples
-/// of `period`, which divides every table's block: RED's fold phases, 1 for
-/// zero padding), and a vector with an output pixel writes the running sum
-/// there. Blocks are chunked across `threads` lanes, each over disjoint
-/// output pixels; per-chunk stats merge after the join, so any lane count is
-/// bit-exact. `stats` (optional) receives the MVM counters and `cycles`.
+/// Run `input` through `tables`, table t on xbars[t.xbar]. Partial sums
+/// accumulate over runs of `period` vectors (RED's fold phases; 1 for zero
+/// padding; it divides every block), and a vector with an output pixel
+/// writes the running sum there. Blocks are chunked across `threads` lanes
+/// and per-chunk stats merged after the join, so any lane count is
+/// bit-exact. `stats` gets the MVM counters and `cycles`.
 [[nodiscard]] Tensor<std::int32_t> run_gathered(const nn::DeconvLayerSpec& spec,
                                                 std::span<const GatherTable> tables,
                                                 std::span<const xbar::LogicalXbar> xbars,

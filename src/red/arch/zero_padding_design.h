@@ -6,6 +6,13 @@
 // the layer takes OH*OW cycles. The padded windows are mostly zeros
 // (Fig. 4), so most cycles drive few wordlines yet still pay full decode,
 // conversion, and shift-add work — the redundancy RED removes.
+//
+// Simulation: the windows are never built. Which window rows can hold an
+// input pixel is fixed by the output pixel's phase (y mod stride, x mod
+// stride), so program() resolves one gather table per phase and run() feeds
+// only those rows through RED's gathered-block run (arch/gathered_run.h).
+// Inserted zeros drive no rows, so outputs and stats equal the dense
+// windows' (tests/reference_oracle.h keeps that dense path as the oracle).
 #pragma once
 
 #include "red/arch/design.h"

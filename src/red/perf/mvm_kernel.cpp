@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <type_traits>
 
 #include "red/common/contracts.h"
 #include "red/telemetry/metrics.h"
@@ -679,19 +678,9 @@ void col_sweep(const W* w, std::int64_t cols, const std::int32_t* idx, const std
   }
 }
 
-/// Crossbar row of block row r: r itself on a dense block, rows[r] on a
-/// gathered one (a function object, so the dense sweeps compile without the
-/// indirection).
-struct DenseRows {
-  std::int64_t operator()(std::int64_t r) const { return r; }
-};
-struct GatheredRows {
-  const std::int32_t* rows;
-  std::int64_t operator()(std::int64_t r) const { return rows[r]; }
-};
-
-/// Batch sweep of a batch-minor block of `rows` block rows: column groups of
-/// up to four, each over every tile of Tier::kLanes vectors.
+/// Batch sweep of a batch-minor block of `rows` block rows, block row r on
+/// crossbar row row_of(r): column groups of up to four, each over every
+/// tile of Tier::kLanes vectors.
 template <typename Tier, typename W, typename R>
 void batch_sweep(const W* w, std::int64_t rows, std::int64_t cols, const std::int32_t* xt,
                  std::int64_t batch, std::int64_t k, R row_of, std::int64_t* out) {
@@ -768,8 +757,8 @@ void narrow_sweep(const W* w, const LogicalXbar& xbar, const ExactInputs& in,
   for (std::int64_t v = 0; v < batch; ++v) {
     const std::int64_t nnz =
         Tier::compact(in.x + v * in.vec_stride, rows, in.row_stride, idx, val);
-    if constexpr (!std::is_same_v<R, DenseRows>)
-      for (std::int64_t i = 0; i < nnz; ++i) idx[i] = static_cast<std::int32_t>(row_of(idx[i]));
+    if (in.row_of != nullptr)  // gathered: block rows to crossbar rows
+      for (std::int64_t i = 0; i < nnz; ++i) idx[i] = in.row_of[idx[i]];
     col_sweep<Tier>(w, cols, idx, val, nnz, k, out + v * cols);
   }
 }
@@ -780,6 +769,8 @@ EncodeSummary exact_on_tier(const LogicalXbar& xbar, const ExactInputs& in, std:
   const EncodeSummary sum = Tier::summarize(in.x, batch * in.rows, xbar.config());
   std::fill(out, out + batch * xbar.cols(), std::int64_t{0});
   const std::int64_t k = exact_flush_rows(xbar.config());
+  // The row map is a function object, so a dense block's sweeps compile
+  // without the indirection.
   const auto run = [&](auto row_of) {
     xbar.visit_stored_weights([&](auto w) {
       if (k == 0)
@@ -789,9 +780,9 @@ EncodeSummary exact_on_tier(const LogicalXbar& xbar, const ExactInputs& in, std:
     });
   };
   if (in.row_of == nullptr)
-    run(DenseRows{});
+    run([](std::int64_t r) { return r; });
   else
-    run(GatheredRows{in.row_of});
+    run([rows = in.row_of](std::int64_t r) { return std::int64_t{rows[r]}; });
   return sum;
 }
 
@@ -862,14 +853,6 @@ void record_mvm_call(telemetry::MetricsRegistry* m, const char* counter, std::in
   bump("mvm.adc_clips", stats->adc_clips - before.adc_clips);
 }
 
-/// Throw unless `rows` lists crossbar rows of `xbar` in strictly increasing
-/// order, so every crossbar row takes at most one gathered value.
-void check_gathered_rows(std::span<const std::int32_t> rows, const LogicalXbar& xbar) {
-  bool ok = rows.front() >= 0 && rows.back() < xbar.rows();
-  for (std::size_t i = 1; i < rows.size(); ++i) ok &= rows[i - 1] < rows[i];
-  RED_EXPECTS_MSG(ok, "gathered rows must be increasing crossbar rows");
-}
-
 /// The one body behind every entry point: `batch` MVMs on tier `isa` over
 /// the block rows `rows` (empty: every crossbar row). Exact inputs are
 /// batch-minor when `batch_minor` (the popcount kernel's are always
@@ -882,7 +865,11 @@ std::span<const std::int64_t> run_batch(MvmIsa isa, const LogicalXbar& xbar,
   RED_EXPECTS(batch >= 0);
   const std::int64_t n = rows.empty() ? xbar.rows() : std::ssize(rows);
   RED_EXPECTS_MSG(inputs.size() == static_cast<std::size_t>(batch * n), "input size mismatch");
-  if (!rows.empty()) check_gathered_rows(rows, xbar);
+  if (!rows.empty()) {  // strictly increasing: each crossbar row takes one value
+    bool ok = rows.front() >= 0 && rows.back() < xbar.rows();
+    for (std::size_t i = 1; i < rows.size(); ++i) ok &= rows[i - 1] < rows[i];
+    RED_EXPECTS_MSG(ok, "gathered rows must be increasing crossbar rows");
+  }
   const bool exact = runs_exact_kernel(xbar, bit_accurate);
   RED_EXPECTS_MSG(exact || !batch_minor, "only the exact kernel reads batch-minor blocks");
   auto* m = telemetry::metrics();

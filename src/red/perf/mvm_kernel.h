@@ -6,12 +6,9 @@
 //    LogicalXbar's narrow weight copy (visit_stored_weights, sized by
 //    QuantConfig::stored_weight_bits so a faulted top slice still fits) that
 //    skips zero activations, the way RED's zero-skipping data flow does.
-//      - A gathered block (mvm_gathered) carries values for listed rows
-//        only, the other rows zero: zero padding's phase gather drives
-//        just the rows whose taps can land on an input pixel. The column
-//        sweep maps its non-zero positions through the list and the batch
-//        sweep reads weight rows through it; a dense block (every caller
-//        but zero padding) does neither.
+//      - A gathered block (mvm_gathered; zero padding's phase gather) holds
+//        values for listed rows only: the column sweep maps its non-zero
+//        positions through the list, the batch sweep its weight rows.
 //      - Products accumulate in int32 lanes and flush to the int64 outputs
 //        every exact_flush_rows() rows, a bound from QuantConfig under which
 //        overflow is impossible. Where one product cannot fit in int32 the
@@ -25,10 +22,10 @@
 //      - Pulse counts are a popcount form per value, and the activation
 //        range check runs once per block over its min and max: an
 //        out-of-range activation still throws.
-//  * packed popcount (mvm_bit_accurate, mvm_batch / mvm_gathered with
-//    bit_accurate=true, under a clipped ADC only; a gathered vector is
-//    scattered over a dense zero one) — packed bit-planes: every stored-level bit
-//    of a column lives in LogicalXbar's packed weight planes (one
+//  * packed popcount (bit-accurate calls under a clipped ADC only; a
+//    gathered vector is scattered over a dense zero one) — packed
+//    bit-planes: every stored-level bit of a column lives in LogicalXbar's
+//    packed weight planes (one
 //    64-bit-word bitmap per level bit, built on this kernel's first call),
 //    the input's bit-planes are packed the same way into the workspace, and
 //    per (column, slice) the cell_bits weight planes are popcount-combined

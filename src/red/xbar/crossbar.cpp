@@ -259,9 +259,7 @@ const std::vector<double>& LogicalXbar::DerivedCache::row_power(
 const LogicalXbar::DerivedCache::ColumnSums& LogicalXbar::DerivedCache::column_sums(
     const LogicalXbar& owner) const {
   std::call_once(state_->sums_once, [&] {
-    // Digit s of stored + offset is the slice-s level (xbar/codec's
-    // encode_weight is the oracle), summed per row while the row is in
-    // cache.
+    // Digit s of stored + offset is the slice-s level (codec's encode_weight).
     const std::int64_t rows = owner.rows_, cols = owner.cols_;
     const int slices = owner.config_.slices();
     std::vector<std::int64_t>& sums = state_->sums.sums;
@@ -274,7 +272,7 @@ const LogicalXbar::DerivedCache::ColumnSums& LogicalXbar::DerivedCache::column_s
                 owner.level_of(stored[static_cast<std::size_t>(r * cols + c)], s);
     });
     const std::int64_t worst = *std::max_element(sums.begin(), sums.end());
-    state_->sums.lossless_adc_bits = worst == 0 ? 1 : ilog2_ceil(worst + 1);
+    state_->sums.bits = worst == 0 ? 1 : ilog2_ceil(worst + 1);
   });
   return state_->sums;
 }

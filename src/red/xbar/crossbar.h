@@ -192,19 +192,14 @@ class LogicalXbar {
       std::span<const std::int32_t> input, MvmStats* stats = nullptr) const;
 
   /// Sum of column c's slice-s levels (lossless_adc_bits() covers the
-  /// largest). All sums are computed from the stored weights by the first
-  /// reader of either, at most once per crossbar and safe under concurrent
-  /// readers; a copy computes its own.
+  /// largest), computed like encoded_row_power() by the first reader.
   [[nodiscard]] std::int64_t col_level_sum(std::int64_t c, int s) const {
     return derived_.column_sums(*this).sums[static_cast<std::size_t>(s * cols_ + c)];
   }
 
   /// Smallest clipped-ADC resolution that keeps mvm_bit_accurate lossless for
-  /// this crossbar (worst-case column sum of one bit plane), from the column
-  /// level sums.
-  [[nodiscard]] int lossless_adc_bits() const {
-    return derived_.column_sums(*this).lossless_adc_bits;
-  }
+  /// this crossbar (worst-case column sum of one bit plane).
+  [[nodiscard]] int lossless_adc_bits() const { return derived_.column_sums(*this).bits; }
 
   /// Per logical row, Σ over its columns of (stored weight + weight_offset)²
   /// in column order: the encoded magnitude the row holds, which is the
@@ -226,7 +221,7 @@ class LogicalXbar {
    public:
     struct ColumnSums {
       std::vector<std::int64_t> sums;  ///< [slice][col]
-      int lossless_adc_bits = 1;
+      int bits = 1;                    ///< lossless_adc_bits()
     };
 
     DerivedCache() = default;
@@ -250,10 +245,8 @@ class LogicalXbar {
     /// when this call built them.
     bool ensure(const LogicalXbar& owner) const;
 
-    /// `owner`'s encoded row powers, computed on first use.
+    /// `owner`'s encoded row powers and column level sums, on first use.
     [[nodiscard]] const std::vector<double>& row_power(const LogicalXbar& owner) const;
-
-    /// `owner`'s column level sums, computed on first use.
     [[nodiscard]] const ColumnSums& column_sums(const LogicalXbar& owner) const;
 
    private:

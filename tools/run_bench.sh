@@ -65,8 +65,8 @@ if [ -x "${build_dir}/bench_micro_simulator" ]; then
   echo "both repairs from it, as a campaign trial runs them),"
   echo "BM_FaultCampaignCall (one 2-trial, 2-lane GAN_Deconv4 campaign call, the"
   echo "fault-repair workload's unit pair), and BM_ZpRun (zero padding's run"
-  echo "per dcgan/div4 stage; stage:3's 800x3 macro reads batch-minor windows,"
-  echo "the others vector-major)."
+  echo "per dcgan/div4 stage and on fcn8s/div4's fcn8s_up8; dcgan stage:3's"
+  echo "800x3 macro reads batch-minor gathered blocks, the others vector-major)."
 else
   echo "warning: ${build_dir}/bench_micro_simulator not found (google-benchmark" >&2
   echo "missing at configure time?); skipping ${out_dir}/BENCH_mvm.json." >&2
