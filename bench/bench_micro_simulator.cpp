@@ -152,7 +152,8 @@ void BM_MvmPackedIsa(benchmark::State& state, perf::MvmIsa isa) {
   state.SetLabel(perf::mvm_isa_name(std::min(isa, perf::mvm_active_isa())));
   perf::MvmWorkspace ws;
   for (auto _ : state)
-    benchmark::DoNotOptimize(perf::detail::mvm_bit_accurate_on(isa, xb, in, ws));
+    benchmark::DoNotOptimize(perf::detail::mvm_gathered_on(isa, perf::exact_sweep(xb), xb, {}, in,
+                                                           1, /*bit_accurate=*/true, ws));
   state.SetItemsProcessed(state.iterations() * rows * 64);
 }
 BENCHMARK_CAPTURE(BM_MvmPackedIsa, portable, perf::MvmIsa::kPortable)->Arg(128)->Arg(512);
@@ -219,7 +220,8 @@ void BM_MvmDcganMacroExact(benchmark::State& state, perf::MvmIsa isa) {
                  (sweep == perf::ExactSweep::kBatch ? " batch-sweep" : " col-sweep"));
   perf::MvmWorkspace ws;
   for (auto _ : state)
-    benchmark::DoNotOptimize(perf::detail::mvm_exact_on(isa, sweep, xb, in, kBatch, ws));
+    benchmark::DoNotOptimize(
+        perf::detail::mvm_gathered_on(isa, sweep, xb, {}, in, kBatch, false, ws));
   state.SetItemsProcessed(state.iterations() * rows * cols * kBatch);
 }
 BENCHMARK_CAPTURE(BM_MvmDcganMacroExact, portable, perf::MvmIsa::kPortable)
@@ -248,8 +250,9 @@ void BM_MvmDcganStage3BatchMinor(benchmark::State& state) {
     benchmark::DoNotOptimize(
         batch_minor ? perf::mvm_gathered(xb, {}, in, kBatch, /*batch_minor=*/true,
                                          /*bit_accurate=*/false, ws)
-                    : perf::detail::mvm_exact_on(perf::mvm_active_isa(),
-                                                 perf::ExactSweep::kColumns, xb, in, kBatch, ws));
+                    : perf::detail::mvm_gathered_on(perf::mvm_active_isa(),
+                                                    perf::ExactSweep::kColumns, xb, {}, in,
+                                                    kBatch, false, ws));
   state.SetItemsProcessed(state.iterations() * rows * cols * kBatch);
 }
 BENCHMARK(BM_MvmDcganStage3BatchMinor)->Arg(0)->Arg(1)->ArgName("mode");
@@ -571,12 +574,14 @@ bool kernels_match_oracle() {
         if (isa > perf::mvm_active_isa()) continue;
         perf::MvmWorkspace ws;
         xbar::MvmStats got_stats;
-        const auto got = perf::detail::mvm_bit_accurate_on(isa, xb, first, ws, &got_stats);
+        const auto got = perf::detail::mvm_gathered_on(isa, perf::exact_sweep(xb), xb, {}, first,
+                                                       1, /*bit_accurate=*/true, ws, &got_stats);
         if (std::vector<std::int64_t>(got.begin(), got.end()) != ref || got_stats != ref_stats)
           mismatch("popcount", isa);
         for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch}) {
           xbar::MvmStats stats;
-          const auto exact = perf::detail::mvm_exact_on(isa, sweep, xb, in, kBatch, ws, &stats);
+          const auto exact =
+              perf::detail::mvm_gathered_on(isa, sweep, xb, {}, in, kBatch, false, ws, &stats);
           if (std::vector<std::int64_t>(exact.begin(), exact.end()) != exact_ref ||
               stats != exact_stats)
             mismatch(sweep == perf::ExactSweep::kBatch ? "exact batch-sweep" : "exact col-sweep",

@@ -1,19 +1,25 @@
 #include "red/arch/gathered_run.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "red/common/contracts.h"
+#include "red/fault/inject.h"
 #include "red/perf/mvm_kernel.h"
 #include "red/perf/thread_pool.h"
 #include "red/perf/workspace.h"
 
 namespace red::arch {
 
-Tensor<std::int32_t> run_gathered(const nn::DeconvLayerSpec& spec,
-                                  std::span<const GatherTable> tables,
-                                  std::span<const xbar::LogicalXbar> xbars, int period,
-                                  bool bit_accurate, int threads, std::int64_t cycles,
+namespace {
+
+Tensor<std::int32_t> run_gathered(const GatheredProgram& prog,
+                                  std::span<const xbar::LogicalXbar> xbars, int threads,
                                   const Tensor<std::int32_t>& input, RunStats* stats) {
+  const nn::DeconvLayerSpec& spec = prog.spec;
+  const std::span<const GatherTable> tables = prog.tables;
+  const int period = prog.period;
+  const bool bit_accurate = prog.bit_accurate;
   RED_EXPECTS(input.shape() == spec.input_shape());
   RED_EXPECTS(period >= 1);
   // The input planes, each followed by one zero: an idle slot reads that
@@ -59,9 +65,10 @@ Tensor<std::int32_t> run_gathered(const nn::DeconvLayerSpec& spec,
       const std::int32_t* pixel = table.pixel.data() + slots * v0;
       const std::int64_t* out_pixel = table.out_pixel.data() + v0;
       // Vector gathers along contiguous rows of the block: one channel
-      // across the vectors (batch-minor, read in place by the batch sweep),
-      // or one slot's channels in one vector (vector-major).
-      const bool batch_minor = perf::reads_batch_minor(xb, bit_accurate);
+      // across the vectors (batch-minor, read in place by the exact
+      // kernel's batch sweep), or one slot's channels in one vector.
+      const bool batch_minor = perf::runs_exact_kernel(xb, bit_accurate) &&
+                               perf::exact_sweep(xb) == perf::ExactSweep::kBatch;
       gathered.resize(static_cast<std::size_t>(batch * rows));
       for (std::int64_t s = 0; s < slots; ++s) {
         const std::int32_t* slot_pixel = pixel + s * batch;
@@ -91,9 +98,74 @@ Tensor<std::int32_t> run_gathered(const nn::DeconvLayerSpec& spec,
   });
   RunStats total;
   for (const auto& cs : chunk_stats) total += cs;
-  total.cycles = cycles;
+  total.cycles = prog.cycles;
   if (stats != nullptr) *stats = total;
   return out;
+}
+
+class GatheredLayer final : public ProgrammedLayer {
+ public:
+  GatheredLayer(std::shared_ptr<const GatheredProgram> prog, std::vector<xbar::LogicalXbar> xbars,
+                int threads)
+      : prog_(std::move(prog)), xbars_(std::move(xbars)), threads_(threads) {}
+
+  Tensor<std::int32_t> run(const Tensor<std::int32_t>& input, RunStats* stats) const override {
+    return run_gathered(*prog_, xbars_, threads_, input, stats);
+  }
+
+  std::unique_ptr<ProgrammedLayer> perturbed(const xbar::VariationModel& var) const override {
+    std::vector<xbar::LogicalXbar> perturbed_xbars;
+    perturbed_xbars.reserve(xbars_.size());
+    for (std::size_t i = 0; i < xbars_.size(); ++i) perturbed_xbars.emplace_back(xbars_[i], var, i);
+    return std::make_unique<GatheredLayer>(prog_, std::move(perturbed_xbars), threads_);
+  }
+
+  std::vector<fault::FaultDraw> draw_faults(const fault::FaultModel& model,
+                                            std::span<const fault::RepairPolicy> arms,
+                                            std::uint64_t salt) const override {
+    std::vector<fault::FaultDraw> draws;
+    draws.reserve(xbars_.size());
+    for (std::size_t i = 0; i < xbars_.size(); ++i)
+      draws.push_back(fault::draw_faults(xbars_[i], model, arms, salt * prog_->salt_stride + i));
+    return draws;
+  }
+
+  std::unique_ptr<ProgrammedLayer> repaired(std::span<const fault::FaultDraw> draws,
+                                            const fault::RepairPolicy& policy,
+                                            fault::RepairReport* report,
+                                            int threads) const override {
+    RED_EXPECTS(draws.size() == xbars_.size());
+    std::vector<xbar::LogicalXbar> faulted_xbars;
+    faulted_xbars.reserve(xbars_.size());
+    fault::RepairReport total;
+    for (std::size_t i = 0; i < xbars_.size(); ++i) {
+      fault::RepairReport rep;
+      faulted_xbars.push_back(fault::repair_faults(xbars_[i], draws[i], policy, &rep));
+      total += rep;
+    }
+    if (report != nullptr) *report = total;
+    return std::make_unique<GatheredLayer>(prog_, std::move(faulted_xbars),
+                                           threads > 0 ? threads : threads_);
+  }
+
+  xbar::VariationStats variation_stats() const override {
+    xbar::VariationStats total;
+    for (const auto& xb : xbars_) total += xb.variation_stats();
+    return total;
+  }
+
+ private:
+  std::shared_ptr<const GatheredProgram> prog_;
+  std::vector<xbar::LogicalXbar> xbars_;
+  int threads_;  ///< run() lanes over the gathered blocks
+};
+
+}  // namespace
+
+std::unique_ptr<ProgrammedLayer> make_gathered_layer(std::shared_ptr<const GatheredProgram> program,
+                                                     std::vector<xbar::LogicalXbar> xbars,
+                                                     int threads) {
+  return std::make_unique<GatheredLayer>(std::move(program), std::move(xbars), threads);
 }
 
 }  // namespace red::arch

@@ -7,7 +7,6 @@
 
 #include "red/arch/gathered_run.h"
 #include "red/common/contracts.h"
-#include "red/fault/inject.h"
 #include "red/nn/conv.h"
 #include "red/plan/plan.h"
 
@@ -20,15 +19,15 @@ namespace {
 // the zero-inserted plane holds input row h exactly when y + i - offset_top
 // = h * s, so the taps i that can hit an input row are i = offset_top - ry
 // (mod s), fixed by the phase (likewise j along x). A phase's table lists
-// the macro rows of those taps (tap (i, j) is rows (i*KW + j)*C + c) and,
-// per output pixel, each tap's input pixel, or the zero slot where h or w
-// falls outside the input. A phase no tap reaches (a kernel narrower than
-// the stride) feeds tap (0, 0) from the zero slot only. Blocks are `ow`
-// vectors, the batch of one dense output row.
+// the macro rows of those taps (tap (i, j) is rows (i*KW + j)*C + c; no list
+// when every tap is live, as at stride 1) and, per output pixel, each tap's
+// input pixel, or the zero slot where h or w falls outside the input. A
+// phase no tap reaches (a kernel narrower than the stride) feeds tap (0, 0)
+// from the zero slot only. Blocks are `ow` vectors, the batch of one dense
+// output row.
 std::vector<GatherTable> build_phase_tables(const nn::DeconvLayerSpec& spec) {
   const nn::PaddedGeometry g = nn::padded_geometry(spec);
   const int s = spec.stride, oh = spec.oh(), ow = spec.ow();
-  const auto idle = static_cast<std::int32_t>(std::int64_t{spec.ih} * spec.iw);
   const auto taps = [s](int k_len, int offset, int r) {
     std::vector<int> t;
     for (int k = ((offset - r) % s + s) % s; k < k_len; k += s) t.push_back(k);
@@ -42,88 +41,31 @@ std::vector<GatherTable> build_phase_tables(const nn::DeconvLayerSpec& spec) {
       const bool dead = ti.empty() || tj.empty();
       if (dead) ti = tj = {0};
       GatherTable& t = tables.emplace_back();
-      for (const int i : ti)
-        for (const int j : tj)
-          for (int c = 0; c < spec.c; ++c)
-            t.rows.push_back(static_cast<std::int32_t>((i * spec.kw + j) * spec.c + c));
+      if (std::ssize(ti) < spec.kh || std::ssize(tj) < spec.kw)
+        for (const int i : ti)
+          for (const int j : tj)
+            for (int c = 0; c < spec.c; ++c)
+              t.rows.push_back(static_cast<std::int32_t>((i * spec.kw + j) * spec.c + c));
       t.block = ow;
       const std::int64_t nx = (ow - rx + s - 1) / s;
-      const std::int64_t vectors = (oh - ry + s - 1) / s * nx;
-      const auto slots = static_cast<std::int64_t>(ti.size() * tj.size());
-      t.out_pixel.resize(static_cast<std::size_t>(vectors));
-      t.pixel.assign(static_cast<std::size_t>(slots * vectors), idle);
-      for (std::int64_t v0 = 0; v0 < vectors; v0 += t.block) {
-        const std::int64_t batch = std::min(t.block, vectors - v0);
-        std::int32_t* block = t.pixel.data() + slots * v0;
-        for (std::int64_t k = 0; k < batch; ++k) {
-          const std::int64_t y = ry + (v0 + k) / nx * s;
-          const std::int64_t x = rx + (v0 + k) % nx * s;
-          t.out_pixel[static_cast<std::size_t>(v0 + k)] = y * ow + x;
-          if (dead) continue;
-          std::int32_t* slot = block + k;
-          for (const int i : ti) {
-            const std::int64_t hs = y + i - g.offset_top;  // h * s
-            for (const int j : tj) {
-              const std::int64_t ws = x + j - g.offset_left;  // w * s
-              if (hs >= 0 && hs < std::int64_t{spec.ih} * s && ws >= 0 &&
-                  ws < std::int64_t{spec.iw} * s)
-                *slot = static_cast<std::int32_t>(hs / s * spec.iw + ws / s);
-              slot += batch;
-            }
+      const auto fill = [&](std::int64_t v, VectorSlots slot) {
+        const std::int64_t y = ry + v / nx * s, x = rx + v % nx * s;
+        std::int64_t k = 0;
+        for (const int i : ti)
+          for (const int j : tj) {
+            const std::int64_t hs = y + i - g.offset_top;   // h * s
+            const std::int64_t ws = x + j - g.offset_left;  // w * s
+            if (!dead && hs >= 0 && hs < std::int64_t{spec.ih} * s && ws >= 0 &&
+                ws < std::int64_t{spec.iw} * s)
+              slot.set(k, hs / s * spec.iw + ws / s);
+            ++k;
           }
-        }
-      }
+        return y * ow + x;
+      };
+      fill_table(t, spec, (oh - ry + s - 1) / s * nx, std::ssize(ti) * std::ssize(tj), fill);
     }
   return tables;
 }
-
-class ZpProgrammedLayer final : public ProgrammedLayer {
- public:
-  ZpProgrammedLayer(nn::DeconvLayerSpec spec, std::shared_ptr<const std::vector<GatherTable>> tables,
-                    int threads, bool bit_accurate, xbar::LogicalXbar macro)
-      : spec_(std::move(spec)),
-        tables_(std::move(tables)),
-        threads_(threads),
-        bit_accurate_(bit_accurate),
-        macro_(std::move(macro)) {}
-
-  // One cycle per output pixel, each on its phase's gathered rows.
-  Tensor<std::int32_t> run(const Tensor<std::int32_t>& input, RunStats* stats) const override {
-    return run_gathered(spec_, *tables_, {&macro_, 1}, /*period=*/1, bit_accurate_, threads_,
-                        std::int64_t{spec_.oh()} * spec_.ow(), input, stats);
-  }
-
-  std::unique_ptr<ProgrammedLayer> perturbed(const xbar::VariationModel& var) const override {
-    return std::make_unique<ZpProgrammedLayer>(spec_, tables_, threads_, bit_accurate_,
-                                               xbar::LogicalXbar(macro_, var, /*salt=*/0));
-  }
-
-  std::vector<fault::FaultDraw> draw_faults(const fault::FaultModel& model,
-                                            std::span<const fault::RepairPolicy> arms,
-                                            std::uint64_t salt) const override {
-    return {fault::draw_faults(macro_, model, arms, salt)};
-  }
-
-  std::unique_ptr<ProgrammedLayer> repaired(std::span<const fault::FaultDraw> draws,
-                                            const fault::RepairPolicy& policy,
-                                            fault::RepairReport* report,
-                                            int threads) const override {
-    RED_EXPECTS(draws.size() == 1);
-    return std::make_unique<ZpProgrammedLayer>(
-        spec_, tables_, threads > 0 ? threads : threads_, bit_accurate_,
-        fault::repair_faults(macro_, draws.front(), policy, report));
-  }
-
-  xbar::VariationStats variation_stats() const override { return macro_.variation_stats(); }
-
- private:
-  nn::DeconvLayerSpec spec_;
-  /// Trial-invariant: shared (const) by every perturbed and faulted sibling.
-  std::shared_ptr<const std::vector<GatherTable>> tables_;
-  int threads_;
-  bool bit_accurate_;
-  xbar::LogicalXbar macro_;
-};
 
 }  // namespace
 
@@ -142,9 +84,13 @@ std::unique_ptr<ProgrammedLayer> ZeroPaddingDesign::program(
   const std::int64_t rows = std::int64_t{spec.kh} * spec.kw * spec.c;
   xbar::LogicalXbar macro(rows, spec.m, {rot.data(), static_cast<std::size_t>(rot.size())},
                           cfg_.quant, variation_salt);
-  return std::make_unique<ZpProgrammedLayer>(
-      spec, std::make_shared<const std::vector<GatherTable>>(build_phase_tables(spec)),
-      cfg_.threads, cfg_.bit_accurate, std::move(macro));
+  // One cycle per output pixel, each on its phase's gathered rows.
+  auto prog = std::make_shared<const GatheredProgram>(
+      GatheredProgram{spec, build_phase_tables(spec), /*period=*/1,
+                      std::int64_t{spec.oh()} * spec.ow(), cfg_.bit_accurate});
+  std::vector<xbar::LogicalXbar> xbars;
+  xbars.push_back(std::move(macro));
+  return make_gathered_layer(std::move(prog), std::move(xbars), cfg_.threads);
 }
 
 }  // namespace red::arch

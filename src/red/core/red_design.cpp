@@ -9,7 +9,6 @@
 #include "red/common/contracts.h"
 #include "red/core/pixel_wise_mapping.h"
 #include "red/core/schedule.h"
-#include "red/fault/inject.h"
 #include "red/perf/thread_pool.h"
 #include "red/plan/plan.h"
 
@@ -19,7 +18,8 @@ namespace {
 
 // Sub-salt of group gi in a layer salted `salt`: 4096 bounds any realistic
 // group count while keeping salts disjoint across layers salted 0, 1, 2, ...
-std::uint64_t group_salt(std::uint64_t salt, std::size_t gi) { return salt * 4096 + gi; }
+constexpr std::uint64_t kGroupSalts = 4096;
+std::uint64_t group_salt(std::uint64_t salt, std::size_t gi) { return salt * kGroupSalts + gi; }
 
 // One logical crossbar per mode group: the group's sub-crossbars stacked on
 // shared bitlines (vertical sum-up), C rows each, M logical columns. Group
@@ -73,118 +73,23 @@ std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec
 // is the group's sub-crossbar sc; an idle SC reads the zero slot.
 std::vector<arch::GatherTable> build_gather_tables(const ZeroSkipSchedule& schedule) {
   const auto& spec = schedule.spec();
-  const std::int64_t num_cycles = schedule.num_cycles();
-  const std::int64_t row_cycles = std::int64_t{schedule.blocks_x()} * schedule.phases();
-  const auto idle = static_cast<std::int32_t>(std::int64_t{spec.ih} * spec.iw);
   std::vector<arch::GatherTable> tables(schedule.groups().size());
   GroupWork work;  // rebuilt in place each cycle, reusing inputs capacity
   for (std::size_t gi = 0; gi < tables.size(); ++gi) {
     auto& t = tables[gi];
-    const auto num_sc = static_cast<std::int64_t>(schedule.groups()[gi].scs.size());
     t.xbar = gi;
-    t.block = row_cycles;
-    t.pixel.assign(static_cast<std::size_t>(num_sc * num_cycles), idle);
-    t.out_pixel.resize(static_cast<std::size_t>(num_cycles));
-    for (std::int64_t c0 = 0; c0 < num_cycles; c0 += row_cycles) {
-      const std::int64_t batch = std::min(row_cycles, num_cycles - c0);
-      std::int32_t* block = t.pixel.data() + num_sc * c0;
-      for (std::int64_t k = 0; k < batch; ++k) {
-        schedule.group_work(c0 + k, static_cast<int>(gi), work);
-        t.out_pixel[static_cast<std::size_t>(c0 + k)] =
-            work.produces_output ? std::int64_t{work.out_y} * spec.ow() + work.out_x : -1;
-        for (const auto& in : work.inputs)
-          if (in.active)  // zero-skip: padded zeros are never streamed
-            block[in.sc_index * batch + k] = in.h * spec.iw + in.w;
-      }
-    }
+    t.block = std::int64_t{schedule.blocks_x()} * schedule.phases();
+    const auto fill = [&](std::int64_t cycle, arch::VectorSlots slot) {
+      schedule.group_work(cycle, static_cast<int>(gi), work);
+      for (const auto& in : work.inputs)
+        if (in.active)  // zero-skip: padded zeros are never streamed
+          slot.set(in.sc_index, in.h * spec.iw + in.w);
+      return work.produces_output ? std::int64_t{work.out_y} * spec.ow() + work.out_x : -1;
+    };
+    arch::fill_table(t, spec, schedule.num_cycles(), std::ssize(schedule.groups()[gi].scs), fill);
   }
   return tables;
 }
-
-// Trial-invariant half of the programmed layer: config, schedule and its
-// gather tables. Shared (const) across every perturbed and faulted sibling,
-// so Monte Carlo and fault trials never rebuild or re-walk the schedule.
-struct RedProgram {
-  arch::DesignConfig cfg;
-  nn::DeconvLayerSpec spec;
-  ZeroSkipSchedule schedule;
-  std::vector<arch::GatherTable> gather;  ///< one per mode group
-
-  RedProgram(arch::DesignConfig c, const nn::DeconvLayerSpec& s, int fold,
-             std::vector<ModeGroup> groups)
-      : cfg(std::move(c)),
-        spec(s),
-        schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d, std::move(groups)),
-        gather(build_gather_tables(schedule)) {}
-};
-
-class RedProgrammedLayer final : public arch::ProgrammedLayer {
- public:
-  RedProgrammedLayer(std::shared_ptr<const RedProgram> prog,
-                     std::vector<xbar::LogicalXbar> xbars, int threads)
-      : prog_(std::move(prog)), xbars_(std::move(xbars)), threads_(threads) {}
-
-  // Mode groups are independent executors: each owns its crossbar, its
-  // fold accumulator (one period of phases() cycles) and a disjoint set of
-  // output pixels (one (a, b) output residue class per group). Cycles are a
-  // schedule property, counted once.
-  Tensor<std::int32_t> run(const Tensor<std::int32_t>& input,
-                           arch::RunStats* stats) const override {
-    const auto& schedule = prog_->schedule;
-    return arch::run_gathered(prog_->spec, prog_->gather, xbars_, schedule.phases(),
-                              prog_->cfg.bit_accurate, threads_, schedule.num_cycles(), input,
-                              stats);
-  }
-
-  std::unique_ptr<arch::ProgrammedLayer> perturbed(
-      const xbar::VariationModel& var) const override {
-    std::vector<xbar::LogicalXbar> perturbed_xbars;
-    perturbed_xbars.reserve(xbars_.size());
-    for (std::size_t gi = 0; gi < xbars_.size(); ++gi)
-      perturbed_xbars.emplace_back(xbars_[gi], var, /*salt=*/gi);
-    return std::make_unique<RedProgrammedLayer>(prog_, std::move(perturbed_xbars), threads_);
-  }
-
-  std::vector<fault::FaultDraw> draw_faults(const fault::FaultModel& model,
-                                            std::span<const fault::RepairPolicy> arms,
-                                            std::uint64_t salt) const override {
-    // Sub-salt per group crossbar so groups draw independent fault masks.
-    std::vector<fault::FaultDraw> draws;
-    draws.reserve(xbars_.size());
-    for (std::size_t gi = 0; gi < xbars_.size(); ++gi)
-      draws.push_back(fault::draw_faults(xbars_[gi], model, arms, group_salt(salt, gi)));
-    return draws;
-  }
-
-  std::unique_ptr<arch::ProgrammedLayer> repaired(std::span<const fault::FaultDraw> draws,
-                                                  const fault::RepairPolicy& policy,
-                                                  fault::RepairReport* report,
-                                                  int threads) const override {
-    RED_EXPECTS(draws.size() == xbars_.size());
-    std::vector<xbar::LogicalXbar> faulted_xbars;
-    faulted_xbars.reserve(xbars_.size());
-    fault::RepairReport total;
-    for (std::size_t gi = 0; gi < xbars_.size(); ++gi) {
-      fault::RepairReport rep;
-      faulted_xbars.push_back(fault::repair_faults(xbars_[gi], draws[gi], policy, &rep));
-      total += rep;
-    }
-    if (report != nullptr) *report = total;
-    return std::make_unique<RedProgrammedLayer>(prog_, std::move(faulted_xbars),
-                                                threads > 0 ? threads : threads_);
-  }
-
-  xbar::VariationStats variation_stats() const override {
-    xbar::VariationStats total;
-    for (const auto& xb : xbars_) total += xb.variation_stats();
-    return total;
-  }
-
- private:
-  std::shared_ptr<const RedProgram> prog_;
-  std::vector<xbar::LogicalXbar> xbars_;
-  int threads_;  ///< run() lanes over the gathered blocks
-};
 
 }  // namespace
 
@@ -198,10 +103,19 @@ std::unique_ptr<arch::ProgrammedLayer> RedDesign::program(
   check_plan(plan);
   RED_EXPECTS(kernel.shape() == plan.spec.kernel_shape());
   // Consume the compiled mapping: fold and mode groups come from the plan.
-  auto prog = std::make_shared<RedProgram>(cfg_, plan.spec, plan.fold, plan.groups);
-  auto xbars = build_group_xbars(plan.spec, prog->schedule.groups(), kernel, cfg_.quant,
-                                 variation_salt, cfg_.threads);
-  return std::make_unique<RedProgrammedLayer>(std::move(prog), std::move(xbars), cfg_.threads);
+  // Mode groups are independent executors: each owns its crossbar, its
+  // fold accumulator (one period of phases() cycles) and a disjoint set of
+  // output pixels (one (a, b) output residue class per group). Cycles are a
+  // schedule property, counted once.
+  const ZeroSkipSchedule schedule(plan.spec, plan.fold, cfg_.lookahead_h, cfg_.lookaside_d,
+                                  plan.groups);
+  auto prog = std::make_shared<const arch::GatheredProgram>(
+      arch::GatheredProgram{plan.spec, build_gather_tables(schedule), schedule.phases(),
+                            schedule.num_cycles(), cfg_.bit_accurate, kGroupSalts});
+  return arch::make_gathered_layer(std::move(prog),
+                                   build_group_xbars(plan.spec, schedule.groups(), kernel,
+                                                     cfg_.quant, variation_salt, cfg_.threads),
+                                   cfg_.threads);
 }
 
 }  // namespace red::core

@@ -956,10 +956,6 @@ ExactSweep exact_sweep(const LogicalXbar& xbar) {
   return xbar.cols() < mvm_lanes(mvm_active_isa()) ? ExactSweep::kBatch : ExactSweep::kColumns;
 }
 
-bool reads_batch_minor(const LogicalXbar& xbar, bool bit_accurate) {
-  return runs_exact_kernel(xbar, bit_accurate) && exact_sweep(xbar) == ExactSweep::kBatch;
-}
-
 void gather_inputs(const std::int32_t* src, std::span<const std::int32_t> index,
                    std::int32_t* dst) {
   const auto n = static_cast<std::int64_t>(index.size());
@@ -994,13 +990,6 @@ std::span<const std::int64_t> mvm_bit_accurate(const LogicalXbar& xbar,
                    exact_sweep(xbar), /*batch_minor=*/false, ws, stats);
 }
 
-std::span<const std::int64_t> mvm_exact(const LogicalXbar& xbar,
-                                        std::span<const std::int32_t> input, MvmWorkspace& ws,
-                                        MvmStats* stats) {
-  return run_batch(mvm_active_isa(), xbar, {}, input, 1, /*bit_accurate=*/false,
-                   exact_sweep(xbar), /*batch_minor=*/false, ws, stats);
-}
-
 std::span<const std::int64_t> mvm_batch(const LogicalXbar& xbar,
                                         std::span<const std::int32_t> inputs, std::int64_t batch,
                                         bool bit_accurate, MvmWorkspace& ws, MvmStats* stats) {
@@ -1019,20 +1008,14 @@ std::span<const std::int64_t> mvm_gathered(const LogicalXbar& xbar,
 
 namespace detail {
 
-std::span<const std::int64_t> mvm_bit_accurate_on(MvmIsa tier, const LogicalXbar& xbar,
-                                                  std::span<const std::int32_t> input,
-                                                  MvmWorkspace& ws, MvmStats* stats) {
-  return run_batch(std::min(tier, mvm_active_isa()), xbar, {}, input, 1, /*bit_accurate=*/true,
-                   exact_sweep(xbar), /*batch_minor=*/false, ws, stats);
-}
-
-std::span<const std::int64_t> mvm_exact_on(MvmIsa tier, ExactSweep sweep,
-                                           const LogicalXbar& xbar,
-                                           std::span<const std::int32_t> inputs,
-                                           std::int64_t batch, MvmWorkspace& ws,
-                                           MvmStats* stats, std::span<const std::int32_t> rows) {
-  return run_batch(std::min(tier, mvm_active_isa()), xbar, rows, inputs, batch,
-                   /*bit_accurate=*/false, sweep, /*batch_minor=*/false, ws, stats);
+std::span<const std::int64_t> mvm_gathered_on(MvmIsa tier, ExactSweep sweep,
+                                              const LogicalXbar& xbar,
+                                              std::span<const std::int32_t> rows,
+                                              std::span<const std::int32_t> inputs,
+                                              std::int64_t batch, bool bit_accurate,
+                                              MvmWorkspace& ws, MvmStats* stats) {
+  return run_batch(std::min(tier, mvm_active_isa()), xbar, rows, inputs, batch, bit_accurate,
+                   sweep, /*batch_minor=*/false, ws, stats);
 }
 
 }  // namespace detail

@@ -1,6 +1,6 @@
 // MVM kernels: one per regime, each compiled at every SIMD tier (MvmIsa).
 //
-//  * exact (mvm_exact, mvm_batch, mvm_gathered, and bit-accurate calls
+//  * exact (mvm_batch, mvm_gathered, and bit-accurate calls
 //    under an ideal ADC, which is lossless: runs_exact_kernel) — the
 //    integer dot product with the round-tripped weights. A row sweep over
 //    LogicalXbar's narrow weight copy (visit_stored_weights, sized by
@@ -37,9 +37,9 @@
 // hosts), AVX2 (8 int32 lanes, vpshufb popcount) and AVX-512 (16 int32
 // lanes, VPOPCNTDQ; DQ for the fault draw pass, which sweeps at the same
 // tier). CPU detection picks the widest once per process, for both kernels
-// and that pass. detail::mvm_exact_on() and detail::mvm_bit_accurate_on() run
-// a given tier (and, for the exact kernel, a given orientation) so tests and
-// benchmarks can check every compiled tier on one host.
+// and that pass. detail::mvm_gathered_on() runs a given tier (and, for the
+// exact kernel, a given orientation) so tests and benchmarks can check every
+// compiled tier on one host.
 //
 // Both kernels are bit-exact against LogicalXbar::mvm_bit_accurate_reference
 // in outputs AND MvmStats (tests/fast_path_equivalence_test.cpp gates this).
@@ -81,10 +81,6 @@ enum class ExactSweep : int {
 /// when cols() < mvm_lanes(mvm_active_isa()), else kColumns.
 [[nodiscard]] ExactSweep exact_sweep(const xbar::LogicalXbar& xbar);
 
-/// runs_exact_kernel and exact_sweep() kBatch: a caller building its own
-/// input block writes it batch-minor for mvm_gathered.
-[[nodiscard]] bool reads_batch_minor(const xbar::LogicalXbar& xbar, bool bit_accurate);
-
 /// Rows of worst-magnitude products (largest |activation| times largest
 /// |stored weight|) an int32 accumulator holds without overflow: the exact
 /// kernel flushes to int64 at least this often. 1 at wbits = abits = 16 with
@@ -102,12 +98,6 @@ std::span<const std::int64_t> mvm_bit_accurate(const xbar::LogicalXbar& xbar,
                                                std::span<const std::int32_t> input,
                                                MvmWorkspace& ws,
                                                xbar::MvmStats* stats = nullptr);
-
-/// Exact integer MVM (ideal-ADC semantics; the workspace twin of
-/// LogicalXbar::mvm). Returns a span of cols() results in `ws.out`.
-std::span<const std::int64_t> mvm_exact(const xbar::LogicalXbar& xbar,
-                                        std::span<const std::int32_t> input, MvmWorkspace& ws,
-                                        xbar::MvmStats* stats = nullptr);
 
 /// Batched MVM: `inputs` holds `batch` concatenated input vectors of
 /// rows() elements each. Workspace buffers are sized once for the batch.
@@ -140,21 +130,16 @@ std::span<const std::int64_t> mvm_gathered(const xbar::LogicalXbar& xbar,
 
 namespace detail {
 
-/// mvm_bit_accurate() on `tier`, clamped to mvm_active_isa(). For tests and
-/// benchmarks that check every compiled tier on one host.
-std::span<const std::int64_t> mvm_bit_accurate_on(MvmIsa tier, const xbar::LogicalXbar& xbar,
-                                                  std::span<const std::int32_t> input,
-                                                  MvmWorkspace& ws,
-                                                  xbar::MvmStats* stats = nullptr);
-
-/// mvm_gathered(bit_accurate=false) on `tier`, clamped to mvm_active_isa(),
-/// with the orientation forced to `sweep`. `inputs` is vector-major.
-std::span<const std::int64_t> mvm_exact_on(MvmIsa tier, ExactSweep sweep,
-                                           const xbar::LogicalXbar& xbar,
-                                           std::span<const std::int32_t> inputs,
-                                           std::int64_t batch, MvmWorkspace& ws,
-                                           xbar::MvmStats* stats = nullptr,
-                                           std::span<const std::int32_t> rows = {});
+/// mvm_gathered on vector-major inputs at `tier` (clamped to
+/// mvm_active_isa()), with the exact kernel's orientation forced to
+/// `sweep`: tests and benchmarks check every compiled tier on one host.
+std::span<const std::int64_t> mvm_gathered_on(MvmIsa tier, ExactSweep sweep,
+                                              const xbar::LogicalXbar& xbar,
+                                              std::span<const std::int32_t> rows,
+                                              std::span<const std::int32_t> inputs,
+                                              std::int64_t batch, bool bit_accurate,
+                                              MvmWorkspace& ws,
+                                              xbar::MvmStats* stats = nullptr);
 
 }  // namespace detail
 

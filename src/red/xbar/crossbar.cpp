@@ -323,13 +323,14 @@ std::vector<std::int32_t> LogicalXbar::stored_weights() const {
 
 std::vector<std::int64_t> LogicalXbar::mvm(std::span<const std::int32_t> input,
                                            MvmStats* stats) const {
-  const auto out = perf::mvm_exact(*this, input, thread_workspace(), stats);
+  const auto out =
+      perf::mvm_batch(*this, input, 1, /*bit_accurate=*/false, thread_workspace(), stats);
   return {out.begin(), out.end()};
 }
 
 std::span<const std::int64_t> LogicalXbar::mvm(std::span<const std::int32_t> input,
                                                perf::MvmWorkspace& ws, MvmStats* stats) const {
-  return perf::mvm_exact(*this, input, ws, stats);
+  return perf::mvm_batch(*this, input, 1, /*bit_accurate=*/false, ws, stats);
 }
 
 std::vector<std::int64_t> LogicalXbar::mvm_bit_accurate(std::span<const std::int32_t> input,

@@ -253,7 +253,8 @@ void expect_kernels_match(const LogicalXbar& xb, const LogicalXbar& twin,
       const std::string label = std::string(perf::mvm_isa_name(isa)) + " " + what +
                                 (bx == &twin ? " (lossless clipped)" : "");
       MvmStats got_stats;
-      const auto got = perf::detail::mvm_bit_accurate_on(isa, *bx, in, ws, &got_stats);
+      const auto got = perf::detail::mvm_gathered_on(isa, perf::exact_sweep(*bx), *bx, {}, in,
+                                                     1, /*bit_accurate=*/true, ws, &got_stats);
       EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), ref) << label;
       EXPECT_EQ(got_stats, ref_stats) << label;
     }
@@ -326,7 +327,7 @@ TEST(FastPathEquivalence, KernelsMatchReferenceOnDcganMacros) {
 }
 
 // ---------------------------------------------------------------------------
-// The exact kernel per tier and orientation (perf::detail::mvm_exact_on).
+// The exact kernel per tier and orientation (perf::detail::mvm_gathered_on).
 // ---------------------------------------------------------------------------
 
 /// Runs `batch` vectors of `inputs` (vector-major, the first batch * rows
@@ -348,7 +349,8 @@ void expect_exact_matches(const LogicalXbar& xb, std::span<const std::int32_t> i
                                 perf::mvm_isa_name(isa) +
                                 (sweep == perf::ExactSweep::kBatch ? " batch-sweep" : " col-sweep");
       MvmStats got_stats;
-      const auto got = perf::detail::mvm_exact_on(isa, sweep, xb, block, batch, ws, &got_stats);
+      const auto got =
+          perf::detail::mvm_gathered_on(isa, sweep, xb, {}, block, batch, false, ws, &got_stats);
       EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), want) << label;
       EXPECT_EQ(got_stats, ref_stats) << label;
     }
@@ -548,7 +550,8 @@ TEST(ExactKernel, OutOfRangeActivationThrowsThroughEveryPath) {
         << bad;
     for (const auto isa : supported_isas())
       for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch})
-        EXPECT_THROW((void)perf::detail::mvm_exact_on(isa, sweep, xb, inputs, 9, ws),
+        EXPECT_THROW(
+            (void)perf::detail::mvm_gathered_on(isa, sweep, xb, {}, inputs, 9, false, ws),
                      ContractViolation)
             << bad << " " << perf::mvm_isa_name(isa);
   }
@@ -593,8 +596,8 @@ TEST(ExactKernel, GatheredRowsMatchReferenceOnScatteredVectors) {
     for (const auto isa : supported_isas())
       for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch}) {
         MvmStats got_stats;
-        const auto got =
-            perf::detail::mvm_exact_on(isa, sweep, xb, block, batch, ws, &got_stats, list);
+        const auto got = perf::detail::mvm_gathered_on(isa, sweep, xb, list, block, batch, false,
+                                                       ws, &got_stats);
         EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), want)
             << what << " " << perf::mvm_isa_name(isa) << " sweep " << static_cast<int>(sweep);
         EXPECT_EQ(got_stats, want_stats) << what << " " << perf::mvm_isa_name(isa);
@@ -605,7 +608,7 @@ TEST(ExactKernel, GatheredRowsMatchReferenceOnScatteredVectors) {
       clipped.adc = {AdcMode::kClipped, 3};
       ASSERT_LT(3, xb.lossless_adc_bits());
       const LogicalXbar cx(rows, cols, xb.stored_weights(), clipped);
-      MvmStats ref_stats, got_stats;
+      MvmStats ref_stats;
       std::vector<std::int64_t> ref;
       for (std::int64_t v = 0; v < batch; ++v) {
         const auto o = cx.mvm_bit_accurate_reference(
@@ -613,17 +616,22 @@ TEST(ExactKernel, GatheredRowsMatchReferenceOnScatteredVectors) {
             &ref_stats);
         ref.insert(ref.end(), o.begin(), o.end());
       }
-      const auto got = perf::mvm_gathered(cx, list, block, batch, /*batch_minor=*/false,
-                                          /*bit_accurate=*/true, ws, &got_stats);
-      EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), ref) << what << " clipped";
-      EXPECT_EQ(got_stats, ref_stats) << what << " clipped";
-      EXPECT_GT(got_stats.adc_clips, 0) << what;
+      for (const auto isa : supported_isas()) {
+        MvmStats got_stats;
+        const auto got = perf::detail::mvm_gathered_on(isa, perf::exact_sweep(cx), cx, list, block,
+                                                       batch, /*bit_accurate=*/true, ws, &got_stats);
+        EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), ref)
+            << what << " clipped " << perf::mvm_isa_name(isa);
+        EXPECT_EQ(got_stats, ref_stats) << what << " clipped " << perf::mvm_isa_name(isa);
+        EXPECT_GT(got_stats.adc_clips, 0) << what;
+      }
     }
     auto bad = block;
     bad[bad.size() / 2] = q.dac_bits == 1 ? (1 << (q.abits - 1)) : -1;
     for (const auto isa : supported_isas())
       for (const auto sweep : {perf::ExactSweep::kColumns, perf::ExactSweep::kBatch})
-        EXPECT_THROW((void)perf::detail::mvm_exact_on(isa, sweep, xb, bad, batch, ws, nullptr, list),
+        EXPECT_THROW(
+            (void)perf::detail::mvm_gathered_on(isa, sweep, xb, list, bad, batch, false, ws),
                      ContractViolation)
             << what << " " << perf::mvm_isa_name(isa);
     const std::vector<std::int32_t> unsorted = {2, 1};

@@ -457,7 +457,8 @@ TEST(ZeroPaddingDigests, DcganDiv4OutputsAndRunStatsArePinned) {
 /// Zero padding's gathered run against the dense oracle (zero-inserted
 /// plane, one window per output pixel): outputs and RunStats equal on the
 /// oracle cases (strides 1-4), an fcn8s_up8-shaped layer (16x16 kernel,
-/// stride 8) and dcgan/div4 stage 3 (800x3, the batch sweep), at 1, 2 and 4
+/// stride 8), a 2x2 kernel at stride 4 (phases no tap reaches) and
+/// dcgan/div4 stage 3 (800x3, the batch sweep), at 1, 2 and 4
 /// lanes, on the exact path, bit-accurate under an ideal ADC and under a
 /// clipped ADC below lossless_adc_bits(), on the clean, a perturbed() and a
 /// repaired(draw_faults()) layer.
@@ -466,6 +467,7 @@ TEST(ZeroPaddingGather, MatchesTheDenseOracle) {
   for (std::uint64_t k = 0; k < 8; ++k) cases.push_back(oracle::draw_case(9100 + k));
   Rng rng(41);
   for (const auto& spec : {nn::DeconvLayerSpec{"up8_small", 5, 5, 3, 4, 16, 16, 8, 4, 0},
+                           nn::DeconvLayerSpec{"narrow", 4, 5, 2, 3, 2, 2, 4, 1, 1},
                            workloads::named_stack("dcgan", 4)[3]}) {
     oracle::Case c;
     c.spec = spec;
